@@ -10,8 +10,7 @@ benchmark CLI round out the package.
 from .buffer import InputBuffer, iterate_fetch
 from .eager import build_eager
 from .engine import build_runtime, compile_pattern, make_runtime
-from .events import (Event, StreamDataError, check_stream_order, event_order,
-                     within_window)
+from .events import Event, StreamDataError, check_stream_order, within_window
 from .lazy import (ascending_freq_order, build_fc_negation, build_iteration,
                    build_lazy, build_lazy_chain, build_multi_chain,
                    build_pp_negation, partial_filters, sequence_filters)
@@ -32,7 +31,7 @@ __all__ = [
     "build_fc_negation", "build_iteration", "build_lazy", "build_lazy_chain",
     "build_multi_chain", "build_pp_negation", "build_runtime",
     "check_stream_order", "compile_pattern", "enumerate_matches",
-    "enumerate_matches_chains", "event_order", "iterate_fetch",
+    "enumerate_matches_chains", "iterate_fetch",
     "make_runtime", "match_key", "match_line", "parse_pattern",
     "partial_filters", "pearson", "render_chain", "render_pattern",
     "run_stream", "sequence_filters", "to_dnf", "validate_nfa",

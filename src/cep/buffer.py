@@ -64,11 +64,14 @@ class InputBuffer:
         self._buckets: dict = {}  # (etype, value) -> _TypeLane
         self._values: dict = {}  # etype -> set of seen bucket values
         self._last_key = None
+        self._oldest_ts = None  # ts of the oldest live event; None if empty
 
     def store(self, e: Event) -> None:
         if self._last_key is not None and e.key <= self._last_key:
             raise StreamDataError(f"buffer store out of order: {e}")
         self._last_key = e.key
+        if self._oldest_ts is None:
+            self._oldest_ts = e.ts
         lane = self._lanes.get(e.etype)
         if lane is None:
             lane = self._lanes[e.etype] = _TypeLane()
@@ -83,11 +86,25 @@ class InputBuffer:
             bucket.append(e)
 
     def expire(self, watermark_ts: int) -> int:
+        """Drop every event older than ``watermark_ts``; returns how many.
+
+        Nothing is touched until the watermark passes the oldest live
+        event. Buckets hold a subset of the lane events, so that check
+        covers them too.
+        """
+        if self._oldest_ts is None or watermark_ts <= self._oldest_ts:
+            return 0
         removed = 0
+        oldest = None
         for lane in self._lanes.values():
             removed += lane.expire(watermark_ts)
+            if lane.start < len(lane.keys):
+                front = lane.keys[lane.start][0]
+                if oldest is None or front < oldest:
+                    oldest = front
         for bucket in self._buckets.values():
             bucket.expire(watermark_ts)
+        self._oldest_ts = oldest
         return removed
 
     def query(

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import nfa as N
 from .patterns import ChainPattern
-from .predicates import atom_roles
+from .predicates import atom_roles, compile_atom
 
 
 def build_eager(chain: ChainPattern) -> N.Nfa:
@@ -51,12 +51,14 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
         states.append(N.State(accepting, N.ACCEPT, "F", 0))
     states.append(N.State(rejecting, N.REJECT, "R", 0))
 
+    # (roles, compiled atom); one atom may ride several lattice edges.
     chain_atoms, iter_atom_list = [], []
     for a in chain.atoms:
-        if it is not None and it.role in atom_roles(a):
-            iter_atom_list.append(a)
+        roles_a = atom_roles(a)
+        if it is not None and it.role in roles_a:
+            iter_atom_list.append(compile_atom(a))
         else:
-            chain_atoms.append(a)
+            chain_atoms.append((roles_a, compile_atom(a)))
     iter_atoms = tuple(iter_atom_list)
 
     edges = []
@@ -69,8 +71,8 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
                 continue
             takeable.add(r)
             cond = tuple(
-                a for a in chain_atoms
-                if r in atom_roles(a) and atom_roles(a) <= (s | {r})
+                a for roles_a, a in chain_atoms
+                if r in roles_a and roles_a <= (s | {r})
             )
             edges.append(N.Edge(sid, sid_of[s | frozenset({r})], N.TAKE,
                                 frozenset({types[r]}), cond=cond, role=r,
@@ -94,6 +96,7 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
         full_sid = sid_of[full]
         pos_types = all_types
         for j, spec in enumerate(chain.negations):
+            spec = spec.compiled()
             sid = tail_start + j
             nxt = sid + 1 if j + 1 < len(chain.negations) else accepting
             checked = frozenset(x.etype for x in chain.negations[:j])

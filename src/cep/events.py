@@ -53,19 +53,6 @@ class Event:
         return f"{self.etype}@{self.ts}#{self.seq}"
 
 
-def event_order(a: Event, b: Event) -> int:
-    """Total order on events: -1/0/1 comparing (ts, seq) lexicographically.
-
-    Consistent with arrival order; the seq tiebreak makes "x before y"
-    deterministic for equal timestamps.
-    """
-    if a.key < b.key:
-        return -1
-    if a.key > b.key:
-        return 1
-    return 0
-
-
 def within_window(earliest_ts: int, latest_ts: int, window: int) -> bool:
     """True iff the two timestamps are at most ``window`` ms apart (inclusive)."""
     if earliest_ts > latest_ts:

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 from . import nfa as N
 from .events import EventType
 from .patterns import ChainPattern, NegSpec
-from .predicates import atom_roles
+from .predicates import atom_roles, compile_atom
 
 
 def ascending_freq_order(rates: Mapping[EventType, float]) -> list:
@@ -87,12 +87,12 @@ def _check_freq(chain: ChainPattern, freq: Sequence[EventType]) -> None:
 
 
 def _assign_atoms(chain: ChainPattern, bind_order: Sequence[str]) -> list:
-    """Atoms per take position: each atom fires at the position binding its
-    last referenced role."""
+    """Compiled atoms per take position: each atom fires at the position
+    binding its last referenced role."""
     pos_of = {r: i for i, r in enumerate(bind_order)}
     slots = [[] for _ in bind_order]
     for atom in chain.atoms:
-        slots[max(pos_of[r] for r in atom_roles(atom))].append(atom)
+        slots[max(pos_of[r] for r in atom_roles(atom))].append(compile_atom(atom))
     return [tuple(s) for s in slots]
 
 
@@ -217,6 +217,7 @@ def _build(chain: ChainPattern, freq: Sequence[EventType], label: str,
     tail = []
     pos_types = frozenset(freq)
     for j, spec in enumerate(negs):
+        spec = spec.compiled()
         sid = tail_start + j
         nxt = sid + 1 if j + 1 < len(negs) else accepting
         checked = frozenset(s.etype for s in negs[:j])
@@ -241,10 +242,11 @@ def _build(chain: ChainPattern, freq: Sequence[EventType], label: str,
         for spec in chain.negations:
             reduced = _reduce_neighbours(chain, spec)
             sid = _dep_state(chain, reduced, freq, bind_order, accepting)
+            reduced = reduced.compiled()
             prec = frozenset(types[r] for r in reduced.prec_roles)
             succ = frozenset(types[r] for r in reduced.succ_roles)
             edges.append(N.Edge(sid, rejecting, N.TAKE, frozenset({spec.etype}),
-                                cond=spec.cond, prec=prec, succ=succ,
+                                cond=reduced.cond, prec=prec, succ=succ,
                                 role=spec.role, branch=0))
             fc_checks.setdefault(sid, []).append(reduced)
         fc_checks = {sid: tuple(v) for sid, v in fc_checks.items()}

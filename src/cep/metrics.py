@@ -58,7 +58,7 @@ class Metrics:
             "throughput_eps": (self.events_processed / self.wall_time
                                if self.wall_time > 0 else None),
             "peak_live_instances": self.peak_live_instances,
-            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "process_peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "predicate_evaluations": {
                 "total": self.predicate_evaluations,
                 "per_event": self.predicate_evaluations / ev,

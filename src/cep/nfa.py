@@ -43,7 +43,7 @@ class Edge:
     dst: int
     action: str  # take | ignore | store | iterate
     types: frozenset  # event types (or the synthetic TIMEOUT / SEARCH_FAILED)
-    cond: tuple = ()  # predicate atoms evaluated on traversal
+    cond: tuple = ()  # compiled predicate atoms evaluated on traversal
     prec: frozenset = frozenset()  # ordering filter: types that must precede
     succ: frozenset = frozenset()  # ordering filter: types that must succeed
     role: Optional[str] = None  # role bound by take/iterate
@@ -93,9 +93,6 @@ class Nfa:
 
     def state(self, sid: int) -> State:
         return self.states[sid]
-
-    def out_edges(self, sid: int) -> list:
-        return [e for e in self.edges if e.src == sid]
 
 
 def validate_nfa(nfa: Nfa) -> None:

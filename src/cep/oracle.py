@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .events import Event, within_window
 from .patterns import ChainPattern, NegSpec
-from .predicates import eval_atoms
+from .predicates import compile_atoms, eval_atoms
 from .runtime import match_key
 
 
@@ -44,11 +44,13 @@ def enumerate_matches(chain: ChainPattern, stream: Sequence[Event],
             role_choices.append((role, _subset_choices(events, it)))
         else:
             role_choices.append((role, events))
+    atoms = compile_atoms(chain.atoms)
+    negations = [n.compiled() for n in chain.negations]
     out = []
     for combo in product(*(choices for _, choices in role_choices)):
         binding = {role: value
                    for (role, _), value in zip(role_choices, combo)}
-        if _match_ok(chain, binding, by_type, w):
+        if _match_ok(chain, atoms, negations, binding, by_type, w):
             out.append(binding)
     out.sort(key=match_key)
     return out
@@ -74,7 +76,8 @@ def _bounds_of(binding, role):
     return bound.key, bound.key
 
 
-def _match_ok(chain: ChainPattern, binding: dict, by_type: dict, w: int) -> bool:
+def _match_ok(chain: ChainPattern, atoms: tuple, negations: list,
+              binding: dict, by_type: dict, w: int) -> bool:
     for u, v in chain.temporal_order:
         _, u_hi = _bounds_of(binding, u)
         v_lo, _ = _bounds_of(binding, v)
@@ -85,9 +88,9 @@ def _match_ok(chain: ChainPattern, binding: dict, by_type: dict, w: int) -> bool
     lo_ts, hi_ts = min(all_ts), max(all_ts)
     if not within_window(lo_ts, hi_ts, w):
         return False
-    if chain.atoms and not eval_atoms(chain.atoms, binding):
+    if atoms and not eval_atoms(atoms, binding):
         return False
-    for neg in chain.negations:
+    for neg in negations:
         if _invalidated(neg, binding, by_type, lo_ts, hi_ts, w):
             return False
     return True

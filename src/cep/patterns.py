@@ -15,7 +15,7 @@ order, per-chain negations, and at most one iterated role.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import predicates as P
@@ -91,6 +91,10 @@ class NegSpec:
     cond: tuple  # atoms referencing this role (plus positives)
     prec_roles: frozenset  # positive/iterated roles that must precede it
     succ_roles: frozenset  # positive/iterated roles that must succeed it
+
+    def compiled(self) -> "NegSpec":
+        """This check with its condition atoms compiled."""
+        return replace(self, cond=P.compile_atoms(self.cond))
 
     def key(self):
         return (

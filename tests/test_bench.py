@@ -45,7 +45,7 @@ def test_report_shape():
     assert report["predicate_evaluations"]["per_event"] == pytest.approx(0.5)
     assert report["predicate_evaluations"]["per_match"] == pytest.approx(12.5)
     assert report["memory_ops"]["buffer_insert"]["total"] == 60
-    assert report["peak_rss_kb"] > 0
+    assert report["process_peak_rss_kb"] > 0
 
 
 def test_per_match_undefined_without_matches():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cep.buffer import InputBuffer, iterate_fetch
@@ -78,15 +78,36 @@ class TestExpire:
         buf.expire(5)
         assert buf.query("B", group=7.0) == [b2]
 
-    @given(st.lists(st.integers(0, 30), min_size=0, max_size=25),
-           st.integers(0, 30))
-    def test_no_stale_event_survives(self, tss, watermark):
-        tss = sorted(tss)
-        buf = InputBuffer()
-        for i, ts in enumerate(tss):
-            buf.store(Event("A", ts, i))
-        buf.expire(watermark)
-        assert all(e.ts >= watermark for e in buf.query("A"))
+    # Runs of (events, ts step, watermark lag): every store is followed by
+    # an expire at ts - lag. A zero step or lag puts equal timestamps on the
+    # watermark; the explicit example expires enough events of type A to
+    # cross the 512-event lane compaction.
+    @given(st.lists(st.tuples(st.integers(1, 700), st.integers(0, 2),
+                              st.integers(0, 30)), min_size=1, max_size=3))
+    @example([(1500, 1, 3), (40, 0, 0), (60, 2, 0)])
+    @settings(deadline=None, max_examples=40)
+    def test_no_stale_event_survives(self, runs):
+        buf = InputBuffer({"A": "g"})
+        stored, live = [], []
+        ts = 0
+        for n, step, lag in runs:
+            for _ in range(n):
+                seq = len(stored)
+                etype = "B" if seq % 3 == 0 else "A"
+                e = Event(etype, ts, seq, {"g": seq * 7 % 3})
+                buf.store(e)
+                stored.append(e)
+                live.append(e)
+                watermark = ts - lag
+                kept = [x for x in live if x.ts >= watermark]
+                assert buf.expire(watermark) == len(live) - len(kept)
+                live = kept
+                for t in "AB":
+                    assert buf.query(t) == [x for x in live if x.etype == t]
+                for g in range(3):
+                    assert buf.query("A", group=g) == [
+                        x for x in live if x.etype == "A" and x.attrs["g"] == g]
+                ts += step
 
 
 class TestIterateFetch:

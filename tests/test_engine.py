@@ -1,7 +1,8 @@
 import pytest
 
-from cep.engine import (apply_group_by, build_runtime, chain_orders,
-                        compile_pattern)
+from cep import predicates
+from cep.engine import (MODES, apply_group_by, build_runtime, chain_orders,
+                        compile_pattern, make_runtime)
 from cep.nfa import BuildError
 from cep.patterns import parse_pattern, to_dnf
 from cep.runtime import match_line, run_stream
@@ -61,3 +62,29 @@ def test_rate_orders_respected_per_chain():
                      if e.src == nfa.initial and e.role is not None}
     # Each chain starts from its rarest type.
     assert q1_take_types == {"B", "C"}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_runtimes_reuse_the_atoms_compiled_with_the_automata(monkeypatch, mode):
+    # Every compiled atom is an Atom, whichever module compiled it.
+    compiled = []
+    real = predicates.Atom.__init__
+
+    def counting(self, expr, test):
+        compiled.append(expr)
+        real(self, expr, test)
+
+    monkeypatch.setattr(predicates.Atom, "__init__", counting)
+    chains = chains_of("PATTERN SEQ(A a, NOT(B b), C c) WHERE skip_till_any_match"
+                       " { a.x < c.x and b.x > c.x } WITHIN 1 hour")
+    nfas = compile_pattern(chains, mode, rates={"A": 2.0, "B": 3.0, "C": 1.0})
+    assert compiled
+    compiled.clear()
+    stream = mkstream(("A", 1, {"x": 1.0}), ("B", 2, {"x": 0.0}),
+                      ("C", 3, {"x": 2.0}), ("A", 4, {"x": 3.0}),
+                      ("B", 5, {"x": 9.0}), ("C", 6, {"x": 5.0}))
+    runs = [[match_line(m) for m in run_stream(make_runtime(nfas), stream)]
+            for _ in range(2)]
+    # B@5 (x=9 > 5) rules out both matches ending at C@6.
+    assert runs[0] == runs[1] == ["a=A@1#0; c=C@3#2"]
+    assert compiled == []

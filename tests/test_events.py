@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cep.events import (Event, StreamDataError, check_stream_order,
-                        event_order, within_window)
+from cep.events import Event, StreamDataError, check_stream_order, within_window
 
 
 def test_window_boundary_inclusive():
@@ -21,30 +20,6 @@ def test_window_zero_interval():
 def test_window_rejects_inverted_interval():
     with pytest.raises(ValueError):
         within_window(10, 9, 100)
-
-
-def test_event_order_examples():
-    assert event_order(Event("A", 1, 1), Event("B", 2, 2)) == -1
-    assert event_order(Event("A", 1, 1), Event("B", 1, 2)) == -1  # seq tiebreak
-    assert event_order(Event("A", 1, 3), Event("A", 1, 3)) == 0
-
-
-events_st = st.builds(
-    Event,
-    etype=st.sampled_from("AB"),
-    ts=st.integers(0, 50),
-    seq=st.integers(0, 50),
-)
-
-
-@given(events_st, events_st, events_st)
-def test_event_order_is_total(a, b, c):
-    # Antisymmetric and total.
-    assert event_order(a, b) == -event_order(b, a)
-    assert (event_order(a, b) == 0) == (a.key == b.key)
-    # Transitive.
-    if event_order(a, b) <= 0 and event_order(b, c) <= 0:
-        assert event_order(a, c) <= 0
 
 
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 200),

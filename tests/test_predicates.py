@@ -3,7 +3,8 @@ import pytest
 from cep.events import Event, StreamDataError
 from cep.metrics import Metrics
 from cep.patterns import parse_pattern
-from cep.predicates import atom_roles, eval_atom, eval_atoms, split_conjunction
+from cep.predicates import (Agg, AttrRef, Cmp, Literal, PredicateError,
+                            atom_roles, eval_atom, eval_atoms, split_conjunction)
 
 
 def _atoms(where: str, pattern="SEQ(A a, B b, C c)"):
@@ -119,6 +120,31 @@ def test_zero_variance_correlation_is_false_not_an_error():
     binding = {"a": ev("A", 1, 1, history=(1.0, 1.0, 1.0)),
                "b": ev("B", 2, 2, history=(2.0, 4.0, 6.0))}
     assert eval_atom(atom, binding) is False
+
+
+def test_iterated_reference_outside_quantified_atom_is_an_error():
+    # The parser rejects b.x for an iterated b; a hand-built atom reaches
+    # the evaluator's own check.
+    atom = Cmp(">", AttrRef("b", "x"), Literal(1.0))
+    with pytest.raises(PredicateError, match="outside quantified atom"):
+        eval_atom(atom, {"b": (ev("B", 1, 1, x=2.0),)})
+
+
+def test_aggregate_over_a_non_iterated_role_is_an_error():
+    avg_b = Agg("avg", AttrRef("b", "x", "i"))
+    with pytest.raises(PredicateError, match="role is not iterated"):
+        eval_atom(Cmp("<", avg_b, Literal(5.0)), {"b": ev("B", 1, 1, x=2.0)})
+    # Quantified over c, so the aggregate node itself meets the bare b.
+    atom = Cmp("<", AttrRef("c", "y", "i"), avg_b)
+    with pytest.raises(PredicateError, match=r"avg\(b\[i\]\.x\)"):
+        eval_atom(atom, {"b": ev("B", 1, 1, x=2.0),
+                         "c": (ev("C", 2, 2, y=1.0),)})
+
+
+def test_corr_over_a_non_history_attribute_is_a_data_error():
+    (atom,) = _atoms("corr(a.x, b.x) > 0.5")
+    with pytest.raises(StreamDataError, match="history lists"):
+        eval_atom(atom, {"a": ev("A", 1, 1, x=1.0), "b": ev("B", 2, 2, x=2.0)})
 
 
 def test_atom_roles():

@@ -1,6 +1,57 @@
+import math
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cep.stats import UndefinedCorrelationError, pearson
+
+
+def reference_pearson(x, y):
+    """pearson as three fsums over the raw series: the formula it must equal."""
+    n = len(x)
+    mx = math.fsum(x) / n
+    my = math.fsum(y) / n
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxx = math.fsum((a - mx) ** 2 for a in x)
+    syy = math.fsum((b - my) ** 2 for b in y)
+    if sxx == 0.0 or syy == 0.0:
+        raise UndefinedCorrelationError("zero variance input")
+    return sxy / math.sqrt(sxx * syy)
+
+
+def outcome(f, x, y):
+    """The result, or the type of the error raised (both formulas divide by
+    zero when sxx * syy underflows)."""
+    try:
+        return f(x, y)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+price = st.floats(-1e6, 1e6, allow_nan=False)
+nudge = st.sampled_from((0.0, 1e-9, -1e-9, 2.0 ** -40, 3e-16))
+history = st.one_of(
+    st.tuples(*[price] * 5),
+    # Near-constant: tiny deviations around one value, or none at all.
+    st.builds(lambda c, d: tuple(c + e for e in d), price,
+              st.tuples(*[nudge] * 5)),
+)
+
+
+@given(history, history, history)
+@example((0.0, 0.0, 0.0, 0.0, 3.8e-125), (1.0, 2.0, 3.0, 4.0, 5.0),
+         (0.0,) * 5)
+def test_bit_identical_to_the_three_fsum_formula(x, y, z):
+    # Repeats and shared sides go through the memoised centring of a tuple.
+    for a, b in ((x, y), (x, y), (x, z), (z, y), (y, x), (x, x), (z, z)):
+        assert outcome(pearson, a, b) == outcome(reference_pearson, a, b)
+    # A list is never memoised: changed in place, it is centred again.
+    xs = list(x)
+    assert outcome(pearson, xs, y) == outcome(reference_pearson, xs, y)
+    xs[0] += 1.0
+    assert outcome(pearson, xs, y) == outcome(reference_pearson, xs, y)
+    assert outcome(pearson, y, xs) == outcome(reference_pearson, y, xs)
 
 
 def test_perfect_linear():
