@@ -26,10 +26,6 @@ class _TypeLane:
         self.keys: list = []
         self.start = 0
 
-    def append(self, e: Event) -> None:
-        self.events.append(e)
-        self.keys.append(e.key)
-
     def live(self) -> Sequence[Event]:
         return self.events[self.start :]
 
@@ -55,7 +51,12 @@ class _TypeLane:
 
 
 class InputBuffer:
-    """Per-type lanes plus optional per-attribute group buckets."""
+    """Per-type lanes plus optional per-attribute group buckets.
+
+    ``oldest_ts`` (read-only) is the timestamp of the oldest live event, or
+    None when the buffer is empty: ``expire`` removes nothing unless its
+    watermark is above it.
+    """
 
     def __init__(self, group_attrs: Optional[dict] = None):
         # group_attrs: event type -> attribute name to bucket by
@@ -64,35 +65,39 @@ class InputBuffer:
         self._buckets: dict = {}  # (etype, value) -> _TypeLane
         self._values: dict = {}  # etype -> set of seen bucket values
         self._last_key = None
-        self._oldest_ts = None  # ts of the oldest live event; None if empty
+        self.oldest_ts = None
 
     def store(self, e: Event) -> None:
-        if self._last_key is not None and e.key <= self._last_key:
+        key = e.key
+        if self._last_key is not None and key <= self._last_key:
             raise StreamDataError(f"buffer store out of order: {e}")
-        self._last_key = e.key
-        if self._oldest_ts is None:
-            self._oldest_ts = e.ts
-        lane = self._lanes.get(e.etype)
+        self._last_key = key
+        if self.oldest_ts is None:
+            self.oldest_ts = key[0]
+        etype = e.etype
+        lane = self._lanes.get(etype)
         if lane is None:
-            lane = self._lanes[e.etype] = _TypeLane()
-        lane.append(e)
-        attr = self._group_attrs.get(e.etype)
+            lane = self._lanes[etype] = _TypeLane()
+        lane.events.append(e)
+        lane.keys.append(key)
+        attr = self._group_attrs.get(etype)
         if attr is not None:
             value = e.attr(attr)
-            bucket = self._buckets.get((e.etype, value))
+            bucket = self._buckets.get((etype, value))
             if bucket is None:
-                bucket = self._buckets[(e.etype, value)] = _TypeLane()
-                self._values.setdefault(e.etype, set()).add(value)
-            bucket.append(e)
+                bucket = self._buckets[(etype, value)] = _TypeLane()
+                self._values.setdefault(etype, set()).add(value)
+            bucket.events.append(e)
+            bucket.keys.append(key)
 
     def expire(self, watermark_ts: int) -> int:
         """Drop every event older than ``watermark_ts``; returns how many.
 
         Nothing is touched until the watermark passes the oldest live
         event. Buckets hold a subset of the lane events, so that check
-        covers them too.
+        covers them too; a bucket whose front is not yet due is skipped.
         """
-        if self._oldest_ts is None or watermark_ts <= self._oldest_ts:
+        if self.oldest_ts is None or watermark_ts <= self.oldest_ts:
             return 0
         removed = 0
         oldest = None
@@ -103,8 +108,10 @@ class InputBuffer:
                 if oldest is None or front < oldest:
                     oldest = front
         for bucket in self._buckets.values():
-            bucket.expire(watermark_ts)
-        self._oldest_ts = oldest
+            keys = bucket.keys
+            if bucket.start < len(keys) and keys[bucket.start][0] < watermark_ts:
+                bucket.expire(watermark_ts)
+        self.oldest_ts = oldest
         return removed
 
     def query(

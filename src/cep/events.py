@@ -29,17 +29,17 @@ class Event:
 
     ``seq`` is the arrival sequence number and is strictly increasing over a
     stream; ``ts`` (integer milliseconds) is non-decreasing with ``seq``.
+    ``key`` is the total-order key ``(ts, seq)``, built once with the event.
     """
 
     etype: EventType
     ts: int
     seq: int
     attrs: Mapping[str, AttrValue] = field(default_factory=dict)
+    key: tuple = field(init=False, compare=False, repr=False)
 
-    @property
-    def key(self) -> tuple:
-        """Total-order key: lexicographic on (ts, seq)."""
-        return (self.ts, self.seq)
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.ts, self.seq))
 
     def attr(self, name: str) -> AttrValue:
         try:

@@ -36,6 +36,10 @@ class Match:
         return match_key(self.binding)
 
 
+def _detection_order(m: Match) -> tuple:
+    return (m.detection_ts, m.key())
+
+
 def match_key(binding: dict) -> tuple:
     items = []
     for role in sorted(binding):
@@ -293,26 +297,38 @@ class Runtime:
     # -- stream driving ------------------------------------------------------
 
     def step(self, e: Event) -> list:
-        if self._last_key is not None and (e.key <= self._last_key
-                                           or e.seq <= self._last_seq):
+        key = e.key
+        ts, seq = key
+        if self._last_key is not None and (key <= self._last_key
+                                           or seq <= self._last_seq):
             raise StreamDataError(f"stream out of order at {e}")
-        self._last_key, self._last_seq = e.key, e.seq
-        self.metrics.events_processed += 1
-        self._pending = []
-        self._fire_timeouts(e.ts)
-        self.metrics.buffer_remove += self.buffer.expire(e.ts - self.window)
-        self.watermark = e.ts - self.window
+        self._last_key, self._last_seq = key, seq
+        metrics = self.metrics
+        metrics.events_processed += 1
+        if self._pending:
+            self._pending = []  # left over from a step that raised
+        if self.heap and self.heap[0][0] < ts:
+            self._fire_timeouts(ts)
+        watermark = self.watermark = ts - self.window
+        buffer = self.buffer
+        if buffer.oldest_ts is not None and watermark > buffer.oldest_ts:
+            metrics.buffer_remove += buffer.expire(watermark)
+        etype = e.etype
         if self.paired:
             for inst in list(self.live.values()):
-                if e.etype in self.plans[inst.sid].store_types:
-                    inst.shadow.setdefault(e.etype, []).append(e)
-        if e.etype in self.storable:
-            self.buffer.store(e)
-            self.metrics.buffer_insert += 1
+                if etype in self.plans[inst.sid].store_types:
+                    inst.shadow.setdefault(etype, []).append(e)
+        if etype in self.storable:
+            buffer.store(e)
+            metrics.buffer_insert += 1
+        sids = self.type_interest.get(etype)
+        if sids is None:
+            # No state listens to this type: storing it was all the work.
+            return self._drain() if self._pending else []
         # Snapshot before dispatch: instances spawned while this event is
         # being processed must not observe the event themselves.
         targets = []
-        for sid in self.type_interest.get(e.etype, ()):
+        for sid in sids:
             insts = self.by_state.get(sid)
             if insts:
                 targets.extend(insts.values())
@@ -329,7 +345,8 @@ class Runtime:
     def _drain(self) -> list:
         out = self._pending
         self._pending = []
-        out.sort(key=lambda m: (m.detection_ts, m.key()))
+        if len(out) > 1:
+            out.sort(key=_detection_order)
         return out
 
     def _fire_timeouts(self, now_ts: Optional[int]) -> None:
@@ -425,13 +442,14 @@ class Runtime:
         cands = self.buffer.query(tp.etype, lower, upper)
         if self.paired:
             self._shadow_check(inst, tp, lower, upper, cands)
+        # One scratch binding per search; _spawn copies the instance's own.
+        scratch = dict(inst.binding) if tp.cond else None
         for x in cands:
             if not self._fits_window(inst, x.ts, x.ts):
                 continue
-            if tp.cond:
-                binding = dict(inst.binding)
-                binding[tp.role] = x
-                if not eval_atoms(tp.cond, binding, self.metrics):
+            if scratch is not None:
+                scratch[tp.role] = x
+                if not eval_atoms(tp.cond, scratch, self.metrics):
                     continue
             self._spawn(inst, tp, (x,) if tp.iter_first else x, x)
         # An empty result with a succeeding-type bound is a failed search;
@@ -464,9 +482,11 @@ class Runtime:
     def _spawn(self, inst: Instance, tp: TakePlan, bound, spawn_event: Event):
         binding = dict(inst.binding)
         binding[tp.role] = bound
-        members = bound if isinstance(bound, tuple) else (bound,)
-        lo_ts = min(x.ts for x in members)
-        hi_key = max(x.key for x in members)
+        # Member tuples are ascending by key: the ends are the extremes.
+        if type(bound) is tuple:
+            lo_ts, hi_key = bound[0].ts, bound[-1].key
+        else:
+            lo_ts, hi_key = bound.ts, bound.key
         anchor = lo_ts if inst.anchor is None else min(inst.anchor, lo_ts)
         maxkey = hi_key if inst.maxkey is None else max(inst.maxkey, hi_key)
         shadow = None
@@ -554,8 +574,9 @@ class Runtime:
         lower = self._lower_bound(inst, chk.prec_roles)
         upper = self._upper_bound(inst, chk.succ_roles)
         self.metrics.buffer_search += 1
+        scratch = dict(inst.binding) if chk.cond else None
         for x in self.buffer.query(chk.etype, lower, upper):
-            if self._candidate_ok(inst, chk, x, bounded=False):
+            if self._candidate_ok(inst, chk, x, bounded=False, scratch=scratch):
                 self._retire(inst)
                 return True
         return False
@@ -568,16 +589,17 @@ class Runtime:
             # acceptance.
             upper = self._upper_bound(inst, chk.succ_roles)
             self.metrics.buffer_search += 1
+            scratch = dict(inst.binding) if chk.cond else None
             for x in self.buffer.query(chk.etype, None, upper):
                 if x.ts <= inst.theta:
                     continue
-                if not chk.cond or self._cond_ok(inst, chk, x):
+                if not chk.cond or self._cond_ok(inst, chk, x, scratch):
                     inst.theta = max(inst.theta, x.ts)
             return False
         return self._neg_scan(inst, chk)
 
     def _candidate_ok(self, inst: Instance, chk: NegSpec, x: Event,
-                      bounded: bool = True) -> bool:
+                      bounded: bool = True, scratch=None) -> bool:
         if bounded:
             lower = self._lower_bound(inst, chk.prec_roles)
             if lower is not None and not x.key > lower:
@@ -587,12 +609,14 @@ class Runtime:
                 return False
         if not self._fits_window(inst, x.ts, x.ts):
             return False
-        if chk.cond and not self._cond_ok(inst, chk, x):
+        if chk.cond and not self._cond_ok(inst, chk, x, scratch):
             return False
         return True
 
-    def _cond_ok(self, inst: Instance, chk: NegSpec, x: Event) -> bool:
-        binding = dict(inst.binding)
+    def _cond_ok(self, inst: Instance, chk: NegSpec, x: Event,
+                 scratch: Optional[dict] = None) -> bool:
+        """``scratch``: a copy of ``inst.binding`` reused across a search."""
+        binding = dict(inst.binding) if scratch is None else scratch
         binding[chk.role] = x
         return eval_atoms(chk.cond, binding, self.metrics)
 
@@ -604,7 +628,7 @@ class Runtime:
             bound = inst.binding.get(r)
             if bound is None:
                 continue
-            key = max(x.key for x in bound) if isinstance(bound, tuple) else bound.key
+            key = bound[-1].key if type(bound) is tuple else bound.key
             if lower is None or key > lower:
                 lower = key
         return lower
@@ -615,7 +639,7 @@ class Runtime:
             bound = inst.binding.get(r)
             if bound is None:
                 continue
-            key = min(x.key for x in bound) if isinstance(bound, tuple) else bound.key
+            key = bound[0].key if type(bound) is tuple else bound.key
             if upper is None or key < upper:
                 upper = key
         return upper
@@ -652,14 +676,16 @@ class MultiRuntime:
         for rt in self.runtimes:
             out.extend(rt.step(e))
         self._peak = max(self._peak, sum(len(rt.live) for rt in self.runtimes))
-        out.sort(key=lambda m: (m.detection_ts, m.key()))
+        if len(out) > 1:
+            out.sort(key=_detection_order)
         return out
 
     def flush(self) -> list:
         out = []
         for rt in self.runtimes:
             out.extend(rt.flush())
-        out.sort(key=lambda m: (m.detection_ts, m.key()))
+        if len(out) > 1:
+            out.sort(key=_detection_order)
         return out
 
     @property

@@ -40,7 +40,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length series.
 
     Raises ``ValueError`` on length mismatch or fewer than 2 points, and
-    ``UndefinedCorrelationError`` when either series has zero variance.
+    ``UndefinedCorrelationError`` when either series has zero variance or
+    the product of the two variances underflows to zero.
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -50,4 +51,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     dy, syy = _centred(y, 1)
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance input")
-    return math.fsum(map(operator.mul, dx, dy)) / math.sqrt(sxx * syy)
+    product = sxx * syy
+    if product == 0.0:
+        raise UndefinedCorrelationError("variance product underflows")
+    return math.fsum(map(operator.mul, dx, dy)) / math.sqrt(product)

@@ -1,11 +1,17 @@
+from collections import Counter
+
 import pytest
 
+import cep.buffer
+import cep.runtime
 from cep import predicates
+from cep.buffer import InputBuffer
 from cep.engine import (MODES, apply_group_by, build_runtime, chain_orders,
                         compile_pattern, make_runtime)
 from cep.nfa import BuildError
 from cep.patterns import parse_pattern, to_dnf
 from cep.runtime import match_line, run_stream
+from cep.streams import StreamSpec, generate_stream
 
 from conftest import mkstream
 
@@ -88,3 +94,69 @@ def test_runtimes_reuse_the_atoms_compiled_with_the_automata(monkeypatch, mode):
     # B@5 (x=9 > 5) rules out both matches ending at C@6.
     assert runs[0] == runs[1] == ["a=A@1#0; c=C@3#2"]
     assert compiled == []
+
+
+CORR_TEXT = ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"
+             " { corr(a.history, b.history) > 0.5"
+             " and corr(b.history, c.history) > 0.5 } WITHIN 900 msec")
+KLEENE_TEXT = ("PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
+               " { b[i].stock = b[i-1].stock and b[i].price > a.price }"
+               " WITHIN 400 msec")
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+@pytest.mark.parametrize("text,group_by,rates", [
+    (CORR_TEXT, None, {"A": 20.0, "B": 5.0, "C": 1.0}),
+    (KLEENE_TEXT, ("b", "stock"), {"A": 5.0, "B": 40.0, "C": 2.0}),
+], ids=["corr", "grouped-kleene"])
+def test_layer_calls_go_through_the_trace_lookup_points(monkeypatch, mode,
+                                                        text, group_by, rates):
+    # The benchmark's per-layer trace wraps these module globals and
+    # methods; a call that bypasses them would be missing from the trace.
+    chains = chains_of(text)
+    if group_by is not None:
+        chains = apply_group_by(chains, *group_by)
+    rt = make_runtime(compile_pattern(chains, mode, rates=rates))
+    stream = generate_stream(StreamSpec(rates=rates, count=300, seed=5,
+                                        stocks_per_type=3))
+    calls, sums = Counter(), Counter()
+
+    def wrap(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            if attr == "eval_atoms":
+                counter = args[2] if len(args) > 2 else kwargs["counter"]
+                before = counter.predicate_evaluations
+                result = fn(*args, **kwargs)
+                sums[attr] += counter.predicate_evaluations - before
+                return result
+            result = fn(*args, **kwargs)
+            if attr == "expire":
+                sums[attr] += result
+            return result
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    # Installed after the runtime is built, so that a method or global the
+    # runtime kept from its construction would miss the wrappers.
+    for owner, attr in ((cep.runtime, "eval_atoms"), (cep.buffer, "eval_atoms"),
+                        (cep.runtime, "iterate_fetch"), (predicates, "pearson"),
+                        (InputBuffer, "store"), (InputBuffer, "expire"),
+                        (InputBuffer, "query")):
+        wrap(owner, attr)
+    matches = run_stream(rt, stream)
+    c = rt.metrics.counters()
+    assert matches and c["predicate_evaluations"] > 0
+    assert calls["store"] == c["buffer_insert"]
+    assert sums["expire"] == c["buffer_remove"]
+    assert sums["eval_atoms"] == c["predicate_evaluations"]
+    if text is CORR_TEXT:
+        # Every atom is a corr comparison: one pearson call per evaluation.
+        assert calls["pearson"] == c["predicate_evaluations"]
+    else:
+        assert calls["pearson"] == 0
+    if mode == "lazy":
+        assert c["buffer_remove"] > 0
+        assert calls["query" if text is CORR_TEXT else "iterate_fetch"] > 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +37,22 @@ def test_window_monotone_in_size(lo, span, w_small, w_big):
 def test_missing_attribute_is_a_data_error():
     with pytest.raises(StreamDataError, match="no attribute"):
         Event("A", 1, 1, {"x": 1.0}).attr("y")
+
+
+def test_key_is_ts_then_seq_and_not_compared_or_shown():
+    e = Event("A", 7, 3, {"x": 1.0})
+    assert e.key == (7, 3)
+    assert "key" not in repr(e)
+    other = Event("A", 7, 3, {"x": 1.0})
+    object.__setattr__(other, "key", (0, 0))
+    assert e == other
+
+
+def test_replace_builds_a_fresh_key():
+    e = Event("A", 7, 3)
+    assert dataclasses.replace(e, ts=9).key == (9, 3)
+    assert dataclasses.replace(e, seq=4).key == (7, 4)
+    assert e.key == (7, 3)
 
 
 def test_stream_order_validation():

@@ -122,6 +122,15 @@ def test_zero_variance_correlation_is_false_not_an_error():
     assert eval_atom(atom, binding) is False
 
 
+def test_underflowing_correlation_is_false_not_an_error():
+    # Both histories vary, but the product of their variances underflows.
+    (atom,) = _atoms("corr(a.history, b.history) > 0.9")
+    history = (0.0, 0.0, 0.0, 0.0, 3.8e-125)
+    binding = {"a": ev("A", 1, 1, history=history),
+               "b": ev("B", 2, 2, history=history)}
+    assert eval_atom(atom, binding) is False
+
+
 def test_iterated_reference_outside_quantified_atom_is_an_error():
     # The parser rejects b.x for an iterated b; a hand-built atom reaches
     # the evaluator's own check.

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cep.engine import compile_pattern, make_runtime
+from cep.engine import apply_group_by, compile_pattern, make_runtime
 from cep.events import Event, StreamDataError
 from cep.lazy import build_lazy_chain
 from cep.metrics import Metrics
@@ -89,6 +91,43 @@ class TestFlush:
         assert rt.flush() == []
 
 
+class TestTimeoutOnUnwatchedType:
+    """A window that closes on an arrival no state listens to is settled by
+    that arrival's own step, not held until a later step or flush."""
+
+    def test_pending_negation_match_returned_by_that_step(self):
+        chains = chains_of("PATTERN SEQ(A a, C c, NOT(B b)) WITHIN 50 msec")
+        for orders in ([["C", "A"]], [["A", "C"]]):
+            rt = make_runtime(compile_pattern(chains, "lazy-pp", orders=orders))
+            assert "Z" not in rt.type_interest
+            assert rt.step(Event("A", 10, 0)) == []
+            assert rt.step(Event("C", 20, 1)) == []
+            assert rt.step(Event("Z", 59, 2)) == []
+            out = rt.step(Event("Z", 61, 3))
+            assert [(match_line(m), m.detection_ts) for m in out] == [
+                ("a=A@10#0; c=C@20#1", 60)], orders
+            assert rt.flush() == []
+
+    def test_first_chance_instance_retired_by_that_step(self):
+        # First-chance negation needs a positive after the negated event, so
+        # its matches are emitted on that positive's arrival; what the window
+        # close settles is the retirement of the instances left waiting.
+        chains = chains_of("PATTERN SEQ(A a, NOT(B b), C c) WITHIN 50 msec")
+        rt = make_runtime(compile_pattern(chains, "lazy-fc", orders=[["A", "C"]]))
+        assert "Z" not in rt.type_interest
+        assert rt.step(Event("A", 10, 0)) == []
+        out = rt.step(Event("C", 20, 1))
+        assert [(match_line(m), m.detection_ts) for m in out] == [
+            ("a=A@10#0; c=C@20#1", 20)]
+        assert rt.step(Event("Z", 59, 2)) == []
+        assert len(rt.live) == 2
+        retired = rt.metrics.instance_retire
+        assert rt.step(Event("Z", 61, 3)) == []
+        assert list(rt.live) == [rt.seed.iid]
+        assert rt.metrics.instance_retire == retired + 1
+        assert rt.flush() == []
+
+
 class TestNegationTiming:
     """Window-edge semantics of absent events across buffer expiry."""
 
@@ -166,6 +205,19 @@ class TestDeterminism:
         out = run_stream(rt, FIG3_STREAM)
         keys = [(m.detection_ts, match_key(m.binding)) for m in out]
         assert keys == sorted(keys)
+
+    def test_merged_matches_emitted_in_detection_order(self):
+        # Each chain runs in its own runtime; the b chain's flush match is
+        # the earlier one, so the merge has to reorder what it gathered.
+        chains = chains_of(
+            "PATTERN OR(SEQ(A a, NOT(X x)), SEQ(B b, NOT(X x))) WITHIN 50 msec")
+        rt = make_runtime(compile_pattern(chains, "eager"))
+        assert len(rt.runtimes) == 2
+        assert rt.step(Event("B", 5, 0)) == []
+        assert rt.step(Event("A", 10, 1)) == []
+        out = rt.flush()
+        assert [(m.detection_ts, match_line(m)) for m in out] == [
+            (55, "b=B@5#0"), (60, "a=A@10#1")]
 
 
 class TestNegationInsideDisjunction:
@@ -249,3 +301,57 @@ class TestMetricsCounters:
         rt.step(Event("A", 0, 0))
         rt.step(Event("A", 100, 1))
         assert rt.metrics.buffer_remove == 1
+
+
+ITERATION_PATTERNS = [
+    "SEQ(A a, B+ b[], C c)",
+    "SEQ(B+ b[], C c)",
+    "SEQ(A a, B{2,3} b[])",
+    "AND(A a, B{1,2} b[], C c)",
+    "SEQ(A a, B+ b[], NOT(C h))",
+]
+
+
+def _assert_members_ascend(binding, where):
+    for role, bound in binding.items():
+        if isinstance(bound, tuple):
+            keys = [x.key for x in bound]
+            assert all(p < q for p, q in zip(keys, keys[1:])), (where, role, keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pattern=st.sampled_from(ITERATION_PATTERNS),
+    mode=st.sampled_from(["eager", "lazy"]),
+    grouped=st.booleans(),
+    order_seed=st.integers(0, 5),
+    stream=st.lists(st.tuples(st.sampled_from("ABBBCZ"), st.integers(0, 2),
+                              st.integers(0, 1)), min_size=4, max_size=16),
+)
+def test_member_tuples_ascend_by_key(pattern, mode, grouped, order_seed, stream):
+    # The runtime reads a member tuple's extreme keys from its two ends.
+    chains = chains_of(f"PATTERN {pattern} WITHIN 8 msec")
+    if grouped:
+        chains = apply_group_by(chains, "b", "stock")
+    orders = None
+    if mode == "lazy":
+        orders = []
+        for c in chains:
+            types = sorted(t for _, t in c.positives)
+            random.Random(order_seed).shuffle(types)
+            orders.append(types)
+    rt = make_runtime(compile_pattern(chains, mode, orders=orders))
+    runtimes = getattr(rt, "runtimes", [rt])
+    events, ts = [], 0
+    for seq, (etype, gap, stock) in enumerate(stream):
+        ts += gap
+        events.append(Event(etype, ts, seq, {"stock": stock}))
+    emitted = []
+    for e in events:
+        emitted += rt.step(e)
+        for r in runtimes:
+            for inst in r.live.values():
+                _assert_members_ascend(inst.binding, e)
+    emitted += rt.flush()
+    for m in emitted:
+        _assert_members_ascend(m.binding, "match")
