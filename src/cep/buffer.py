@@ -1,4 +1,4 @@
-"""Shared time-ordered input buffer with type (and group) indexing.
+"""Shared time-ordered input buffer with type indexing, and subset enumeration.
 
 One buffer serves the whole automaton run: contents depend only on the
 stream and the union of storable types, so instances can share it and carry
@@ -9,11 +9,15 @@ behind the latest processed timestamp.
 from __future__ import annotations
 
 import bisect
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .events import Event, EventType, StreamDataError
-from .predicates import eval_atoms
+from .predicates import KleeneAtoms, eval_atoms, split_kleene
+
+
+# A lane keeps its expired prefix until that holds more than this many
+# events and more than half of the lane.
+LANE_SLACK = 512
 
 
 class _TypeLane:
@@ -34,7 +38,7 @@ class _TypeLane:
         hi = bisect.bisect_left(self.keys, (watermark_ts, -1), lo=lo)
         removed = hi - lo
         self.start = hi
-        if self.start > 512 and self.start * 2 > len(self.events):
+        if self.start > LANE_SLACK and self.start * 2 > len(self.events):
             del self.events[: self.start]
             del self.keys[: self.start]
             self.start = 0
@@ -51,19 +55,15 @@ class _TypeLane:
 
 
 class InputBuffer:
-    """Per-type lanes plus optional per-attribute group buckets.
+    """One arrival-ordered lane per event type.
 
     ``oldest_ts`` (read-only) is the timestamp of the oldest live event, or
     None when the buffer is empty: ``expire`` removes nothing unless its
     watermark is above it.
     """
 
-    def __init__(self, group_attrs: Optional[dict] = None):
-        # group_attrs: event type -> attribute name to bucket by
+    def __init__(self):
         self._lanes: dict = {}
-        self._group_attrs = dict(group_attrs or {})
-        self._buckets: dict = {}  # (etype, value) -> _TypeLane
-        self._values: dict = {}  # etype -> set of seen bucket values
         self._last_key = None
         self.oldest_ts = None
 
@@ -80,22 +80,11 @@ class InputBuffer:
             lane = self._lanes[etype] = _TypeLane()
         lane.events.append(e)
         lane.keys.append(key)
-        attr = self._group_attrs.get(etype)
-        if attr is not None:
-            value = e.attr(attr)
-            bucket = self._buckets.get((etype, value))
-            if bucket is None:
-                bucket = self._buckets[(etype, value)] = _TypeLane()
-                self._values.setdefault(etype, set()).add(value)
-            bucket.events.append(e)
-            bucket.keys.append(key)
 
     def expire(self, watermark_ts: int) -> int:
         """Drop every event older than ``watermark_ts``; returns how many.
 
-        Nothing is touched until the watermark passes the oldest live
-        event. Buckets hold a subset of the lane events, so that check
-        covers them too; a bucket whose front is not yet due is skipped.
+        Nothing is touched until the watermark passes the oldest live event.
         """
         if self.oldest_ts is None or watermark_ts <= self.oldest_ts:
             return 0
@@ -107,10 +96,6 @@ class InputBuffer:
                 front = lane.keys[lane.start][0]
                 if oldest is None or front < oldest:
                     oldest = front
-        for bucket in self._buckets.values():
-            keys = bucket.keys
-            if bucket.start < len(keys) and keys[bucket.start][0] < watermark_ts:
-                bucket.expire(watermark_ts)
         self.oldest_ts = oldest
         return removed
 
@@ -119,29 +104,17 @@ class InputBuffer:
         etype: EventType,
         lower: Optional[tuple] = None,
         upper: Optional[tuple] = None,
-        group=None,
     ) -> list:
         """Buffered events of ``etype`` strictly inside ``(lower, upper)``.
 
-        Bounds are (ts, seq) keys and are exclusive on both sides; ``group``
-        restricts to one bucket of the type's configured group attribute.
+        Bounds are (ts, seq) keys and are exclusive on both sides.
         """
         if lower is not None and upper is not None and lower > upper:
             raise ValueError(f"lower bound {lower} above upper bound {upper}")
-        if group is not None:
-            lane = self._buckets.get((etype, group))
-        else:
-            lane = self._lanes.get(etype)
+        lane = self._lanes.get(etype)
         if lane is None:
             return []
         return lane.slice(lower, upper)
-
-    def group_values(self, etype: EventType) -> list:
-        vals = self._values.get(etype, ())
-        return sorted(vals, key=lambda v: (type(v).__name__, v))
-
-    def group_attr(self, etype: EventType) -> Optional[str]:
-        return self._group_attrs.get(etype)
 
 
 def iterate_fetch(
@@ -152,10 +125,9 @@ def iterate_fetch(
     bounds: tuple,
     group_attr: Optional[str] = None,
     new_event: Optional[Event] = None,
-    condition: tuple = (),
+    condition=(),
     bound_roles: Optional[dict] = None,
     role: str = "",
-    member_ok=None,
     subset_ok=None,
     counter=None,
     generated=None,
@@ -165,59 +137,105 @@ def iterate_fetch(
     Subsets have sizes within ``bounds``, satisfy ``condition`` joined with
     the already-bound roles, contain ``new_event`` when one is given, and are
     group-homogeneous when ``group_attr`` is set. Output order is by size,
-    then lexicographically by member (ts, seq). ``generated`` (a one-element
-    list) receives the number of candidate subsets built before the
-    condition filter, which is what the grouping optimization reduces.
+    then lexicographically by member (ts, seq).
+
+    ``condition`` is a :class:`KleeneAtoms` split or a sequence of atoms,
+    split on the spot. Each candidate member is tested once, against
+    ``subset_ok`` and the member-wise atoms, before anything is enumerated.
+    Subsets then grow level by level from the prefixes that survived, and
+    only the member a step appends is checked, against the pair atoms and
+    ``subset_ok``; so ``subset_ok`` must reject every superset of a set it
+    rejects (a window span does). The whole-subset atoms run last, on the
+    subsets of an admissible size; ``generated`` (a one-element list)
+    receives how many those were.
     """
     lo, hi = bounds
     if lo < 1 or (hi is not None and lo > hi):
         raise ValueError(f"invalid iteration bounds {bounds}")
+    if type(condition) is not KleeneAtoms:
+        condition = split_kleene(condition, role, group_attr)
+    member_atoms, pair_atoms, whole_atoms = condition
     binding = dict(bound_roles or {})
 
-    def pool_for(group_value):
-        pool = buf.query(etype, lower, upper, group=group_value)
-        if member_ok is not None:
-            pool = [x for x in pool if member_ok(x)]
-        return pool
+    def admit(x: Event) -> bool:
+        if subset_ok is not None and not subset_ok((x,)):
+            return False
+        if not member_atoms:
+            return True
+        binding[role] = (x,)
+        return eval_atoms(member_atoms, binding, counter)
 
-    pools = []
+    def extend(s: tuple, x: Event) -> Optional[tuple]:
+        if pair_atoms:
+            binding[role] = (s[-1], x)
+            if not eval_atoms(pair_atoms, binding, counter):
+                return None
+        s += (x,)
+        if subset_ok is not None and not subset_ok(s):
+            return None
+        return s
+
+    pool = buf.query(etype, lower, upper)
+    found = []
     if new_event is not None:
-        gv = new_event.attr(group_attr) if group_attr is not None else None
-        pools.append((pool_for(gv), new_event))
-    elif group_attr is not None:
-        for gv in buf.group_values(etype):
-            pools.append((pool_for(gv), None))
-    else:
-        pools.append((pool_for(None), None))
-
-    subsets = []
-    count_generated = 0
-    for pool, must_include in pools:
-        if must_include is not None:
-            # The arriving event is the newest, so it closes every subset.
-            rest = [x for x in pool if x.key != must_include.key]
-            top = len(rest) + 1 if hi is None else min(hi, len(rest) + 1)
-            for size in range(lo, top + 1):
-                for combo in combinations(rest, size - 1):
-                    count_generated += 1
-                    subsets.append(combo + (must_include,))
+        # The arriving event is the newest, so it closes every subset; the
+        # others come from its own group.
+        if not admit(new_event):
+            pool = []
         else:
-            top = len(pool) if hi is None else min(hi, len(pool))
-            for size in range(lo, top + 1):
-                for combo in combinations(pool, size):
-                    count_generated += 1
-                    subsets.append(combo)
+            key = new_event.key
+            if group_attr is None:
+                pool = [x for x in pool if x.key != key]
+            else:
+                value = new_event.attr(group_attr)
+                pool = [x for x in pool
+                        if x.key != key and x.attr(group_attr) == value]
+            group_attr = None
+            if lo == 1:
+                found.append((new_event,))
+    # Level 1: the admitted members in key order, each with its group
+    # (a list in key order) and its position there. A subset only ever
+    # grows by a later member of its first member's group.
+    level = []
+    if group_attr is None:
+        group = [x for x in pool if admit(x)]
+        level = [((x,), group, j) for j, x in enumerate(group)]
+    else:
+        groups: dict = {}
+        for x in pool:
+            if admit(x):
+                group = groups.setdefault(x.attr(group_attr), [])
+                level.append(((x,), group, len(group)))
+                group.append(x)
+    closing = 0 if new_event is None else 1
+    top = None if hi is None else hi - closing  # the largest level needed
+    size = 1
+    while level and (top is None or size <= top):
+        if size + closing >= lo:
+            if new_event is None:
+                found.extend(s for s, _, _ in level)
+            else:
+                for s, _, _ in level:
+                    s = extend(s, new_event)
+                    if s is not None:
+                        found.append(s)
+        if size == top:
+            break
+        size += 1
+        longer = []
+        for s, group, j in level:
+            for k in range(j + 1, len(group)):
+                t = extend(s, group[k])
+                if t is not None:
+                    longer.append((t, group, k))
+        level = longer
     if generated is not None:
-        generated[0] = count_generated
-    if len(pools) > 1:
-        subsets.sort(key=lambda s: (len(s), tuple(e.key for e in s)))
-    if subset_ok is not None:
-        subsets = [s for s in subsets if subset_ok(s)]
-    if not condition:
-        return subsets
+        generated[0] = len(found)
+    if not whole_atoms:
+        return found
     out = []
-    for combo in subsets:
-        binding[role] = combo
-        if eval_atoms(condition, binding, counter):
-            out.append(combo)
+    for s in found:
+        binding[role] = s
+        if eval_atoms(whole_atoms, binding, counter):
+            out.append(s)
     return out

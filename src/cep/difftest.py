@@ -116,12 +116,22 @@ def random_pattern(rng: random.Random) -> str:
         else:
             atoms.append(f"{r}.x {rng.choice(cmp_ops)} {rng.randint(0, 3)}")
     if iter_role is not None and iter_role in common_roles and rng.random() < 0.6:
-        atoms.append(rng.choice([
-            f"avg({iter_role}[i].x) <= {rng.randint(1, 3)}",
-            f"{iter_role}[i].x = {iter_role}[i-1].x",
-            f"{iter_role}[i].x >= {rng.randint(0, 2)}",
-            f"count({iter_role}[i].x) <= 2",
-        ]))
+        r = iter_role
+        member = [f"{r}[i].x >= {rng.randint(0, 2)}"]
+        if plain_roles:
+            member.append(f"{r}[i].x {rng.choice(cmp_ops)} "
+                          f"{rng.choice(plain_roles)}.x")
+        pair = [f"{r}[i].x = {r}[i-1].x", f"{r}[i].x >= {r}[i-1].x"]
+        whole = [f"avg({r}[i].x) <= {rng.randint(1, 3)}",
+                 f"count({r}[i].x) <= 2"]
+        if rng.random() < 0.5:
+            atoms.append(rng.choice(member + pair + whole))
+        else:
+            # A member-wise atom alongside a pair atom or an aggregate, in
+            # either order: the engine splits them, the oracle does not.
+            both = [rng.choice(member), rng.choice(pair + whole)]
+            rng.shuffle(both)
+            atoms.extend(both)
     if neg_roles and rng.random() < 0.7 and plain_roles:
         h, _ = neg_roles[0]
         atoms.append(f"{h}.x {rng.choice(cmp_ops)} {rng.choice(plain_roles)}.x")

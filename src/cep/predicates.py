@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .events import Event, StreamDataError
 from .stats import UndefinedCorrelationError, pearson
@@ -155,20 +155,29 @@ def split_conjunction(expr: Optional[BoolExpr]) -> list:
 
 
 
+# Quantifier kinds of an atom over an iterated role (``Atom.kind``).
+MEMBER = "member"  # only r[i] references: holds per member
+PAIR = "pair"  # some r[i-1] reference: holds per adjacent pair
+SUBSET = "subset"  # an aggregate, or several iterated roles: whole subset
+
+
 class Atom:
     """A WHERE atom compiled once, by :func:`compile_atom`.
 
     ``test(binding)`` evaluates it. The quantifier kind, the quantified
     role, the ``i``/``i-1`` index shifts and the attribute names were
     resolved when it was compiled; error messages are rendered only when an
-    error is raised.
+    error is raised. ``role`` is the quantified role and ``kind`` one of
+    MEMBER, PAIR and SUBSET; both are None for an unquantified atom.
     """
 
-    __slots__ = ("expr", "test")
+    __slots__ = ("expr", "test", "kind", "role")
 
-    def __init__(self, expr: BoolExpr, test):
+    def __init__(self, expr: BoolExpr, test, kind=None, role=None):
         self.expr = expr
         self.test = test
+        self.kind = kind
+        self.role = role
 
     def render(self) -> str:
         return self.expr.render()
@@ -185,19 +194,17 @@ def compile_atom(expr: BoolExpr) -> Atom:
     quantified role, the role of the first indexed reference; aggregates see
     the whole subset.
     """
-    first, pair = None, False
-    for ref in bool_refs(expr):
-        if ref.index is None:
-            continue
-        if first is None:
-            first = ref
-        if ref.index == "i-1":
-            pair = True
-            break
-    if first is None:
+    indexed = [ref for ref in bool_refs(expr) if ref.index is not None]
+    if not indexed:
         return Atom(expr, _bool(expr, False))
+    first = indexed[0]
+    pair = any(ref.index == "i-1" for ref in indexed)
     body = _bool(expr, True)
     role, start = first.role, 1 if pair else 0
+    if _has_agg(expr) or any(ref.role != role for ref in indexed):
+        kind = SUBSET
+    else:
+        kind = PAIR if pair else MEMBER
 
     def each(binding: Binding) -> bool:
         bound = binding[role]
@@ -208,7 +215,64 @@ def compile_atom(expr: BoolExpr) -> Atom:
                 return False
         return True
 
-    return Atom(expr, each)
+    return Atom(expr, each, kind, role)
+
+
+def _has_agg(expr) -> bool:
+    if isinstance(expr, Agg):
+        return True
+    if isinstance(expr, (Cmp, Arith)):
+        return _has_agg(expr.left) or _has_agg(expr.right)
+    if isinstance(expr, Not):
+        return _has_agg(expr.child)
+    if isinstance(expr, BoolOp):
+        return any(_has_agg(c) for c in expr.children)
+    return False
+
+
+class KleeneAtoms(NamedTuple):
+    """The atoms of an iterate take, split by what they need to be decided.
+
+    ``member`` atoms hold for a subset iff they hold for each of its members
+    alone, ``pair`` atoms iff they hold for each adjacent pair, and
+    ``whole`` atoms are decided on the complete subset only.
+    """
+
+    member: tuple
+    pair: tuple
+    whole: tuple
+
+
+def split_kleene(atoms: Sequence, role: str,
+                 group_by: Optional[str] = None) -> KleeneAtoms:
+    """Split the atoms of an iterate take on ``role`` by quantifier kind.
+
+    Raw expression trees are compiled on the spot. With ``group_by`` set,
+    an equality ``role[i].A = role[i-1].A`` on that attribute is dropped:
+    every group-homogeneous subset satisfies it.
+    """
+    member, pair, whole = [], [], []
+    for atom in atoms:
+        if type(atom) is not Atom:
+            atom = compile_atom(atom)
+        kind = atom.kind if atom.role == role else SUBSET
+        if kind == MEMBER:
+            member.append(atom)
+        elif kind == PAIR:
+            if not _is_group_equality(atom.expr, role, group_by):
+                pair.append(atom)
+        else:
+            whole.append(atom)
+    return KleeneAtoms(tuple(member), tuple(pair), tuple(whole))
+
+
+def _is_group_equality(expr, role: str, group_by: Optional[str]) -> bool:
+    if group_by is None or not isinstance(expr, Cmp) or expr.op != "=":
+        return False
+    sides = (expr.left, expr.right)
+    return (all(isinstance(r, AttrRef) and r.role == role and r.attr == group_by
+                for r in sides)
+            and {r.index for r in sides} == {"i", "i-1"})
 
 
 def compile_atoms(atoms: Sequence[BoolExpr]) -> tuple:
@@ -324,12 +388,14 @@ def _value(expr: ValueExpr, quantified: bool):
 
 def _ref(ref: AttrRef, quantified: bool):
     role, name = ref.role, ref.attr
-    if not quantified:
+    if not quantified or ref.index is None:
+        # A plain role's event is read directly, inside a quantified atom
+        # too; only a member tuple bound to it (raw atoms) goes to _event.
         def get(b, i=None):
             try:
                 return b[role].attrs[name]
             except (AttributeError, KeyError):
-                return _event(b, ref, None).attr(name)  # raises the typed error
+                return _event(b, ref, i).attr(name)  # a tuple, or the error
         return get
     shift = 1 if ref.index == "i-1" else 0
 

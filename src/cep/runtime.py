@@ -21,7 +21,7 @@ from .buffer import InputBuffer, iterate_fetch
 from .events import Event, StreamDataError
 from .metrics import Metrics
 from .patterns import NegSpec
-from .predicates import eval_atoms
+from .predicates import KleeneAtoms, eval_atoms, split_kleene
 
 NEG_INF = float("-inf")
 
@@ -41,12 +41,10 @@ def _detection_order(m: Match) -> tuple:
 
 
 def match_key(binding: dict) -> tuple:
-    items = []
-    for role in sorted(binding):
-        bound = binding[role]
-        members = bound if isinstance(bound, tuple) else (bound,)
-        items.append((role, tuple((e.etype, e.ts, e.seq) for e in members)))
-    return tuple(items)
+    return tuple([
+        (role, tuple([(e.etype, e.ts, e.seq) for e in bound])
+         if type(bound) is tuple else ((bound.etype, bound.ts, bound.seq),))
+        for role, bound in sorted(binding.items())])
 
 
 def match_line(m: Match) -> str:
@@ -92,6 +90,7 @@ class TakePlan:
     stream_ok: bool
     branch: int
     iterate: Optional[tuple] = None  # (lo, hi, group_attr)
+    kleene: Optional[KleeneAtoms] = None  # cond split for iterate_fetch
     append: bool = False  # eager accumulation self-loop
     iter_first: bool = False  # eager first bind of the iterated role
     req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
@@ -164,6 +163,8 @@ def _compile_plans(nfa: N.Nfa) -> list:
                 branch=bi,
                 iterate=((e.bounds[0], e.bounds[1], e.group_by)
                          if e.action == N.ITERATE else None),
+                kleene=(split_kleene(e.cond, e.role, e.group_by)
+                        if e.action == N.ITERATE else None),
                 append=(e.src == e.dst),
                 iter_first=(e.action == N.TAKE and it is not None
                             and e.role == it.role and e.src != e.dst),
@@ -232,12 +233,7 @@ class Runtime:
         self.branch_offset = branch_offset
         self.metrics = metrics if metrics is not None else Metrics()
         self.plans = _compile_plans(nfa)
-        group_attrs = {}
-        for b in nfa.branches:
-            it = b.chain.iterated
-            if it is not None and it.group_by is not None:
-                group_attrs[it.etype] = it.group_by
-        self.buffer = InputBuffer(group_attrs)
+        self.buffer = InputBuffer()
         self.storable = nfa.storable
         self.paired = paired_buffers
         self.live: dict = {}
@@ -464,10 +460,8 @@ class Runtime:
         self.metrics.buffer_search += 1
         subsets = iterate_fetch(
             self.buffer, tp.etype, lower, upper, (lo, hi),
-            group_attr=group, new_event=new_event, condition=tp.cond,
-            bound_roles=inst.binding, role=tp.role,
-            member_ok=lambda x: self._fits_window(inst, x.ts, x.ts),
-            counter=self.metrics,
+            group_attr=group, new_event=new_event, condition=tp.kleene,
+            bound_roles=inst.binding, role=tp.role, counter=self.metrics,
             subset_ok=lambda s: self._fits_window(inst, s[0].ts, s[-1].ts),
         )
         for members in subsets:

@@ -201,9 +201,9 @@ def test_criterion_6_fc_cheaper_than_pp():
 # -- 7. group-by-attribute ------------------------------------------------------
 
 def test_criterion_7_group_by():
-    # Mixed bucket sizes: independent count is the sum over buckets of
+    # Mixed group sizes: independent count is the sum over groups of
     # (2^size - 1) nonempty subsets.
-    buf = InputBuffer({"B": "x"})
+    buf = InputBuffer()
     sizes = {1.0: 3, 2.0: 2, 3.0: 1}
     seq = 0
     for value, n in sizes.items():
@@ -211,7 +211,7 @@ def test_criterion_7_group_by():
             buf.store(Event("B", seq, seq, {"x": value}))
             seq += 1
     # Re-store in timestamp order (interleaved groups).
-    buf = InputBuffer({"B": "x"})
+    buf = InputBuffer()
     values = [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]
     for i, v in enumerate(values):
         buf.store(Event("B", i, i, {"x": v}))
@@ -223,7 +223,7 @@ def test_criterion_7_group_by():
 
     # k equal-size groups: strictly fewer candidate subsets than ungrouped.
     k = 10
-    buf_g = InputBuffer({"B": "x"})
+    buf_g = InputBuffer()
     buf_u = InputBuffer()
     for i in range(k):
         buf_g.store(Event("B", i, i, {"x": float(i)}))

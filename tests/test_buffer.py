@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,14 +7,29 @@ from hypothesis import strategies as st
 
 from cep.buffer import InputBuffer, iterate_fetch
 from cep.events import Event, StreamDataError
-from cep.predicates import AttrRef, Cmp, Literal
+from cep.metrics import Metrics
+from cep.patterns import parse_pattern, to_dnf
+from cep.predicates import AttrRef, Cmp, Literal, eval_atoms, split_kleene
 
 
-def _buf(*events, group=None):
-    buf = InputBuffer(group)
+def _buf(*events):
+    buf = InputBuffer()
     for e in events:
         buf.store(e)
     return buf
+
+
+def _grouped(buf, etype="B", bounds=(1, None), attr="x", **kwargs):
+    return iterate_fetch(buf, etype, None, None, bounds, group_attr=attr,
+                         **kwargs)
+
+
+def _atom(where):
+    """One WHERE atom over a plain role ``a`` and an iterated role ``b``."""
+    text = ("PATTERN SEQ(A a, B+ b[]) WHERE skip_till_any_match { "
+            + where + " } WITHIN 10 msec")
+    (atom,) = to_dnf(parse_pattern(text))[0].atoms
+    return atom
 
 
 class TestStore:
@@ -29,9 +45,14 @@ class TestStore:
 
     def test_group_bucket(self, ev):
         b = ev("B", 1, 1, x=7.0)
-        buf = _buf(b, group={"B": "x"})
-        assert buf.query("B", group=7.0) == [b]
-        assert buf.query("B", group=8.0) == []
+        buf = _buf(b)
+        assert _grouped(buf) == [(b,)]
+        # The arriving event's group holds b for x=7.0 and nothing for 8.0.
+        b7, b8 = ev("B", 2, 2, x=7.0), ev("B", 3, 3, x=8.0)
+        buf.store(b7)
+        assert _grouped(buf, new_event=b7) == [(b7,), (b, b7)]
+        buf.store(b8)
+        assert _grouped(buf, new_event=b8) == [(b8,)]
 
     def test_out_of_order_store_is_internal_error(self, ev):
         buf = _buf(ev("B", 5, 2))
@@ -54,8 +75,9 @@ class TestQuery:
         b1 = ev("B", 1, 1, x=7.0)
         b2 = ev("B", 2, 2, x=8.0)
         b3 = ev("B", 3, 3, x=7.0)
-        buf = _buf(b1, b2, b3, group={"B": "x"})
-        assert buf.query("B", group=7.0) == [b1, b3]
+        buf = _buf(b1, b2, b3)
+        assert _grouped(buf, new_event=b3) == [(b3,), (b1, b3)]
+        assert _grouped(buf, bounds=(2, 2)) == [(b1, b3)]
 
     def test_inverted_bounds_rejected(self, ev):
         buf = _buf(ev("A", 1, 1))
@@ -74,9 +96,10 @@ class TestExpire:
     def test_group_buckets_expire_too(self, ev):
         b1 = ev("B", 1, 1, x=7.0)
         b2 = ev("B", 9, 2, x=7.0)
-        buf = _buf(b1, b2, group={"B": "x"})
+        buf = _buf(b1, b2)
         buf.expire(5)
-        assert buf.query("B", group=7.0) == [b2]
+        assert _grouped(buf) == [(b2,)]
+        assert _grouped(buf, new_event=b2) == [(b2,)]
 
     # Runs of (events, ts step, watermark lag): every store is followed by
     # an expire at ts - lag. A zero step or lag puts equal timestamps on the
@@ -87,7 +110,7 @@ class TestExpire:
     @example([(1500, 1, 3), (40, 0, 0), (60, 2, 0)])
     @settings(deadline=None, max_examples=40)
     def test_no_stale_event_survives(self, runs):
-        buf = InputBuffer({"A": "g"})
+        buf = InputBuffer()
         stored, live = [], []
         ts = 0
         for n, step, lag in runs:
@@ -104,10 +127,17 @@ class TestExpire:
                 live = kept
                 for t in "AB":
                     assert buf.query(t) == [x for x in live if x.etype == t]
-                for g in range(3):
-                    assert buf.query("A", group=g) == [
-                        x for x in live if x.etype == "A" and x.attrs["g"] == g]
+                if etype == "A":
+                    # The arriving event's group: every live A sharing g.
+                    assert _grouped(buf, "A", (2, 2), "g", new_event=e) == [
+                        (x, e) for x in live if x.etype == "A" and x is not e
+                        and x.attrs["g"] == e.attrs["g"]]
                 ts += step
+            # Every group at once, at the end of each run.
+            live_a = [x for x in live if x.etype == "A"]
+            assert _grouped(buf, "A", (2, 2), "g") == [
+                (x, y) for x, y in combinations(live_a, 2)
+                if x.attrs["g"] == y.attrs["g"]]
 
 
 class TestIterateFetch:
@@ -125,10 +155,10 @@ class TestIterateFetch:
         b1 = ev("B", 1, 1, x=7.0)
         b2 = ev("B", 2, 2, x=8.0)
         b3 = ev("B", 3, 3, x=7.0)
-        buf = _buf(b1, b2, b3, group={"B": "x"})
+        buf = _buf(b1, b2, b3)
         subsets = iterate_fetch(buf, "B", None, None, (1, None), group_attr="x")
         assert subsets == [(b1,), (b2,), (b3,), (b1, b3)]
-        # Independent count: sum over buckets of (2^size - 1).
+        # Independent count: sum over groups of (2^size - 1).
         assert len(subsets) == (2**2 - 1) + (2**1 - 1)
 
     def test_order_by_size_then_members(self, ev):
@@ -174,3 +204,97 @@ class TestIterateFetch:
         subsets = iterate_fetch(buf, "B", None, None, (lo, hi))
         expected = sum(math.comb(n, k) for k in range(lo, min(hi, n) + 1))
         assert len(subsets) == expected
+
+    def test_aggregate_atom_is_not_pushed_to_members(self, ev):
+        # avg over b2 alone is 2, but over (b0, b2) it is 1: b2 must stay a
+        # candidate member although it fails the atom on its own.
+        b0, b2 = ev("B", 1, 1, x=0.0), ev("B", 2, 2, x=2.0)
+        buf = _buf(b0, b2)
+        atom = _atom("avg(b[i].x) <= 1")
+        assert split_kleene((atom,), "b").whole
+        assert iterate_fetch(buf, "B", None, None, (1, None),
+                             condition=(atom,), role="b") == [(b0,), (b0, b2)]
+
+    def test_new_event_failing_a_member_atom_yields_nothing(self, ev):
+        b1, b2 = ev("B", 1, 1, x=1.0), ev("B", 2, 2, x=5.0)
+        buf = _buf(b1, b2)
+        generated = [7]
+        assert iterate_fetch(buf, "B", None, None, (1, None), new_event=b2,
+                             condition=(_atom("b[i].x <= 2"),), role="b",
+                             generated=generated) == []
+        assert generated[0] == 0
+
+    def test_member_atoms_run_once_per_candidate(self, ev):
+        buf = _buf(*(ev("B", i, i, x=float(i % 2)) for i in range(6)))
+        metrics = Metrics()
+        subsets = iterate_fetch(buf, "B", None, None, (1, None),
+                                condition=(_atom("b[i].x <= 0"),), role="b",
+                                counter=metrics)
+        assert len(subsets) == 2**3 - 1
+        assert metrics.predicate_evaluations == 6
+
+
+# Member-wise, adjacent-pair and aggregate atoms (the last decide on the
+# whole subset); ``b[i].g = b[i-1].g`` is implied by grouping on ``g``.
+MIXED_ATOMS = tuple(_atom(w) for w in (
+    "b[i].x <= 2", "b[i].x > a.x", "b[i].x != 1",
+    "b[i].x >= b[i-1].x", "b[i].g = b[i-1].g", "b[i].x = b[i-1].x",
+    "b[i].x + b[i-1].x <= 4",
+    "avg(b[i].x) <= 1", "count(b[i].x) <= 2", "sum(b[i].x) >= 2",
+))
+
+
+def _brute_force(pool, bounds, group_attr, new_event, condition, binding, span):
+    """Every combination of the pool, kept by the full condition, in order."""
+    lo, hi = bounds
+    rest = [x for x in pool if x is not new_event]
+    out = []
+    for size in range(len(rest) + 1):
+        for combo in combinations(rest, size):
+            s = combo if new_event is None else combo + (new_event,)
+            if not s or len(s) < lo or (hi is not None and len(s) > hi):
+                continue
+            if group_attr is not None and len({x.attrs[group_attr]
+                                               for x in s}) > 1:
+                continue
+            if span is not None and s[-1].ts - s[0].ts > span:
+                continue
+            if eval_atoms(condition, dict(binding, b=s)):
+                out.append(s)
+    return sorted(out, key=lambda s: (len(s), [x.key for x in s]))
+
+
+@given(
+    members=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                               st.integers(0, 2)), max_size=8),
+    lo=st.integers(1, 3), extra=st.one_of(st.none(), st.integers(0, 3)),
+    grouped=st.booleans(), closing=st.booleans(), cut=st.integers(0, 8),
+    picks=st.lists(st.integers(0, len(MIXED_ATOMS) - 1), max_size=3),
+    span=st.one_of(st.none(), st.integers(0, 4)))
+@settings(deadline=None, max_examples=300)
+def test_iterate_fetch_equals_brute_force(members, lo, extra, grouped, closing,
+                                          cut, picks, span):
+    events, ts = [], 0
+    for seq, (x, g, step) in enumerate(members):
+        ts += step
+        events.append(Event("B", ts, seq, {"x": float(x), "g": g}))
+    buf = _buf(*events)
+    lower = events[cut - 1].key if 0 < cut <= len(events) else None
+    pool = [x for x in events if lower is None or x.key > lower]
+    new_event = events[-1] if closing and events else None
+    group_attr = "g" if grouped else None
+    condition = tuple(MIXED_ATOMS[k] for k in picks)
+    binding = {"a": Event("A", -1, -1, {"x": 1.0})}
+    bounds = (lo, None if extra is None else lo + extra)
+    subset_ok = None if span is None else (
+        lambda s: s[-1].ts - s[0].ts <= span)
+    expected = _brute_force(pool, bounds, group_attr, new_event, condition,
+                            binding, span)
+    for cond in (condition, split_kleene(condition, "b", group_attr)):
+        generated = [0]
+        got = iterate_fetch(buf, "B", lower, None, bounds,
+                            group_attr=group_attr, new_event=new_event,
+                            condition=cond, bound_roles=binding, role="b",
+                            subset_ok=subset_ok, generated=generated)
+        assert got == expected
+        assert generated[0] >= len(got)

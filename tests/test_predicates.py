@@ -4,7 +4,8 @@ from cep.events import Event, StreamDataError
 from cep.metrics import Metrics
 from cep.patterns import parse_pattern
 from cep.predicates import (Agg, AttrRef, Cmp, Literal, PredicateError,
-                            atom_roles, eval_atom, eval_atoms, split_conjunction)
+                            atom_roles, eval_atom, eval_atoms, split_conjunction,
+                            split_kleene)
 
 
 def _atoms(where: str, pattern="SEQ(A a, B b, C c)"):
@@ -91,6 +92,24 @@ def test_adjacent_pair_quantification():
     assert eval_atom(atom, {"b": same[:1]}) is True
     mixed = (ev("B", 1, 1, x=7.0), ev("B", 2, 2, x=8.0))
     assert eval_atom(atom, {"b": mixed}) is False
+
+
+def test_split_kleene_sorts_atoms_by_what_decides_them():
+    atoms = _iter_atoms(
+        "b[i].x >= a.x and b[i].x = b[i-1].x and b[i].y = b[i-1].y"
+        " and avg(b[i].x) <= 1 and b[i].x <= avg(b[i].x) and a.x < c.x")
+    member, pair, whole = split_kleene(atoms, "b")
+    assert [a.render() for a in member] == ["b[i].x >= a.x"]
+    assert [a.render() for a in pair] == ["b[i].x = b[i-1].x",
+                                          "b[i].y = b[i-1].y"]
+    assert [a.render() for a in whole] == [
+        "avg(b[i].x) <= 1", "b[i].x <= avg(b[i].x)", "a.x < c.x"]
+    # Grouping on y implies the y equality, and only that one.
+    _, pair, _ = split_kleene(atoms, "b", group_by="y")
+    assert [a.render() for a in pair] == ["b[i].x = b[i-1].x"]
+    # Atoms quantified over another role are decided on the whole subset.
+    member, pair, whole = split_kleene(atoms[:2], "c")
+    assert (member, pair, len(whole)) == ((), (), 2)
 
 
 def test_aggregates():

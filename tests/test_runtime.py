@@ -1,9 +1,11 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cep.buffer import LANE_SLACK
 from cep.engine import apply_group_by, compile_pattern, make_runtime
 from cep.events import Event, StreamDataError
 from cep.lazy import build_lazy_chain
@@ -301,6 +303,55 @@ class TestMetricsCounters:
         rt.step(Event("A", 0, 0))
         rt.step(Event("A", 100, 1))
         assert rt.metrics.buffer_remove == 1
+
+
+def _held_events(root) -> set:
+    """Ids of the events reachable from ``root`` through cep objects and
+    containers (types, functions and modules are not followed)."""
+    seen, found, todo = set(), set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Event):
+            found.add(id(obj))
+        elif isinstance(obj, (dict, list, tuple, set)):
+            todo.extend(gc.get_referents(obj))
+        elif (not isinstance(obj, type)
+              and type(obj).__module__.startswith("cep.")):
+            todo.extend(getattr(obj, "__dict__", {}).values())
+            todo.extend(getattr(obj, name)
+                        for name in getattr(type(obj), "__slots__", ())
+                        if hasattr(obj, name))
+    return found
+
+
+def test_buffer_follows_the_window_not_the_group_values():
+    # Every B carries a new stock: a grouped B+ runtime must not keep one
+    # entry per value ever seen, only the last window (and the lane's
+    # not yet compacted expired prefix).
+    chains = apply_group_by(chains_of(
+        "PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
+        " { b[i].stock = b[i-1].stock } WITHIN 10 msec"), "b", "stock")
+    rt = make_runtime(compile_pattern(chains, "lazy",
+                                      orders=[["C", "A", "B"]]))
+    for i in range(10_000):
+        rt.step(Event("B", i, i, {"stock": f"S{i}"}))
+    last_window = rt.buffer.query("B")
+    assert [e.seq for e in last_window] == list(range(9_989, 10_000))
+    held = _held_events(rt.buffer)
+    assert {id(e) for e in last_window} <= held
+    assert len(held) <= len(last_window) + LANE_SLACK
+
+
+def test_match_key_value_is_pinned():
+    # The benchmark's reference digests hash repr(match_key(...)).
+    binding = {"c": Event("C", 9, 5), "a": Event("A", 1, 0, {"x": 1.0}),
+               "b": (Event("B", 2, 1), Event("B", 2, 3))}
+    assert repr(match_key(binding)) == (
+        "(('a', (('A', 1, 0),)), ('b', (('B', 2, 1), ('B', 2, 3))),"
+        " ('c', (('C', 9, 5),)))")
 
 
 ITERATION_PATTERNS = [
