@@ -1,0 +1,8 @@
+"""``python -m cep``: the command line interface of ``cep.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,8 @@
     cep gen --spec FILE --out FILE
     cep difftest --cases N --seed S [--max-events K]
 
+``python -m cep`` runs the same interface.
+
 Exit codes: 0 success, 1 differential divergence, 2 usage or build error,
 3 stream data error.
 """

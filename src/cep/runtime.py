@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import nfa as N
 from .buffer import InputBuffer, iterate_fetch
@@ -26,8 +26,7 @@ from .predicates import KleeneAtoms, eval_atoms, split_kleene
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     binding: dict  # role -> Event | tuple[Event, ...]
     detection_ts: int
     branch: int
@@ -37,7 +36,21 @@ class Match:
 
 
 def _detection_order(m: Match) -> tuple:
-    return (m.detection_ts, m.key())
+    """Sorts as ``(m.detection_ts, m.key())`` does, with a smaller key.
+
+    The key is the detection time followed by one ``(role, etype, seq, ...)``
+    tuple per role, in role order. The members of one role share one type,
+    and ``Runtime.step`` keeps ``seq`` increasing with ``ts``, so ``seq``
+    orders a stream's events as ``(ts, seq)`` does. The type stays: OR
+    branches may bind one role name to different types.
+    """
+    key = [m.detection_ts]
+    for role, bound in sorted(m.binding.items()):
+        if type(bound) is tuple:
+            key.append((role, bound[0].etype, *[e.seq for e in bound]))
+        else:
+            key.append((role, bound.etype, bound.seq))
+    return tuple(key)
 
 
 def match_key(binding: dict) -> tuple:
@@ -253,6 +266,16 @@ class Runtime:
                 for t in plan.neg.kill_map:
                     interest[t].add(sid)
         self.type_interest = {t: sorted(s) for t, s in interest.items()}
+        # A settling state: no arrival can act on an instance there once its
+        # entry has returned, so the instance is never registered and is
+        # retired as soon as its entry returns. NEG states never settle:
+        # their timeout emits.
+        self.settling = [
+            (plan.kind == N.ACCEPT and not plan.accept.grow)
+            or (plan.kind == N.CHAIN and not plan.stream_takes
+                and plan.accept is None)
+            for plan in self.plans]
+        self._entering = 0  # settling instances whose entry is running
         seed = self._new_instance(nfa.initial, None, {}, None, None, NEG_INF,
                                   shadow={} if paired_buffers else None)
         self.seed = seed
@@ -265,13 +288,18 @@ class Runtime:
         self._next_iid += 1
         inst = Instance(iid, sid, branch, binding, anchor, maxkey, theta,
                         shadow, spawn_key)
-        self.live[iid] = inst
-        self.by_state[sid][iid] = inst
-        self.metrics.instance_create += 1
-        if len(self.live) > self.metrics.peak_live_instances:
-            self.metrics.peak_live_instances = len(self.live)
-        if anchor is not None:
-            heapq.heappush(self.heap, (anchor + self.window, iid))
+        metrics = self.metrics
+        metrics.instance_create += 1
+        if self.settling[sid]:
+            live = len(self.live) + self._entering + 1
+        else:
+            self.live[iid] = inst
+            self.by_state[sid][iid] = inst
+            if anchor is not None:
+                heapq.heappush(self.heap, (anchor + self.window, iid))
+            live = len(self.live) + self._entering
+        if live > metrics.peak_live_instances:
+            metrics.peak_live_instances = live
         return inst
 
     def _retire(self, inst: Instance) -> None:
@@ -285,10 +313,19 @@ class Runtime:
         inst.sid = sid
         self.by_state[sid][inst.iid] = inst
 
-    def _emit(self, inst: Instance, detection_ts: int) -> None:
-        self._pending.append(Match(dict(inst.binding), detection_ts,
+    def _emit(self, inst: Instance, detection_ts: int,
+              keep: bool = False) -> None:
+        """Emit ``inst``'s match and retire it; the match takes its binding.
+
+        ``keep``: the instance stays live (it may still grow), so the match
+        gets a copy of the binding instead.
+        """
+        binding = dict(inst.binding) if keep else inst.binding
+        self._pending.append(Match(binding, detection_ts,
                                    (inst.branch or 0) + self.branch_offset))
         self.metrics.matches += 1
+        if not keep:
+            self._retire(inst)
 
     # -- stream driving ------------------------------------------------------
 
@@ -357,7 +394,8 @@ class Runtime:
                 # the buffer at completion time and against every arrival
                 # since; window expiry certifies the remaining ones.
                 self._emit(inst, deadline)
-            self._retire(inst)
+            else:
+                self._retire(inst)
 
     # -- arrivals ------------------------------------------------------------
 
@@ -489,7 +527,16 @@ class Runtime:
         branch = tp.branch if inst.branch is None else inst.branch
         clone = self._new_instance(tp.dst, branch, binding, anchor, maxkey,
                                    inst.theta, shadow, spawn_event.key)
-        self._entry(clone)
+        if not self.settling[tp.dst]:
+            self._entry(clone)
+            return
+        self._entering += 1
+        try:
+            self._entry(clone)
+        finally:
+            self._entering -= 1
+        if clone.alive:
+            self._retire(clone)
 
     # -- completion, negation, acceptance -------------------------------------
 
@@ -545,7 +592,6 @@ class Runtime:
                     self._move(inst, sid)
                 return
         self._emit(inst, inst.maxkey[0])
-        self._retire(inst)
 
     def _accept(self, inst: Instance, plan: StatePlan) -> None:
         ap = plan.accept
@@ -559,9 +605,7 @@ class Runtime:
             if not ap.grow:
                 self._retire(inst)
             return
-        self._emit(inst, inst.maxkey[0])
-        if not ap.grow:
-            self._retire(inst)
+        self._emit(inst, inst.maxkey[0], keep=ap.grow)
 
     def _neg_scan(self, inst: Instance, chk: NegSpec) -> bool:
         """Buffered-candidate absence check; retires the instance on a hit."""

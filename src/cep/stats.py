@@ -12,10 +12,17 @@ class UndefinedCorrelationError(ValueError):
 
 
 def centre(x: Sequence[float]) -> tuple:
-    """Deviations of ``x`` from its mean and their sum of squares."""
-    mean = math.fsum(x) / len(x)
-    dev = [a - mean for a in x]
-    return dev, math.fsum([d ** 2 for d in dev])
+    """Deviations of ``x`` from its mean and their sum of squares.
+
+    Raises ``UndefinedCorrelationError`` when a sum is not a finite number:
+    ``x`` holds infinities of both signs, or a square or sum overflows.
+    """
+    try:
+        mean = math.fsum(x) / len(x)
+        dev = [a - mean for a in x]
+        return dev, math.fsum([d ** 2 for d in dev])
+    except (ValueError, OverflowError) as exc:
+        raise UndefinedCorrelationError(f"non-finite input: {exc}") from None
 
 
 # One (series, deviations, sum of squares) entry per argument side of
@@ -40,8 +47,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length series.
 
     Raises ``ValueError`` on length mismatch or fewer than 2 points, and
-    ``UndefinedCorrelationError`` when either series has zero variance or
-    the product of the two variances underflows to zero.
+    ``UndefinedCorrelationError`` when either series has zero variance, the
+    product of the two variances underflows to zero, or ``centre`` meets a
+    non-finite sum.
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")

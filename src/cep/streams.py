@@ -10,7 +10,8 @@ CSV format (one event per line, LF, UTF-8)::
 
     seq,ts,type,stock,region,price,history
 
-where ``history`` is a semicolon-joined list of decimal floats.
+where ``history`` is a semicolon-joined list of decimal floats. The price
+and every history value must be finite (no ``nan`` or ``inf``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import heapq
 import io
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -139,6 +141,12 @@ def read_csv(fh: io.TextIOBase) -> list:
             history = tuple(float(v) for v in parts[6].split(";") if v)
         except ValueError as exc:
             raise StreamDataError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(price):
+            raise StreamDataError(f"line {lineno}: price {parts[5]!r} is "
+                                  "not a finite number")
+        if not all(map(math.isfinite, history)):
+            raise StreamDataError(f"line {lineno}: history {parts[6]!r} "
+                                  "holds a value that is not finite")
         events.append(Event(parts[2], ts, seq, {
             "stock": parts[3], "region": parts[4],
             "price": price, "history": history,

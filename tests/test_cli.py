@@ -151,3 +151,21 @@ def test_console_script_entrypoint():
                            "--cases", "5", "--seed", "1"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_module_run_on_non_finite_history_is_exit_3(tmp_path):
+    pattern = tmp_path / "corr.pat"
+    pattern.write_text("PATTERN SEQ(A a, B b) WHERE skip_till_any_match"
+                       " { corr(a.history, b.history) > 0.9 } WITHIN 1 sec\n")
+    stream = tmp_path / "hostile.csv"
+    stream.write_text("seq,ts,type,stock,region,price,history\n"
+                      "0,1,A,s,A,1.0,inf;-inf;1\n"
+                      "1,2,B,s,B,1.0,1;2;3\n")
+    proc = subprocess.run([sys.executable, "-m", "cep", "run",
+                           "--pattern", str(pattern), "--input", str(stream),
+                           "--mode", "eager"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "stream error" in proc.stderr
+    assert "line 2" in proc.stderr
+    assert "Traceback" not in proc.stderr

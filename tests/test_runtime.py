@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cep import nfa as N
 from cep.buffer import LANE_SLACK
+from cep.difftest import random_pattern, random_stream
 from cep.engine import apply_group_by, compile_pattern, make_runtime
 from cep.events import Event, StreamDataError
 from cep.lazy import build_lazy_chain
 from cep.metrics import Metrics
+from cep.nfa import BuildError
 from cep.patterns import parse_pattern, to_dnf
-from cep.runtime import Runtime, match_key, match_line, run_stream
+from cep.runtime import (Match, Runtime, _detection_order, match_key,
+                         match_line, run_stream)
+from cep.streams import StreamSpec, generate_stream
 
 from conftest import mkstream
 
@@ -295,7 +300,9 @@ class TestMetricsCounters:
         assert c["matches"] == 4
         assert c["buffer_insert"] == 4  # the two As and two Bs are stored
         assert c["instance_create"] > 4
-        assert c["peak_live_instances"] >= 2
+        # The seed, plus the C, CB and CBA clones while they are entered:
+        # none of them is left for an arrival to act on.
+        assert c["peak_live_instances"] == 4
 
     def test_expiry_is_counted(self):
         chains = chains_of("PATTERN SEQ(A a, B b) WITHIN 5 msec")
@@ -406,3 +413,149 @@ def test_member_tuples_ascend_by_key(pattern, mode, grouped, order_seed, stream)
     emitted += rt.flush()
     for m in emitted:
         _assert_members_ascend(m.binding, "match")
+
+
+def _record_registrations(rt, registered):
+    """Wrap ``rt._new_instance``: add each registered iid to ``registered``."""
+    new = rt._new_instance
+
+    def recording(*args, **kwargs):
+        inst = new(*args, **kwargs)
+        if inst.iid in rt.live:
+            registered.add(inst.iid)
+        return inst
+
+    rt._new_instance = recording
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10**6),
+       mode=st.sampled_from(["lazy", "lazy-pp", "lazy-fc", "multi"]))
+def test_settling_instances_are_never_registered(seed, mode):
+    rng = random.Random(seed)
+    chains = chains_of(random_pattern(rng))
+    types = sorted({t for c in chains for t in c.types.values()})
+    stream = random_stream(rng, types, 20)
+    perm = sorted({t for c in chains for _, t in c.positives})
+    rng.shuffle(perm)
+    orders = [[t for t in perm if t in {ty for _, ty in c.positives}]
+              for c in chains]
+    try:
+        rt = make_runtime(compile_pattern(chains, mode, orders=orders))
+    except BuildError:
+        return  # first-chance negation refuses a trailing negation
+    runtimes = getattr(rt, "runtimes", [rt])
+    registered = [{r.seed.iid} for r in runtimes]
+    for r, ids in zip(runtimes, registered):
+        _record_registrations(r, ids)
+    for e in stream:
+        rt.step(e)
+        for r, ids in zip(runtimes, registered):
+            # Live instances are the ones an arrival or a timeout can act on.
+            acted_on = {sid for sids in r.type_interest.values()
+                        for sid in sids}
+            for inst in r.live.values():
+                assert (inst is r.seed or inst.sid in acted_on
+                        or r.plans[inst.sid].kind == N.NEG), inst.sid
+                assert not r.settling[inst.sid]
+            assert r._entering == 0
+            assert {iid for _, iid in r.heap} <= ids
+    rt.flush()
+    for r in runtimes:  # every instance but the seed was retired, once
+        assert r.metrics.instance_retire == r.metrics.instance_create - 1
+
+
+def test_growing_accept_hands_out_copies_of_its_binding():
+    chains = apply_group_by(chains_of(
+        "PATTERN SEQ(A a, B+ b[]) WHERE skip_till_any_match"
+        " { b[i].stock = b[i-1].stock } WITHIN 1 hour"), "b", "stock")
+    nfas = compile_pattern(chains, "eager")
+    stream = mkstream(("A", 1), ("B", 2, {"stock": 1}), ("B", 3, {"stock": 2}),
+                      ("B", 4, {"stock": 1}), ("A", 5),
+                      ("B", 6, {"stock": 1}), ("B", 7, {"stock": 2}))
+    rt, untouched = make_runtime(nfas), make_runtime(nfas)
+    assert any(p.accept.grow for p in rt.plans if p.kind == N.ACCEPT)
+    got, expected = [], []
+    for e in stream:
+        out = rt.step(e)
+        live = {id(inst.binding) for inst in rt.live.values()}
+        assert not any(id(m.binding) in live for m in out)
+        got += [match_key(m.binding) for m in out]
+        for m in out:  # changes no match emitted later
+            m.binding.clear()
+            m.binding["a"] = Event("Z", 0, -1)
+        expected += [match_key(m.binding) for m in untouched.step(e)]
+    assert got == expected
+    assert len(got) > len(stream)
+
+
+def test_error_inside_a_settling_entry_leaves_no_entry_open():
+    chains = chains_of("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"
+                       " { a.x < b.x } WITHIN 10 msec")
+    rt = make_runtime(compile_pattern(chains, "lazy",
+                                      orders=[["C", "B", "A"]]))
+    rt.step(Event("A", 1, 0, {"x": "text"}))
+    rt.step(Event("B", 2, 1, {"x": 1.0}))
+    with pytest.raises(StreamDataError):
+        rt.step(Event("C", 3, 2))  # raised by the search of the CB clone
+    assert rt._entering == 0
+    assert list(rt.live) == [rt.seed.iid]
+    rt.step(Event("A", 40, 3, {"x": 0.5}))  # A@1 has left the window
+    rt.step(Event("B", 41, 4, {"x": 2.0}))
+    out = [match_line(m) for m in rt.step(Event("C", 42, 5))]
+    assert out == ["a=A@40#3; b=B@41#4; c=C@42#5"]
+    assert rt.metrics.peak_live_instances == 4
+
+
+@pytest.mark.parametrize("pattern, rates, group_by", [
+    ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match {"
+     " corr(a.history, b.history) > 0.9 and corr(b.history, c.history) > 0.9"
+     " and corr(c.history, a.history) > 0.9 } WITHIN 1800 msec",
+     {"A": 100.0, "B": 10.0, "C": 1.0}, None),
+    ("PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
+     " { b[i].stock = b[i-1].stock and b[i].price > a.price } WITHIN 400 msec",
+     {"A": 5.0, "B": 40.0, "C": 2.0}, ("b", "stock")),
+])
+def test_paired_mode_on_the_benchmark_patterns(pattern, rates, group_by):
+    chains = chains_of(pattern)
+    if group_by is not None:
+        chains = apply_group_by(chains, *group_by)
+    nfas = compile_pattern(chains, "lazy", rates=rates)
+    events = generate_stream(StreamSpec(rates=rates, count=1500, seed=3,
+                                        stocks_per_type=8))
+    paired = make_runtime(nfas, paired_buffers=True)
+    got = run_stream(paired, events)  # raises ShadowMismatch on divergence
+    plain = run_stream(make_runtime(nfas), events)
+    assert [match_key(m.binding) for m in got] == [
+        match_key(m.binding) for m in plain]
+    assert got and paired.metrics.buffer_search > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_detection_order_sorts_as_the_match_key(data):
+    # One stream: seq increases, ts does not decrease.
+    gaps = data.draw(st.lists(st.tuples(st.sampled_from("ABC"),
+                                        st.integers(0, 2)),
+                              min_size=1, max_size=12))
+    events, ts = [], 0
+    for seq, (etype, gap) in enumerate(gaps):
+        ts += gap
+        events.append(Event(etype, ts, seq))
+    by_type: dict = {}
+    for e in events:
+        by_type.setdefault(e.etype, []).append(e)
+    matches = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        binding = {}
+        for role in data.draw(st.sets(st.sampled_from("abc"), min_size=1)):
+            pool = by_type[data.draw(st.sampled_from(sorted(by_type)))]
+            picked = [pool[i] for i in sorted(data.draw(st.sets(
+                st.integers(0, len(pool) - 1), min_size=1, max_size=3)))]
+            binding[role] = (tuple(picked) if data.draw(st.booleans())
+                             else picked[0])
+        matches.append(Match(binding, data.draw(st.integers(0, 1)),
+                             data.draw(st.integers(0, 2))))
+    by_key = sorted(matches, key=lambda m: (m.detection_ts, m.key()))
+    by_order = sorted(matches, key=_detection_order)
+    assert [id(m) for m in by_order] == [id(m) for m in by_key]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cep.stats import UndefinedCorrelationError, pearson
+from cep.stats import UndefinedCorrelationError, centre, pearson
 
 
 def reference_pearson(x, y):
@@ -102,3 +102,17 @@ def test_zero_variance():
 def test_too_short():
     with pytest.raises(ValueError):
         pearson([1], [1])
+
+
+@pytest.mark.parametrize("x", [
+    (math.inf, -math.inf, 1.0),  # fsum meets infinities of both signs
+    (1e200, -1e200, 0.0),  # a squared deviation overflows
+    (1.5e308, 1.5e308, 0.0),  # the sum overflows
+])
+def test_non_finite_sums_are_undefined(x):
+    with pytest.raises(UndefinedCorrelationError, match="non-finite"):
+        centre(x)
+    with pytest.raises(UndefinedCorrelationError):
+        pearson(x, (1.0, 2.0, 4.0))
+    with pytest.raises(UndefinedCorrelationError):
+        pearson((1.0, 2.0, 4.0), list(x))

@@ -78,3 +78,18 @@ def test_measure_rates():
 def test_rate_must_be_positive():
     with pytest.raises(ValueError):
         generate_stream(StreamSpec(rates={"A": 0.0}, count=10))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["price", "history"])
+def test_csv_rejects_non_finite_numbers(field, value):
+    price, history = ("1.0", "1.0;2.0;3.0")
+    if field == "price":
+        price = value
+    else:
+        history = f"1.0;{value};3.0"
+    bad = ("seq,ts,type,stock,region,price,history\n"
+           "0,1,A,s,A,1.0,1.0;2.0\n"
+           f"1,2,A,s,A,{price},{history}\n")
+    with pytest.raises(StreamDataError, match=f"line 3: {field}"):
+        read_csv(io.StringIO(bad))
