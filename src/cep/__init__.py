@@ -11,9 +11,8 @@ from .buffer import InputBuffer, iterate_fetch
 from .eager import build_eager
 from .engine import build_runtime, compile_pattern, make_runtime
 from .events import Event, StreamDataError, check_stream_order, within_window
-from .lazy import (ascending_freq_order, build_fc_negation, build_iteration,
-                   build_lazy, build_lazy_chain, build_multi_chain,
-                   build_pp_negation, partial_filters, sequence_filters)
+from .lazy import (ascending_freq_order, build_lazy, build_multi_chain,
+                   partial_filters, sequence_filters)
 from .metrics import Metrics
 from .nfa import BuildError, Nfa, validate_nfa
 from .oracle import enumerate_matches, enumerate_matches_chains
@@ -28,8 +27,7 @@ __all__ = [
     "MultiRuntime", "Nfa", "ParseError", "PatternAst", "PatternError",
     "Runtime", "ShadowMismatch", "StreamDataError",
     "UndefinedCorrelationError", "ascending_freq_order", "build_eager",
-    "build_fc_negation", "build_iteration", "build_lazy", "build_lazy_chain",
-    "build_multi_chain", "build_pp_negation", "build_runtime",
+    "build_lazy", "build_multi_chain", "build_runtime",
     "check_stream_order", "compile_pattern", "enumerate_matches",
     "enumerate_matches_chains", "iterate_fetch",
     "make_runtime", "match_key", "match_line", "parse_pattern",

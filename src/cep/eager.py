@@ -62,14 +62,11 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
     iter_atoms = tuple(iter_atom_list)
 
     edges = []
-    all_types = frozenset(types[r] for r in roles)
     for s in subsets:
         sid = sid_of[s]
-        takeable = set()
         for r in roles:
             if r in s or not preds[r] <= s:
                 continue
-            takeable.add(r)
             cond = tuple(
                 a for roles_a, a in chain_atoms
                 if r in roles_a and roles_a <= (s | {r})
@@ -80,53 +77,27 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
         if it is not None and it.role in s and not (succs[it.role] & s):
             # Accumulating self-loop; conditions over the subset are deferred
             # to the acceptance gates, the loop itself only grows the list.
-            takeable.add(it.role)
             edges.append(N.Edge(sid, sid, N.TAKE,
                                 frozenset({types[it.role]}), role=it.role,
                                 branch=0))
-        irrelevant = all_types - frozenset(types[r] for r in takeable)
-        if irrelevant and not (s == full and not has_tail):
-            edges.append(N.Edge(sid, sid, N.IGNORE, irrelevant))
         if neg_types and not (s == full and not has_tail):
             edges.append(N.Edge(sid, sid, N.STORE, neg_types))
-        if s and not (s == full and not has_tail):
-            edges.append(N.timeout_edge(sid, rejecting))
 
     if has_tail:
-        full_sid = sid_of[full]
-        pos_types = all_types
+        # Completion on the full roleset hands off to the tail (AcceptPlan).
         for j, spec in enumerate(chain.negations):
-            spec = spec.compiled()
             sid = tail_start + j
-            nxt = sid + 1 if j + 1 < len(chain.negations) else accepting
-            checked = frozenset(x.etype for x in chain.negations[:j])
             later = frozenset(x.etype for x in chain.negations[j + 1 :])
-            edges.append(N.Edge(sid, sid, N.IGNORE, pos_types | checked))
             if later:
                 edges.append(N.Edge(sid, sid, N.STORE, later))
-            prec = frozenset(types[r] for r in spec.prec_roles)
-            succ = frozenset(types[r] for r in spec.succ_roles)
-            edges.append(N.Edge(sid, rejecting, N.TAKE,
-                                frozenset({spec.etype}), cond=spec.cond,
-                                prec=prec, succ=succ, role=spec.role,
-                                branch=0))
-            wait = not spec.succ_roles
-            if wait:
-                edges.append(N.timeout_edge(sid, nxt))
-            else:
-                edges.append(N.search_failed_edge(sid, nxt))
-            tail.append((sid, spec, wait))
-        # Completion hand-off from the full roleset into the tail.
-        edges.append(N.search_failed_edge(full_sid, tail_start))
+            tail.append((sid, spec.compiled(), not spec.succ_roles))
 
-    gates = (it.lo, it.hi, iter_atoms) if it is not None else None
+    gates = (it.role, it.lo, iter_atoms) if it is not None else None
     branch = N.Branch(chain=chain, tail=tuple(tail), fc_checks={},
                       complete_state=sid_of[full], eager_gates=gates)
-    nfa = N.Nfa(label="eager", states=tuple(states), edges=tuple(edges),
-                initial=sid_of[frozenset()], accepting=accepting,
-                rejecting=rejecting, window=chain.window, branches=(branch,))
-    N.validate_nfa(nfa)
-    return nfa
+    return N.Nfa(label="eager", states=tuple(states), edges=tuple(edges),
+                 initial=sid_of[frozenset()], accepting=accepting,
+                 rejecting=rejecting, window=chain.window, branches=(branch,))
 
 
 def _downward_closed(roles, preds) -> list:

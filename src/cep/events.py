@@ -12,12 +12,6 @@ AttrValue = Union[float, str, tuple]
 # is enforced during pattern validation.
 EventType = str
 
-# Synthetic types used internally by the runtime. They never appear on a
-# stream and cannot collide with user types (lowercase names are allowed
-# for user types, but these are reserved and rejected by the parser).
-TIMEOUT: EventType = "@timeout"
-SEARCH_FAILED: EventType = "@search_failed"
-
 
 class StreamDataError(Exception):
     """Malformed stream input: missing attribute, out-of-order event, bad CSV."""

@@ -96,54 +96,16 @@ def _assign_atoms(chain: ChainPattern, bind_order: Sequence[str]) -> list:
     return [tuple(s) for s in slots]
 
 
-def build_lazy_chain(chain: ChainPattern, freq: Sequence[EventType]) -> N.Nfa:
-    """Chain automaton for a negation-free, iteration-free pattern."""
-    if chain.negations:
-        raise N.BuildError("pattern has negations: use a negation-aware builder")
-    if chain.iterated is not None:
-        raise N.BuildError("pattern has an iterated event: use build_iteration")
-    return _build(chain, freq, label="lazy")
-
-
-def build_iteration(chain: ChainPattern, freq: Sequence[EventType]) -> N.Nfa:
-    """Chain automaton with the iterated type moved to the end of the order
-    and its final take replaced by an iterate edge."""
-    if chain.iterated is None:
-        raise N.BuildError("pattern has no iterated event")
-    if chain.negations:
-        raise N.BuildError("combine iteration with negation via build_lazy")
-    return _build(chain, freq, label="lazy")
-
-
-def build_pp_negation(chain: ChainPattern, freq: Sequence[EventType],
-                      neg_freq: Optional[Sequence[EventType]] = None) -> N.Nfa:
-    """Positive chain followed by one negative state per negated type."""
-    if not chain.negations:
-        return _build(chain, freq, label="lazy-pp")
-    return _build(chain, freq, label="lazy-pp", negation="pp", neg_freq=neg_freq)
-
-
-def build_fc_negation(chain: ChainPattern, freq: Sequence[EventType]) -> N.Nfa:
-    """Positive chain with reject edges at each negation's dependency state."""
-    if not chain.negations:
-        return _build(chain, freq, label="lazy-fc")
-    return _build(chain, freq, label="lazy-fc", negation="fc")
-
-
 def build_lazy(chain: ChainPattern, freq: Sequence[EventType],
                negation: str = "pp",
                neg_freq: Optional[Sequence[EventType]] = None) -> N.Nfa:
-    """Dispatch to the right lazy construction for any chain pattern."""
-    if chain.negations:
-        if negation == "fc":
-            return _build(chain, freq, label="lazy-fc", negation="fc")
-        return _build(chain, freq, label="lazy-pp", negation="pp", neg_freq=neg_freq)
-    return _build(chain, freq, label="lazy")
+    """Lazy chain automaton for any chain pattern.
 
-
-def _build(chain: ChainPattern, freq: Sequence[EventType], label: str,
-           negation: Optional[str] = None,
-           neg_freq: Optional[Sequence[EventType]] = None) -> N.Nfa:
+    ``negation`` picks how negated events are checked: ``"pp"`` in a
+    post-processing tail ordered by ``neg_freq`` (descending frequency;
+    pattern order when omitted), ``"fc"`` at the earliest state where each
+    negation's dependencies are bound.
+    """
     _check_freq(chain, freq)
     freq = list(freq)
     it = chain.iterated
@@ -156,12 +118,12 @@ def _build(chain: ChainPattern, freq: Sequence[EventType], label: str,
     bind_order = [role_of_type[t] for t in freq]
     atom_slots = _assign_atoms(chain, bind_order)
     n = len(freq)
+    fc = bool(chain.negations) and negation == "fc"
+    label = "lazy-fc" if fc else "lazy-pp" if chain.negations else "lazy"
     negs = list(chain.negations)
-    if negation == "fc":
+    if fc:
         _check_fc_applicable(chain)
         negs = []
-    if negation is None and chain.negations:
-        raise N.BuildError("negations present but no negation variant selected")
     neg_types = frozenset(s.etype for s in chain.negations)
 
     if negs:
@@ -186,21 +148,14 @@ def _build(chain: ChainPattern, freq: Sequence[EventType], label: str,
     states.append(N.State(accepting, N.ACCEPT, "F", 0))
     states.append(N.State(rejecting, N.REJECT, "R", 0))
 
-    types = chain.types
     for i, etype in enumerate(freq):
-        prec_t = frozenset(freq[:i])
-        succ_t = frozenset(freq[i + 1 :])
-        if prec_t:
-            edges.append(N.Edge(i, i, N.IGNORE, prec_t))
-        store_t = succ_t | neg_types
+        store_t = frozenset(freq[i + 1 :]) | neg_types
         if it is not None and i == n - 1:
             # An iterate edge taking from the stream inserts the new event
             # into the buffer before generating the subsets that contain it.
             store_t |= {it.etype}
         if store_t:
             edges.append(N.Edge(i, i, N.STORE, store_t))
-        if i > 0:
-            edges.append(N.timeout_edge(i, rejecting))
         prec, succ = _chain_filters(chain, etype, freq)
         dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
         role = bind_order[i]
@@ -214,50 +169,29 @@ def _build(chain: ChainPattern, freq: Sequence[EventType], label: str,
                                 cond=atom_slots[i], prec=prec, succ=succ,
                                 role=role, branch=0))
 
+    # Negative tail: each state checks one negated type; an instance moves
+    # on once that check is certified, and to F after the last one.
     tail = []
-    pos_types = frozenset(freq)
     for j, spec in enumerate(negs):
-        spec = spec.compiled()
         sid = tail_start + j
-        nxt = sid + 1 if j + 1 < len(negs) else accepting
-        checked = frozenset(s.etype for s in negs[:j])
         later = frozenset(s.etype for s in negs[j + 1 :])
-        edges.append(N.Edge(sid, sid, N.IGNORE, pos_types | checked))
         if later:
             edges.append(N.Edge(sid, sid, N.STORE, later))
-        prec = frozenset(types[r] for r in spec.prec_roles)
-        succ = frozenset(types[r] for r in spec.succ_roles)
-        edges.append(N.Edge(sid, rejecting, N.TAKE, frozenset({spec.etype}),
-                            cond=spec.cond, prec=prec, succ=succ,
-                            role=spec.role, branch=0))
-        wait = not spec.succ_roles
-        if wait:
-            edges.append(N.timeout_edge(sid, nxt))
-        else:
-            edges.append(N.search_failed_edge(sid, nxt))
-        tail.append((sid, spec, wait))
+        tail.append((sid, spec.compiled(), not spec.succ_roles))
 
     fc_checks: dict = {}
-    if negation == "fc":
+    if fc:
         for spec in chain.negations:
             reduced = _reduce_neighbours(chain, spec)
             sid = _dep_state(chain, reduced, freq, bind_order, accepting)
-            reduced = reduced.compiled()
-            prec = frozenset(types[r] for r in reduced.prec_roles)
-            succ = frozenset(types[r] for r in reduced.succ_roles)
-            edges.append(N.Edge(sid, rejecting, N.TAKE, frozenset({spec.etype}),
-                                cond=reduced.cond, prec=prec, succ=succ,
-                                role=spec.role, branch=0))
-            fc_checks.setdefault(sid, []).append(reduced)
+            fc_checks.setdefault(sid, []).append(reduced.compiled())
         fc_checks = {sid: tuple(v) for sid, v in fc_checks.items()}
 
     _check_filter_soundness(edges, freq, n)
     branch = N.Branch(chain=chain, tail=tuple(tail), fc_checks=fc_checks)
-    nfa = N.Nfa(label=label, states=tuple(states), edges=tuple(edges),
-                initial=0, accepting=accepting, rejecting=rejecting,
-                window=chain.window, branches=(branch,))
-    N.validate_nfa(nfa)
-    return nfa
+    return N.Nfa(label=label, states=tuple(states), edges=tuple(edges),
+                 initial=0, accepting=accepting, rejecting=rejecting,
+                 window=chain.window, branches=(branch,))
 
 
 def _check_fc_applicable(chain: ChainPattern) -> None:
@@ -337,7 +271,6 @@ def build_multi_chain(nfas: Sequence[N.Nfa]) -> N.Nfa:
     for bi, sub in enumerate(nfas):
         mapping = dict(remapped_nfas[bi])
         mapping[sub.accepting] = accepting
-        mapping[sub.rejecting] = rejecting
         for e in sub.edges:
             edges.append(N.Edge(mapping[e.src], mapping[e.dst], e.action,
                                 e.types, e.cond, e.prec, e.succ, e.role,
@@ -354,8 +287,6 @@ def build_multi_chain(nfas: Sequence[N.Nfa]) -> N.Nfa:
     window = nfas[0].window
     if any(sub.window != window for sub in nfas):
         raise N.BuildError("merged chains must share one window")
-    nfa = N.Nfa(label="multi", states=tuple(states), edges=tuple(edges),
-                initial=0, accepting=accepting, rejecting=rejecting,
-                window=window, branches=tuple(branches))
-    N.validate_nfa(nfa)
-    return nfa
+    return N.Nfa(label="multi", states=tuple(states), edges=tuple(edges),
+                 initial=0, accepting=accepting, rejecting=rejecting,
+                 window=window, branches=tuple(branches))

@@ -1,21 +1,25 @@
-"""Automaton data model shared by the eager and lazy builders.
+"""Automaton data model and its executable plan, shared by every builder.
 
-An :class:`Nfa` is the immutable compilation artifact: states, edges with
-actions and ordering filters, plus per-branch metadata the runtime needs to
-schedule negation checks and iteration gates. ``Runtime`` (in
-:mod:`cep.runtime`) compiles it into dispatch tables and executes streams.
+An :class:`Nfa` is the immutable compilation artifact. The builders give it
+states, take/iterate and store edges with their ordering filters, and
+per-branch metadata (negative tail, first-chance checks, eager completion).
+Constructing it compiles these, once, into the executable plan: one
+:class:`StatePlan` per state, the states each arriving type acts on, the
+states that settle, and the types the shared buffer stores. It then
+validates the automaton from those tables. Every ``Runtime`` (in
+:mod:`cep.runtime`) shares the plan and compiles nothing.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .events import SEARCH_FAILED, TIMEOUT
 from .patterns import ChainPattern
+from .predicates import KleeneAtoms, split_kleene
 
 TAKE = "take"
-IGNORE = "ignore"
 STORE = "store"
 ITERATE = "iterate"
 
@@ -41,8 +45,8 @@ class State:
 class Edge:
     src: int
     dst: int
-    action: str  # take | ignore | store | iterate
-    types: frozenset  # event types (or the synthetic TIMEOUT / SEARCH_FAILED)
+    action: str  # take | store | iterate
+    types: frozenset  # event types
     cond: tuple = ()  # compiled predicate atoms evaluated on traversal
     prec: frozenset = frozenset()  # ordering filter: types that must precede
     succ: frozenset = frozenset()  # ordering filter: types that must succeed
@@ -63,12 +67,55 @@ class Branch:
     fc_checks: dict = field(default_factory=dict)
     # State at which all positive roles are bound (eager lattice only).
     complete_state: Optional[int] = None
-    # Gates applied at completion (eager): (lo, hi, iterated atoms).
+    # Gates applied at completion (eager): (iterated role, lo, its atoms).
     eager_gates: Optional[tuple] = None
 
     @property
     def role_of_type(self) -> dict:
         return {t: r for r, t in self.chain.types.items()}
+
+
+@dataclass(frozen=True)
+class TakePlan:
+    role: str
+    etype: str
+    dst: int
+    cond: tuple
+    prec_roles: frozenset
+    succ_roles: frozenset
+    stream_ok: bool
+    branch: int
+    # (lo, hi, group_attr) of the iterated role, on iterate and append takes.
+    iterate: Optional[tuple] = None
+    kleene: Optional[KleeneAtoms] = None  # cond split for iterate_fetch
+    append: bool = False  # eager accumulation self-loop
+    iter_first: bool = False  # eager first bind of the iterated role
+    req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
+
+
+@dataclass(frozen=True)
+class AcceptPlan:
+    gates: Optional[tuple]  # (iterated role, lo, its atoms), eager only
+    tail_start: Optional[int]  # eager completion hands off to this state
+    grow: bool
+    fc_at_f: dict  # branch -> checks that run on reaching acceptance
+
+
+@dataclass(frozen=True)
+class NegPlan:
+    tail: tuple  # (sid, NegSpec, wait) of this state and those after it
+    kill_map: dict  # etype -> tuple[NegSpec] for arrivals while waiting
+
+
+@dataclass(frozen=True)
+class StatePlan:
+    kind: str
+    entry_takes: tuple
+    stream_takes: dict  # etype -> tuple[TakePlan]
+    fc_checks: tuple
+    accept: Optional[AcceptPlan]
+    neg: Optional[NegPlan]
+    store_types: frozenset
 
 
 @dataclass(frozen=True)
@@ -81,49 +128,180 @@ class Nfa:
     rejecting: int
     window: int
     branches: tuple
+    # The executable plan, compiled on construction; every runtime shares it.
+    storable: frozenset = field(init=False, repr=False, compare=False)
+    plans: tuple = field(init=False, repr=False, compare=False)
+    type_interest: dict = field(init=False, repr=False, compare=False)
+    settling: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def storable(self) -> frozenset:
-        """Union of all store-edge types; the shared buffer stores exactly these."""
-        out = set()
-        for e in self.edges:
-            if e.action == STORE:
-                out |= e.types
-        return frozenset(out)
+    def __post_init__(self):
+        # The shared buffer stores exactly the store-edge types.
+        storable = frozenset().union(
+            *[e.types for e in self.edges if e.action == STORE])
+        object.__setattr__(self, "storable", storable)
+        plans = _compile_plans(self)
+        object.__setattr__(self, "plans", plans)
+        # Which states care about which arriving types.
+        interest = defaultdict(set)
+        for sid, plan in enumerate(plans):
+            for t in plan.stream_takes:
+                interest[t].add(sid)
+            if plan.neg is not None:
+                for t in plan.neg.kill_map:
+                    interest[t].add(sid)
+        object.__setattr__(self, "type_interest",
+                           {t: tuple(sorted(s)) for t, s in interest.items()})
+        # A settling state: no arrival can act on an instance there once its
+        # entry has returned, so the instance is never registered and is
+        # retired as soon as its entry returns. NEG states never settle:
+        # their timeout emits.
+        object.__setattr__(self, "settling", tuple(
+            (plan.kind == ACCEPT and not plan.accept.grow)
+            or (plan.kind == CHAIN and not plan.stream_takes
+                and plan.accept is None)
+            for plan in plans))
+        validate_nfa(self)
 
     def state(self, sid: int) -> State:
         return self.states[sid]
 
 
+def _compile_plans(nfa: Nfa) -> tuple:
+    storable = nfa.storable
+    takes_by_src: dict = defaultdict(list)
+    stores_by_src: dict = defaultdict(set)
+    for e in nfa.edges:
+        if e.action in (TAKE, ITERATE):
+            takes_by_src[e.src].append(e)
+        elif e.action == STORE:
+            stores_by_src[e.src] |= set(e.types)
+    tail_at = {sid: (branch, i) for branch in nfa.branches
+               for i, (sid, _, _) in enumerate(branch.tail)}
+
+    plans = []
+    for st in nfa.states:
+        entry, stream = [], defaultdict(list)
+        fc: tuple = ()
+        neg_plan = None
+        accept_plan = None
+
+        for e in takes_by_src.get(st.sid, ()):
+            bi = e.branch if e.branch is not None else (st.branch or 0)
+            branch = nfa.branches[bi]
+            chain = branch.chain
+            role_of_type = branch.role_of_type
+            etype = next(iter(e.types))
+            append = e.src == e.dst
+            it = chain.iterated
+            req = None
+            if (nfa.label == "eager" and it is not None and e.role != it.role
+                    and it.role in chain.prec_of(e.role)):
+                req = (it.role, it.lo)
+            iterate = None
+            if e.action == ITERATE:
+                iterate = (e.bounds[0], e.bounds[1], e.group_by)
+            elif append:
+                iterate = (it.lo, it.hi, it.group_by)
+            tp = TakePlan(
+                role=e.role,
+                etype=etype,
+                dst=e.dst,
+                cond=e.cond,
+                prec_roles=frozenset(role_of_type[t] for t in e.prec),
+                succ_roles=frozenset(role_of_type[t] for t in e.succ),
+                stream_ok=not e.succ,
+                branch=bi,
+                iterate=iterate,
+                kleene=(split_kleene(e.cond, e.role, e.group_by)
+                        if e.action == ITERATE else None),
+                append=append,
+                iter_first=(e.action == TAKE and it is not None
+                            and e.role == it.role and not append),
+                req_iter_min=req,
+            )
+            if tp.stream_ok:
+                stream[tp.etype].append(tp)
+            if not tp.append and (set(e.types) & storable):
+                entry.append(tp)
+
+        if st.kind == CHAIN and st.branch is not None:
+            branch = nfa.branches[st.branch]
+            fc = branch.fc_checks.get(st.sid, ())
+            if branch.complete_state == st.sid and branch.tail:
+                accept_plan = AcceptPlan(
+                    gates=branch.eager_gates,
+                    tail_start=branch.tail[0][0],
+                    grow=branch.chain.iterated is not None,
+                    fc_at_f=(),
+                )
+        if st.kind == ACCEPT:
+            gates = None
+            grow = False
+            fc_at_f: dict = {}
+            for bi, branch in enumerate(nfa.branches):
+                checks = branch.fc_checks.get(st.sid, ())
+                if checks:
+                    fc_at_f[bi] = tuple(checks)
+                if branch.complete_state == st.sid:
+                    gates = branch.eager_gates
+                    grow = (branch.chain.iterated is not None
+                            and any(tp.append for tps in stream.values()
+                                    for tp in tps))
+            accept_plan = AcceptPlan(gates=gates, tail_start=None, grow=grow,
+                                     fc_at_f=fc_at_f)
+        if st.kind == NEG and st.sid in tail_at:
+            branch, idx = tail_at[st.sid]
+            rest = branch.tail[idx:]
+            kill: dict = defaultdict(list)
+            for sid, spec, wait in rest:
+                if wait:
+                    kill[spec.etype].append(spec)
+            neg_plan = NegPlan(tail=rest,
+                               kill_map={t: tuple(v) for t, v in kill.items()})
+
+        plans.append(StatePlan(
+            kind=st.kind,
+            entry_takes=tuple(entry),
+            stream_takes={t: tuple(v) for t, v in stream.items()},
+            fc_checks=fc,
+            accept=accept_plan,
+            neg=neg_plan,
+            store_types=frozenset(stores_by_src.get(st.sid, ())),
+        ))
+    return tuple(plans)
+
+
 def validate_nfa(nfa: Nfa) -> None:
-    """Structural invariants: unique F/R, every non-final state reaches F."""
+    """Structural invariants: unique F/R, every non-final state reaches F.
+
+    Reachability follows what the plan executes: take destinations, each
+    negative state's successor in its tail (F after the last one), and
+    eager completion's hand-off to the tail.
+    """
     kinds = [s.kind for s in nfa.states]
     if kinds.count(ACCEPT) != 1 or kinds.count(REJECT) != 1:
         raise BuildError("an automaton needs exactly one accepting and one rejecting state")
     if nfa.states[nfa.accepting].kind != ACCEPT or nfa.states[nfa.rejecting].kind != REJECT:
         raise BuildError("accepting/rejecting ids out of sync with state kinds")
-    # Forward reachability of F over non-rejecting transitions.
-    fwd: dict = {s.sid: set() for s in nfa.states}
-    for e in nfa.edges:
-        if e.dst != nfa.rejecting and e.src != e.dst:
-            fwd[e.src].add(e.dst)
-    for s in nfa.states:
-        if s.kind in (ACCEPT, REJECT):
-            continue
-        seen, stack = set(), [s.sid]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
+    into: dict = defaultdict(set)  # state -> states that lead to it
+    for sid, plan in enumerate(nfa.plans):
+        nxt = {tp.dst for tp in plan.entry_takes}
+        nxt.update(tp.dst for tps in plan.stream_takes.values() for tp in tps)
+        if plan.neg is not None:
+            rest = plan.neg.tail
+            nxt.add(rest[1][0] if len(rest) > 1 else nfa.accepting)
+        if plan.accept is not None and plan.accept.tail_start is not None:
+            nxt.add(plan.accept.tail_start)
+        for dst in nxt:
+            into[dst].add(sid)
+    seen, stack = set(), [nfa.accepting]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
             seen.add(x)
-            stack.extend(fwd[x])
-        if nfa.accepting not in seen:
-            raise BuildError(f"state {s.name} has no path to the accepting state")
-
-
-def timeout_edge(src: int, dst: int) -> Edge:
-    return Edge(src=src, dst=dst, action=IGNORE, types=frozenset({TIMEOUT}))
-
-
-def search_failed_edge(src: int, dst: int) -> Edge:
-    return Edge(src=src, dst=dst, action=IGNORE, types=frozenset({SEARCH_FAILED}))
+            stack.extend(into[x])
+    stuck = [s.name for s in nfa.states
+             if s.kind not in (ACCEPT, REJECT) and s.sid not in seen]
+    if stuck:
+        raise BuildError(
+            f"no path to the accepting state from {', '.join(stuck)}")

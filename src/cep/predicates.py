@@ -455,6 +455,8 @@ def _corr(expr: Corr, quantified: bool):
             return pearson(x, y)  # looked up at call time
         except UndefinedCorrelationError:
             return None  # undefined correlation: comparisons treat as false
+        except ValueError as exc:  # histories of different lengths
+            raise StreamDataError(f"{expr.render()}: {exc}") from None
 
     return corr
 

@@ -7,13 +7,16 @@ any number of matches. Window expiry is driven by stream time: before an
 event at time T is processed, every instance whose window closed strictly
 before T receives a synthetic timeout, and buffered events older than one
 window behind T are dropped.
+
+The automaton carries its executable plan (:mod:`cep.nfa`): a Runtime only
+references those tables, compiles nothing, and never reads the automaton's
+edges or branches.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from . import nfa as N
@@ -21,7 +24,7 @@ from .buffer import InputBuffer, iterate_fetch
 from .events import Event, StreamDataError
 from .metrics import Metrics
 from .patterns import NegSpec
-from .predicates import KleeneAtoms, eval_atoms, split_kleene
+from .predicates import eval_atoms
 
 NEG_INF = float("-inf")
 
@@ -75,7 +78,7 @@ class ShadowMismatch(AssertionError):
 
 class Instance:
     __slots__ = ("iid", "sid", "branch", "binding", "anchor", "maxkey",
-                 "theta", "alive", "tail_idx", "shadow", "spawn_key")
+                 "theta", "alive", "shadow", "spawn_key")
 
     def __init__(self, iid, sid, branch, binding, anchor, maxkey,
                  theta=NEG_INF, shadow=None, spawn_key=None):
@@ -87,153 +90,8 @@ class Instance:
         self.maxkey = maxkey  # max bound (ts, seq); None for the seed
         self.theta = theta  # deferred negation floor (first-chance checks)
         self.alive = True
-        self.tail_idx = 0
         self.shadow = shadow  # per-instance buffer in paired mode
         self.spawn_key = spawn_key  # (ts, seq) of the spawning event
-
-
-@dataclass(frozen=True)
-class TakePlan:
-    role: str
-    etype: str
-    dst: int
-    cond: tuple
-    prec_roles: frozenset
-    succ_roles: frozenset
-    stream_ok: bool
-    branch: int
-    iterate: Optional[tuple] = None  # (lo, hi, group_attr)
-    kleene: Optional[KleeneAtoms] = None  # cond split for iterate_fetch
-    append: bool = False  # eager accumulation self-loop
-    iter_first: bool = False  # eager first bind of the iterated role
-    req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
-
-
-@dataclass(frozen=True)
-class AcceptPlan:
-    gates: Optional[tuple]  # (lo, hi, iter_atoms) for eager completion
-    tail: tuple  # negative tail triples (sid, NegSpec, wait)
-    grow: bool
-    fc_at_f: dict  # branch -> checks that run on reaching acceptance
-
-
-@dataclass(frozen=True)
-class NegPlan:
-    index: int
-    kill_map: dict  # etype -> tuple[NegSpec] for arrivals while waiting
-
-
-@dataclass(frozen=True)
-class StatePlan:
-    kind: str
-    entry_takes: tuple
-    stream_takes: dict  # etype -> tuple[TakePlan]
-    fc_checks: tuple
-    accept: Optional[AcceptPlan]
-    neg: Optional[NegPlan]
-    store_types: frozenset
-
-
-def _compile_plans(nfa: N.Nfa) -> list:
-    storable = nfa.storable
-    takes_by_src: dict = defaultdict(list)
-    stores_by_src: dict = defaultdict(set)
-    for e in nfa.edges:
-        if e.action in (N.TAKE, N.ITERATE):
-            takes_by_src[e.src].append(e)
-        elif e.action == N.STORE:
-            stores_by_src[e.src] |= set(e.types)
-
-    plans = []
-    for st in nfa.states:
-        entry, stream = [], defaultdict(list)
-        fc: tuple = ()
-        neg_plan = None
-        accept_plan = None
-        branch_of_state = st.branch
-
-        for e in takes_by_src.get(st.sid, ()):
-            if e.dst == nfa.rejecting:
-                continue  # negation reject edges run as checks, not takes
-            bi = e.branch if e.branch is not None else (branch_of_state or 0)
-            branch = nfa.branches[bi]
-            chain = branch.chain
-            role_of_type = branch.role_of_type
-            etype = next(iter(e.types))
-            req = None
-            it = chain.iterated
-            if (nfa.label == "eager" and it is not None and e.role != it.role
-                    and it.role in chain.prec_of(e.role)):
-                req = (it.role, it.lo)
-            tp = TakePlan(
-                role=e.role,
-                etype=etype,
-                dst=e.dst,
-                cond=e.cond,
-                prec_roles=frozenset(role_of_type[t] for t in e.prec),
-                succ_roles=frozenset(role_of_type[t] for t in e.succ),
-                stream_ok=not e.succ,
-                branch=bi,
-                iterate=((e.bounds[0], e.bounds[1], e.group_by)
-                         if e.action == N.ITERATE else None),
-                kleene=(split_kleene(e.cond, e.role, e.group_by)
-                        if e.action == N.ITERATE else None),
-                append=(e.src == e.dst),
-                iter_first=(e.action == N.TAKE and it is not None
-                            and e.role == it.role and e.src != e.dst),
-                req_iter_min=req,
-            )
-            if tp.stream_ok:
-                stream[tp.etype].append(tp)
-            if not tp.append and (set(e.types) & storable):
-                entry.append(tp)
-
-        if st.kind == N.CHAIN and st.branch is not None:
-            branch = nfa.branches[st.branch]
-            fc = branch.fc_checks.get(st.sid, ())
-            if branch.complete_state == st.sid and branch.tail:
-                accept_plan = AcceptPlan(
-                    gates=branch.eager_gates,
-                    tail=branch.tail,
-                    grow=branch.chain.iterated is not None,
-                    fc_at_f=(),
-                )
-        if st.kind == N.ACCEPT:
-            gates = None
-            grow = False
-            fc_at_f: dict = {}
-            for bi, branch in enumerate(nfa.branches):
-                checks = branch.fc_checks.get(st.sid, ())
-                if checks:
-                    fc_at_f[bi] = tuple(checks)
-                if branch.complete_state == st.sid:
-                    gates = branch.eager_gates
-                    grow = (branch.chain.iterated is not None
-                            and any(tp.append for tps in stream.values()
-                                    for tp in tps))
-            accept_plan = AcceptPlan(gates=gates, tail=(), grow=grow,
-                                     fc_at_f=fc_at_f)
-        if st.kind == N.NEG:
-            branch = nfa.branches[st.branch]
-            idx = next(i for i, (sid, _, _) in enumerate(branch.tail)
-                       if sid == st.sid)
-            kill: dict = defaultdict(list)
-            for sid, spec, wait in branch.tail[idx:]:
-                if wait:
-                    kill[spec.etype].append(spec)
-            neg_plan = NegPlan(index=idx,
-                               kill_map={t: tuple(v) for t, v in kill.items()})
-
-        plans.append(StatePlan(
-            kind=st.kind,
-            entry_takes=tuple(entry),
-            stream_takes={t: tuple(v) for t, v in stream.items()},
-            fc_checks=fc,
-            accept=accept_plan,
-            neg=neg_plan,
-            store_types=frozenset(stores_by_src.get(st.sid, ())),
-        ))
-    return plans
 
 
 class Runtime:
@@ -245,9 +103,11 @@ class Runtime:
         self.window = nfa.window
         self.branch_offset = branch_offset
         self.metrics = metrics if metrics is not None else Metrics()
-        self.plans = _compile_plans(nfa)
-        self.buffer = InputBuffer()
+        self.plans = nfa.plans
         self.storable = nfa.storable
+        self.type_interest = nfa.type_interest
+        self.settling = nfa.settling
+        self.buffer = InputBuffer()
         self.paired = paired_buffers
         self.live: dict = {}
         self.by_state: dict = defaultdict(dict)
@@ -257,24 +117,6 @@ class Runtime:
         self._last_key = None
         self._last_seq = None
         self.watermark = None
-        # Which states care about which arriving types.
-        interest = defaultdict(set)
-        for sid, plan in enumerate(self.plans):
-            for t in plan.stream_takes:
-                interest[t].add(sid)
-            if plan.neg is not None:
-                for t in plan.neg.kill_map:
-                    interest[t].add(sid)
-        self.type_interest = {t: sorted(s) for t, s in interest.items()}
-        # A settling state: no arrival can act on an instance there once its
-        # entry has returned, so the instance is never registered and is
-        # retired as soon as its entry returns. NEG states never settle:
-        # their timeout emits.
-        self.settling = [
-            (plan.kind == N.ACCEPT and not plan.accept.grow)
-            or (plan.kind == N.CHAIN and not plan.stream_takes
-                and plan.accept is None)
-            for plan in self.plans]
         self._entering = 0  # settling instances whose entry is running
         seed = self._new_instance(nfa.initial, None, {}, None, None, NEG_INF,
                                   shadow={} if paired_buffers else None)
@@ -412,10 +254,10 @@ class Runtime:
                 return
             self._stream_take(inst, tp, e)
 
-    def _stream_take(self, inst: Instance, tp: TakePlan, e: Event) -> None:
+    def _stream_take(self, inst: Instance, tp: N.TakePlan, e: Event) -> None:
         if tp.append:
             members = inst.binding[tp.role]
-            lo, hi, group = self._iter_spec(tp)
+            lo, hi, group = tp.iterate
             if hi is not None and len(members) >= hi:
                 return
             if group is not None and members and e.attr(group) != members[0].attr(group):
@@ -466,7 +308,7 @@ class Runtime:
                 return
             self._entry_search(inst, tp)
 
-    def _entry_search(self, inst: Instance, tp: TakePlan) -> None:
+    def _entry_search(self, inst: Instance, tp: N.TakePlan) -> None:
         if tp.iterate is not None:
             self._iterate_candidates(inst, tp, new_event=None)
             return
@@ -490,9 +332,9 @@ class Runtime:
         # on a positive chain there is no matching edge, so the instance
         # simply stays (it can no longer advance and expires with its window).
 
-    def _iterate_candidates(self, inst: Instance, tp: TakePlan,
+    def _iterate_candidates(self, inst: Instance, tp: N.TakePlan,
                             new_event: Optional[Event]) -> None:
-        lo, hi, group = self._iter_spec(tp)
+        lo, hi, group = tp.iterate
         lower = self._lower_bound(inst, tp.prec_roles)
         upper = self._upper_bound(inst, tp.succ_roles)
         self.metrics.buffer_search += 1
@@ -505,13 +347,8 @@ class Runtime:
         for members in subsets:
             self._spawn(inst, tp, members, new_event or members[-1])
 
-    def _iter_spec(self, tp: TakePlan):
-        if tp.iterate is not None:
-            return tp.iterate
-        it = self.nfa.branches[tp.branch].chain.iterated
-        return (it.lo, it.hi, it.group_by)
-
-    def _spawn(self, inst: Instance, tp: TakePlan, bound, spawn_event: Event):
+    def _spawn(self, inst: Instance, tp: N.TakePlan, bound,
+               spawn_event: Event):
         binding = dict(inst.binding)
         binding[tp.role] = bound
         # Member tuples are ascending by key: the ends are the extremes.
@@ -540,7 +377,7 @@ class Runtime:
 
     # -- completion, negation, acceptance -------------------------------------
 
-    def _complete_eager(self, inst: Instance, ap: AcceptPlan) -> bool:
+    def _complete_eager(self, inst: Instance, ap: N.AcceptPlan) -> bool:
         """Full positive set reached on an eager lattice state with a tail."""
         if not self._gates_pass(inst, ap):
             if not ap.grow:
@@ -551,49 +388,43 @@ class Runtime:
             shadow = None
             if self.paired:
                 shadow = {t: list(v) for t, v in inst.shadow.items()}
-            copy = self._new_instance(ap.tail[0][0], inst.branch,
+            copy = self._new_instance(ap.tail_start, inst.branch,
                                       dict(inst.binding), inst.anchor,
                                       inst.maxkey, inst.theta, shadow,
                                       inst.spawn_key)
             self._tail_entry(copy, self.plans[copy.sid])
             return False
-        self._move(inst, ap.tail[0][0])
+        self._move(inst, ap.tail_start)
         self._tail_entry(inst, self.plans[inst.sid])
         return True
 
-    def _gates_pass(self, inst: Instance, ap: AcceptPlan) -> bool:
+    def _gates_pass(self, inst: Instance, ap: N.AcceptPlan) -> bool:
         if ap.gates is None:
             return True
-        lo, hi, iter_atoms = ap.gates
-        it = self.nfa.branches[inst.branch].chain.iterated
-        members = inst.binding.get(it.role)
+        role, lo, iter_atoms = ap.gates
+        members = inst.binding.get(role)
         if members is None or len(members) < lo:
             return False
         if iter_atoms and not eval_atoms(iter_atoms, inst.binding, self.metrics):
             return False
         return True
 
-    def _tail_entry(self, inst: Instance, plan: StatePlan) -> None:
-        branch = self.nfa.branches[inst.branch]
-        tail = branch.tail
-        idx = plan.neg.index
-        inst.tail_idx = idx
+    def _tail_entry(self, inst: Instance, plan: N.StatePlan) -> None:
+        tail = plan.neg.tail
         # Scan the buffered candidates of every remaining negated type now:
         # this is the only moment all of them are both complete (for types
         # that must precede a positive) and not yet expired.
-        for sid, chk, wait in tail[idx:]:
+        for sid, chk, wait in tail:
             if self._neg_scan(inst, chk):
                 return
-        for j in range(idx, len(tail)):
-            sid, chk, wait = tail[j]
+        for sid, chk, wait in tail:
             if wait:
-                inst.tail_idx = j
                 if inst.sid != sid:
                     self._move(inst, sid)
                 return
         self._emit(inst, inst.maxkey[0])
 
-    def _accept(self, inst: Instance, plan: StatePlan) -> None:
+    def _accept(self, inst: Instance, plan: N.StatePlan) -> None:
         ap = plan.accept
         for chk in ap.fc_at_f.get(inst.branch or 0, ()):
             if self._neg_scan(inst, chk):

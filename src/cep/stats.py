@@ -8,7 +8,8 @@ from typing import Sequence
 
 
 class UndefinedCorrelationError(ValueError):
-    """Raised when a correlation is undefined (zero variance in an input)."""
+    """Raised when a correlation is undefined (fewer than 2 points, zero
+    variance in an input, or a non-finite sum)."""
 
 
 def centre(x: Sequence[float]) -> tuple:
@@ -46,15 +47,15 @@ def _centred(x: Sequence[float], side: int) -> tuple:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length series.
 
-    Raises ``ValueError`` on length mismatch or fewer than 2 points, and
-    ``UndefinedCorrelationError`` when either series has zero variance, the
-    product of the two variances underflows to zero, or ``centre`` meets a
-    non-finite sum.
+    Raises ``ValueError`` on length mismatch, and
+    ``UndefinedCorrelationError`` when the series have fewer than 2 points,
+    either series has zero variance, the product of the two variances
+    underflows to zero, or ``centre`` meets a non-finite sum.
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
-        raise ValueError("need at least 2 points")
+        raise UndefinedCorrelationError("need at least 2 points")
     dx, sxx = _centred(x, 0)
     dy, syy = _centred(y, 1)
     if sxx == 0.0 or syy == 0.0:

@@ -17,7 +17,7 @@ from cep.difftest import run_suite
 from cep.eager import build_eager
 from cep.engine import apply_group_by, compile_pattern, make_runtime
 from cep.events import Event
-from cep.lazy import build_lazy_chain
+from cep.lazy import build_lazy
 from cep.oracle import enumerate_matches
 from cep.patterns import parse_pattern, to_dnf
 from cep.runtime import Runtime, match_key, run_stream
@@ -103,7 +103,7 @@ def test_criterion_3_structural_counts():
     (and3,) = to_dnf(parse_pattern("PATTERN AND(A a, B b, C c) WITHIN 1 hour"))
     eager = build_eager(and3)
     assert len(eager.states) == 2**3 + 1  # all subsets plus the reject state
-    lazy = build_lazy_chain(and3, ["A", "B", "C"])
+    lazy = build_lazy(and3, ["A", "B", "C"])
     assert len(lazy.states) == 5
     _report(3, "structural counts")
 
@@ -271,7 +271,7 @@ def test_criterion_8_shared_buffer_equivalence():
                 ", ".join(f"{t} {t.lower()}" for t in letters[:n]) +
                 f") WITHIN {rng.choice([5, 10, 25])} msec")
         (chain,) = to_dnf(parse_pattern(text))
-        rt = Runtime(build_lazy_chain(chain, order), paired_buffers=True)
+        rt = Runtime(build_lazy(chain, order), paired_buffers=True)
         events = []
         ts = 0
         for seq in range(rng.randint(5, 25)):

@@ -169,3 +169,25 @@ def test_module_run_on_non_finite_history_is_exit_3(tmp_path):
     assert "stream error" in proc.stderr
     assert "line 2" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_module_run_on_histories_of_different_lengths_is_exit_3(tmp_path,
+                                                                  mode):
+    pattern = tmp_path / "corr.pat"
+    pattern.write_text("PATTERN SEQ(A a, B b) WHERE skip_till_any_match"
+                       " { corr(a.history, b.history) > 0.9 } WITHIN 1 sec\n")
+    stream = tmp_path / "mismatched.csv"
+    stream.write_text("seq,ts,type,stock,region,price,history\n"
+                      "0,1,A,s,A,1.0,1;2\n"
+                      "1,2,B,s,B,1.0,1;2;3\n")
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"A": 1, "B": 1}))
+    proc = subprocess.run([sys.executable, "-m", "cep", "run",
+                           "--pattern", str(pattern), "--input", str(stream),
+                           "--mode", mode, "--rates", str(rates)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "stream error" in proc.stderr
+    assert "length mismatch" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -18,7 +18,8 @@ def test_sequence_is_a_chain():
     assert len(nfa.states) == 5  # 4 chain states + R
     takes = [e for e in nfa.edges if e.action == N.TAKE]
     assert [next(iter(e.types)) for e in takes] == ["A", "B", "C"]
-    assert any(e.action == N.IGNORE and e.src == e.dst for e in nfa.edges)
+    # Each state acts only on arrivals of the next type in the sequence.
+    assert nfa.type_interest == {"A": (0,), "B": (1,), "C": (2,)}
     N.validate_nfa(nfa)
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 import cep.buffer
+import cep.nfa
 import cep.runtime
 from cep import predicates
 from cep.buffer import InputBuffer
@@ -94,6 +95,29 @@ def test_runtimes_reuse_the_atoms_compiled_with_the_automata(monkeypatch, mode):
     # B@5 (x=9 > 5) rules out both matches ending at C@6.
     assert runs[0] == runs[1] == ["a=A@1#0; c=C@3#2"]
     assert compiled == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_runtimes_compile_no_plan(monkeypatch, mode):
+    chains = chains_of("PATTERN SEQ(A a, NOT(B b), C c) WHERE skip_till_any_match"
+                       " { a.x < c.x and b.x > c.x } WITHIN 1 hour")
+    nfas = compile_pattern(chains, mode, rates={"A": 2.0, "B": 3.0, "C": 1.0})
+
+    def refuse(nfa):
+        raise AssertionError("a runtime compiled a plan")
+
+    monkeypatch.setattr(cep.nfa, "_compile_plans", refuse)
+    stream = mkstream(("A", 1, {"x": 1.0}), ("B", 2, {"x": 0.0}),
+                      ("C", 3, {"x": 2.0}), ("A", 4, {"x": 3.0}),
+                      ("B", 5, {"x": 9.0}), ("C", 6, {"x": 5.0}))
+    runtimes = [make_runtime(nfas) for _ in range(2)]
+    runs = [[match_line(m) for m in run_stream(rt, stream)] for rt in runtimes]
+    assert runs[0] == runs[1] == ["a=A@1#0; c=C@3#2"]
+    for rt in runtimes:
+        for r, nfa in zip(getattr(rt, "runtimes", [rt]), nfas, strict=True):
+            assert r.plans is nfa.plans
+            assert r.type_interest is nfa.type_interest
+            assert r.settling is nfa.settling
 
 
 CORR_TEXT = ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"

@@ -3,11 +3,11 @@ from itertools import permutations
 import pytest
 
 from cep import nfa as N
-from cep.lazy import (ascending_freq_order, build_fc_negation,
-                      build_iteration, build_lazy, build_lazy_chain,
-                      build_multi_chain, build_pp_negation, partial_filters,
-                      sequence_filters)
+from cep.events import Event
+from cep.lazy import (ascending_freq_order, build_lazy, build_multi_chain,
+                      partial_filters, sequence_filters)
 from cep.patterns import parse_pattern, to_dnf
+from cep.runtime import Runtime
 
 
 def chain_of(text):
@@ -20,8 +20,7 @@ def chains_of(text):
 
 
 def take_edges(nfa):
-    return [e for e in nfa.edges if e.action in (N.TAKE, N.ITERATE)
-            and e.dst != nfa.rejecting]
+    return [e for e in nfa.edges if e.action in (N.TAKE, N.ITERATE)]
 
 
 class TestSequenceFilters:
@@ -61,7 +60,7 @@ class TestPartialFilters:
 class TestBuildLazyChain:
     def test_pattern_1_shape(self):
         chain = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
-        nfa = build_lazy_chain(chain, ["C", "B", "A"])
+        nfa = build_lazy(chain, ["C", "B", "A"])
         assert len(nfa.states) == 5  # q1 q2 q3 F R
         takes = take_edges(nfa)
         assert [next(iter(e.types)) for e in takes] == ["C", "B", "A"]
@@ -72,7 +71,7 @@ class TestBuildLazyChain:
 
     def test_single_state_chain(self):
         chain = chain_of("PATTERN SEQ(A a) WITHIN 1 hour")
-        nfa = build_lazy_chain(chain, ["A"])
+        nfa = build_lazy(chain, ["A"])
         assert len(nfa.states) == 3
         assert len(take_edges(nfa)) == 1
 
@@ -80,7 +79,7 @@ class TestBuildLazyChain:
         chain = chain_of("PATTERN AND(A a, B b) WITHIN 1 hour")
         order = ascending_freq_order({"A": 10, "B": 1})
         assert order == ["B", "A"]
-        nfa = build_lazy_chain(chain, order)
+        nfa = build_lazy(chain, order)
         takes = take_edges(nfa)
         assert [next(iter(e.types)) for e in takes] == ["B", "A"]
         assert all(e.prec == frozenset() == e.succ for e in takes)
@@ -95,30 +94,46 @@ class TestBuildLazyChain:
         for text in texts:
             chain = chain_of(text)
             order = sorted(t for _, t in chain.positives)
-            nfa = build_lazy_chain(chain, order)
+            nfa = build_lazy(chain, order)
             assert len(nfa.states) == len(chain.positives) + 2, text
 
     def test_rejects_bad_frequency_order(self):
         chain = chain_of("PATTERN SEQ(A a, B b) WITHIN 1 hour")
         with pytest.raises(N.BuildError):
-            build_lazy_chain(chain, ["A", "C"])
+            build_lazy(chain, ["A", "C"])
 
-    def test_store_and_ignore_edges(self):
+    def test_store_types_and_type_interest(self):
         chain = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
-        nfa = build_lazy_chain(chain, ["C", "B", "A"])
-        stores = {e.src: e.types for e in nfa.edges if e.action == N.STORE}
-        ignores = {e.src: e.types for e in nfa.edges if e.action == N.IGNORE
-                   and e.src == e.dst}
-        assert stores == {0: frozenset({"B", "A"}), 1: frozenset({"A"})}
-        assert ignores == {1: frozenset({"C"}), 2: frozenset({"C", "B"})}
+        nfa = build_lazy(chain, ["C", "B", "A"])
+        assert [p.store_types for p in nfa.plans] == [
+            frozenset({"B", "A"}), frozenset({"A"}), frozenset(),
+            frozenset(), frozenset()]
+        # An arrival of a type already bound acts on no later state.
+        for sid, bound in {1: {"C"}, 2: {"C", "B"}}.items():
+            for t in bound:
+                assert sid not in nfa.type_interest.get(t, ()), (sid, t)
+        # B and A must precede the bound C: only buffer searches take them.
+        assert nfa.type_interest == {"C": (0,)}
         assert nfa.storable == frozenset({"A", "B"})
 
-    def test_timeout_edges_skip_q1(self):
-        chain = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
-        nfa = build_lazy_chain(chain, ["C", "B", "A"])
-        timeouts = [e.src for e in nfa.edges
-                    if e.types == frozenset({N.TIMEOUT}) and e.dst == nfa.rejecting]
-        assert timeouts == [1, 2]
+    def test_seed_never_times_out(self):
+        # Arrival order: q2 and q3 wait on the stream, so their instances
+        # hold a window deadline; the seed at q1 never expires.
+        chain = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 10 msec")
+        nfa = build_lazy(chain, ["A", "B", "C"])
+        assert nfa.settling[:3] == (False, False, False)
+        rt = Runtime(nfa)
+        rt.step(Event("A", 1, 0))
+        rt.step(Event("B", 2, 1))
+        on_heap = [rt.live[iid] for _, iid in rt.heap]
+        assert rt.seed not in on_heap
+        assert sorted(inst.sid for inst in on_heap) == [1, 2]
+        assert rt.flush() == []
+        assert list(rt.live) == [rt.seed.iid]
+        # Frequency order: B and A are only searched for, never awaited, so
+        # no q2 or q3 instance is left waiting for its window to close.
+        nfa = build_lazy(chain, ["C", "B", "A"])
+        assert nfa.settling[1] and nfa.settling[2]
 
 
 class TestPpNegation:
@@ -126,46 +141,50 @@ class TestPpNegation:
         chain = chain_of(
             "PATTERN SEQ(A a, NOT(B b), C c, D d)\n"
             "WHERE skip_till_any_match { b.x < c.y }\nWITHIN 1 hour")
-        nfa = build_pp_negation(chain, ["C", "A", "D"])
+        nfa = build_lazy(chain, ["C", "A", "D"])
         assert len(nfa.states) == 6  # q1 q2 q3 r_B F R
-        neg = nfa.states[3]
-        assert neg.kind == N.NEG
-        reject_takes = [e for e in nfa.edges
-                        if e.src == 3 and e.action == N.TAKE]
-        assert reject_takes[0].dst == nfa.rejecting
-        assert reject_takes[0].types == frozenset({"B"})
-        # B precedes a positive (C), so its candidates are buffer-only and a
-        # failed search completes the pattern.
-        sf = [e for e in nfa.edges
-              if e.types == frozenset({N.SEARCH_FAILED}) and e.src == 3]
-        assert sf and sf[0].dst == nfa.accepting
-        assert not any(e.types == frozenset({N.TIMEOUT}) and e.src == 3
-                       for e in nfa.edges)
+        assert nfa.states[3].kind == N.NEG
+        # The last positive take enters the tail; after r_B comes F.
+        assert [tp.dst for tp in nfa.plans[2].stream_takes["D"]] == [3]
+        ((sid, spec, wait),) = nfa.plans[3].neg.tail
+        assert (sid, spec.role, spec.etype) == (3, "b", "B") and spec.cond
+        # B precedes a positive (C), so its candidates are buffer-only: the
+        # check does not wait for arrivals, and passing it completes.
+        assert not wait and nfa.plans[3].neg.kill_map == {}
+        assert all(3 not in sids for sids in nfa.type_interest.values())
         # Positive states store the negated type too.
-        stores = {e.src: e.types for e in nfa.edges if e.action == N.STORE}
-        assert all("B" in stores[src] for src in (0, 1, 2))
+        assert all("B" in nfa.plans[src].store_types for src in (0, 1, 2))
 
     def test_conjunction_negation_waits_for_timeout(self):
         chain = chain_of("PATTERN AND(A a, NOT(B b), C c) WITHIN 1 hour")
-        nfa = build_pp_negation(chain, ["A", "C"])
+        nfa = build_lazy(chain, ["A", "C"])
         neg_sid = next(s.sid for s in nfa.states if s.kind == N.NEG)
-        assert any(e.src == neg_sid and e.types == frozenset({N.TIMEOUT})
-                   and e.dst == nfa.accepting for e in nfa.edges)
+        ((sid, spec, wait),) = nfa.plans[neg_sid].neg.tail  # then F
+        assert sid == neg_sid and wait
+        assert nfa.plans[neg_sid].neg.kill_map == {"B": (spec,)}
+        assert neg_sid in nfa.type_interest["B"]
+        assert not nfa.settling[neg_sid]
 
     def test_no_negations_same_as_plain_chain(self):
         chain = chain_of("PATTERN SEQ(A a, B b) WITHIN 1 hour")
-        plain = build_lazy_chain(chain, ["B", "A"])
-        pp = build_pp_negation(chain, ["B", "A"])
-        assert [(s.kind, s.name) for s in pp.states] == \
-            [(s.kind, s.name) for s in plain.states]
-        assert pp.edges == plain.edges
+        plain = build_lazy(chain, ["B", "A"])
+        for negation in ("pp", "fc"):
+            other = build_lazy(chain, ["B", "A"], negation=negation)
+            assert [(s.kind, s.name) for s in other.states] == \
+                [(s.kind, s.name) for s in plain.states]
+            assert other.edges == plain.edges
+            assert other.plans == plain.plans
+            assert other.type_interest == plain.type_interest
+            assert other.settling == plain.settling
 
     def test_descending_negative_order(self):
         chain = chain_of(
             "PATTERN AND(A a, NOT(B b), NOT(C c)) WITHIN 1 hour")
-        nfa = build_pp_negation(chain, ["A"], neg_freq=["C", "B"])
+        nfa = build_lazy(chain, ["A"], neg_freq=["C", "B"])
         neg_names = [s.name for s in nfa.states if s.kind == N.NEG]
         assert neg_names == ["r_C", "r_B"]
+        first = nfa.plans[1].neg
+        assert [spec.etype for _, spec, _ in first.tail] == ["C", "B"]
 
 
 class TestFcNegation:
@@ -173,36 +192,36 @@ class TestFcNegation:
         chain = chain_of(
             "PATTERN SEQ(A a, NOT(B b), C c, D d)\n"
             "WHERE skip_till_any_match { b.x < c.y }\nWITHIN 1 hour")
-        nfa = build_fc_negation(chain, ["C", "A", "D"])
+        nfa = build_lazy(chain, ["C", "A", "D"], negation="fc")
         assert len(nfa.states) == 5  # positive chain + F + R only
-        rejects = [e for e in nfa.edges
-                   if e.action == N.TAKE and e.dst == nfa.rejecting]
-        assert len(rejects) == 1
         # DEP(B) = {A (preceding), C (succeeding, shared condition)}; both
         # are bound entering the third chain state under order C,A,D.
-        assert rejects[0].src == 2
-        assert rejects[0].types == frozenset({"B"})
-        assert nfa.branches[0].fc_checks.get(2)
+        (check,) = nfa.plans[2].fc_checks
+        assert check.etype == "B" and check.cond
+        assert (check.prec_roles, check.succ_roles) == ({"a"}, {"c"})
+        assert [sid for sid, p in enumerate(nfa.plans) if p.fc_checks] == [2]
+        assert nfa.plans[nfa.accepting].accept.fc_at_f == {}
 
     def test_dep_on_last_positive_checks_at_accept(self):
         chain = chain_of(
             "PATTERN SEQ(A a, NOT(B b), C c, D d)\n"
             "WHERE skip_till_any_match { b.x < d.y }\nWITHIN 1 hour")
-        nfa = build_fc_negation(chain, ["C", "A", "D"])
+        nfa = build_lazy(chain, ["C", "A", "D"], negation="fc")
         # The condition links B to D, the last type in the order, so the
         # check can only run where D is bound: at the accepting state.
-        assert nfa.branches[0].fc_checks.get(nfa.accepting)
+        (check,) = nfa.plans[nfa.accepting].accept.fc_at_f[0]
+        assert check.etype == "B"
 
     def test_negated_at_end_rejected(self):
         chain = chain_of("PATTERN SEQ(A a, NOT(B b)) WITHIN 1 hour")
         with pytest.raises(N.BuildError, match="post-processing"):
-            build_fc_negation(chain, ["A"])
+            build_lazy(chain, ["A"], negation="fc")
 
 
 class TestIteration:
     def test_pattern_5_shape(self):
         chain = chain_of("PATTERN SEQ(A a, B+ b[], C c) WITHIN 1 hour")
-        nfa = build_iteration(chain, ["C", "A", "B"])
+        nfa = build_lazy(chain, ["C", "A", "B"])
         takes = take_edges(nfa)
         assert [next(iter(e.types)) for e in takes] == ["C", "A", "B"]
         assert takes[-1].action == N.ITERATE
@@ -210,7 +229,7 @@ class TestIteration:
 
     def test_iterated_type_forced_to_end(self):
         chain = chain_of("PATTERN SEQ(A a, B+ b[], C c) WITHIN 1 hour")
-        nfa = build_iteration(chain, ["B", "C", "A"])  # B rarest by rate
+        nfa = build_lazy(chain, ["B", "C", "A"])  # B rarest by rate
         takes = take_edges(nfa)
         assert [next(iter(e.types)) for e in takes] == ["C", "A", "B"]
 
@@ -218,12 +237,12 @@ class TestIteration:
         chain = chain_of(
             "PATTERN SEQ(A a, B+ b[], C c)\n"
             "WHERE skip_till_any_match { avg(b[i].x) < c.y }\nWITHIN 1 hour")
-        nfa = build_iteration(chain, ["C", "A", "B"])
+        nfa = build_lazy(chain, ["C", "A", "B"])
         assert take_edges(nfa)[-1].cond
 
     def test_repeat_bounds_carried(self):
         chain = chain_of("PATTERN SEQ(A a, B{2,2} b[], C c) WITHIN 1 hour")
-        nfa = build_iteration(chain, ["C", "A", "B"])
+        nfa = build_lazy(chain, ["C", "A", "B"])
         assert take_edges(nfa)[-1].bounds == (2, 2)
 
 
@@ -233,7 +252,7 @@ class TestMultiChain:
     def test_pattern_8_merge(self):
         chains = chains_of(
             "PATTERN OR(SEQ(A a, B b, C c), SEQ(C c, D d, E e)) WITHIN 1 hour")
-        parts = [build_lazy_chain(c, ascending_freq_order(
+        parts = [build_lazy(c, ascending_freq_order(
             {t: self.RATES[t] for _, t in c.positives})) for c in chains]
         merged = build_multi_chain(parts)
         assert len(merged.states) == 7  # q1, 2+2 internal, F, R
@@ -245,15 +264,19 @@ class TestMultiChain:
 
     def test_single_chain_unchanged_structurally(self):
         chain = chain_of("PATTERN SEQ(A a, B b) WITHIN 1 hour")
-        sub = build_lazy_chain(chain, ["B", "A"])
+        sub = build_lazy(chain, ["B", "A"])
         merged = build_multi_chain([sub])
         assert len(merged.states) == len(sub.states)
         assert len(merged.edges) == len(sub.edges)
+        assert merged.plans == sub.plans
+        assert merged.type_interest == sub.type_interest
+        assert merged.settling == sub.settling
+        assert merged.storable == sub.storable
 
     def test_two_short_chains(self):
         chains = chains_of(
             "PATTERN OR(SEQ(A a, B b), SEQ(C c, D d)) WITHIN 1 hour")
-        parts = [build_lazy_chain(c, sorted(t for _, t in c.positives))
+        parts = [build_lazy(c, sorted(t for _, t in c.positives))
                  for c in chains]
         assert len(build_multi_chain(parts).states) == 5  # 1 + 1 + 1 + F + R
 

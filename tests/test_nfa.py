@@ -1,0 +1,86 @@
+import random
+from dataclasses import replace
+
+import pytest
+
+import cep
+from cep import nfa as N
+from cep.difftest import random_pattern
+from cep.eager import build_eager
+from cep.lazy import build_lazy, build_multi_chain
+from cep.patterns import parse_pattern, to_dnf
+
+
+def chain_of(text):
+    (chain,) = to_dnf(parse_pattern(text))
+    return chain
+
+
+def _take_to_rejecting(nfa):
+    # The chain state's only take is redirected to R, which does not count.
+    edges = tuple(replace(e, dst=nfa.rejecting)
+                  if e.action == N.TAKE and e.src == 1 else e
+                  for e in nfa.edges)
+    return replace(nfa, edges=edges)
+
+
+def _tail_cut_short(nfa):
+    # The tail forgets its last negative state, which then has no successor.
+    (branch,) = nfa.branches
+    return replace(nfa, branches=(replace(branch, tail=branch.tail[:-1]),))
+
+
+def _no_handoff(nfa):
+    # The eager lattice's full roleset no longer hands off to the tail.
+    (branch,) = nfa.branches
+    return replace(nfa, branches=(replace(branch, complete_state=None),))
+
+
+@pytest.mark.parametrize("build,breakage,stuck", [
+    (lambda: build_lazy(chain_of("PATTERN SEQ(A a, B b) WITHIN 1 hour"),
+                        ["A", "B"]), _take_to_rejecting, "q1, q2"),
+    (lambda: build_lazy(chain_of(
+        "PATTERN AND(A a, NOT(B b), NOT(C c)) WITHIN 1 hour"), ["A"]),
+     _tail_cut_short, "from r_C"),
+    (lambda: build_eager(chain_of(
+        "PATTERN SEQ(A a, NOT(B b), C c) WITHIN 1 hour")),
+     _no_handoff, "q0, {a}, {a,c}"),
+], ids=["chain-state", "negative-tail", "eager-completion"])
+def test_a_state_without_a_path_to_accept_is_a_build_error(build, breakage,
+                                                           stuck):
+    nfa = build()
+    N.validate_nfa(nfa)
+    with pytest.raises(N.BuildError) as err:
+        breakage(nfa)
+    assert str(err.value).endswith(stuck)
+
+
+def test_every_builder_output_over_the_difftest_corpus_validates():
+    rng = random.Random(2024)
+    built = 0
+    for _ in range(200):
+        chains = to_dnf(parse_pattern(random_pattern(rng)))
+        lazies = []
+        for chain in chains:
+            order = sorted(t for _, t in chain.positives)
+            nfas = [build_eager(chain), build_lazy(chain, order)]
+            try:
+                nfas.append(build_lazy(chain, order, negation="fc"))
+            except N.BuildError:
+                pass  # first-chance negation refuses a trailing negation
+            lazies.append(nfas[1])
+            for nfa in nfas:
+                N.validate_nfa(nfa)
+                assert len(nfa.plans) == len(nfa.states)
+                assert all(p.neg is not None for p in nfa.plans
+                           if p.kind == N.NEG)
+                assert all(e.dst != nfa.rejecting for e in nfa.edges)
+            built += len(nfas)
+        N.validate_nfa(build_multi_chain(lazies))
+    assert built > 400
+
+
+def test_public_api_resolves_without_duplicates():
+    assert len(cep.__all__) == len(set(cep.__all__))
+    for name in cep.__all__:
+        assert getattr(cep, name) is not None, name

@@ -150,6 +150,21 @@ def test_underflowing_correlation_is_false_not_an_error():
     assert eval_atom(atom, binding) is False
 
 
+def test_one_point_correlation_is_false_not_an_error():
+    (atom,) = _atoms("corr(a.history, b.history) > -2")
+    binding = {"a": ev("A", 1, 1, history=(1.0,)),
+               "b": ev("B", 2, 2, history=(2.0,))}
+    assert eval_atom(atom, binding) is False
+
+
+def test_correlation_of_different_lengths_is_a_data_error():
+    (atom,) = _atoms("corr(a.history, b.history) > 0.5")
+    binding = {"a": ev("A", 1, 1, history=(1.0, 2.0)),
+               "b": ev("B", 2, 2, history=(1.0, 2.0, 3.0))}
+    with pytest.raises(StreamDataError, match="length mismatch: 2 vs 3"):
+        eval_atom(atom, binding)
+
+
 def test_iterated_reference_outside_quantified_atom_is_an_error():
     # The parser rejects b.x for an iterated b; a hand-built atom reaches
     # the evaluator's own check.

@@ -10,7 +10,7 @@ from cep.buffer import LANE_SLACK
 from cep.difftest import random_pattern, random_stream
 from cep.engine import apply_group_by, compile_pattern, make_runtime
 from cep.events import Event, StreamDataError
-from cep.lazy import build_lazy_chain
+from cep.lazy import build_lazy
 from cep.metrics import Metrics
 from cep.nfa import BuildError
 from cep.patterns import parse_pattern, to_dnf
@@ -278,7 +278,7 @@ class TestSharedBufferEquivalence:
             (chain,) = chains_of(text)
             order = [t for t in letters[:n]]
             rng.shuffle(order)
-            nfa = build_lazy_chain(chain, order)
+            nfa = build_lazy(chain, order)
             rt = Runtime(nfa, paired_buffers=True)
             events = []
             ts = 0

@@ -100,7 +100,7 @@ def test_zero_variance():
 
 
 def test_too_short():
-    with pytest.raises(ValueError):
+    with pytest.raises(UndefinedCorrelationError, match="at least 2"):
         pearson([1], [1])
 
 
