@@ -9,7 +9,7 @@ behind the latest processed timestamp.
 from __future__ import annotations
 
 import bisect
-from typing import Optional, Sequence
+from typing import Optional
 
 from .events import Event, EventType, StreamDataError
 from .predicates import KleeneAtoms, eval_atoms, split_kleene
@@ -30,12 +30,11 @@ class _TypeLane:
         self.keys: list = []
         self.start = 0
 
-    def live(self) -> Sequence[Event]:
-        return self.events[self.start :]
-
     def expire(self, watermark_ts: int) -> int:
         lo = self.start
-        hi = bisect.bisect_left(self.keys, (watermark_ts, -1), lo=lo)
+        # ``(watermark_ts,)`` sorts before every key with that timestamp,
+        # whatever its seq: the window is inclusive.
+        hi = bisect.bisect_left(self.keys, (watermark_ts,), lo=lo)
         removed = hi - lo
         self.start = hi
         if self.start > LANE_SLACK and self.start * 2 > len(self.events):
@@ -128,7 +127,6 @@ def iterate_fetch(
     condition=(),
     bound_roles: Optional[dict] = None,
     role: str = "",
-    subset_ok=None,
     counter=None,
     generated=None,
 ) -> list:
@@ -140,14 +138,16 @@ def iterate_fetch(
     then lexicographically by member (ts, seq).
 
     ``condition`` is a :class:`KleeneAtoms` split or a sequence of atoms,
-    split on the spot. Each candidate member is tested once, against
-    ``subset_ok`` and the member-wise atoms, before anything is enumerated.
-    Subsets then grow level by level from the prefixes that survived, and
-    only the member a step appends is checked, against the pair atoms and
-    ``subset_ok``; so ``subset_ok`` must reject every superset of a set it
-    rejects (a window span does). The whole-subset atoms run last, on the
-    subsets of an admissible size; ``generated`` (a one-element list)
-    receives how many those were.
+    split on the spot. Each candidate member is tested once, against the
+    member-wise atoms, before anything is enumerated. Subsets then grow
+    level by level from the prefixes that survived, and only the member a
+    step appends is checked, against the pair atoms. The whole-subset atoms
+    run last, on the subsets of an admissible size; ``generated`` (a
+    one-element list) receives how many those were.
+
+    No window test is made here: the runtime keeps only the current window
+    in the buffer and in its live instances (see :mod:`cep.runtime`), so
+    every subset fits.
     """
     lo, hi = bounds
     if lo < 1 or (hi is not None and lo > hi):
@@ -158,8 +158,6 @@ def iterate_fetch(
     binding = dict(bound_roles or {})
 
     def admit(x: Event) -> bool:
-        if subset_ok is not None and not subset_ok((x,)):
-            return False
         if not member_atoms:
             return True
         binding[role] = (x,)
@@ -170,10 +168,7 @@ def iterate_fetch(
             binding[role] = (s[-1], x)
             if not eval_atoms(pair_atoms, binding, counter):
                 return None
-        s += (x,)
-        if subset_ok is not None and not subset_ok(s):
-            return None
-        return s
+        return s + (x,)
 
     pool = buf.query(etype, lower, upper)
     found = []

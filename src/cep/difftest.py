@@ -190,8 +190,7 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
 
     result = CaseResult()
     for mode, mode_orders in modes:
-        runtime = make_runtime(compile_pattern(chains, mode, orders=mode_orders))
-        got = sorted(match_key(m.binding) for m in run_stream(runtime, events))
+        got = _run_mode(chains, events, mode, mode_orders)
         result.modes_run += 1
         if got != expected:
             shrunk = _shrink(chains, events, mode, mode_orders,

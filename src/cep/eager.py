@@ -37,6 +37,8 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
     accepting = n_sub + len(chain.negations) if has_tail else sid_of[full]
     rejecting = (tail_start + len(chain.negations) + 1) if has_tail else n_sub
 
+    tail_states, tail_edges, tail = N.negative_tail(chain.negations,
+                                                    tail_start)
     states = []
     for s in subsets:
         name = "{" + ",".join(sorted(s)) + "}" if s else "q0"
@@ -44,10 +46,8 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
             states.append(N.State(sid_of[s], N.ACCEPT, "F", 0))
         else:
             states.append(N.State(sid_of[s], N.CHAIN, name, 0))
-    tail = []
     if has_tail:
-        for j, spec in enumerate(chain.negations):
-            states.append(N.State(tail_start + j, N.NEG, f"r_{spec.etype}", 0))
+        states += tail_states
         states.append(N.State(accepting, N.ACCEPT, "F", 0))
     states.append(N.State(rejecting, N.REJECT, "R", 0))
 
@@ -83,17 +83,11 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
         if neg_types and not (s == full and not has_tail):
             edges.append(N.Edge(sid, sid, N.STORE, neg_types))
 
-    if has_tail:
-        # Completion on the full roleset hands off to the tail (AcceptPlan).
-        for j, spec in enumerate(chain.negations):
-            sid = tail_start + j
-            later = frozenset(x.etype for x in chain.negations[j + 1 :])
-            if later:
-                edges.append(N.Edge(sid, sid, N.STORE, later))
-            tail.append((sid, spec.compiled(), not spec.succ_roles))
+    # Completion on the full roleset hands off to the tail (AcceptPlan).
+    edges += tail_edges
 
     gates = (it.role, it.lo, iter_atoms) if it is not None else None
-    branch = N.Branch(chain=chain, tail=tuple(tail), fc_checks={},
+    branch = N.Branch(chain=chain, tail=tail, fc_checks={},
                       complete_state=sid_of[full], eager_gates=gates)
     return N.Nfa(label="eager", states=tuple(states), edges=tuple(edges),
                  initial=sid_of[frozenset()], accepting=accepting,

@@ -136,13 +136,13 @@ def build_lazy(chain: ChainPattern, freq: Sequence[EventType],
             by_type = {s.etype: s for s in negs}
             negs = [by_type[t] for t in neg_freq]
 
-    states = []
-    edges = []
-    for i, etype in enumerate(freq):
-        states.append(N.State(i, N.CHAIN, f"q{i + 1}", 0))
+    # Negative tail: each state checks one negated type; an instance moves
+    # on once that check is certified, and to F after the last one.
     tail_start = n
-    for j, spec in enumerate(negs):
-        states.append(N.State(tail_start + j, N.NEG, f"r_{spec.etype}", 0))
+    tail_states, tail_edges, tail = N.negative_tail(negs, tail_start)
+    states = [N.State(i, N.CHAIN, f"q{i + 1}", 0) for i in range(n)]
+    states += tail_states
+    edges = []
     accepting = n + len(negs)
     rejecting = accepting + 1
     states.append(N.State(accepting, N.ACCEPT, "F", 0))
@@ -168,16 +168,7 @@ def build_lazy(chain: ChainPattern, freq: Sequence[EventType],
             edges.append(N.Edge(i, dst, N.TAKE, frozenset({etype}),
                                 cond=atom_slots[i], prec=prec, succ=succ,
                                 role=role, branch=0))
-
-    # Negative tail: each state checks one negated type; an instance moves
-    # on once that check is certified, and to F after the last one.
-    tail = []
-    for j, spec in enumerate(negs):
-        sid = tail_start + j
-        later = frozenset(s.etype for s in negs[j + 1 :])
-        if later:
-            edges.append(N.Edge(sid, sid, N.STORE, later))
-        tail.append((sid, spec.compiled(), not spec.succ_roles))
+    edges += tail_edges
 
     fc_checks: dict = {}
     if fc:
@@ -188,7 +179,7 @@ def build_lazy(chain: ChainPattern, freq: Sequence[EventType],
         fc_checks = {sid: tuple(v) for sid, v in fc_checks.items()}
 
     _check_filter_soundness(edges, freq, n)
-    branch = N.Branch(chain=chain, tail=tuple(tail), fc_checks=fc_checks)
+    branch = N.Branch(chain=chain, tail=tail, fc_checks=fc_checks)
     return N.Nfa(label=label, states=tuple(states), edges=tuple(edges),
                  initial=0, accepting=accepting, rejecting=rejecting,
                  window=chain.window, branches=(branch,))

@@ -162,8 +162,25 @@ class Nfa:
             for plan in plans))
         validate_nfa(self)
 
-    def state(self, sid: int) -> State:
-        return self.states[sid]
+
+def negative_tail(negs, start: int) -> tuple:
+    """The post-processing tail over ``negs``, in check order.
+
+    State ``start + j`` checks ``negs[j]``. Returns the tail's states, its
+    store edges (each state keeps the later negated types in the buffer)
+    and the ``(sid, compiled check, waits_for_timeout)`` entries of
+    :attr:`Branch.tail`. A check waits for the timeout when no positive
+    event must succeed the negated one.
+    """
+    states, edges, tail = [], [], []
+    for j, spec in enumerate(negs):
+        sid = start + j
+        states.append(State(sid, NEG, f"r_{spec.etype}", 0))
+        later = frozenset(s.etype for s in negs[j + 1 :])
+        if later:
+            edges.append(Edge(sid, sid, STORE, later))
+        tail.append((sid, spec.compiled(), not spec.succ_roles))
+    return states, edges, tuple(tail)
 
 
 def _compile_plans(nfa: Nfa) -> tuple:

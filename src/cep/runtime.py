@@ -6,7 +6,10 @@ an instance, it spawns an extended clone, so every event may participate in
 any number of matches. Window expiry is driven by stream time: before an
 event at time T is processed, every instance whose window closed strictly
 before T receives a synthetic timeout, and buffered events older than one
-window behind T are dropped.
+window behind T are dropped. Nothing else tests the window: every live
+instance then starts at or after T minus the window, every instance entered
+while T is processed binds the event at T, and the buffer holds nothing
+older than T minus the window, so whatever a search combines fits.
 
 The automaton carries its executable plan (:mod:`cep.nfa`): a Runtime only
 references those tables, compiles nothing, and never reads the automaton's
@@ -245,13 +248,11 @@ class Runtime:
         plan = self.plans[inst.sid]
         if plan.kind == N.NEG:
             for chk in plan.neg.kill_map.get(e.etype, ()):
-                if self._candidate_ok(inst, chk, e):
+                if self._cond_ok(inst, chk, e):
                     self._retire(inst)
                     return
             return
         for tp in plan.stream_takes.get(e.etype, ()):
-            if not inst.alive:
-                return
             self._stream_take(inst, tp, e)
 
     def _stream_take(self, inst: Instance, tp: N.TakePlan, e: Event) -> None:
@@ -262,17 +263,10 @@ class Runtime:
                 return
             if group is not None and members and e.attr(group) != members[0].attr(group):
                 return
-            if not self._fits_window(inst, e.ts, e.ts):
-                return
             self._spawn(inst, tp, members + (e,), e)
             return
         if tp.iterate is not None:
             self._iterate_candidates(inst, tp, new_event=e)
-            return
-        lower = self._lower_bound(inst, tp.prec_roles)
-        if lower is not None and not e.key > lower:
-            return
-        if not self._fits_window(inst, e.ts, e.ts):
             return
         if tp.req_iter_min is not None:
             role, lo = tp.req_iter_min
@@ -296,16 +290,12 @@ class Runtime:
             self._tail_entry(inst, plan)
             return
         for chk in plan.fc_checks:
-            if not inst.alive:
-                return
             if self._fc_scan(inst, chk):
                 return
         if plan.accept is not None:
             if self._complete_eager(inst, plan.accept):
                 return
         for tp in plan.entry_takes:
-            if not inst.alive:
-                return
             self._entry_search(inst, tp)
 
     def _entry_search(self, inst: Instance, tp: N.TakePlan) -> None:
@@ -321,8 +311,6 @@ class Runtime:
         # One scratch binding per search; _spawn copies the instance's own.
         scratch = dict(inst.binding) if tp.cond else None
         for x in cands:
-            if not self._fits_window(inst, x.ts, x.ts):
-                continue
             if scratch is not None:
                 scratch[tp.role] = x
                 if not eval_atoms(tp.cond, scratch, self.metrics):
@@ -342,7 +330,6 @@ class Runtime:
             self.buffer, tp.etype, lower, upper, (lo, hi),
             group_attr=group, new_event=new_event, condition=tp.kleene,
             bound_roles=inst.binding, role=tp.role, counter=self.metrics,
-            subset_ok=lambda s: self._fits_window(inst, s[0].ts, s[-1].ts),
         )
         for members in subsets:
             self._spawn(inst, tp, members, new_event or members[-1])
@@ -360,6 +347,10 @@ class Runtime:
         maxkey = hi_key if inst.maxkey is None else max(inst.maxkey, hi_key)
         shadow = None
         if self.paired:
+            if maxkey[0] - anchor > self.window:
+                raise ShadowMismatch(
+                    f"instance spawned in state {tp.dst} spans "
+                    f"{maxkey[0] - anchor} > window {self.window}")
             shadow = {t: list(v) for t, v in inst.shadow.items()}
         branch = tp.branch if inst.branch is None else inst.branch
         clone = self._new_instance(tp.dst, branch, binding, anchor, maxkey,
@@ -445,7 +436,7 @@ class Runtime:
         self.metrics.buffer_search += 1
         scratch = dict(inst.binding) if chk.cond else None
         for x in self.buffer.query(chk.etype, lower, upper):
-            if self._candidate_ok(inst, chk, x, bounded=False, scratch=scratch):
+            if self._cond_ok(inst, chk, x, scratch):
                 self._retire(inst)
                 return True
         return False
@@ -462,29 +453,16 @@ class Runtime:
             for x in self.buffer.query(chk.etype, None, upper):
                 if x.ts <= inst.theta:
                     continue
-                if not chk.cond or self._cond_ok(inst, chk, x, scratch):
+                if self._cond_ok(inst, chk, x, scratch):
                     inst.theta = max(inst.theta, x.ts)
             return False
         return self._neg_scan(inst, chk)
 
-    def _candidate_ok(self, inst: Instance, chk: NegSpec, x: Event,
-                      bounded: bool = True, scratch=None) -> bool:
-        if bounded:
-            lower = self._lower_bound(inst, chk.prec_roles)
-            if lower is not None and not x.key > lower:
-                return False
-            upper = self._upper_bound(inst, chk.succ_roles)
-            if upper is not None and not x.key < upper:
-                return False
-        if not self._fits_window(inst, x.ts, x.ts):
-            return False
-        if chk.cond and not self._cond_ok(inst, chk, x, scratch):
-            return False
-        return True
-
     def _cond_ok(self, inst: Instance, chk: NegSpec, x: Event,
                  scratch: Optional[dict] = None) -> bool:
         """``scratch``: a copy of ``inst.binding`` reused across a search."""
+        if not chk.cond:
+            return True
         binding = dict(inst.binding) if scratch is None else scratch
         binding[chk.role] = x
         return eval_atoms(chk.cond, binding, self.metrics)
@@ -494,9 +472,7 @@ class Runtime:
     def _lower_bound(self, inst: Instance, roles) -> Optional[tuple]:
         lower = None
         for r in roles:
-            bound = inst.binding.get(r)
-            if bound is None:
-                continue
+            bound = inst.binding[r]
             key = bound[-1].key if type(bound) is tuple else bound.key
             if lower is None or key > lower:
                 lower = key
@@ -505,18 +481,11 @@ class Runtime:
     def _upper_bound(self, inst: Instance, roles) -> Optional[tuple]:
         upper = None
         for r in roles:
-            bound = inst.binding.get(r)
-            if bound is None:
-                continue
+            bound = inst.binding[r]
             key = bound[0].key if type(bound) is tuple else bound.key
             if upper is None or key < upper:
                 upper = key
         return upper
-
-    def _fits_window(self, inst: Instance, lo_ts: int, hi_ts: int) -> bool:
-        lo = lo_ts if inst.anchor is None else min(inst.anchor, lo_ts)
-        hi = hi_ts if inst.maxkey is None else max(inst.maxkey[0], hi_ts)
-        return hi - lo <= self.window
 
     def _shadow_check(self, inst, tp, lower, upper, cands) -> None:
         mine = inst.shadow.get(tp.etype, ())

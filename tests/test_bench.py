@@ -61,3 +61,23 @@ def test_dedup_only_removes_exact_duplicates(workload):
     deduped = run_benchmark(chains, events, "lazy", rates=rates, dedup=True)
     # A single chain never emits duplicates, so dedup is a no-op here.
     assert deduped.lines == plain.lines
+
+
+def test_eager_composite_metrics_sum_the_chains():
+    # Eager runs one runtime per DNF chain; its report merges theirs.
+    chains = to_dnf(parse_pattern(
+        "PATTERN OR(SEQ(A a, B b), SEQ(B b, NOT(D h), C c))\n"
+        "WHERE skip_till_any_match { b.price > 0 }\nWITHIN 300 msec"))
+    rates = {"A": 20.0, "B": 30.0, "C": 10.0, "D": 5.0}
+    events = generate_stream(StreamSpec(rates=rates, count=800, seed=5))
+    both = run_benchmark(chains, events, "eager")
+    alone = [run_benchmark([c], events, "eager").metrics for c in chains]
+    got = both.metrics.counters()
+    for name in got.keys() - {"events_processed", "peak_live_instances"}:
+        assert got[name] == sum(m.counters()[name] for m in alone), name
+    assert got["events_processed"] == len(events)
+    assert got["matches"] > 0
+    lazy = run_benchmark(chains, events, "lazy", rates=rates)
+    assert sorted(both.lines) == sorted(lazy.lines)
+    peaks = [m.peak_live_instances for m in alone]
+    assert max(peaks) <= got["peak_live_instances"] <= sum(peaks)

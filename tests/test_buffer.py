@@ -93,6 +93,13 @@ class TestExpire:
         assert removed == 1
         assert buf.query("A") == [a5, a9]  # ts == watermark survives
 
+    def test_negative_seq_on_the_watermark_survives(self, ev):
+        a0, a5, b5 = ev("A", 0, -20), ev("A", 5, -10), ev("B", 5, -2)
+        buf = _buf(a0, a5, b5)
+        assert buf.expire(5) == 1
+        assert buf.query("A") == [a5]
+        assert buf.query("B") == [b5]
+
     def test_group_buckets_expire_too(self, ev):
         b1 = ev("B", 1, 1, x=7.0)
         b2 = ev("B", 9, 2, x=7.0)
@@ -244,7 +251,7 @@ MIXED_ATOMS = tuple(_atom(w) for w in (
 ))
 
 
-def _brute_force(pool, bounds, group_attr, new_event, condition, binding, span):
+def _brute_force(pool, bounds, group_attr, new_event, condition, binding):
     """Every combination of the pool, kept by the full condition, in order."""
     lo, hi = bounds
     rest = [x for x in pool if x is not new_event]
@@ -257,8 +264,6 @@ def _brute_force(pool, bounds, group_attr, new_event, condition, binding, span):
             if group_attr is not None and len({x.attrs[group_attr]
                                                for x in s}) > 1:
                 continue
-            if span is not None and s[-1].ts - s[0].ts > span:
-                continue
             if eval_atoms(condition, dict(binding, b=s)):
                 out.append(s)
     return sorted(out, key=lambda s: (len(s), [x.key for x in s]))
@@ -269,11 +274,10 @@ def _brute_force(pool, bounds, group_attr, new_event, condition, binding, span):
                                st.integers(0, 2)), max_size=8),
     lo=st.integers(1, 3), extra=st.one_of(st.none(), st.integers(0, 3)),
     grouped=st.booleans(), closing=st.booleans(), cut=st.integers(0, 8),
-    picks=st.lists(st.integers(0, len(MIXED_ATOMS) - 1), max_size=3),
-    span=st.one_of(st.none(), st.integers(0, 4)))
+    picks=st.lists(st.integers(0, len(MIXED_ATOMS) - 1), max_size=3))
 @settings(deadline=None, max_examples=300)
 def test_iterate_fetch_equals_brute_force(members, lo, extra, grouped, closing,
-                                          cut, picks, span):
+                                          cut, picks):
     events, ts = [], 0
     for seq, (x, g, step) in enumerate(members):
         ts += step
@@ -286,15 +290,13 @@ def test_iterate_fetch_equals_brute_force(members, lo, extra, grouped, closing,
     condition = tuple(MIXED_ATOMS[k] for k in picks)
     binding = {"a": Event("A", -1, -1, {"x": 1.0})}
     bounds = (lo, None if extra is None else lo + extra)
-    subset_ok = None if span is None else (
-        lambda s: s[-1].ts - s[0].ts <= span)
     expected = _brute_force(pool, bounds, group_attr, new_event, condition,
-                            binding, span)
+                            binding)
     for cond in (condition, split_kleene(condition, "b", group_attr)):
         generated = [0]
         got = iterate_fetch(buf, "B", lower, None, bounds,
                             group_attr=group_attr, new_event=new_event,
                             condition=cond, bound_roles=binding, role="b",
-                            subset_ok=subset_ok, generated=generated)
+                            generated=generated)
         assert got == expected
         assert generated[0] >= len(got)

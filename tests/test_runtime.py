@@ -2,20 +2,21 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cep import nfa as N
-from cep.buffer import LANE_SLACK
+from cep.buffer import LANE_SLACK, InputBuffer
 from cep.difftest import random_pattern, random_stream
 from cep.engine import apply_group_by, compile_pattern, make_runtime
 from cep.events import Event, StreamDataError
 from cep.lazy import build_lazy
 from cep.metrics import Metrics
 from cep.nfa import BuildError
+from cep.oracle import enumerate_matches_chains
 from cep.patterns import parse_pattern, to_dnf
-from cep.runtime import (Match, Runtime, _detection_order, match_key,
-                         match_line, run_stream)
+from cep.runtime import (Match, Runtime, ShadowMismatch, _detection_order,
+                         match_key, match_line, run_stream)
 from cep.streams import StreamSpec, generate_stream
 
 from conftest import mkstream
@@ -289,6 +290,21 @@ class TestSharedBufferEquivalence:
             compared += rt.metrics.buffer_search
         assert compared > 100
 
+    def test_paired_mode_checks_the_window_on_every_spawn(self, monkeypatch):
+        # Subset searches bypass the shadow buffer; the spawn check alone
+        # sees a subset reaching past the window.
+        chains = apply_group_by(chains_of(
+            "PATTERN SEQ(B+ b[], C c) WHERE skip_till_any_match"
+            " { b[i].stock = b[i-1].stock } WITHIN 10 msec"), "b", "stock")
+        nfas = compile_pattern(chains, "lazy", orders=[["C", "B"]])
+        stream = mkstream(("B", 0, {"stock": 1}), ("B", 1, {"stock": 1}),
+                          ("B", 25, {"stock": 1}), ("C", 30))
+        got = run_stream(make_runtime(nfas, paired_buffers=True), stream)
+        assert [match_line(m) for m in got] == ["b=B@25#2; c=C@30#3"]
+        monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
+        with pytest.raises(ShadowMismatch, match="window"):
+            run_stream(make_runtime(nfas, paired_buffers=True), stream)
+
 
 class TestMetricsCounters:
     def test_counts_are_tracked(self):
@@ -350,6 +366,71 @@ def test_buffer_follows_the_window_not_the_group_values():
     held = _held_events(rt.buffer)
     assert {id(e) for e in last_window} <= held
     assert len(held) <= len(last_window) + LANE_SLACK
+
+
+def test_negative_seqs_on_the_watermark_keep_their_match():
+    # A@5 sits exactly on B@15's watermark; its seq sorts below -1.
+    chains = chains_of("PATTERN SEQ(A a, B b) WITHIN 10 msec")
+    stream = [Event("A", 0, -20), Event("A", 5, -10), Event("B", 15, -5)]
+    expected = [match_key(b) for b in enumerate_matches_chains(chains, stream)]
+    assert len(expected) == 1
+    for mode, orders in (("eager", None), ("lazy", [["B", "A"]]),
+                         ("lazy", [["A", "B"]])):
+        rt = make_runtime(compile_pattern(chains, mode, orders=orders))
+        got = [match_key(m.binding) for m in run_stream(rt, stream)]
+        assert got == expected, (mode, orders)
+
+
+def _span(binding) -> int:
+    stamps = [e.ts for bound in binding.values()
+              for e in (bound if isinstance(bound, tuple) else (bound,))]
+    return max(stamps) - min(stamps)
+
+
+def _shifted(key, dts, dseq) -> tuple:
+    return tuple((role, tuple((etype, ts + dts, seq + dseq)
+                              for etype, ts, seq in members))
+                 for role, members in key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6),
+       stream=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
+                                 st.integers(0, 3)), max_size=12),
+       dts=st.integers(0, 1000), dseq=st.integers(-40, 0))
+@example(seed=1, stream=[(0, 0, 0), (0, 1, 0), (1, 3, 0)], dts=0, dseq=-3)
+def test_window_boundary_and_shifted_streams(seed, stream, dts, dseq):
+    # Gaps of 0, 1, w-1, w and w+1 put events on, just inside and just
+    # past each other's window; shifting ts up and seq down (below -1)
+    # must move the matches along and change nothing else.
+    rng = random.Random(seed)
+    chains = chains_of(random_pattern(rng))
+    w = chains[0].window
+    types = sorted({t for c in chains for t in c.types.values()}) + ["Z"]
+    events, ts = [], 0
+    for seq, (kind, gap, x) in enumerate(stream):
+        ts += (0, 1, w - 1, w, w + 1)[gap]
+        events.append(Event(types[kind % len(types)], ts, seq,
+                            {"x": float(x)}))
+    moved = [Event(e.etype, e.ts + dts, e.seq + dseq, e.attrs)
+             for e in events]
+    expected = sorted(match_key(b) for b in
+                      enumerate_matches_chains(chains, events, cap=13))
+    perm = sorted({t for c in chains for _, t in c.positives})
+    rng.shuffle(perm)
+    orders = [[t for t in perm if t in {ty for _, ty in c.positives}]
+              for c in chains]
+    for mode in ("eager", "lazy-pp", "lazy-fc", "multi"):
+        try:
+            nfas = compile_pattern(chains, mode, orders=orders)
+        except BuildError:
+            continue  # first-chance negation refuses a trailing negation
+        got = run_stream(make_runtime(nfas), events)
+        assert sorted(m.key() for m in got) == expected, mode
+        assert all(_span(m.binding) <= w for m in got), mode
+        got_moved = run_stream(make_runtime(nfas), moved)
+        assert sorted(m.key() for m in got_moved) == sorted(
+            _shifted(k, dts, dseq) for k in expected), mode
 
 
 def test_match_key_value_is_pinned():
