@@ -1,10 +1,11 @@
 """Randomized differential testing: oracle vs eager vs every lazy variant.
 
 Each case draws a random pattern (sequence/conjunction/partial nesting,
-optional negation, iteration, disjunction, predicates), a short random
-stream, and a window, then checks that every applicable evaluation mode
-produces exactly the oracle's match multiset. On divergence the stream is
-greedily shrunk before reporting.
+optional negation, iteration, disjunction, predicates) with its window, and
+a short random stream whose gaps sometimes fall on the window's edge, then
+checks that every applicable evaluation mode produces exactly the oracle's
+match multiset. On divergence the stream is greedily shrunk before
+reporting.
 """
 
 from __future__ import annotations
@@ -143,13 +144,19 @@ def random_pattern(rng: random.Random) -> str:
     return f"PATTERN {body}{where}\nWITHIN {window} msec"
 
 
-def random_stream(rng: random.Random, pattern_types, max_events: int) -> list:
+def random_stream(rng: random.Random, pattern_types, max_events: int,
+                  window: Optional[int] = None) -> list:
+    """Up to ``max_events`` events; with a ``window``, some gaps fall on
+    its edge (one less than, equal to and one more than the window)."""
     n = rng.randint(0, max_events)
     pool = list(pattern_types) + [NOISE_TYPE]
+    gaps = [0, 0, 1, 1, 2, 3]
+    if window is not None:
+        gaps += [window - 1, window, window + 1]
     events = []
     ts = 0
     for seq in range(n):
-        ts += rng.choice([0, 0, 1, 1, 2, 3])
+        ts += rng.choice(gaps)
         etype = rng.choice(pool)
         events.append(Event(etype, ts, seq, {"x": float(rng.randint(0, 3))}))
     return events
@@ -170,7 +177,7 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
             and rng.random() < 0.4):
         chains = apply_group_by(chains, next(iter(iter_roles)), "x")
     types = sorted({t for c in chains for t in c.types.values()})
-    events = random_stream(rng, types, max_events)
+    events = random_stream(rng, types, max_events, chains[0].window)
     expected = [match_key(b) for b in
                 enumerate_matches_chains(chains, events, cap=max_events + 1)]
 

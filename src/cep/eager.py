@@ -18,6 +18,11 @@ from .predicates import atom_roles, compile_atom
 
 
 def build_eager(chain: ChainPattern) -> N.Nfa:
+    return eager_parts(chain).nfa()
+
+
+def eager_parts(chain: ChainPattern) -> N.ChainParts:
+    """The eager lattice of one chain, ready to stand alone or be merged."""
     roles = list(chain.roles)
     preds = {r: chain.prec_of(r) & set(roles) for r in roles}
     succs = {r: chain.succ_of(r) & set(roles) for r in roles}
@@ -89,9 +94,10 @@ def build_eager(chain: ChainPattern) -> N.Nfa:
     gates = (it.role, it.lo, iter_atoms) if it is not None else None
     branch = N.Branch(chain=chain, tail=tail, fc_checks={},
                       complete_state=sid_of[full], eager_gates=gates)
-    return N.Nfa(label="eager", states=tuple(states), edges=tuple(edges),
-                 initial=sid_of[frozenset()], accepting=accepting,
-                 rejecting=rejecting, window=chain.window, branches=(branch,))
+    return N.ChainParts(label="eager", states=tuple(states),
+                        edges=tuple(edges), initial=sid_of[frozenset()],
+                        accepting=accepting, rejecting=rejecting,
+                        window=chain.window, branch=branch)
 
 
 def _downward_closed(roles, preds) -> list:

@@ -1,7 +1,7 @@
-"""Mode dispatch: compile a parsed pattern into runnable automata.
+"""Mode dispatch: compile a parsed pattern into one runnable automaton.
 
 Modes:
-  eager    one arrival-order automaton per chain, outputs unioned
+  eager    arrival-order lattice per chain; multi-chain merge for composites
   lazy     frequency-ordered chain; multi-chain merge for composites
   lazy-pp  negations checked by a post-processing negative tail
   lazy-fc  negations checked at the earliest dependency state
@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
-from .eager import build_eager
-from .lazy import (ascending_freq_order, build_lazy, build_multi_chain,
-                   descending_freq_order)
-from .nfa import BuildError, Nfa
+from .eager import eager_parts
+from .lazy import ascending_freq_order, descending_freq_order, lazy_parts
+from .nfa import BuildError, Nfa, build_multi_chain
 from .patterns import ChainPattern, PatternAst, to_dnf
-from .runtime import MultiRuntime, Runtime
+from .runtime import Runtime
 
 MODES = ("eager", "lazy", "lazy-pp", "lazy-fc", "multi")
 
@@ -56,12 +55,14 @@ def compile_pattern(
     rates: Optional[Mapping[str, float]] = None,
     orders: Optional[Sequence[Sequence[str]]] = None,
 ):
-    """Build the automata for a mode. ``orders`` (one frequency order per
-    chain) overrides rate-derived ordering; eager mode needs neither."""
+    """Build the one automaton for a mode, as a one-element list.
+
+    ``orders`` (one frequency order per chain) overrides rate-derived
+    ordering; eager mode needs neither. Several chains are merged into one
+    multi-chain automaton in every mode.
+    """
     if mode not in MODES:
         raise BuildError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "eager":
-        return [build_eager(c) for c in chains]
 
     def order_for(i: int, chain: ChainPattern):
         if orders is not None:
@@ -70,21 +71,22 @@ def compile_pattern(
             raise BuildError(f"mode {mode!r} needs --rates or explicit orders")
         return chain_orders(chain, rates)
 
-    variant = "fc" if mode == "lazy-fc" else "pp"
-    built = [
-        build_lazy(chain, order_for(i, chain), negation=variant,
-                   neg_freq=_neg_order(chain, rates))
-        for i, chain in enumerate(chains)
-    ]
-    if mode == "multi" or len(built) > 1:
-        return [build_multi_chain(built)]
-    return built
+    if mode == "eager":
+        parts = [eager_parts(c) for c in chains]
+    else:
+        variant = "fc" if mode == "lazy-fc" else "pp"
+        parts = [lazy_parts(chain, order_for(i, chain), negation=variant,
+                            neg_freq=_neg_order(chain, rates))
+                 for i, chain in enumerate(chains)]
+    if mode == "multi" or len(parts) > 1:
+        return [build_multi_chain(parts)]
+    return [parts[0].nfa()]
 
 
 def make_runtime(nfas: Sequence[Nfa], paired_buffers: bool = False):
-    if len(nfas) == 1:
-        return Runtime(nfas[0], paired_buffers=paired_buffers)
-    return MultiRuntime(nfas, paired_buffers=paired_buffers)
+    """A runtime for the automaton that :func:`compile_pattern` returns."""
+    (nfa,) = nfas
+    return Runtime(nfa, paired_buffers=paired_buffers)
 
 
 def build_runtime(ast: PatternAst, mode: str,

@@ -4,8 +4,9 @@ frequency, deferring frequent types to the input buffer.
 Build variants: plain chains (sequences, conjunctions, partial sequences),
 post-processing negation (a descending-frequency tail of negative states),
 first-chance negation (reject checks at the earliest state where a negated
-event's dependencies are bound), iteration (iterated type forced to the end
-of the frequency order), and the multi-chain merge for disjunctions.
+event's dependencies are bound), and iteration (iterated type forced to the
+end of the frequency order). Disjunctions merge the chains' parts with
+:func:`cep.nfa.build_multi_chain`.
 """
 
 from __future__ import annotations
@@ -99,7 +100,15 @@ def _assign_atoms(chain: ChainPattern, bind_order: Sequence[str]) -> list:
 def build_lazy(chain: ChainPattern, freq: Sequence[EventType],
                negation: str = "pp",
                neg_freq: Optional[Sequence[EventType]] = None) -> N.Nfa:
-    """Lazy chain automaton for any chain pattern.
+    """Lazy chain automaton for any chain pattern (see :func:`lazy_parts`)."""
+    return lazy_parts(chain, freq, negation, neg_freq).nfa()
+
+
+def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
+               negation: str = "pp",
+               neg_freq: Optional[Sequence[EventType]] = None
+               ) -> N.ChainParts:
+    """The lazy chain of one chain pattern, ready to stand alone or be merged.
 
     ``negation`` picks how negated events are checked: ``"pp"`` in a
     post-processing tail ordered by ``neg_freq`` (descending frequency;
@@ -180,9 +189,9 @@ def build_lazy(chain: ChainPattern, freq: Sequence[EventType],
 
     _check_filter_soundness(edges, freq, n)
     branch = N.Branch(chain=chain, tail=tail, fc_checks=fc_checks)
-    return N.Nfa(label=label, states=tuple(states), edges=tuple(edges),
-                 initial=0, accepting=accepting, rejecting=rejecting,
-                 window=chain.window, branches=(branch,))
+    return N.ChainParts(label=label, states=tuple(states), edges=tuple(edges),
+                        initial=0, accepting=accepting, rejecting=rejecting,
+                        window=chain.window, branch=branch)
 
 
 def _check_fc_applicable(chain: ChainPattern) -> None:
@@ -229,55 +238,3 @@ def _check_filter_soundness(edges, freq, n) -> None:
                 raise N.BuildError(
                     f"ordering filters of state {e.src} reference unbound types"
                 )
-
-
-def build_multi_chain(nfas: Sequence[N.Nfa]) -> N.Nfa:
-    """Merge chain automata by sharing their initial/accepting/rejecting states."""
-    if not nfas:
-        raise N.BuildError("no chains to merge")
-    states = [N.State(0, N.CHAIN, "q1", None)]
-    edges = []
-    branches = []
-    remapped_nfas = []
-    next_sid = 1
-    for bi, sub in enumerate(nfas):
-        if len(sub.branches) != 1:
-            raise N.BuildError("can only merge single-chain automata")
-        mapping = {}
-        for s in sub.states:
-            if s.sid == sub.initial:
-                mapping[s.sid] = 0
-            elif s.sid in (sub.accepting, sub.rejecting):
-                continue  # resolved after all internals are placed
-            else:
-                mapping[s.sid] = next_sid
-                states.append(N.State(next_sid, s.kind, f"{s.name}.{bi + 1}", bi))
-                next_sid += 1
-        remapped_nfas.append(mapping)
-    accepting = next_sid
-    rejecting = next_sid + 1
-    states.append(N.State(accepting, N.ACCEPT, "F", None))
-    states.append(N.State(rejecting, N.REJECT, "R", None))
-
-    for bi, sub in enumerate(nfas):
-        mapping = dict(remapped_nfas[bi])
-        mapping[sub.accepting] = accepting
-        for e in sub.edges:
-            edges.append(N.Edge(mapping[e.src], mapping[e.dst], e.action,
-                                e.types, e.cond, e.prec, e.succ, e.role,
-                                e.bounds, e.group_by, branch=bi))
-        b = sub.branches[0]
-        branches.append(N.Branch(
-            chain=b.chain,
-            tail=tuple((mapping[sid], spec, wait) for sid, spec, wait in b.tail),
-            fc_checks={mapping[sid]: checks for sid, checks in b.fc_checks.items()},
-            complete_state=(mapping[b.complete_state]
-                            if b.complete_state is not None else None),
-            eager_gates=b.eager_gates,
-        ))
-    window = nfas[0].window
-    if any(sub.window != window for sub in nfas):
-        raise N.BuildError("merged chains must share one window")
-    return N.Nfa(label="multi", states=tuple(states), edges=tuple(edges),
-                 initial=0, accepting=accepting, rejecting=rejecting,
-                 window=window, branches=tuple(branches))

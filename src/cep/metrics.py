@@ -33,16 +33,6 @@ class Metrics:
             "peak_live_instances": self.peak_live_instances,
         }
 
-    def merge(self, other: "Metrics") -> None:
-        self.events_processed = max(self.events_processed, other.events_processed)
-        self.matches += other.matches
-        self.predicate_evaluations += other.predicate_evaluations
-        self.instance_create += other.instance_create
-        self.instance_retire += other.instance_retire
-        self.buffer_insert += other.buffer_insert
-        self.buffer_search += other.buffer_search
-        self.buffer_remove += other.buffer_remove
-
     def report(self) -> dict:
         ev = self.events_processed or 1
         per_match = (lambda v: v / self.matches) if self.matches else (lambda v: None)

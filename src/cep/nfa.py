@@ -1,9 +1,12 @@
 """Automaton data model and its executable plan, shared by every builder.
 
-An :class:`Nfa` is the immutable compilation artifact. The builders give it
-states, take/iterate and store edges with their ordering filters, and
-per-branch metadata (negative tail, first-chance checks, eager completion).
-Constructing it compiles these, once, into the executable plan: one
+An :class:`Nfa` is the immutable compilation artifact. Each builder lays out
+one chain as :class:`ChainParts`: states, take/iterate and store edges with
+their ordering filters, and per-branch metadata (negative tail, first-chance
+checks, eager completion). One chain's parts become an automaton as they
+are; :func:`build_multi_chain` merges several into one that shares the
+initial, accepting and rejecting states. Constructing an automaton compiles
+it, once, into the executable plan: one
 :class:`StatePlan` per state, the states each arriving type acts on, the
 states that settle, and the types the shared buffer stores. It then
 validates the automaton from those tables. Every ``Runtime`` (in
@@ -13,8 +16,8 @@ validates the automaton from those tables. Every ``Runtime`` (in
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 from .patterns import ChainPattern
 from .predicates import KleeneAtoms, split_kleene
@@ -95,9 +98,11 @@ class TakePlan:
 
 @dataclass(frozen=True)
 class AcceptPlan:
-    gates: Optional[tuple]  # (iterated role, lo, its atoms), eager only
+    """Completion of eager branches (gates, growth) and checks at F."""
+
+    gates: dict  # branch -> (iterated role, lo, its atoms); eager only
     tail_start: Optional[int]  # eager completion hands off to this state
-    grow: bool
+    grow: frozenset  # branches with an append take out of this state
     fc_at_f: dict  # branch -> checks that run on reaching acceptance
 
 
@@ -120,7 +125,9 @@ class StatePlan:
 
 @dataclass(frozen=True)
 class Nfa:
-    label: str  # eager | lazy | lazy-pp | lazy-fc | multi
+    # Describes the builder (eager, lazy, lazy-pp, lazy-fc, multi); no plan
+    # or runtime code reads it.
+    label: str
     states: tuple
     edges: tuple
     initial: int
@@ -161,6 +168,67 @@ class Nfa:
                 and plan.accept is None)
             for plan in plans))
         validate_nfa(self)
+
+
+@dataclass(frozen=True)
+class ChainParts:
+    """One chain's layout, before it becomes (part of) an automaton."""
+
+    label: str
+    states: tuple
+    edges: tuple
+    initial: int
+    accepting: int
+    rejecting: int
+    window: int
+    branch: Branch
+
+    def nfa(self) -> Nfa:
+        return Nfa(label=self.label, states=self.states, edges=self.edges,
+                   initial=self.initial, accepting=self.accepting,
+                   rejecting=self.rejecting, window=self.window,
+                   branches=(self.branch,))
+
+
+def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
+    """Merge chains by sharing their initial/accepting/rejecting states."""
+    if not parts:
+        raise BuildError("no chains to merge")
+    window = parts[0].window
+    if any(p.window != window for p in parts):
+        raise BuildError("merged chains must share one window")
+    states = [State(0, CHAIN, "q1", None)]
+    mappings = []
+    for bi, p in enumerate(parts):
+        mapping = {p.initial: 0}
+        for s in p.states:
+            if s.sid not in (p.initial, p.accepting, p.rejecting):
+                mapping[s.sid] = len(states)
+                states.append(State(len(states), s.kind,
+                                    f"{s.name}.{bi + 1}", bi))
+        mappings.append(mapping)
+    accepting = len(states)
+    rejecting = accepting + 1
+    states.append(State(accepting, ACCEPT, "F", None))
+    states.append(State(rejecting, REJECT, "R", None))
+
+    edges, branches = [], []
+    for bi, (p, mapping) in enumerate(zip(parts, mappings)):
+        mapping[p.accepting] = accepting
+        edges += [replace(e, src=mapping[e.src], dst=mapping[e.dst],
+                          branch=bi) for e in p.edges]
+        b = p.branch
+        branches.append(replace(
+            b,
+            tail=tuple((mapping[sid], spec, wait) for sid, spec, wait in b.tail),
+            fc_checks={mapping[sid]: checks
+                       for sid, checks in b.fc_checks.items()},
+            complete_state=(mapping[b.complete_state]
+                            if b.complete_state is not None else None),
+        ))
+    return Nfa(label="multi", states=tuple(states), edges=tuple(edges),
+               initial=0, accepting=accepting, rejecting=rejecting,
+               window=window, branches=tuple(branches))
 
 
 def negative_tail(negs, start: int) -> tuple:
@@ -211,8 +279,10 @@ def _compile_plans(nfa: Nfa) -> tuple:
             append = e.src == e.dst
             it = chain.iterated
             req = None
-            if (nfa.label == "eager" and it is not None and e.role != it.role
-                    and it.role in chain.prec_of(e.role)):
+            # Only an eager branch completes on a lattice state; its takes
+            # after the iterated role wait for the role's minimum count.
+            if (branch.complete_state is not None and it is not None
+                    and e.role != it.role and it.role in chain.prec_of(e.role)):
                 req = (it.role, it.lo)
             iterate = None
             if e.action == ITERATE:
@@ -241,29 +311,25 @@ def _compile_plans(nfa: Nfa) -> tuple:
             if not tp.append and (set(e.types) & storable):
                 entry.append(tp)
 
+        # A completed instance may still grow exactly when its branch has
+        # an append take out of this state.
+        grow = frozenset(tp.branch for tps in stream.values() for tp in tps
+                         if tp.append)
+        gates = {bi: branch.eager_gates
+                 for bi, branch in enumerate(nfa.branches)
+                 if branch.complete_state == st.sid
+                 and branch.eager_gates is not None}
         if st.kind == CHAIN and st.branch is not None:
             branch = nfa.branches[st.branch]
             fc = branch.fc_checks.get(st.sid, ())
             if branch.complete_state == st.sid and branch.tail:
-                accept_plan = AcceptPlan(
-                    gates=branch.eager_gates,
-                    tail_start=branch.tail[0][0],
-                    grow=branch.chain.iterated is not None,
-                    fc_at_f=(),
-                )
+                accept_plan = AcceptPlan(gates=gates,
+                                         tail_start=branch.tail[0][0],
+                                         grow=grow, fc_at_f={})
         if st.kind == ACCEPT:
-            gates = None
-            grow = False
-            fc_at_f: dict = {}
-            for bi, branch in enumerate(nfa.branches):
-                checks = branch.fc_checks.get(st.sid, ())
-                if checks:
-                    fc_at_f[bi] = tuple(checks)
-                if branch.complete_state == st.sid:
-                    gates = branch.eager_gates
-                    grow = (branch.chain.iterated is not None
-                            and any(tp.append for tps in stream.values()
-                                    for tp in tps))
+            fc_at_f = {bi: tuple(branch.fc_checks[st.sid])
+                       for bi, branch in enumerate(nfa.branches)
+                       if branch.fc_checks.get(st.sid)}
             accept_plan = AcceptPlan(gates=gates, tail_start=None, grow=grow,
                                      fc_at_f=fc_at_f)
         if st.kind == NEG and st.sid in tail_at:

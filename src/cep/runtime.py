@@ -101,10 +101,9 @@ class Runtime:
     """Single-threaded executor; feed events in arrival order, then flush."""
 
     def __init__(self, nfa: N.Nfa, metrics: Optional[Metrics] = None,
-                 paired_buffers: bool = False, branch_offset: int = 0):
+                 paired_buffers: bool = False):
         self.nfa = nfa
         self.window = nfa.window
-        self.branch_offset = branch_offset
         self.metrics = metrics if metrics is not None else Metrics()
         self.plans = nfa.plans
         self.storable = nfa.storable
@@ -166,8 +165,7 @@ class Runtime:
         gets a copy of the binding instead.
         """
         binding = dict(inst.binding) if keep else inst.binding
-        self._pending.append(Match(binding, detection_ts,
-                                   (inst.branch or 0) + self.branch_offset))
+        self._pending.append(Match(binding, detection_ts, inst.branch))
         self.metrics.matches += 1
         if not keep:
             self._retire(inst)
@@ -257,6 +255,9 @@ class Runtime:
 
     def _stream_take(self, inst: Instance, tp: N.TakePlan, e: Event) -> None:
         if tp.append:
+            # Eager branches of a merged automaton share F and its appends.
+            if tp.branch != inst.branch:
+                return
             members = inst.binding[tp.role]
             lo, hi, group = tp.iterate
             if hi is not None and len(members) >= hi:
@@ -352,8 +353,7 @@ class Runtime:
                     f"instance spawned in state {tp.dst} spans "
                     f"{maxkey[0] - anchor} > window {self.window}")
             shadow = {t: list(v) for t, v in inst.shadow.items()}
-        branch = tp.branch if inst.branch is None else inst.branch
-        clone = self._new_instance(tp.dst, branch, binding, anchor, maxkey,
+        clone = self._new_instance(tp.dst, tp.branch, binding, anchor, maxkey,
                                    inst.theta, shadow, spawn_event.key)
         if not self.settling[tp.dst]:
             self._entry(clone)
@@ -370,12 +370,13 @@ class Runtime:
 
     def _complete_eager(self, inst: Instance, ap: N.AcceptPlan) -> bool:
         """Full positive set reached on an eager lattice state with a tail."""
-        if not self._gates_pass(inst, ap):
-            if not ap.grow:
+        grow = inst.branch in ap.grow
+        if not self._gates_pass(inst, ap.gates.get(inst.branch)):
+            if not grow:
                 self._retire(inst)
                 return True
             return False
-        if ap.grow:
+        if grow:
             shadow = None
             if self.paired:
                 shadow = {t: list(v) for t, v in inst.shadow.items()}
@@ -389,12 +390,11 @@ class Runtime:
         self._tail_entry(inst, self.plans[inst.sid])
         return True
 
-    def _gates_pass(self, inst: Instance, ap: N.AcceptPlan) -> bool:
-        if ap.gates is None:
+    def _gates_pass(self, inst: Instance, gates: Optional[tuple]) -> bool:
+        if gates is None:
             return True
-        role, lo, iter_atoms = ap.gates
-        members = inst.binding.get(role)
-        if members is None or len(members) < lo:
+        role, lo, iter_atoms = gates
+        if len(inst.binding[role]) < lo:
             return False
         if iter_atoms and not eval_atoms(iter_atoms, inst.binding, self.metrics):
             return False
@@ -417,17 +417,19 @@ class Runtime:
 
     def _accept(self, inst: Instance, plan: N.StatePlan) -> None:
         ap = plan.accept
-        for chk in ap.fc_at_f.get(inst.branch or 0, ()):
+        for chk in ap.fc_at_f.get(inst.branch, ()):
             if self._neg_scan(inst, chk):
                 return
         if inst.theta > NEG_INF and inst.maxkey[0] <= inst.theta + self.window:
             self._retire(inst)
             return
-        if ap.gates is not None and not self._gates_pass(inst, ap):
-            if not ap.grow:
+        # Lazy F neither gates nor grows: skip both lookups when empty.
+        grow = bool(ap.grow) and inst.branch in ap.grow
+        if ap.gates and not self._gates_pass(inst, ap.gates.get(inst.branch)):
+            if not grow:
                 self._retire(inst)
             return
-        self._emit(inst, inst.maxkey[0], keep=ap.grow)
+        self._emit(inst, inst.maxkey[0], keep=grow)
 
     def _neg_scan(self, inst: Instance, chk: NegSpec) -> bool:
         """Buffered-candidate absence check; retires the instance on a hit."""
@@ -499,42 +501,6 @@ class Runtime:
                 f"shared buffer returned {got} but the per-instance buffer "
                 f"holds {expected} (type {tp.etype}, state {inst.sid})"
             )
-
-
-class MultiRuntime:
-    """Runs one automaton per chain and merges their outputs (eager mode)."""
-
-    def __init__(self, nfas, paired_buffers: bool = False):
-        self.runtimes = [Runtime(n, paired_buffers=paired_buffers, branch_offset=i)
-                         for i, n in enumerate(nfas)]
-        self._peak = 0
-
-    def step(self, e: Event) -> list:
-        out = []
-        for rt in self.runtimes:
-            out.extend(rt.step(e))
-        self._peak = max(self._peak, sum(len(rt.live) for rt in self.runtimes))
-        if len(out) > 1:
-            out.sort(key=_detection_order)
-        return out
-
-    def flush(self) -> list:
-        out = []
-        for rt in self.runtimes:
-            out.extend(rt.flush())
-        if len(out) > 1:
-            out.sort(key=_detection_order)
-        return out
-
-    @property
-    def metrics(self) -> Metrics:
-        total = Metrics()
-        for rt in self.runtimes:
-            total.merge(rt.metrics)
-        total.peak_live_instances = max(
-            self._peak, max((rt.metrics.peak_live_instances
-                             for rt in self.runtimes), default=0))
-        return total
 
 
 def run_stream(runtime, events: Iterable[Event]) -> list:

@@ -47,6 +47,25 @@ def test_multi_mode_on_single_chain():
     assert len(merged.states) == len(single.states)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_composite_is_compiled_into_one_automaton(monkeypatch, mode):
+    compiled = []
+    real = cep.nfa._compile_plans
+
+    def counting(nfa):
+        compiled.append(nfa.label)
+        return real(nfa)
+
+    monkeypatch.setattr(cep.nfa, "_compile_plans", counting)
+    chains = chains_of("PATTERN OR(SEQ(A a, B b, C c), SEQ(C c, D d, E e),"
+                       " SEQ(B b, E e)) WITHIN 1 hour")
+    orders = [sorted(t for _, t in c.positives) for c in chains]
+    (nfa,) = compile_pattern(chains, mode, orders=orders)
+    assert compiled == ["multi"]
+    assert len(nfa.branches) == 3
+    assert type(make_runtime([nfa])) is cep.runtime.Runtime
+
+
 def test_group_by_requires_iterated_role():
     chains = chains_of("PATTERN SEQ(A a, B b) WITHIN 1 hour")
     with pytest.raises(BuildError, match="iterated"):

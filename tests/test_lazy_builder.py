@@ -4,8 +4,9 @@ import pytest
 
 from cep import nfa as N
 from cep.events import Event
-from cep.lazy import (ascending_freq_order, build_lazy, build_multi_chain,
+from cep.lazy import (ascending_freq_order, build_lazy, lazy_parts,
                       partial_filters, sequence_filters)
+from cep.nfa import build_multi_chain
 from cep.patterns import parse_pattern, to_dnf
 from cep.runtime import Runtime
 
@@ -252,7 +253,7 @@ class TestMultiChain:
     def test_pattern_8_merge(self):
         chains = chains_of(
             "PATTERN OR(SEQ(A a, B b, C c), SEQ(C c, D d, E e)) WITHIN 1 hour")
-        parts = [build_lazy(c, ascending_freq_order(
+        parts = [lazy_parts(c, ascending_freq_order(
             {t: self.RATES[t] for _, t in c.positives})) for c in chains]
         merged = build_multi_chain(parts)
         assert len(merged.states) == 7  # q1, 2+2 internal, F, R
@@ -264,8 +265,9 @@ class TestMultiChain:
 
     def test_single_chain_unchanged_structurally(self):
         chain = chain_of("PATTERN SEQ(A a, B b) WITHIN 1 hour")
-        sub = build_lazy(chain, ["B", "A"])
-        merged = build_multi_chain([sub])
+        part = lazy_parts(chain, ["B", "A"])
+        sub = part.nfa()
+        merged = build_multi_chain([part])
         assert len(merged.states) == len(sub.states)
         assert len(merged.edges) == len(sub.edges)
         assert merged.plans == sub.plans
@@ -276,7 +278,7 @@ class TestMultiChain:
     def test_two_short_chains(self):
         chains = chains_of(
             "PATTERN OR(SEQ(A a, B b), SEQ(C c, D d)) WITHIN 1 hour")
-        parts = [build_lazy(c, sorted(t for _, t in c.positives))
+        parts = [lazy_parts(c, sorted(t for _, t in c.positives))
                  for c in chains]
         assert len(build_multi_chain(parts).states) == 5  # 1 + 1 + 1 + F + R
 

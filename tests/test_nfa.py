@@ -6,8 +6,9 @@ import pytest
 import cep
 from cep import nfa as N
 from cep.difftest import random_pattern
-from cep.eager import build_eager
-from cep.lazy import build_lazy, build_multi_chain
+from cep.engine import MODES, compile_pattern
+from cep.eager import build_eager, eager_parts
+from cep.lazy import build_lazy, lazy_parts
 from cep.patterns import parse_pattern, to_dnf
 
 
@@ -60,7 +61,7 @@ def test_every_builder_output_over_the_difftest_corpus_validates():
     built = 0
     for _ in range(200):
         chains = to_dnf(parse_pattern(random_pattern(rng)))
-        lazies = []
+        lazies, eagers = [], []
         for chain in chains:
             order = sorted(t for _, t in chain.positives)
             nfas = [build_eager(chain), build_lazy(chain, order)]
@@ -68,7 +69,8 @@ def test_every_builder_output_over_the_difftest_corpus_validates():
                 nfas.append(build_lazy(chain, order, negation="fc"))
             except N.BuildError:
                 pass  # first-chance negation refuses a trailing negation
-            lazies.append(nfas[1])
+            lazies.append(lazy_parts(chain, order))
+            eagers.append(eager_parts(chain))
             for nfa in nfas:
                 N.validate_nfa(nfa)
                 assert len(nfa.plans) == len(nfa.states)
@@ -76,8 +78,27 @@ def test_every_builder_output_over_the_difftest_corpus_validates():
                            if p.kind == N.NEG)
                 assert all(e.dst != nfa.rejecting for e in nfa.edges)
             built += len(nfas)
-        N.validate_nfa(build_multi_chain(lazies))
+        N.validate_nfa(N.build_multi_chain(lazies))
+        N.validate_nfa(N.build_multi_chain(eagers))
     assert built > 400
+
+
+def test_plans_do_not_depend_on_the_label():
+    # A merged automaton is labelled "multi" whatever built its chains.
+    rng = random.Random(808)
+    compared = set()
+    for _ in range(150):
+        chains = to_dnf(parse_pattern(random_pattern(rng)))
+        orders = [sorted(t for _, t in c.positives) for c in chains]
+        for mode in MODES:
+            try:
+                nfas = compile_pattern(chains, mode, orders=orders)
+            except N.BuildError:
+                continue  # first-chance negation refuses a trailing negation
+            for nfa in nfas:
+                assert replace(nfa, label="x").plans == nfa.plans, nfa.label
+                compared.add(nfa.label)
+    assert compared == {"eager", "lazy", "lazy-pp", "lazy-fc", "multi"}
 
 
 def test_public_api_resolves_without_duplicates():

@@ -215,12 +215,10 @@ class TestDeterminism:
         assert keys == sorted(keys)
 
     def test_merged_matches_emitted_in_detection_order(self):
-        # Each chain runs in its own runtime; the b chain's flush match is
-        # the earlier one, so the merge has to reorder what it gathered.
+        # The second chain's flush match is the earlier one.
         chains = chains_of(
             "PATTERN OR(SEQ(A a, NOT(X x)), SEQ(B b, NOT(X x))) WITHIN 50 msec")
         rt = make_runtime(compile_pattern(chains, "eager"))
-        assert len(rt.runtimes) == 2
         assert rt.step(Event("B", 5, 0)) == []
         assert rt.step(Event("A", 10, 1)) == []
         out = rt.flush()
@@ -480,7 +478,6 @@ def test_member_tuples_ascend_by_key(pattern, mode, grouped, order_seed, stream)
             random.Random(order_seed).shuffle(types)
             orders.append(types)
     rt = make_runtime(compile_pattern(chains, mode, orders=orders))
-    runtimes = getattr(rt, "runtimes", [rt])
     events, ts = [], 0
     for seq, (etype, gap, stock) in enumerate(stream):
         ts += gap
@@ -488,9 +485,8 @@ def test_member_tuples_ascend_by_key(pattern, mode, grouped, order_seed, stream)
     emitted = []
     for e in events:
         emitted += rt.step(e)
-        for r in runtimes:
-            for inst in r.live.values():
-                _assert_members_ascend(inst.binding, e)
+        for inst in rt.live.values():
+            _assert_members_ascend(inst.binding, e)
     emitted += rt.flush()
     for m in emitted:
         _assert_members_ascend(m.binding, "match")
@@ -511,7 +507,7 @@ def _record_registrations(rt, registered):
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 10**6),
-       mode=st.sampled_from(["lazy", "lazy-pp", "lazy-fc", "multi"]))
+       mode=st.sampled_from(["eager", "lazy", "lazy-pp", "lazy-fc", "multi"]))
 def test_settling_instances_are_never_registered(seed, mode):
     rng = random.Random(seed)
     chains = chains_of(random_pattern(rng))
@@ -525,25 +521,57 @@ def test_settling_instances_are_never_registered(seed, mode):
         rt = make_runtime(compile_pattern(chains, mode, orders=orders))
     except BuildError:
         return  # first-chance negation refuses a trailing negation
-    runtimes = getattr(rt, "runtimes", [rt])
-    registered = [{r.seed.iid} for r in runtimes]
-    for r, ids in zip(runtimes, registered):
-        _record_registrations(r, ids)
+    registered = {rt.seed.iid}
+    _record_registrations(rt, registered)
+    # Live instances are the ones an arrival or a timeout can act on.
+    acted_on = {sid for sids in rt.type_interest.values() for sid in sids}
     for e in stream:
         rt.step(e)
-        for r, ids in zip(runtimes, registered):
-            # Live instances are the ones an arrival or a timeout can act on.
-            acted_on = {sid for sids in r.type_interest.values()
-                        for sid in sids}
-            for inst in r.live.values():
-                assert (inst is r.seed or inst.sid in acted_on
-                        or r.plans[inst.sid].kind == N.NEG), inst.sid
-                assert not r.settling[inst.sid]
-            assert r._entering == 0
-            assert {iid for _, iid in r.heap} <= ids
+        for inst in rt.live.values():
+            assert (inst is rt.seed or inst.sid in acted_on
+                    or rt.plans[inst.sid].kind == N.NEG), inst.sid
+            assert not rt.settling[inst.sid]
+        assert rt._entering == 0
+        assert {iid for _, iid in rt.heap} <= registered
     rt.flush()
-    for r in runtimes:  # every instance but the seed was retired, once
-        assert r.metrics.instance_retire == r.metrics.instance_create - 1
+    # Every instance but the seed was retired, once.
+    assert rt.metrics.instance_retire == rt.metrics.instance_create - 1
+
+
+def test_eager_branches_sharing_f_append_only_to_their_own():
+    # Both eager chains end on B+, so their accepting states merge into one
+    # F that carries an append take per branch.
+    chains = chains_of(
+        "PATTERN OR(SEQ(A a, B+ b[]), SEQ(C c, B+ b[])) WITHIN 1 hour")
+    stream = mkstream(("A", 1), ("C", 2), ("B", 3), ("B", 4))
+    expected = sorted(match_key(b)
+                      for b in enumerate_matches_chains(chains, stream))
+    (nfa,) = compile_pattern(chains, "eager")
+    f = nfa.plans[nfa.accepting]
+    assert f.accept.grow == {0, 1}
+    assert sorted(tp.branch for tp in f.stream_takes["B"]) == [0, 1]
+    got = run_stream(make_runtime([nfa]), stream)
+    assert len(expected) == 6
+    assert sorted(m.key() for m in got) == expected
+    assert sorted(m.branch for m in got) == [0, 0, 0, 1, 1, 1]
+
+
+def test_eager_completion_grows_only_with_an_append_take():
+    # The iterated role is not last, so nothing extends a completed
+    # instance: it hands off to the negative tail instead of staying.
+    chains = chains_of("PATTERN SEQ(A+ a[], B b, NOT(C h)) WITHIN 300 msec")
+    (nfa,) = compile_pattern(chains, "eager")
+    assert not any(p.accept.grow for p in nfa.plans if p.accept is not None)
+    events = generate_stream(StreamSpec(
+        rates={"A": 20.0, "B": 30.0, "C": 10.0, "D": 5.0}, count=800, seed=5))
+    rt = make_runtime([nfa])
+    for e in events:
+        rt.step(e)
+    rt.flush()
+    counters = rt.metrics.counters()
+    assert counters["matches"] == 146_504
+    assert counters["instance_create"] == 425_782
+    assert counters["peak_live_instances"] == 73_726
 
 
 def test_growing_accept_hands_out_copies_of_its_binding():
