@@ -9,6 +9,7 @@ behind the latest processed timestamp.
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from typing import Optional
 
 from .events import Event, EventType, StreamDataError
@@ -19,38 +20,40 @@ from .predicates import KleeneAtoms, eval_atoms, split_kleene
 # events and more than half of the lane.
 LANE_SLACK = 512
 
+_KEY = attrgetter("key")  # lanes are bisected by each event's (ts, seq)
+
 
 class _TypeLane:
     """Append-only, arrival-ordered event lane with an expiry offset."""
 
-    __slots__ = ("events", "keys", "start")
+    __slots__ = ("events", "start")
 
     def __init__(self):
         self.events: list = []
-        self.keys: list = []
         self.start = 0
 
     def expire(self, watermark_ts: int) -> int:
-        lo = self.start
-        # ``(watermark_ts,)`` sorts before every key with that timestamp,
-        # whatever its seq: the window is inclusive.
-        hi = bisect.bisect_left(self.keys, (watermark_ts,), lo=lo)
+        # Few events leave per call: walking the front beats bisecting.
+        # The window is inclusive: an event on the watermark stays.
+        events, lo = self.events, self.start
+        hi, n = lo, len(events)
+        while hi < n and events[hi].ts < watermark_ts:
+            hi += 1
         removed = hi - lo
         self.start = hi
         if self.start > LANE_SLACK and self.start * 2 > len(self.events):
             del self.events[: self.start]
-            del self.keys[: self.start]
             self.start = 0
         return removed
 
     def slice(self, lower, upper) -> list:
-        lo = self.start
+        events, lo = self.events, self.start
         if lower is not None:
-            lo = max(lo, bisect.bisect_right(self.keys, lower, lo=self.start))
-        hi = len(self.keys)
+            lo = bisect.bisect_right(events, lower, lo=lo, key=_KEY)
+        hi = len(events)
         if upper is not None:
-            hi = bisect.bisect_left(self.keys, upper, lo=self.start)
-        return self.events[lo:hi]
+            hi = bisect.bisect_left(events, upper, lo=self.start, key=_KEY)
+        return events[lo:hi]
 
 
 class InputBuffer:
@@ -78,7 +81,6 @@ class InputBuffer:
         if lane is None:
             lane = self._lanes[etype] = _TypeLane()
         lane.events.append(e)
-        lane.keys.append(key)
 
     def expire(self, watermark_ts: int) -> int:
         """Drop every event older than ``watermark_ts``; returns how many.
@@ -91,8 +93,8 @@ class InputBuffer:
         oldest = None
         for lane in self._lanes.values():
             removed += lane.expire(watermark_ts)
-            if lane.start < len(lane.keys):
-                front = lane.keys[lane.start][0]
+            if lane.start < len(lane.events):
+                front = lane.events[lane.start].ts
                 if oldest is None or front < oldest:
                     oldest = front
         self.oldest_ts = oldest

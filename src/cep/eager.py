@@ -40,7 +40,6 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
     # Without a negation tail the full-roleset state is itself accepting.
     tail_start = n_sub
     accepting = n_sub + len(chain.negations) if has_tail else sid_of[full]
-    rejecting = (tail_start + len(chain.negations) + 1) if has_tail else n_sub
 
     tail_states, tail_edges, tail = N.negative_tail(chain.negations,
                                                     tail_start)
@@ -54,7 +53,6 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
     if has_tail:
         states += tail_states
         states.append(N.State(accepting, N.ACCEPT, "F", 0))
-    states.append(N.State(rejecting, N.REJECT, "R", 0))
 
     # (roles, compiled atom); one atom may ride several lattice edges.
     chain_atoms, iter_atom_list = [], []
@@ -88,7 +86,7 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
         if neg_types and not (s == full and not has_tail):
             edges.append(N.Edge(sid, sid, N.STORE, neg_types))
 
-    # Completion on the full roleset hands off to the tail (AcceptPlan).
+    # Completion on the full roleset hands off to the tail (Completion).
     edges += tail_edges
 
     gates = (it.role, it.lo, iter_atoms) if it is not None else None
@@ -96,8 +94,8 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
                       complete_state=sid_of[full], eager_gates=gates)
     return N.ChainParts(label="eager", states=tuple(states),
                         edges=tuple(edges), initial=sid_of[frozenset()],
-                        accepting=accepting, rejecting=rejecting,
-                        window=chain.window, branch=branch)
+                        accepting=accepting, window=chain.window,
+                        branch=branch)
 
 
 def _downward_closed(roles, preds) -> list:

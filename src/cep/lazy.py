@@ -153,9 +153,7 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     states += tail_states
     edges = []
     accepting = n + len(negs)
-    rejecting = accepting + 1
     states.append(N.State(accepting, N.ACCEPT, "F", 0))
-    states.append(N.State(rejecting, N.REJECT, "R", 0))
 
     for i, etype in enumerate(freq):
         store_t = frozenset(freq[i + 1 :]) | neg_types
@@ -190,8 +188,8 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     _check_filter_soundness(edges, freq, n)
     branch = N.Branch(chain=chain, tail=tail, fc_checks=fc_checks)
     return N.ChainParts(label=label, states=tuple(states), edges=tuple(edges),
-                        initial=0, accepting=accepting, rejecting=rejecting,
-                        window=chain.window, branch=branch)
+                        initial=0, accepting=accepting, window=chain.window,
+                        branch=branch)
 
 
 def _check_fc_applicable(chain: ChainPattern) -> None:

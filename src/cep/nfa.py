@@ -5,12 +5,11 @@ one chain as :class:`ChainParts`: states, take/iterate and store edges with
 their ordering filters, and per-branch metadata (negative tail, first-chance
 checks, eager completion). One chain's parts become an automaton as they
 are; :func:`build_multi_chain` merges several into one that shares the
-initial, accepting and rejecting states. Constructing an automaton compiles
-it, once, into the executable plan: one
-:class:`StatePlan` per state, the states each arriving type acts on, the
-states that settle, and the types the shared buffer stores. It then
-validates the automaton from those tables. Every ``Runtime`` (in
-:mod:`cep.runtime`) shares the plan and compiles nothing.
+initial and accepting states. Constructing an automaton compiles it, once,
+into the executable plan: one :class:`StatePlan` per state, the states each
+arriving type acts on, the states that settle, and the types the shared
+buffer stores. It then validates the automaton from those tables. Every
+``Runtime`` (in :mod:`cep.runtime`) shares the plan and compiles nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ ITERATE = "iterate"
 CHAIN = "chain"
 NEG = "neg"
 ACCEPT = "accept"
-REJECT = "reject"
 
 
 class BuildError(ValueError):
@@ -39,7 +37,7 @@ class BuildError(ValueError):
 @dataclass(frozen=True)
 class State:
     sid: int
-    kind: str  # chain | neg | accept | reject
+    kind: str  # chain | neg | accept
     name: str
     branch: Optional[int] = None
 
@@ -97,13 +95,20 @@ class TakePlan:
 
 
 @dataclass(frozen=True)
-class AcceptPlan:
-    """Completion of eager branches (gates, growth) and checks at F."""
+class Completion:
+    """What one branch does once every positive role is bound.
 
-    gates: dict  # branch -> (iterated role, lo, its atoms); eager only
-    tail_start: Optional[int]  # eager completion hands off to this state
-    grow: frozenset  # branches with an append take out of this state
-    fc_at_f: dict  # branch -> checks that run on reaching acceptance
+    At F and on an eager lattice's full roleset: run the absence ``checks``
+    on the buffer, apply the eager ``gate``, then emit the match (F) or hand
+    the instance to the negative tail from ``tail_start``. A branch that
+    may ``grow`` (it has an append take out of this state) keeps the
+    instance live and hands on a copy instead.
+    """
+
+    checks: tuple  # first-chance checks that run at F
+    gate: Optional[tuple]  # (iterated role, lo, its atoms); eager only
+    grow: bool
+    tail_start: Optional[int]  # None at F
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ class StatePlan:
     entry_takes: tuple
     stream_takes: dict  # etype -> tuple[TakePlan]
     fc_checks: tuple
-    accept: Optional[AcceptPlan]
+    complete: dict  # branch -> Completion
     neg: Optional[NegPlan]
     store_types: frozenset
 
@@ -132,7 +137,6 @@ class Nfa:
     edges: tuple
     initial: int
     accepting: int
-    rejecting: int
     window: int
     branches: tuple
     # The executable plan, compiled on construction; every runtime shares it.
@@ -160,12 +164,13 @@ class Nfa:
                            {t: tuple(sorted(s)) for t, s in interest.items()})
         # A settling state: no arrival can act on an instance there once its
         # entry has returned, so the instance is never registered and is
-        # retired as soon as its entry returns. NEG states never settle:
-        # their timeout emits.
+        # retired as soon as its entry returns. A state settles when it takes
+        # nothing from the stream and no completion hands the instance to a
+        # tail, where it may wait. NEG states never settle: their timeout
+        # emits.
         object.__setattr__(self, "settling", tuple(
-            (plan.kind == ACCEPT and not plan.accept.grow)
-            or (plan.kind == CHAIN and not plan.stream_takes
-                and plan.accept is None)
+            plan.kind != NEG and not plan.stream_takes
+            and all(c.tail_start is None for c in plan.complete.values())
             for plan in plans))
         validate_nfa(self)
 
@@ -179,19 +184,17 @@ class ChainParts:
     edges: tuple
     initial: int
     accepting: int
-    rejecting: int
     window: int
     branch: Branch
 
     def nfa(self) -> Nfa:
         return Nfa(label=self.label, states=self.states, edges=self.edges,
                    initial=self.initial, accepting=self.accepting,
-                   rejecting=self.rejecting, window=self.window,
-                   branches=(self.branch,))
+                   window=self.window, branches=(self.branch,))
 
 
 def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
-    """Merge chains by sharing their initial/accepting/rejecting states."""
+    """Merge chains by sharing their initial and accepting states."""
     if not parts:
         raise BuildError("no chains to merge")
     window = parts[0].window
@@ -202,15 +205,13 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
     for bi, p in enumerate(parts):
         mapping = {p.initial: 0}
         for s in p.states:
-            if s.sid not in (p.initial, p.accepting, p.rejecting):
+            if s.sid not in (p.initial, p.accepting):
                 mapping[s.sid] = len(states)
                 states.append(State(len(states), s.kind,
                                     f"{s.name}.{bi + 1}", bi))
         mappings.append(mapping)
     accepting = len(states)
-    rejecting = accepting + 1
     states.append(State(accepting, ACCEPT, "F", None))
-    states.append(State(rejecting, REJECT, "R", None))
 
     edges, branches = [], []
     for bi, (p, mapping) in enumerate(zip(parts, mappings)):
@@ -227,8 +228,8 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
                             if b.complete_state is not None else None),
         ))
     return Nfa(label="multi", states=tuple(states), edges=tuple(edges),
-               initial=0, accepting=accepting, rejecting=rejecting,
-               window=window, branches=tuple(branches))
+               initial=0, accepting=accepting, window=window,
+               branches=tuple(branches))
 
 
 def negative_tail(negs, start: int) -> tuple:
@@ -268,7 +269,6 @@ def _compile_plans(nfa: Nfa) -> tuple:
         entry, stream = [], defaultdict(list)
         fc: tuple = ()
         neg_plan = None
-        accept_plan = None
 
         for e in takes_by_src.get(st.sid, ()):
             bi = e.branch if e.branch is not None else (st.branch or 0)
@@ -313,25 +313,23 @@ def _compile_plans(nfa: Nfa) -> tuple:
 
         # A completed instance may still grow exactly when its branch has
         # an append take out of this state.
-        grow = frozenset(tp.branch for tps in stream.values() for tp in tps
-                         if tp.append)
-        gates = {bi: branch.eager_gates
-                 for bi, branch in enumerate(nfa.branches)
-                 if branch.complete_state == st.sid
-                 and branch.eager_gates is not None}
+        grow = {tp.branch for tps in stream.values() for tp in tps
+                if tp.append}
+        # Every branch completes at F; an eager branch with a negative tail
+        # completes on its full roleset and hands off to the tail.
+        complete = {}
+        at_f = st.kind == ACCEPT
+        for bi, branch in enumerate(nfa.branches):
+            full = branch.complete_state == st.sid
+            if at_f or full:
+                complete[bi] = Completion(
+                    checks=(tuple(branch.fc_checks.get(st.sid, ()))
+                            if at_f else ()),
+                    gate=branch.eager_gates if full else None,
+                    grow=bi in grow,
+                    tail_start=None if at_f else branch.tail[0][0])
         if st.kind == CHAIN and st.branch is not None:
-            branch = nfa.branches[st.branch]
-            fc = branch.fc_checks.get(st.sid, ())
-            if branch.complete_state == st.sid and branch.tail:
-                accept_plan = AcceptPlan(gates=gates,
-                                         tail_start=branch.tail[0][0],
-                                         grow=grow, fc_at_f={})
-        if st.kind == ACCEPT:
-            fc_at_f = {bi: tuple(branch.fc_checks[st.sid])
-                       for bi, branch in enumerate(nfa.branches)
-                       if branch.fc_checks.get(st.sid)}
-            accept_plan = AcceptPlan(gates=gates, tail_start=None, grow=grow,
-                                     fc_at_f=fc_at_f)
+            fc = nfa.branches[st.branch].fc_checks.get(st.sid, ())
         if st.kind == NEG and st.sid in tail_at:
             branch, idx = tail_at[st.sid]
             rest = branch.tail[idx:]
@@ -347,7 +345,7 @@ def _compile_plans(nfa: Nfa) -> tuple:
             entry_takes=tuple(entry),
             stream_takes={t: tuple(v) for t, v in stream.items()},
             fc_checks=fc,
-            accept=accept_plan,
+            complete=complete,
             neg=neg_plan,
             store_types=frozenset(stores_by_src.get(st.sid, ())),
         ))
@@ -355,17 +353,16 @@ def _compile_plans(nfa: Nfa) -> tuple:
 
 
 def validate_nfa(nfa: Nfa) -> None:
-    """Structural invariants: unique F/R, every non-final state reaches F.
+    """Structural invariants: one F, every other state reaches F.
 
     Reachability follows what the plan executes: take destinations, each
     negative state's successor in its tail (F after the last one), and
     eager completion's hand-off to the tail.
     """
-    kinds = [s.kind for s in nfa.states]
-    if kinds.count(ACCEPT) != 1 or kinds.count(REJECT) != 1:
-        raise BuildError("an automaton needs exactly one accepting and one rejecting state")
-    if nfa.states[nfa.accepting].kind != ACCEPT or nfa.states[nfa.rejecting].kind != REJECT:
-        raise BuildError("accepting/rejecting ids out of sync with state kinds")
+    if [s.kind for s in nfa.states].count(ACCEPT) != 1:
+        raise BuildError("an automaton needs exactly one accepting state")
+    if nfa.states[nfa.accepting].kind != ACCEPT:
+        raise BuildError("accepting id out of sync with state kinds")
     into: dict = defaultdict(set)  # state -> states that lead to it
     for sid, plan in enumerate(nfa.plans):
         nxt = {tp.dst for tp in plan.entry_takes}
@@ -373,8 +370,8 @@ def validate_nfa(nfa: Nfa) -> None:
         if plan.neg is not None:
             rest = plan.neg.tail
             nxt.add(rest[1][0] if len(rest) > 1 else nfa.accepting)
-        if plan.accept is not None and plan.accept.tail_start is not None:
-            nxt.add(plan.accept.tail_start)
+        nxt.update(c.tail_start for c in plan.complete.values()
+                   if c.tail_start is not None)
         for dst in nxt:
             into[dst].add(sid)
     seen, stack = set(), [nfa.accepting]
@@ -383,8 +380,7 @@ def validate_nfa(nfa: Nfa) -> None:
         if x not in seen:
             seen.add(x)
             stack.extend(into[x])
-    stuck = [s.name for s in nfa.states
-             if s.kind not in (ACCEPT, REJECT) and s.sid not in seen]
+    stuck = [s.name for s in nfa.states if s.sid not in seen]
     if stuck:
         raise BuildError(
             f"no path to the accepting state from {', '.join(stuck)}")

@@ -229,7 +229,7 @@ class Runtime:
         while self.heap and (now_ts is None or self.heap[0][0] < now_ts):
             deadline, iid = heapq.heappop(self.heap)
             inst = self.live.get(iid)
-            if inst is None or not inst.alive:
+            if inst is None:
                 continue
             plan = self.plans[inst.sid]
             if plan.kind == N.NEG:
@@ -284,42 +284,45 @@ class Runtime:
 
     def _entry(self, inst: Instance) -> None:
         plan = self.plans[inst.sid]
-        if plan.kind == N.ACCEPT:
-            self._accept(inst, plan)
-            return
         if plan.kind == N.NEG:
-            self._tail_entry(inst, plan)
+            self._tail_entry(inst, plan.neg.tail)
             return
         for chk in plan.fc_checks:
             if self._fc_scan(inst, chk):
                 return
-        if plan.accept is not None:
-            if self._complete_eager(inst, plan.accept):
-                return
-        for tp in plan.entry_takes:
-            self._entry_search(inst, tp)
-
-    def _entry_search(self, inst: Instance, tp: N.TakePlan) -> None:
-        if tp.iterate is not None:
-            self._iterate_candidates(inst, tp, new_event=None)
+        if plan.complete and self._complete(inst, plan.complete[inst.branch]):
             return
-        lower = self._lower_bound(inst, tp.prec_roles)
-        upper = self._upper_bound(inst, tp.succ_roles)
+        for tp in plan.entry_takes:
+            if tp.iterate is not None:
+                self._iterate_candidates(inst, tp, new_event=None)
+            else:
+                for x in self._candidates(inst, tp):
+                    self._spawn(inst, tp, (x,) if tp.iter_first else x, x)
+
+    def _candidates(self, inst: Instance, chk):
+        """Lazily yield the buffered events that ``chk`` may bind in ``inst``.
+
+        ``chk`` is a :class:`~cep.nfa.TakePlan` or a
+        :class:`~cep.patterns.NegSpec`. The search runs between the ordering
+        bounds that ``inst``'s binding sets and counts as one
+        ``buffer_search``. A candidate is yielded once it satisfies ``chk``'s
+        condition, so a caller that stops at the first evaluates no more.
+        """
+        lower = self._lower_bound(inst, chk.prec_roles)
+        upper = self._upper_bound(inst, chk.succ_roles)
         self.metrics.buffer_search += 1
-        cands = self.buffer.query(tp.etype, lower, upper)
+        cands = self.buffer.query(chk.etype, lower, upper)
         if self.paired:
-            self._shadow_check(inst, tp, lower, upper, cands)
+            self._shadow_check(inst, chk, lower, upper, cands)
+        if not chk.cond:
+            yield from cands
+            return
         # One scratch binding per search; _spawn copies the instance's own.
-        scratch = dict(inst.binding) if tp.cond else None
+        scratch = dict(inst.binding)
         for x in cands:
-            if scratch is not None:
-                scratch[tp.role] = x
-                if not eval_atoms(tp.cond, scratch, self.metrics):
-                    continue
-            self._spawn(inst, tp, (x,) if tp.iter_first else x, x)
-        # An empty result with a succeeding-type bound is a failed search;
-        # on a positive chain there is no matching edge, so the instance
-        # simply stays (it can no longer advance and expires with its window).
+            scratch[chk.role] = x
+            if eval_atoms(chk.cond, scratch, self.metrics):
+                yield x
 
     def _iterate_candidates(self, inst: Instance, tp: N.TakePlan,
                             new_event: Optional[Event]) -> None:
@@ -366,42 +369,47 @@ class Runtime:
         if clone.alive:
             self._retire(clone)
 
-    # -- completion, negation, acceptance -------------------------------------
+    # -- completion and negation ----------------------------------------------
 
-    def _complete_eager(self, inst: Instance, ap: N.AcceptPlan) -> bool:
-        """Full positive set reached on an eager lattice state with a tail."""
-        grow = inst.branch in ap.grow
-        if not self._gates_pass(inst, ap.gates.get(inst.branch)):
-            if not grow:
+    def _complete(self, inst: Instance, c: N.Completion) -> bool:
+        """Every positive role of ``inst`` is bound: check, gate, hand on.
+
+        Returns True when ``inst`` is finished with here: retired, emitted,
+        or handed to the negative tail.
+        """
+        for chk in c.checks:
+            if self._neg_scan(inst, chk):
+                return True
+        if inst.theta > NEG_INF and inst.maxkey[0] <= inst.theta + self.window:
+            self._retire(inst)
+            return True
+        if c.gate is not None:
+            role, lo, atoms = c.gate
+            if len(inst.binding[role]) < lo or (
+                    atoms and not eval_atoms(atoms, inst.binding,
+                                             self.metrics)):
+                if c.grow:
+                    return False  # a later member may still pass
                 self._retire(inst)
                 return True
-            return False
-        if grow:
-            shadow = None
-            if self.paired:
-                shadow = {t: list(v) for t, v in inst.shadow.items()}
-            copy = self._new_instance(ap.tail_start, inst.branch,
-                                      dict(inst.binding), inst.anchor,
-                                      inst.maxkey, inst.theta, shadow,
-                                      inst.spawn_key)
-            self._tail_entry(copy, self.plans[copy.sid])
-            return False
-        self._move(inst, ap.tail_start)
-        self._tail_entry(inst, self.plans[inst.sid])
-        return True
-
-    def _gates_pass(self, inst: Instance, gates: Optional[tuple]) -> bool:
-        if gates is None:
+        if c.tail_start is None:
+            self._emit(inst, inst.maxkey[0], keep=c.grow)
             return True
-        role, lo, iter_atoms = gates
-        if len(inst.binding[role]) < lo:
-            return False
-        if iter_atoms and not eval_atoms(iter_atoms, inst.binding, self.metrics):
-            return False
-        return True
+        tail = self.plans[c.tail_start].neg.tail
+        if not c.grow:
+            self._tail_entry(inst, tail)
+            return True
+        shadow = None
+        if self.paired:
+            shadow = {t: list(v) for t, v in inst.shadow.items()}
+        copy = self._new_instance(c.tail_start, inst.branch,
+                                  dict(inst.binding), inst.anchor,
+                                  inst.maxkey, inst.theta, shadow,
+                                  inst.spawn_key)
+        self._tail_entry(copy, tail)
+        return False
 
-    def _tail_entry(self, inst: Instance, plan: N.StatePlan) -> None:
-        tail = plan.neg.tail
+    def _tail_entry(self, inst: Instance, tail: tuple) -> None:
         # Scan the buffered candidates of every remaining negated type now:
         # this is the only moment all of them are both complete (for types
         # that must precede a positive) and not yet expired.
@@ -415,57 +423,35 @@ class Runtime:
                 return
         self._emit(inst, inst.maxkey[0])
 
-    def _accept(self, inst: Instance, plan: N.StatePlan) -> None:
-        ap = plan.accept
-        for chk in ap.fc_at_f.get(inst.branch, ()):
-            if self._neg_scan(inst, chk):
-                return
-        if inst.theta > NEG_INF and inst.maxkey[0] <= inst.theta + self.window:
-            self._retire(inst)
-            return
-        # Lazy F neither gates nor grows: skip both lookups when empty.
-        grow = bool(ap.grow) and inst.branch in ap.grow
-        if ap.gates and not self._gates_pass(inst, ap.gates.get(inst.branch)):
-            if not grow:
-                self._retire(inst)
-            return
-        self._emit(inst, inst.maxkey[0], keep=grow)
-
     def _neg_scan(self, inst: Instance, chk: NegSpec) -> bool:
         """Buffered-candidate absence check; retires the instance on a hit."""
-        lower = self._lower_bound(inst, chk.prec_roles)
-        upper = self._upper_bound(inst, chk.succ_roles)
-        self.metrics.buffer_search += 1
-        scratch = dict(inst.binding) if chk.cond else None
-        for x in self.buffer.query(chk.etype, lower, upper):
-            if self._cond_ok(inst, chk, x, scratch):
-                self._retire(inst)
-                return True
+        for _ in self._candidates(inst, chk):
+            self._retire(inst)
+            return True
         return False
 
     def _fc_scan(self, inst: Instance, chk: NegSpec) -> bool:
-        if not chk.prec_roles:
-            # No event is required to precede the negated one, so whether a
-            # candidate invalidates a match depends on the final extent of
-            # the match window; carry the latest candidate and decide at
-            # acceptance.
-            upper = self._upper_bound(inst, chk.succ_roles)
-            self.metrics.buffer_search += 1
-            scratch = dict(inst.binding) if chk.cond else None
-            for x in self.buffer.query(chk.etype, None, upper):
-                if x.ts <= inst.theta:
-                    continue
-                if self._cond_ok(inst, chk, x, scratch):
-                    inst.theta = max(inst.theta, x.ts)
-            return False
-        return self._neg_scan(inst, chk)
+        if chk.prec_roles:
+            return self._neg_scan(inst, chk)
+        # No event is required to precede the negated one, so whether a
+        # candidate invalidates a match depends on the final extent of the
+        # match window; carry the latest candidate and decide at completion.
+        # The floor rises during the scan: a candidate no later than the
+        # latest hit so far is not evaluated.
+        upper = self._upper_bound(inst, chk.succ_roles)
+        self.metrics.buffer_search += 1
+        cands = self.buffer.query(chk.etype, None, upper)
+        if self.paired:
+            self._shadow_check(inst, chk, None, upper, cands)
+        for x in cands:
+            if x.ts > inst.theta and self._cond_ok(inst, chk, x):
+                inst.theta = x.ts
+        return False
 
-    def _cond_ok(self, inst: Instance, chk: NegSpec, x: Event,
-                 scratch: Optional[dict] = None) -> bool:
-        """``scratch``: a copy of ``inst.binding`` reused across a search."""
+    def _cond_ok(self, inst: Instance, chk: NegSpec, x: Event) -> bool:
         if not chk.cond:
             return True
-        binding = dict(inst.binding) if scratch is None else scratch
+        binding = dict(inst.binding)
         binding[chk.role] = x
         return eval_atoms(chk.cond, binding, self.metrics)
 
@@ -489,8 +475,8 @@ class Runtime:
                 upper = key
         return upper
 
-    def _shadow_check(self, inst, tp, lower, upper, cands) -> None:
-        mine = inst.shadow.get(tp.etype, ())
+    def _shadow_check(self, inst, chk, lower, upper, cands) -> None:
+        mine = inst.shadow.get(chk.etype, ())
         expected = [x.key for x in mine
                     if (lower is None or x.key > lower)
                     and (upper is None or x.key < upper)
@@ -499,7 +485,7 @@ class Runtime:
         if expected != got:
             raise ShadowMismatch(
                 f"shared buffer returned {got} but the per-instance buffer "
-                f"holds {expected} (type {tp.etype}, state {inst.sid})"
+                f"holds {expected} (type {chk.etype}, state {inst.sid})"
             )
 
 

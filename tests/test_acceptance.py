@@ -98,13 +98,13 @@ def test_criterion_3_structural_counts():
         (chain,) = to_dnf(parse_pattern(text))
         (nfa,) = compile_pattern([chain], "lazy",
                                  orders=[sorted(t for _, t in chain.positives)])
-        assert len(nfa.states) == n + 2, text
+        assert len(nfa.states) == n + 1, text
 
     (and3,) = to_dnf(parse_pattern("PATTERN AND(A a, B b, C c) WITHIN 1 hour"))
     eager = build_eager(and3)
-    assert len(eager.states) == 2**3 + 1  # all subsets plus the reject state
+    assert len(eager.states) == 2**3  # all subsets
     lazy = build_lazy(and3, ["A", "B", "C"])
-    assert len(lazy.states) == 5
+    assert len(lazy.states) == 4
     _report(3, "structural counts")
 
 

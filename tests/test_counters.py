@@ -1,0 +1,160 @@
+"""Pinned counters: every ``Metrics.counters()`` value and every match.
+
+A fixed corpus of patterns covers each construct the runtime executes: SEQ,
+AND and partial order; leading, middle and trailing negation; Kleene,
+grouped and bounded iteration; an eager OR with iteration; and corr. Each
+runs over one seeded stream in every mode that compiles it. The pins are
+exact: a change to the engine that moves any counter, or any match, its
+detection time or its branch, fails here, so such a change has to update
+the pins on purpose and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from cep.engine import apply_group_by, compile_pattern, make_runtime
+from cep.nfa import BuildError
+from cep.patterns import parse_pattern, to_dnf
+from cep.runtime import run_stream
+from cep.streams import StreamSpec, generate_stream
+
+RATES = {"A": 30.0, "B": 12.0, "C": 4.0, "D": 20.0}
+
+# name -> (pattern, group_by, stream length, stream seed)
+CORPUS = {
+    "seq": ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"
+            " { a.price < c.price } WITHIN 300 msec", None, 1200, 11),
+    "and": ("PATTERN AND(A a, B b, C c) WHERE skip_till_any_match"
+            " { b.price > c.price } WITHIN 200 msec", None, 800, 12),
+    "partial": ("PATTERN AND(SEQ(A a, B b), C c) WITHIN 200 msec",
+                None, 800, 13),
+    "neg-leading": ("PATTERN SEQ(NOT(D d), C c, A a) WHERE"
+                    " skip_till_any_match { d.price > c.price }"
+                    " WITHIN 200 msec", None, 1000, 14),
+    "neg-middle": ("PATTERN SEQ(B b, NOT(D d), C c, A a) WHERE"
+                   " skip_till_any_match { d.price < c.price }"
+                   " WITHIN 300 msec", None, 1200, 15),
+    "neg-trailing": ("PATTERN SEQ(A a, B b, NOT(D d)) WITHIN 150 msec",
+                     None, 1000, 16),
+    "neg-kleene": ("PATTERN SEQ(C c, NOT(D d), B+ b[]) WITHIN 150 msec",
+                   None, 800, 22),
+    "kleene": ("PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
+               " { b[i].price > a.price } WITHIN 250 msec", None, 800, 17),
+    "kleene-grouped": ("PATTERN SEQ(C c, B+ b[]) WHERE skip_till_any_match"
+                       " { b[i].stock = b[i-1].stock } WITHIN 400 msec",
+                       ("b", "stock"), 800, 18),
+    "kleene-bounded": ("PATTERN SEQ(A a, B{2,3} b[], C c) WITHIN 250 msec",
+                       None, 800, 19),
+    "or-iteration": ("PATTERN OR(SEQ(C c, B+ b[]), SEQ(D d, B+ b[]))"
+                     " WITHIN 150 msec", None, 600, 20),
+    "corr": ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"
+             " { corr(a.history, b.history) > 0.5 and"
+             " corr(b.history, c.history) > 0.5 } WITHIN 400 msec",
+             None, 1200, 21),
+}
+
+MODES = ("eager", "lazy", "lazy-fc")
+
+# (name, mode) -> (counters() values in field order, match digest).
+PINNED = {
+    ("seq", "eager"): ((1200, 483, 1304, 2870, 2869, 0, 0, 0, 84),
+                       "ceb98a03c327fb08"),
+    ("seq", "lazy"): ((1200, 483, 1304, 874, 873, 732, 390, 721, 4),
+                      "ceb98a03c327fb08"),
+    ("seq", "lazy-fc"): ((1200, 483, 1304, 874, 873, 732, 390, 721, 4),
+                         "ceb98a03c327fb08"),
+    ("and", "eager"): ((800, 10, 1951, 2967, 2966, 0, 0, 0, 104),
+                       "d9f3149453a5c597"),
+    ("and", "lazy"): ((800, 10, 270, 72, 71, 493, 61, 479, 5),
+                      "d9f3149453a5c597"),
+    ("and", "lazy-fc"): ((800, 10, 270, 72, 71, 493, 61, 479, 5),
+                         "d9f3149453a5c597"),
+    ("partial", "eager"): ((800, 703, 0, 2366, 2365, 0, 0, 0, 73),
+                           "61dde237e2bf73ad"),
+    ("partial", "lazy"): ((800, 703, 0, 922, 921, 500, 218, 496, 7),
+                          "61dde237e2bf73ad"),
+    ("partial", "lazy-fc"): ((800, 703, 0, 922, 921, 500, 218, 496, 7),
+                             "61dde237e2bf73ad"),
+    ("neg-leading", "eager"): ((1000, 203, 455, 430, 429, 290, 369, 287, 7),
+                               "f5471ca79e6ad2ac"),
+    ("neg-leading", "lazy"): ((1000, 203, 455, 430, 429, 756, 429, 750, 7),
+                              "f5471ca79e6ad2ac"),
+    ("neg-leading", "lazy-fc"): ((1000, 203, 223, 430, 429, 756, 120, 750, 7),
+                                 "f5471ca79e6ad2ac"),
+    ("neg-middle", "eager"): ((1200, 1120, 1724, 1626, 1625, 365, 1150, 362, 32),
+                              "483acb155682b4e2"),
+    ("neg-middle", "lazy"): ((1200, 1120, 1724, 1465, 1464, 1134, 1464, 1115, 25),
+                             "483acb155682b4e2"),
+    ("neg-middle", "lazy-fc"): ((1200, 1120, 601, 1435, 1434, 1134, 548, 1115, 22),
+                                "483acb155682b4e2"),
+    ("neg-trailing", "eager"): ((1000, 212, 0, 1287, 1286, 304, 818, 299, 30),
+                                "c9184d3e9785b17b"),
+    ("neg-trailing", "lazy"): ((1000, 212, 0, 993, 992, 772, 992, 761, 22),
+                               "c9184d3e9785b17b"),
+    ("neg-kleene", "eager"): ((800, 67, 0, 333, 332, 245, 140, 241, 26),
+                              "a46a666db5ee6f92"),
+    ("neg-kleene", "lazy"): ((800, 67, 0, 193, 192, 392, 264, 385, 5),
+                             "a46a666db5ee6f92"),
+    ("neg-kleene", "lazy-fc"): ((800, 67, 0, 193, 192, 392, 264, 385, 5),
+                                "a46a666db5ee6f92"),
+    ("kleene", "eager"): ((800, 958, 962, 10834, 10833, 0, 0, 0, 3390),
+                          "a76888bad8784201"),
+    ("kleene", "lazy"): ((800, 958, 414, 1337, 1336, 520, 378, 503, 4),
+                         "a76888bad8784201"),
+    ("kleene", "lazy-fc"): ((800, 958, 414, 1337, 1336, 520, 378, 503, 4),
+                            "a76888bad8784201"),
+    ("kleene-grouped", "eager"): ((800, 307, 307, 365, 364, 0, 0, 0, 36),
+                                  "510f4f29317489dd"),
+    ("kleene-grouped", "lazy"): ((800, 307, 0, 365, 364, 129, 309, 128, 9),
+                                 "510f4f29317489dd"),
+    ("kleene-grouped", "lazy-fc"): ((800, 307, 0, 365, 364, 129, 309, 128, 9),
+                                    "510f4f29317489dd"),
+    ("kleene-bounded", "eager"): ((800, 843, 0, 5350, 5349, 0, 0, 0, 384),
+                                  "e158a4539b1b3e0f"),
+    ("kleene-bounded", "lazy"): ((800, 843, 0, 1236, 1235, 518, 392, 509, 4),
+                                 "e158a4539b1b3e0f"),
+    ("kleene-bounded", "lazy-fc"): ((800, 843, 0, 1236, 1235, 518, 392, 509, 4),
+                                    "e158a4539b1b3e0f"),
+    ("or-iteration", "eager"): ((600, 826, 0, 1045, 1044, 0, 0, 0, 93),
+                                "ef3dc69b2e0a6e72"),
+    ("or-iteration", "lazy"): ((600, 826, 0, 1045, 1044, 106, 576, 104, 11),
+                               "ef3dc69b2e0a6e72"),
+    ("or-iteration", "lazy-fc"): ((600, 826, 0, 1045, 1044, 106, 576, 104, 11),
+                                  "ef3dc69b2e0a6e72"),
+    ("corr", "eager"): ((1200, 114, 3084, 1452, 1451, 0, 0, 0, 68),
+                        "2f5ae070111767f9"),
+    ("corr", "lazy"): ((1200, 114, 597, 224, 223, 783, 109, 755, 4),
+                       "2f5ae070111767f9"),
+    ("corr", "lazy-fc"): ((1200, 114, 597, 224, 223, 783, 109, 755, 4),
+                          "2f5ae070111767f9"),
+}
+
+
+def _run(name, mode):
+    pattern, group_by, count, seed = CORPUS[name]
+    chains = to_dnf(parse_pattern(pattern))
+    if group_by is not None:
+        chains = apply_group_by(chains, *group_by)
+    nfas = compile_pattern(chains, mode, rates=RATES)
+    events = generate_stream(StreamSpec(rates=RATES, count=count, seed=seed,
+                                        stocks_per_type=4))
+    rt = make_runtime(nfas)
+    matches = run_stream(rt, events)
+    emitted = [(m.detection_ts, m.branch, m.key()) for m in matches]
+    digest = hashlib.sha256(repr(emitted).encode()).hexdigest()[:16]
+    return tuple(rt.metrics.counters().values()), digest
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINNED))
+def test_counters_and_matches_are_pinned(name, mode):
+    assert _run(name, mode) == PINNED[name, mode]
+
+
+def test_the_corpus_runs_every_mode_that_compiles():
+    assert {name for name, _ in PINNED} == set(CORPUS)
+    # First-chance negation refuses only the trailing negation.
+    assert {(name, mode) for name in CORPUS for mode in MODES} - set(PINNED) \
+        == {("neg-trailing", "lazy-fc")}
+    with pytest.raises(BuildError, match="post-processing"):
+        _run("neg-trailing", "lazy-fc")

@@ -15,7 +15,7 @@ def chain_of(text):
 
 def test_sequence_is_a_chain():
     nfa = build_eager(chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour"))
-    assert len(nfa.states) == 5  # 4 chain states + R
+    assert len(nfa.states) == 4  # q0, {a}, {a,b} and F
     takes = [e for e in nfa.edges if e.action == N.TAKE]
     assert [next(iter(e.types)) for e in takes] == ["A", "B", "C"]
     # Each state acts only on arrivals of the next type in the sequence.
@@ -25,13 +25,13 @@ def test_sequence_is_a_chain():
 
 def test_conjunction_is_a_subset_lattice():
     nfa = build_eager(chain_of("PATTERN AND(A a, B b, C c) WITHIN 1 hour"))
-    assert len(nfa.states) == 2**3 + 1  # every subset plus R
+    assert len(nfa.states) == 2**3  # every subset
     N.validate_nfa(nfa)
 
 
 def test_single_event_pattern():
     nfa = build_eager(chain_of("PATTERN SEQ(A a) WITHIN 1 hour"))
-    assert len(nfa.states) == 3
+    assert len(nfa.states) == 2
     assert len([e for e in nfa.edges if e.action == N.TAKE]) == 1
 
 
@@ -41,7 +41,7 @@ def test_partial_sequence_lattice_is_downward_closed():
     # Downward-closed subsets of {a,b,c} with a<b: b never appears without a.
     names = {s.name for s in nfa.states}
     assert "{b}" not in names and "{b,c}" not in names
-    assert len(nfa.states) == 6 + 1  # 6 valid subsets + R
+    assert len(nfa.states) == 6  # the 6 valid subsets
 
 
 def test_eager_never_uses_ordering_filters():
@@ -50,7 +50,7 @@ def test_eager_never_uses_ordering_filters():
                  "PATTERN SEQ(A a, B+ b[], C c) WITHIN 1 hour"]:
         nfa = build_eager(chain_of(text))
         for e in nfa.edges:
-            if e.action == N.TAKE and e.dst != nfa.rejecting:
+            if e.action == N.TAKE:
                 assert e.prec == frozenset() and e.succ == frozenset()
 
 

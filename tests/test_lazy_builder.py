@@ -62,7 +62,7 @@ class TestBuildLazyChain:
     def test_pattern_1_shape(self):
         chain = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
         nfa = build_lazy(chain, ["C", "B", "A"])
-        assert len(nfa.states) == 5  # q1 q2 q3 F R
+        assert len(nfa.states) == 4  # q1 q2 q3 F
         takes = take_edges(nfa)
         assert [next(iter(e.types)) for e in takes] == ["C", "B", "A"]
         assert takes[0].prec == frozenset() and takes[0].succ == frozenset()
@@ -73,7 +73,7 @@ class TestBuildLazyChain:
     def test_single_state_chain(self):
         chain = chain_of("PATTERN SEQ(A a) WITHIN 1 hour")
         nfa = build_lazy(chain, ["A"])
-        assert len(nfa.states) == 3
+        assert len(nfa.states) == 2
         assert len(take_edges(nfa)) == 1
 
     def test_conjunction_order_from_rates(self):
@@ -85,7 +85,7 @@ class TestBuildLazyChain:
         assert [next(iter(e.types)) for e in takes] == ["B", "A"]
         assert all(e.prec == frozenset() == e.succ for e in takes)
 
-    def test_chain_has_n_plus_2_states(self):
+    def test_chain_has_n_plus_1_states(self):
         texts = [
             "PATTERN SEQ(A a) WITHIN 1 hour",
             "PATTERN SEQ(A a, B b) WITHIN 1 hour",
@@ -96,7 +96,7 @@ class TestBuildLazyChain:
             chain = chain_of(text)
             order = sorted(t for _, t in chain.positives)
             nfa = build_lazy(chain, order)
-            assert len(nfa.states) == len(chain.positives) + 2, text
+            assert len(nfa.states) == len(chain.positives) + 1, text
 
     def test_rejects_bad_frequency_order(self):
         chain = chain_of("PATTERN SEQ(A a, B b) WITHIN 1 hour")
@@ -107,8 +107,7 @@ class TestBuildLazyChain:
         chain = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
         nfa = build_lazy(chain, ["C", "B", "A"])
         assert [p.store_types for p in nfa.plans] == [
-            frozenset({"B", "A"}), frozenset({"A"}), frozenset(),
-            frozenset(), frozenset()]
+            frozenset({"B", "A"}), frozenset({"A"}), frozenset(), frozenset()]
         # An arrival of a type already bound acts on no later state.
         for sid, bound in {1: {"C"}, 2: {"C", "B"}}.items():
             for t in bound:
@@ -143,7 +142,7 @@ class TestPpNegation:
             "PATTERN SEQ(A a, NOT(B b), C c, D d)\n"
             "WHERE skip_till_any_match { b.x < c.y }\nWITHIN 1 hour")
         nfa = build_lazy(chain, ["C", "A", "D"])
-        assert len(nfa.states) == 6  # q1 q2 q3 r_B F R
+        assert len(nfa.states) == 5  # q1 q2 q3 r_B F
         assert nfa.states[3].kind == N.NEG
         # The last positive take enters the tail; after r_B comes F.
         assert [tp.dst for tp in nfa.plans[2].stream_takes["D"]] == [3]
@@ -194,14 +193,15 @@ class TestFcNegation:
             "PATTERN SEQ(A a, NOT(B b), C c, D d)\n"
             "WHERE skip_till_any_match { b.x < c.y }\nWITHIN 1 hour")
         nfa = build_lazy(chain, ["C", "A", "D"], negation="fc")
-        assert len(nfa.states) == 5  # positive chain + F + R only
+        assert len(nfa.states) == 4  # positive chain + F only
         # DEP(B) = {A (preceding), C (succeeding, shared condition)}; both
         # are bound entering the third chain state under order C,A,D.
         (check,) = nfa.plans[2].fc_checks
         assert check.etype == "B" and check.cond
         assert (check.prec_roles, check.succ_roles) == ({"a"}, {"c"})
         assert [sid for sid, p in enumerate(nfa.plans) if p.fc_checks] == [2]
-        assert nfa.plans[nfa.accepting].accept.fc_at_f == {}
+        assert [c.checks for c in nfa.plans[nfa.accepting].complete.values()
+                ] == [()]
 
     def test_dep_on_last_positive_checks_at_accept(self):
         chain = chain_of(
@@ -210,7 +210,7 @@ class TestFcNegation:
         nfa = build_lazy(chain, ["C", "A", "D"], negation="fc")
         # The condition links B to D, the last type in the order, so the
         # check can only run where D is bound: at the accepting state.
-        (check,) = nfa.plans[nfa.accepting].accept.fc_at_f[0]
+        (check,) = nfa.plans[nfa.accepting].complete[0].checks
         assert check.etype == "B"
 
     def test_negated_at_end_rejected(self):
@@ -256,7 +256,7 @@ class TestMultiChain:
         parts = [lazy_parts(c, ascending_freq_order(
             {t: self.RATES[t] for _, t in c.positives})) for c in chains]
         merged = build_multi_chain(parts)
-        assert len(merged.states) == 7  # q1, 2+2 internal, F, R
+        assert len(merged.states) == 6  # q1, 2+2 internal, F
         q1_takes = [e for e in merged.edges
                     if e.src == merged.initial and e.action == N.TAKE]
         assert {next(iter(e.types)) for e in q1_takes} == {"C"}
@@ -280,7 +280,7 @@ class TestMultiChain:
             "PATTERN OR(SEQ(A a, B b), SEQ(C c, D d)) WITHIN 1 hour")
         parts = [lazy_parts(c, sorted(t for _, t in c.positives))
                  for c in chains]
-        assert len(build_multi_chain(parts).states) == 5  # 1 + 1 + 1 + F + R
+        assert len(build_multi_chain(parts).states) == 4  # 1 + 1 + 1 + F
 
     def test_empty_merge_rejected(self):
         with pytest.raises(N.BuildError):

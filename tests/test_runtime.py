@@ -303,6 +303,21 @@ class TestSharedBufferEquivalence:
         with pytest.raises(ShadowMismatch, match="window"):
             run_stream(make_runtime(nfas, paired_buffers=True), stream)
 
+    @pytest.mark.parametrize("mode, orders", [
+        ("eager", None), ("lazy", [["A", "C"]]), ("lazy", [["C", "A"]])])
+    def test_paired_mode_checks_absence_scans(self, monkeypatch, mode,
+                                              orders):
+        # With expiry off, B@0 stays in the shared buffer a window after it
+        # left every instance's own: the absence scan must notice.
+        chains = chains_of("PATTERN SEQ(NOT(B b), A a, C c) WITHIN 10 msec")
+        nfas = compile_pattern(chains, mode, orders=orders)
+        stream = mkstream(("B", 0), ("A", 20), ("C", 25))
+        got = run_stream(make_runtime(nfas, paired_buffers=True), stream)
+        assert [match_line(m) for m in got] == ["a=A@20#1; c=C@25#2"]
+        monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
+        with pytest.raises(ShadowMismatch, match="type B"):
+            run_stream(make_runtime(nfas, paired_buffers=True), stream)
+
 
 class TestMetricsCounters:
     def test_counts_are_tracked(self):
@@ -548,7 +563,7 @@ def test_eager_branches_sharing_f_append_only_to_their_own():
                       for b in enumerate_matches_chains(chains, stream))
     (nfa,) = compile_pattern(chains, "eager")
     f = nfa.plans[nfa.accepting]
-    assert f.accept.grow == {0, 1}
+    assert {b for b, c in f.complete.items() if c.grow} == {0, 1}
     assert sorted(tp.branch for tp in f.stream_takes["B"]) == [0, 1]
     got = run_stream(make_runtime([nfa]), stream)
     assert len(expected) == 6
@@ -561,7 +576,7 @@ def test_eager_completion_grows_only_with_an_append_take():
     # instance: it hands off to the negative tail instead of staying.
     chains = chains_of("PATTERN SEQ(A+ a[], B b, NOT(C h)) WITHIN 300 msec")
     (nfa,) = compile_pattern(chains, "eager")
-    assert not any(p.accept.grow for p in nfa.plans if p.accept is not None)
+    assert not any(c.grow for p in nfa.plans for c in p.complete.values())
     events = generate_stream(StreamSpec(
         rates={"A": 20.0, "B": 30.0, "C": 10.0, "D": 5.0}, count=800, seed=5))
     rt = make_runtime([nfa])
@@ -583,7 +598,8 @@ def test_growing_accept_hands_out_copies_of_its_binding():
                       ("B", 4, {"stock": 1}), ("A", 5),
                       ("B", 6, {"stock": 1}), ("B", 7, {"stock": 2}))
     rt, untouched = make_runtime(nfas), make_runtime(nfas)
-    assert any(p.accept.grow for p in rt.plans if p.kind == N.ACCEPT)
+    assert any(c.grow for p in rt.plans if p.kind == N.ACCEPT
+               for c in p.complete.values())
     got, expected = [], []
     for e in stream:
         out = rt.step(e)
