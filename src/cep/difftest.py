@@ -4,8 +4,10 @@ Each case draws a random pattern (sequence/conjunction/partial nesting,
 optional negation, iteration, disjunction, predicates) with its window, and
 a short random stream whose gaps sometimes fall on the window's edge, then
 checks that every applicable evaluation mode produces exactly the oracle's
-match multiset. On divergence the stream is greedily shrunk before
-reporting.
+match multiset. Every mode runs with paired buffers (the shadow-buffer
+check) and must emit each step's matches in ``(detection_ts, key)`` order;
+a ``ShadowMismatch`` or a misordered step is a divergence too. On
+divergence the stream is greedily shrunk before reporting.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .events import Event
 from .nfa import BuildError
 from .oracle import enumerate_matches_chains
 from .patterns import parse_pattern, to_dnf
-from .runtime import match_key, run_stream
+from .runtime import ShadowMismatch, match_key
 
 TYPE_POOL = ["A", "B", "C", "D", "E"]
 NOISE_TYPE = "Z"
@@ -210,8 +212,30 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
 
 
 def _run_mode(chains, events, mode: str, orders):
-    runtime = make_runtime(compile_pattern(chains, mode, orders=orders))
-    return sorted(match_key(m.binding) for m in run_stream(runtime, events))
+    """The sorted match keys of ``mode`` over ``events``, with paired buffers.
+
+    A ``ShadowMismatch``, or a step or flush whose matches are not sorted
+    by ``(detection_ts, key)``, comes back as a one-line failure instead,
+    which no oracle result equals.
+    """
+    runtime = make_runtime(compile_pattern(chains, mode, orders=orders),
+                           paired_buffers=True)
+
+    def outputs():
+        for e in events:
+            yield runtime.step(e)
+        yield runtime.flush()
+
+    got = []
+    try:
+        for out in outputs():
+            keys = [(m.detection_ts, m.key()) for m in out]
+            if keys != sorted(keys):
+                return [f"matches emitted out of order: {keys}"]
+            got += [k for _, k in keys]
+    except ShadowMismatch as exc:
+        return [f"ShadowMismatch: {exc}"]
+    return sorted(got)
 
 
 def _shrink(chains, events, mode: str, orders, cap: int):

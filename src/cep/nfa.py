@@ -7,16 +7,17 @@ checks, eager completion). One chain's parts become an automaton as they
 are; :func:`build_multi_chain` merges several into one that shares the
 initial and accepting states. Constructing an automaton compiles it, once,
 into the executable plan: one :class:`StatePlan` per state, the states each
-arriving type acts on, the states that settle, and the types the shared
-buffer stores. It then validates the automaton from those tables. Every
-``Runtime`` (in :mod:`cep.runtime`) shares the plan and compiles nothing.
+arriving type acts on, the states that settle, the types the shared buffer
+stores and the sort key of the matches one step emits. It then validates
+the automaton from those tables. Every ``Runtime`` (in :mod:`cep.runtime`)
+shares the plan and compiles nothing.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .patterns import ChainPattern
 from .predicates import KleeneAtoms, split_kleene
@@ -92,6 +93,9 @@ class TakePlan:
     append: bool = False  # eager accumulation self-loop
     iter_first: bool = False  # eager first bind of the iterated role
     req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
+    # The destination is a settling F whose completion for this branch is
+    # BARE: the spawned instance would only emit its match and retire.
+    emits: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,10 @@ class Completion:
     gate: Optional[tuple]  # (iterated role, lo, its atoms); eager only
     grow: bool
     tail_start: Optional[int]  # None at F
+
+
+# A completion that checks, gates and grows nothing and has no tail.
+BARE = Completion(checks=(), gate=None, grow=False, tail_start=None)
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,8 @@ class Nfa:
     plans: tuple = field(init=False, repr=False, compare=False)
     type_interest: dict = field(init=False, repr=False, compare=False)
     settling: tuple = field(init=False, repr=False, compare=False)
+    # Sort key of one step's matches: ``(detection_ts, match key)`` order.
+    drain_key: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The shared buffer stores exactly the store-edge types.
@@ -162,16 +172,8 @@ class Nfa:
                     interest[t].add(sid)
         object.__setattr__(self, "type_interest",
                            {t: tuple(sorted(s)) for t, s in interest.items()})
-        # A settling state: no arrival can act on an instance there once its
-        # entry has returned, so the instance is never registered and is
-        # retired as soon as its entry returns. A state settles when it takes
-        # nothing from the stream and no completion hands the instance to a
-        # tail, where it may wait. NEG states never settle: their timeout
-        # emits.
-        object.__setattr__(self, "settling", tuple(
-            plan.kind != NEG and not plan.stream_takes
-            and all(c.tail_start is None for c in plan.complete.values())
-            for plan in plans))
+        object.__setattr__(self, "settling", tuple(map(_settles, plans)))
+        object.__setattr__(self, "drain_key", _drain_key(self.branches))
         validate_nfa(self)
 
 
@@ -252,6 +254,17 @@ def negative_tail(negs, start: int) -> tuple:
     return states, edges, tuple(tail)
 
 
+def _settles(plan: StatePlan) -> bool:
+    """Whether ``plan``'s state settles: no arrival can act on an instance
+    there once its entry has returned, so the instance is never registered
+    and is retired as soon as its entry returns. A state settles when it
+    takes nothing from the stream and no completion hands the instance to
+    a tail, where it may wait. NEG states never settle: their timeout
+    emits."""
+    return (plan.kind != NEG and not plan.stream_takes
+            and all(c.tail_start is None for c in plan.complete.values()))
+
+
 def _compile_plans(nfa: Nfa) -> tuple:
     storable = nfa.storable
     takes_by_src: dict = defaultdict(list)
@@ -264,8 +277,7 @@ def _compile_plans(nfa: Nfa) -> tuple:
     tail_at = {sid: (branch, i) for branch in nfa.branches
                for i, (sid, _, _) in enumerate(branch.tail)}
 
-    plans = []
-    for st in nfa.states:
+    def compile_state(st: State, emitting) -> StatePlan:
         entry, stream = [], defaultdict(list)
         fc: tuple = ()
         neg_plan = None
@@ -305,6 +317,7 @@ def _compile_plans(nfa: Nfa) -> tuple:
                 iter_first=(e.action == TAKE and it is not None
                             and e.role == it.role and not append),
                 req_iter_min=req,
+                emits=e.dst == nfa.accepting and bi in emitting,
             )
             if tp.stream_ok:
                 stream[tp.etype].append(tp)
@@ -340,7 +353,7 @@ def _compile_plans(nfa: Nfa) -> tuple:
             neg_plan = NegPlan(tail=rest,
                                kill_map={t: tuple(v) for t, v in kill.items()})
 
-        plans.append(StatePlan(
+        return StatePlan(
             kind=st.kind,
             entry_takes=tuple(entry),
             stream_takes={t: tuple(v) for t, v in stream.items()},
@@ -348,8 +361,65 @@ def _compile_plans(nfa: Nfa) -> tuple:
             complete=complete,
             neg=neg_plan,
             store_types=frozenset(stores_by_src.get(st.sid, ())),
-        ))
-    return tuple(plans)
+        )
+
+    # F comes first: a take into it emits the match itself when F settles
+    # and the take's branch completes there BARE.
+    f = compile_state(nfa.states[nfa.accepting], emitting=())
+    emitting = ({bi for bi, c in f.complete.items() if c == BARE}
+                if _settles(f) else ())
+    return tuple(f if st.sid == nfa.accepting else compile_state(st, emitting)
+                 for st in nfa.states)
+
+
+def detection_order(m) -> tuple:
+    """Sorts matches as ``(m.detection_ts, m.key())`` does, with a smaller key.
+
+    The key is the detection time followed by one ``(role, etype, seq, ...)``
+    tuple per role, in role order. The members of one role share one type,
+    and ``Runtime.step`` keeps ``seq`` increasing with ``ts``, so ``seq``
+    orders a stream's events as ``(ts, seq)`` does. The type stays: OR
+    branches may bind one role name to different types.
+    """
+    key = [m.detection_ts]
+    for role, bound in sorted(m.binding.items()):
+        if type(bound) is tuple:
+            key.append((role, bound[0].etype, *[e.seq for e in bound]))
+        else:
+            key.append((role, bound.etype, bound.seq))
+    return tuple(key)
+
+
+def _drain_key(branches: tuple):
+    """A sort key that orders an automaton's matches as
+    :func:`detection_order` does.
+
+    When every branch binds the same roles to the same types, each
+    iterated or not alike, every match has that one signature: roles and
+    types then compare equal, and the key keeps only the detection time
+    and, per role in role order, the ``seq`` of its event or the tuple of
+    its members' ``seq``.
+    """
+    signatures = {tuple(sorted(
+        (role, etype, b.chain.iterated is not None
+         and role == b.chain.iterated.role)
+        for role, etype in b.chain.positives)) for b in branches}
+    if len(signatures) != 1:
+        return detection_order
+    roles = tuple((role, iterated) for role, _, iterated in signatures.pop())
+
+    def key(m) -> tuple:
+        binding = m.binding
+        out = [m.detection_ts]
+        for role, iterated in roles:
+            bound = binding[role]
+            # tuple([...]), not tuple(map(...)), which raised the traced
+            # peak memory of a Kleene benchmark replay by 2.4 KiB.
+            out.append(tuple([e.seq for e in bound]) if iterated
+                       else bound.seq)
+        return tuple(out)
+
+    return key
 
 
 def validate_nfa(nfa: Nfa) -> None:

@@ -41,24 +41,6 @@ class Match(NamedTuple):
         return match_key(self.binding)
 
 
-def _detection_order(m: Match) -> tuple:
-    """Sorts as ``(m.detection_ts, m.key())`` does, with a smaller key.
-
-    The key is the detection time followed by one ``(role, etype, seq, ...)``
-    tuple per role, in role order. The members of one role share one type,
-    and ``Runtime.step`` keeps ``seq`` increasing with ``ts``, so ``seq``
-    orders a stream's events as ``(ts, seq)`` does. The type stays: OR
-    branches may bind one role name to different types.
-    """
-    key = [m.detection_ts]
-    for role, bound in sorted(m.binding.items()):
-        if type(bound) is tuple:
-            key.append((role, bound[0].etype, *[e.seq for e in bound]))
-        else:
-            key.append((role, bound.etype, bound.seq))
-    return tuple(key)
-
-
 def match_key(binding: dict) -> tuple:
     return tuple([
         (role, tuple([(e.etype, e.ts, e.seq) for e in bound])
@@ -126,24 +108,31 @@ class Runtime:
 
     # -- instance bookkeeping ------------------------------------------------
 
-    def _new_instance(self, sid, branch, binding, anchor, maxkey, theta,
-                      shadow=None, spawn_key=None) -> Instance:
+    def _count_new(self) -> int:
+        """Number a new instance; count its creation and the live peak.
+
+        The peak counts it with the registered instances and the settling
+        ones whose entry is running.
+        """
         iid = self._next_iid
-        self._next_iid += 1
-        inst = Instance(iid, sid, branch, binding, anchor, maxkey, theta,
-                        shadow, spawn_key)
+        self._next_iid = iid + 1
         metrics = self.metrics
         metrics.instance_create += 1
-        if self.settling[sid]:
-            live = len(self.live) + self._entering + 1
-        else:
+        live = len(self.live) + self._entering + 1
+        if live > metrics.peak_live_instances:
+            metrics.peak_live_instances = live
+        return iid
+
+    def _new_instance(self, sid, branch, binding, anchor, maxkey, theta,
+                      shadow=None, spawn_key=None) -> Instance:
+        iid = self._count_new()
+        inst = Instance(iid, sid, branch, binding, anchor, maxkey, theta,
+                        shadow, spawn_key)
+        if not self.settling[sid]:
             self.live[iid] = inst
             self.by_state[sid][iid] = inst
             if anchor is not None:
                 heapq.heappush(self.heap, (anchor + self.window, iid))
-            live = len(self.live) + self._entering
-        if live > metrics.peak_live_instances:
-            metrics.peak_live_instances = live
         return inst
 
     def _retire(self, inst: Instance) -> None:
@@ -165,10 +154,13 @@ class Runtime:
         gets a copy of the binding instead.
         """
         binding = dict(inst.binding) if keep else inst.binding
-        self._pending.append(Match(binding, detection_ts, inst.branch))
-        self.metrics.matches += 1
+        self._match(binding, detection_ts, inst.branch)
         if not keep:
             self._retire(inst)
+
+    def _match(self, binding: dict, detection_ts: int, branch: int) -> None:
+        self._pending.append(Match(binding, detection_ts, branch))
+        self.metrics.matches += 1
 
     # -- stream driving ------------------------------------------------------
 
@@ -222,7 +214,7 @@ class Runtime:
         out = self._pending
         self._pending = []
         if len(out) > 1:
-            out.sort(key=_detection_order)
+            out.sort(key=self.nfa.drain_key)
         return out
 
     def _fire_timeouts(self, now_ts: Optional[int]) -> None:
@@ -330,6 +322,9 @@ class Runtime:
         lower = self._lower_bound(inst, tp.prec_roles)
         upper = self._upper_bound(inst, tp.succ_roles)
         self.metrics.buffer_search += 1
+        if self.paired:
+            self._shadow_check(inst, tp, lower, upper,
+                               self.buffer.query(tp.etype, lower, upper))
         subsets = iterate_fetch(
             self.buffer, tp.etype, lower, upper, (lo, hi),
             group_attr=group, new_event=new_event, condition=tp.kleene,
@@ -349,12 +344,21 @@ class Runtime:
             lo_ts, hi_key = bound.ts, bound.key
         anchor = lo_ts if inst.anchor is None else min(inst.anchor, lo_ts)
         maxkey = hi_key if inst.maxkey is None else max(inst.maxkey, hi_key)
+        if self.paired and maxkey[0] - anchor > self.window:
+            raise ShadowMismatch(
+                f"instance spawned in state {tp.dst} spans "
+                f"{maxkey[0] - anchor} > window {self.window}")
+        if tp.emits:
+            # The clone would only complete, bare, and retire: count it as
+            # created and retired, and emit its match unless the first-chance
+            # floor rules it out, without building it.
+            self._count_new()
+            if not self._under_floor(inst.theta, maxkey[0]):
+                self._match(binding, maxkey[0], tp.branch)
+            self.metrics.instance_retire += 1
+            return
         shadow = None
         if self.paired:
-            if maxkey[0] - anchor > self.window:
-                raise ShadowMismatch(
-                    f"instance spawned in state {tp.dst} spans "
-                    f"{maxkey[0] - anchor} > window {self.window}")
             shadow = {t: list(v) for t, v in inst.shadow.items()}
         clone = self._new_instance(tp.dst, tp.branch, binding, anchor, maxkey,
                                    inst.theta, shadow, spawn_event.key)
@@ -380,7 +384,7 @@ class Runtime:
         for chk in c.checks:
             if self._neg_scan(inst, chk):
                 return True
-        if inst.theta > NEG_INF and inst.maxkey[0] <= inst.theta + self.window:
+        if self._under_floor(inst.theta, inst.maxkey[0]):
             self._retire(inst)
             return True
         if c.gate is not None:
@@ -409,6 +413,11 @@ class Runtime:
         self._tail_entry(copy, tail)
         return False
 
+    def _under_floor(self, theta, last_ts: int) -> bool:
+        """A match ending at ``last_ts`` has a window that reaches back to
+        a negated event found at ``theta`` by a first-chance scan."""
+        return theta > NEG_INF and last_ts <= theta + self.window
+
     def _tail_entry(self, inst: Instance, tail: tuple) -> None:
         # Scan the buffered candidates of every remaining negated type now:
         # this is the only moment all of them are both complete (for types
@@ -436,16 +445,19 @@ class Runtime:
         # No event is required to precede the negated one, so whether a
         # candidate invalidates a match depends on the final extent of the
         # match window; carry the latest candidate and decide at completion.
-        # The floor rises during the scan: a candidate no later than the
-        # latest hit so far is not evaluated.
+        # Only the latest satisfying candidate above the floor matters, so
+        # the scan runs from the newest down and stops at the first one.
         upper = self._upper_bound(inst, chk.succ_roles)
         self.metrics.buffer_search += 1
         cands = self.buffer.query(chk.etype, None, upper)
         if self.paired:
             self._shadow_check(inst, chk, None, upper, cands)
-        for x in cands:
-            if x.ts > inst.theta and self._cond_ok(inst, chk, x):
+        for x in reversed(cands):
+            if x.ts <= inst.theta:
+                break
+            if self._cond_ok(inst, chk, x):
                 inst.theta = x.ts
+                break
         return False
 
     def _cond_ok(self, inst: Instance, chk: NegSpec, x: Event) -> bool:

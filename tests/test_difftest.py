@@ -43,3 +43,26 @@ def test_shrinker_minimizes_a_planted_divergence():
     # There is no real divergence, so shrinking bottoms out at the full
     # agreement point: expected == got.
     assert expected == got
+
+
+def test_paired_buffer_mismatches_are_divergences(monkeypatch):
+    from cep.buffer import InputBuffer
+
+    # With expiry off the shared buffer keeps what every instance's own
+    # buffer dropped: the paired check must turn that into a divergence.
+    monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
+    divergence = run_suite(cases=200, seed=4, max_events=16)
+    assert divergence is not None
+    assert divergence.got[0].startswith("ShadowMismatch")
+    assert len(divergence.events) <= 6
+
+
+def test_misordered_steps_are_divergences(monkeypatch):
+    from cep.runtime import Runtime
+
+    drain = Runtime._drain
+    monkeypatch.setattr(Runtime, "_drain", lambda self: drain(self)[::-1])
+    divergence = run_suite(cases=200, seed=4, max_events=16)
+    assert divergence is not None
+    assert divergence.got[0].startswith("matches emitted out of order")
+    assert len(divergence.events) <= 6

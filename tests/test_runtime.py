@@ -15,7 +15,7 @@ from cep.metrics import Metrics
 from cep.nfa import BuildError
 from cep.oracle import enumerate_matches_chains
 from cep.patterns import parse_pattern, to_dnf
-from cep.runtime import (Match, Runtime, ShadowMismatch, _detection_order,
+from cep.runtime import (Match, Runtime, ShadowMismatch,
                          match_key, match_line, run_stream)
 from cep.streams import StreamSpec, generate_stream
 
@@ -289,18 +289,39 @@ class TestSharedBufferEquivalence:
         assert compared > 100
 
     def test_paired_mode_checks_the_window_on_every_spawn(self, monkeypatch):
-        # Subset searches bypass the shadow buffer; the spawn check alone
-        # sees a subset reaching past the window.
+        # The subset search takes the stale Bs into F, whose match the take
+        # emits without building an instance. With the search check off,
+        # the spawn check alone sees the subset reaching past the window.
         chains = apply_group_by(chains_of(
             "PATTERN SEQ(B+ b[], C c) WHERE skip_till_any_match"
             " { b[i].stock = b[i-1].stock } WITHIN 10 msec"), "b", "stock")
         nfas = compile_pattern(chains, "lazy", orders=[["C", "B"]])
+        (nfa,) = nfas
+        assert [tp.emits for p in nfa.plans for tp in p.entry_takes] == [True]
         stream = mkstream(("B", 0, {"stock": 1}), ("B", 1, {"stock": 1}),
                           ("B", 25, {"stock": 1}), ("C", 30))
         got = run_stream(make_runtime(nfas, paired_buffers=True), stream)
         assert [match_line(m) for m in got] == ["b=B@25#2; c=C@30#3"]
         monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
+        with pytest.raises(ShadowMismatch, match="type B"):
+            run_stream(make_runtime(nfas, paired_buffers=True), stream)
+        monkeypatch.setattr(Runtime, "_shadow_check", lambda *args: None)
         with pytest.raises(ShadowMismatch, match="window"):
+            run_stream(make_runtime(nfas, paired_buffers=True), stream)
+
+    @pytest.mark.parametrize("order", [["C", "B"], ["B", "C"]])
+    def test_paired_mode_checks_kleene_pools(self, monkeypatch, order):
+        # With expiry off, B@0 stays in the shared buffer after it left the
+        # window. The member atom keeps it out of every subset, so no spawn
+        # reaches past the window: only the pool check can notice.
+        chains = chains_of("PATTERN SEQ(B+ b[], C c) WHERE skip_till_any_match"
+                           " { b[i].x > 0 } WITHIN 10 msec")
+        nfas = compile_pattern(chains, "lazy", orders=[order])
+        stream = mkstream(("B", 0, {"x": 0}), ("B", 15, {"x": 1}), ("C", 20))
+        got = run_stream(make_runtime(nfas, paired_buffers=True), stream)
+        assert [match_line(m) for m in got] == ["b=B@15#1; c=C@20#2"]
+        monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
+        with pytest.raises(ShadowMismatch, match="type B"):
             run_stream(make_runtime(nfas, paired_buffers=True), stream)
 
     @pytest.mark.parametrize("mode, orders", [
@@ -553,6 +574,40 @@ def test_settling_instances_are_never_registered(seed, mode):
     assert rt.metrics.instance_retire == rt.metrics.instance_create - 1
 
 
+def test_bare_completions_build_no_instance():
+    # The takes into F emit the four matches; every other instance but the
+    # seed, built before the wrapper, is built.
+    chains = chains_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
+    rt = make_runtime(compile_pattern(chains, "lazy", orders=[["C", "B", "A"]]))
+    built = []
+    new = rt._new_instance
+    rt._new_instance = lambda *args: built.append(new(*args)) or built[-1]
+    assert len(run_stream(rt, FIG3_STREAM)) == 4
+    counters = rt.metrics.counters()
+    assert len(built) == counters["instance_create"] - 1 - 4
+    assert counters["instance_retire"] == counters["instance_create"] - 1
+
+
+def test_first_chance_floor_drops_a_directly_emitted_match():
+    # The C clone's first-chance scan finds D@0 and sets its floor. The A
+    # take into F emits without building an instance, and drops A@8, whose
+    # match window reaches back to D@0, as the completion at F would.
+    chains = chains_of("PATTERN SEQ(NOT(D d), C c, A a) WITHIN 10 msec")
+    (nfa,) = compile_pattern(chains, "lazy-fc", orders=[["C", "A"]])
+    (take,) = nfa.plans[nfa.plans[0].stream_takes["C"][0].dst].stream_takes["A"]
+    assert take.dst == nfa.accepting and take.emits
+    stream = mkstream(("D", 0), ("C", 5), ("A", 8), ("A", 12))
+    rt = make_runtime([nfa])
+    got = run_stream(rt, stream)
+    assert [match_line(m) for m in got] == ["a=A@12#3; c=C@5#1"]
+    assert [match_key(m.binding) for m in got] == [
+        match_key(b) for b in enumerate_matches_chains(chains, stream)]
+    counters = rt.metrics.counters()
+    assert [counters[k] for k in ("matches", "instance_create",
+                                  "instance_retire", "peak_live_instances")
+            ] == [1, 4, 3, 3]
+
+
 def test_eager_branches_sharing_f_append_only_to_their_own():
     # Both eager chains end on B+, so their accepting states merge into one
     # F that carries an append take per branch.
@@ -656,13 +711,15 @@ def test_paired_mode_on_the_benchmark_patterns(pattern, rates, group_by):
     assert got and paired.metrics.buffer_search > 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_detection_order_sorts_as_the_match_key(data):
+def _draw_matches(data, signature=None) -> list:
+    """2-8 matches over one drawn stream. With a ``signature`` (role ->
+    iterated or not), each binds exactly those roles, role ``r`` to type
+    ``r.upper()``; otherwise each draws its own roles, types and kinds."""
     # One stream: seq increases, ts does not decrease.
     gaps = data.draw(st.lists(st.tuples(st.sampled_from("ABC"),
                                         st.integers(0, 2)),
                               min_size=1, max_size=12))
+    gaps += [(t, 0) for t in "ABC"]  # every type occurs
     events, ts = [], 0
     for seq, (etype, gap) in enumerate(gaps):
         ts += gap
@@ -673,14 +730,42 @@ def test_detection_order_sorts_as_the_match_key(data):
     matches = []
     for _ in range(data.draw(st.integers(2, 8))):
         binding = {}
-        for role in data.draw(st.sets(st.sampled_from("abc"), min_size=1)):
-            pool = by_type[data.draw(st.sampled_from(sorted(by_type)))]
+        roles = signature or data.draw(st.sets(st.sampled_from("abc"),
+                                               min_size=1))
+        for role in roles:
+            etype = (role.upper() if signature
+                     else data.draw(st.sampled_from(sorted(by_type))))
+            pool = by_type[etype]
             picked = [pool[i] for i in sorted(data.draw(st.sets(
                 st.integers(0, len(pool) - 1), min_size=1, max_size=3)))]
-            binding[role] = (tuple(picked) if data.draw(st.booleans())
-                             else picked[0])
+            iterated = (signature[role] if signature
+                        else data.draw(st.booleans()))
+            binding[role] = tuple(picked) if iterated else picked[0]
         matches.append(Match(binding, data.draw(st.integers(0, 1)),
                              data.draw(st.integers(0, 2))))
+    return matches
+
+
+def _sorts_as_the_match_key(matches, key) -> bool:
     by_key = sorted(matches, key=lambda m: (m.detection_ts, m.key()))
-    by_order = sorted(matches, key=_detection_order)
-    assert [id(m) for m in by_order] == [id(m) for m in by_key]
+    return [id(m) for m in sorted(matches, key=key)] == [id(m) for m in by_key]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_detection_order_sorts_as_the_match_key(data):
+    assert _sorts_as_the_match_key(_draw_matches(data), N.detection_order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compiled_drain_key_sorts_as_the_match_key(data):
+    roles = sorted(data.draw(st.sets(st.sampled_from("abc"), min_size=1)))
+    iterated = data.draw(st.sampled_from([None] + roles))
+    items = [f"{r.upper()}+ {r}[]" if r == iterated else f"{r.upper()} {r}"
+             for r in roles]
+    (nfa,) = compile_pattern(
+        chains_of(f"PATTERN SEQ({', '.join(items)}) WITHIN 1 hour"), "eager")
+    assert nfa.drain_key is not N.detection_order
+    matches = _draw_matches(data, {r: r == iterated for r in roles})
+    assert _sorts_as_the_match_key(matches, nfa.drain_key)
