@@ -18,14 +18,14 @@ from .nfa import BuildError, ChainParts, Nfa, build_multi_chain, validate_nfa
 from .oracle import enumerate_matches, enumerate_matches_chains
 from .patterns import (ChainPattern, ParseError, PatternAst, PatternError,
                        parse_pattern, render_chain, render_pattern, to_dnf)
-from .runtime import (Match, Runtime, ShadowMismatch, match_key, match_line,
-                      run_stream)
+from .runtime import (Match, PairedRuntime, Runtime, ShadowMismatch, match_key,
+                      match_line, run_stream)
 from .stats import UndefinedCorrelationError, pearson
 
 __all__ = [
     "BuildError", "ChainParts", "ChainPattern", "Event", "InputBuffer",
-    "Match", "Metrics", "Nfa", "ParseError", "PatternAst", "PatternError",
-    "Runtime", "ShadowMismatch", "StreamDataError",
+    "Match", "Metrics", "Nfa", "PairedRuntime", "ParseError", "PatternAst",
+    "PatternError", "Runtime", "ShadowMismatch", "StreamDataError",
     "UndefinedCorrelationError", "ascending_freq_order", "build_eager",
     "build_lazy", "build_multi_chain", "build_runtime",
     "check_stream_order", "compile_pattern", "eager_parts",

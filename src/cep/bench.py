@@ -37,12 +37,11 @@ def run_benchmark(
     warmup: bool = False,
     dedup: bool = False,
     keep_matches: bool = True,
-    paired_buffers: bool = False,
 ) -> RunResult:
     nfas = compile_pattern(chains, mode, rates=rates, orders=orders)
 
     def one_run(keep: bool):
-        runtime = make_runtime(nfas, paired_buffers=paired_buffers)
+        runtime = make_runtime(nfas)
         kept = [] if keep else None
         start = time.perf_counter()
         for e in events:

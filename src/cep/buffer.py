@@ -12,7 +12,7 @@ import bisect
 from operator import attrgetter
 from typing import Optional
 
-from .events import Event, EventType, StreamDataError
+from .events import Event, EventType
 from .predicates import KleeneAtoms, eval_atoms, split_kleene
 
 
@@ -59,6 +59,7 @@ class _TypeLane:
 class InputBuffer:
     """One arrival-ordered lane per event type.
 
+    Events are stored in arrival order: ``Runtime.step`` rejects any other.
     ``oldest_ts`` (read-only) is the timestamp of the oldest live event, or
     None when the buffer is empty: ``expire`` removes nothing unless its
     watermark is above it.
@@ -66,16 +67,11 @@ class InputBuffer:
 
     def __init__(self):
         self._lanes: dict = {}
-        self._last_key = None
         self.oldest_ts = None
 
     def store(self, e: Event) -> None:
-        key = e.key
-        if self._last_key is not None and key <= self._last_key:
-            raise StreamDataError(f"buffer store out of order: {e}")
-        self._last_key = key
         if self.oldest_ts is None:
-            self.oldest_ts = key[0]
+            self.oldest_ts = e.ts
         etype = e.etype
         lane = self._lanes.get(etype)
         if lane is None:
@@ -119,10 +115,7 @@ class InputBuffer:
 
 
 def iterate_fetch(
-    buf: InputBuffer,
-    etype: EventType,
-    lower: Optional[tuple],
-    upper: Optional[tuple],
+    pool: list,
     bounds: tuple,
     group_attr: Optional[str] = None,
     new_event: Optional[Event] = None,
@@ -132,7 +125,8 @@ def iterate_fetch(
     counter=None,
     generated=None,
 ) -> list:
-    """Enumerate qualifying subsets of buffered events of one type.
+    """Enumerate qualifying subsets of ``pool``, the key-ordered events of
+    one type that a buffer search returned.
 
     Subsets have sizes within ``bounds``, satisfy ``condition`` joined with
     the already-bound roles, contain ``new_event`` when one is given, and are
@@ -172,7 +166,6 @@ def iterate_fetch(
                 return None
         return s + (x,)
 
-    pool = buf.query(etype, lower, upper)
     found = []
     if new_event is not None:
         # The arriving event is the newest, so it closes every subset; the

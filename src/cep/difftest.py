@@ -4,7 +4,7 @@ Each case draws a random pattern (sequence/conjunction/partial nesting,
 optional negation, iteration, disjunction, predicates) with its window, and
 a short random stream whose gaps sometimes fall on the window's edge, then
 checks that every applicable evaluation mode produces exactly the oracle's
-match multiset. Every mode runs with paired buffers (the shadow-buffer
+match multiset. Every mode runs in a ``PairedRuntime`` (the shadow-buffer
 check) and must emit each step's matches in ``(detection_ts, key)`` order;
 a ``ShadowMismatch`` or a misordered step is a divergence too. On
 divergence the stream is greedily shrunk before reporting.
@@ -16,12 +16,12 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import apply_group_by, compile_pattern, make_runtime
+from .engine import apply_group_by, compile_pattern
 from .events import Event
 from .nfa import BuildError
 from .oracle import enumerate_matches_chains
 from .patterns import parse_pattern, to_dnf
-from .runtime import ShadowMismatch, match_key
+from .runtime import PairedRuntime, ShadowMismatch, match_key
 
 TYPE_POOL = ["A", "B", "C", "D", "E"]
 NOISE_TYPE = "Z"
@@ -212,14 +212,14 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
 
 
 def _run_mode(chains, events, mode: str, orders):
-    """The sorted match keys of ``mode`` over ``events``, with paired buffers.
+    """The sorted match keys of ``mode`` over ``events``, run paired.
 
     A ``ShadowMismatch``, or a step or flush whose matches are not sorted
     by ``(detection_ts, key)``, comes back as a one-line failure instead,
     which no oracle result equals.
     """
-    runtime = make_runtime(compile_pattern(chains, mode, orders=orders),
-                           paired_buffers=True)
+    (nfa,) = compile_pattern(chains, mode, orders=orders)
+    runtime = PairedRuntime(nfa)
 
     def outputs():
         for e in events:

@@ -83,19 +83,18 @@ def compile_pattern(
     return [parts[0].nfa()]
 
 
-def make_runtime(nfas: Sequence[Nfa], paired_buffers: bool = False):
+def make_runtime(nfas: Sequence[Nfa]):
     """A runtime for the automaton that :func:`compile_pattern` returns."""
     (nfa,) = nfas
-    return Runtime(nfa, paired_buffers=paired_buffers)
+    return Runtime(nfa)
 
 
 def build_runtime(ast: PatternAst, mode: str,
                   rates: Optional[Mapping[str, float]] = None,
                   orders: Optional[Sequence[Sequence[str]]] = None,
-                  group_by: Optional[tuple] = None,
-                  paired_buffers: bool = False):
+                  group_by: Optional[tuple] = None):
     chains = to_dnf(ast)
     if group_by is not None:
         chains = apply_group_by(chains, group_by[0], group_by[1])
     nfas = compile_pattern(chains, mode, rates=rates, orders=orders)
-    return make_runtime(nfas, paired_buffers=paired_buffers)
+    return make_runtime(nfas)

@@ -63,10 +63,9 @@ class ShadowMismatch(AssertionError):
 
 class Instance:
     __slots__ = ("iid", "sid", "branch", "binding", "anchor", "maxkey",
-                 "theta", "alive", "shadow", "spawn_key")
+                 "theta", "alive")
 
-    def __init__(self, iid, sid, branch, binding, anchor, maxkey,
-                 theta=NEG_INF, shadow=None, spawn_key=None):
+    def __init__(self, iid, sid, branch, binding, anchor, maxkey, theta):
         self.iid = iid
         self.sid = sid
         self.branch = branch
@@ -75,24 +74,20 @@ class Instance:
         self.maxkey = maxkey  # max bound (ts, seq); None for the seed
         self.theta = theta  # deferred negation floor (first-chance checks)
         self.alive = True
-        self.shadow = shadow  # per-instance buffer in paired mode
-        self.spawn_key = spawn_key  # (ts, seq) of the spawning event
 
 
 class Runtime:
     """Single-threaded executor; feed events in arrival order, then flush."""
 
-    def __init__(self, nfa: N.Nfa, metrics: Optional[Metrics] = None,
-                 paired_buffers: bool = False):
+    def __init__(self, nfa: N.Nfa):
         self.nfa = nfa
         self.window = nfa.window
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         self.plans = nfa.plans
         self.storable = nfa.storable
         self.type_interest = nfa.type_interest
         self.settling = nfa.settling
         self.buffer = InputBuffer()
-        self.paired = paired_buffers
         self.live: dict = {}
         self.by_state: dict = defaultdict(dict)
         self.heap: list = []
@@ -100,11 +95,8 @@ class Runtime:
         self._pending: list = []
         self._last_key = None
         self._last_seq = None
-        self.watermark = None
         self._entering = 0  # settling instances whose entry is running
-        seed = self._new_instance(nfa.initial, None, {}, None, None, NEG_INF,
-                                  shadow={} if paired_buffers else None)
-        self.seed = seed
+        self.seed = self._new_instance(None, nfa.initial, None, {}, None, None)
 
     # -- instance bookkeeping ------------------------------------------------
 
@@ -123,11 +115,11 @@ class Runtime:
             metrics.peak_live_instances = live
         return iid
 
-    def _new_instance(self, sid, branch, binding, anchor, maxkey, theta,
-                      shadow=None, spawn_key=None) -> Instance:
+    def _new_instance(self, parent: Optional[Instance], sid, branch, binding,
+                      anchor, maxkey) -> Instance:
         iid = self._count_new()
-        inst = Instance(iid, sid, branch, binding, anchor, maxkey, theta,
-                        shadow, spawn_key)
+        theta = NEG_INF if parent is None else parent.theta
+        inst = Instance(iid, sid, branch, binding, anchor, maxkey, theta)
         if not self.settling[sid]:
             self.live[iid] = inst
             self.by_state[sid][iid] = inst
@@ -177,15 +169,11 @@ class Runtime:
             self._pending = []  # left over from a step that raised
         if self.heap and self.heap[0][0] < ts:
             self._fire_timeouts(ts)
-        watermark = self.watermark = ts - self.window
+        watermark = ts - self.window
         buffer = self.buffer
         if buffer.oldest_ts is not None and watermark > buffer.oldest_ts:
             metrics.buffer_remove += buffer.expire(watermark)
         etype = e.etype
-        if self.paired:
-            for inst in list(self.live.values()):
-                if etype in self.plans[inst.sid].store_types:
-                    inst.shadow.setdefault(etype, []).append(e)
         if etype in self.storable:
             buffer.store(e)
             metrics.buffer_insert += 1
@@ -256,7 +244,7 @@ class Runtime:
                 return
             if group is not None and members and e.attr(group) != members[0].attr(group):
                 return
-            self._spawn(inst, tp, members + (e,), e)
+            self._spawn(inst, tp, members + (e,))
             return
         if tp.iterate is not None:
             self._iterate_candidates(inst, tp, new_event=e)
@@ -270,7 +258,7 @@ class Runtime:
             binding[tp.role] = e
             if not eval_atoms(tp.cond, binding, self.metrics):
                 return
-        self._spawn(inst, tp, (e,) if tp.iter_first else e, e)
+        self._spawn(inst, tp, (e,) if tp.iter_first else e)
 
     # -- buffer searches -----------------------------------------------------
 
@@ -289,23 +277,23 @@ class Runtime:
                 self._iterate_candidates(inst, tp, new_event=None)
             else:
                 for x in self._candidates(inst, tp):
-                    self._spawn(inst, tp, (x,) if tp.iter_first else x, x)
+                    self._spawn(inst, tp, (x,) if tp.iter_first else x)
+
+    def _query(self, inst: Instance, chk, lower, upper) -> list:
+        """Every buffer search, one ``buffer_search`` each: the events of
+        ``chk``'s type (a TakePlan's or a NegSpec's) between the bounds."""
+        self.metrics.buffer_search += 1
+        return self.buffer.query(chk.etype, lower, upper)
 
     def _candidates(self, inst: Instance, chk):
         """Lazily yield the buffered events that ``chk`` may bind in ``inst``.
 
-        ``chk`` is a :class:`~cep.nfa.TakePlan` or a
-        :class:`~cep.patterns.NegSpec`. The search runs between the ordering
-        bounds that ``inst``'s binding sets and counts as one
-        ``buffer_search``. A candidate is yielded once it satisfies ``chk``'s
-        condition, so a caller that stops at the first evaluates no more.
+        The search runs between the ordering bounds that ``inst``'s binding
+        sets. A candidate is yielded once it satisfies ``chk``'s condition,
+        so a caller that stops at the first evaluates no more.
         """
-        lower = self._lower_bound(inst, chk.prec_roles)
-        upper = self._upper_bound(inst, chk.succ_roles)
-        self.metrics.buffer_search += 1
-        cands = self.buffer.query(chk.etype, lower, upper)
-        if self.paired:
-            self._shadow_check(inst, chk, lower, upper, cands)
+        cands = self._query(inst, chk, self._lower_bound(inst, chk.prec_roles),
+                            self._upper_bound(inst, chk.succ_roles))
         if not chk.cond:
             yield from cands
             return
@@ -319,22 +307,15 @@ class Runtime:
     def _iterate_candidates(self, inst: Instance, tp: N.TakePlan,
                             new_event: Optional[Event]) -> None:
         lo, hi, group = tp.iterate
-        lower = self._lower_bound(inst, tp.prec_roles)
-        upper = self._upper_bound(inst, tp.succ_roles)
-        self.metrics.buffer_search += 1
-        if self.paired:
-            self._shadow_check(inst, tp, lower, upper,
-                               self.buffer.query(tp.etype, lower, upper))
-        subsets = iterate_fetch(
-            self.buffer, tp.etype, lower, upper, (lo, hi),
-            group_attr=group, new_event=new_event, condition=tp.kleene,
-            bound_roles=inst.binding, role=tp.role, counter=self.metrics,
-        )
-        for members in subsets:
-            self._spawn(inst, tp, members, new_event or members[-1])
+        pool = self._query(inst, tp, self._lower_bound(inst, tp.prec_roles),
+                           self._upper_bound(inst, tp.succ_roles))
+        for members in iterate_fetch(pool, (lo, hi), group_attr=group,
+                                     new_event=new_event, condition=tp.kleene,
+                                     bound_roles=inst.binding, role=tp.role,
+                                     counter=self.metrics):
+            self._spawn(inst, tp, members)
 
-    def _spawn(self, inst: Instance, tp: N.TakePlan, bound,
-               spawn_event: Event):
+    def _spawn(self, inst: Instance, tp: N.TakePlan, bound) -> None:
         binding = dict(inst.binding)
         binding[tp.role] = bound
         # Member tuples are ascending by key: the ends are the extremes.
@@ -344,10 +325,6 @@ class Runtime:
             lo_ts, hi_key = bound.ts, bound.key
         anchor = lo_ts if inst.anchor is None else min(inst.anchor, lo_ts)
         maxkey = hi_key if inst.maxkey is None else max(inst.maxkey, hi_key)
-        if self.paired and maxkey[0] - anchor > self.window:
-            raise ShadowMismatch(
-                f"instance spawned in state {tp.dst} spans "
-                f"{maxkey[0] - anchor} > window {self.window}")
         if tp.emits:
             # The clone would only complete, bare, and retire: count it as
             # created and retired, and emit its match unless the first-chance
@@ -357,11 +334,8 @@ class Runtime:
                 self._match(binding, maxkey[0], tp.branch)
             self.metrics.instance_retire += 1
             return
-        shadow = None
-        if self.paired:
-            shadow = {t: list(v) for t, v in inst.shadow.items()}
-        clone = self._new_instance(tp.dst, tp.branch, binding, anchor, maxkey,
-                                   inst.theta, shadow, spawn_event.key)
+        clone = self._new_instance(inst, tp.dst, tp.branch, binding, anchor,
+                                   maxkey)
         if not self.settling[tp.dst]:
             self._entry(clone)
             return
@@ -403,13 +377,9 @@ class Runtime:
         if not c.grow:
             self._tail_entry(inst, tail)
             return True
-        shadow = None
-        if self.paired:
-            shadow = {t: list(v) for t, v in inst.shadow.items()}
-        copy = self._new_instance(c.tail_start, inst.branch,
+        copy = self._new_instance(inst, c.tail_start, inst.branch,
                                   dict(inst.binding), inst.anchor,
-                                  inst.maxkey, inst.theta, shadow,
-                                  inst.spawn_key)
+                                  inst.maxkey)
         self._tail_entry(copy, tail)
         return False
 
@@ -447,11 +417,8 @@ class Runtime:
         # match window; carry the latest candidate and decide at completion.
         # Only the latest satisfying candidate above the floor matters, so
         # the scan runs from the newest down and stops at the first one.
-        upper = self._upper_bound(inst, chk.succ_roles)
-        self.metrics.buffer_search += 1
-        cands = self.buffer.query(chk.etype, None, upper)
-        if self.paired:
-            self._shadow_check(inst, chk, None, upper, cands)
+        cands = self._query(inst, chk, None,
+                            self._upper_bound(inst, chk.succ_roles))
         for x in reversed(cands):
             if x.ts <= inst.theta:
                 break
@@ -487,18 +454,58 @@ class Runtime:
                 upper = key
         return upper
 
-    def _shadow_check(self, inst, chk, lower, upper, cands) -> None:
-        mine = inst.shadow.get(chk.etype, ())
-        expected = [x.key for x in mine
-                    if (lower is None or x.key > lower)
-                    and (upper is None or x.key < upper)
-                    and (self.watermark is None or x.ts >= self.watermark)]
-        got = [x.key for x in cands]
-        if expected != got:
+
+class PairedRuntime(Runtime):
+    """A :class:`Runtime` that holds its shared buffer to a reference.
+
+    Test machinery (the shadow-buffer check). Each instance also keeps its
+    parent's buffer plus every later arrival its state stores; a search
+    that disagrees with it, or a spawn spanning more than the window,
+    raises :class:`ShadowMismatch`. Matches and counters are unchanged.
+    """
+
+    def __init__(self, nfa: N.Nfa):
+        self.shadows: dict = {}  # iid -> {etype: [Event, ...]}
+        super().__init__(nfa)
+
+    def step(self, e: Event) -> list:
+        self.watermark = e.ts - self.window
+        # Before the step, so that the instances it spawns copy e too.
+        for inst in self.live.values():
+            if e.etype in self.plans[inst.sid].store_types:
+                self.shadows[inst.iid].setdefault(e.etype, []).append(e)
+        return super().step(e)
+
+    def _new_instance(self, parent, *args) -> Instance:
+        inst = super()._new_instance(parent, *args)
+        self.shadows[inst.iid] = {} if parent is None else {
+            t: list(v) for t, v in self.shadows[parent.iid].items()}
+        return inst
+
+    def _retire(self, inst: Instance) -> None:
+        super()._retire(inst)
+        del self.shadows[inst.iid]
+
+    def _spawn(self, inst: Instance, tp: N.TakePlan, bound) -> None:
+        stamps = [x.ts for b in (*inst.binding.values(), bound)
+                  for x in (b if type(b) is tuple else (b,))]
+        span = max(stamps) - min(stamps)
+        if span > self.window:
+            raise ShadowMismatch(f"instance spawned in state {tp.dst} spans "
+                                 f"{span} > window {self.window}")
+        super()._spawn(inst, tp, bound)
+
+    def _query(self, inst: Instance, chk, lower, upper) -> list:
+        got = super()._query(inst, chk, lower, upper)
+        keys = [x.key for x in got]
+        mine = [x.key for x in self.shadows[inst.iid].get(chk.etype, ())
+                if x.ts >= self.watermark and (lower is None or x.key > lower)
+                and (upper is None or x.key < upper)]
+        if keys != mine:
             raise ShadowMismatch(
-                f"shared buffer returned {got} but the per-instance buffer "
-                f"holds {expected} (type {chk.etype}, state {inst.sid})"
-            )
+                f"shared buffer returned {keys} but the per-instance buffer "
+                f"holds {mine} (type {chk.etype}, state {inst.sid})")
+        return got
 
 
 def run_stream(runtime, events: Iterable[Event]) -> list:

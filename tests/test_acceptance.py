@@ -20,7 +20,7 @@ from cep.events import Event
 from cep.lazy import build_lazy
 from cep.oracle import enumerate_matches
 from cep.patterns import parse_pattern, to_dnf
-from cep.runtime import Runtime, match_key, run_stream
+from cep.runtime import PairedRuntime, match_key, run_stream
 from cep.streams import StreamSpec, generate_stream
 
 from conftest import mkstream
@@ -215,7 +215,7 @@ def test_criterion_7_group_by():
     values = [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]
     for i, v in enumerate(values):
         buf.store(Event("B", i, i, {"x": v}))
-    grouped = iterate_fetch(buf, "B", None, None, (1, None), group_attr="x")
+    grouped = iterate_fetch(buf.query("B"), (1, None), group_attr="x")
     for subset in grouped:
         assert len({e.attrs["x"] for e in subset}) == 1
     expected = sum(2**n - 1 for n in (3, 2, 1))
@@ -229,9 +229,9 @@ def test_criterion_7_group_by():
         buf_g.store(Event("B", i, i, {"x": float(i)}))
         buf_u.store(Event("B", i, i, {"x": float(i)}))
     gen_g, gen_u = [0], [0]
-    iterate_fetch(buf_g, "B", None, None, (1, None), group_attr="x",
+    iterate_fetch(buf_g.query("B"), (1, None), group_attr="x",
                   generated=gen_g)
-    iterate_fetch(buf_u, "B", None, None, (1, None), generated=gen_u)
+    iterate_fetch(buf_u.query("B"), (1, None), generated=gen_u)
     assert gen_g[0] == k
     assert gen_u[0] == 2**k - 1
     assert gen_g[0] < gen_u[0]
@@ -271,7 +271,7 @@ def test_criterion_8_shared_buffer_equivalence():
                 ", ".join(f"{t} {t.lower()}" for t in letters[:n]) +
                 f") WITHIN {rng.choice([5, 10, 25])} msec")
         (chain,) = to_dnf(parse_pattern(text))
-        rt = Runtime(build_lazy(chain, order), paired_buffers=True)
+        rt = PairedRuntime(build_lazy(chain, order))
         events = []
         ts = 0
         for seq in range(rng.randint(5, 25)):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cep.buffer import InputBuffer, iterate_fetch
-from cep.events import Event, StreamDataError
+from cep.events import Event
 from cep.metrics import Metrics
 from cep.patterns import parse_pattern, to_dnf
 from cep.predicates import AttrRef, Cmp, Literal, eval_atoms, split_kleene
@@ -20,8 +20,7 @@ def _buf(*events):
 
 
 def _grouped(buf, etype="B", bounds=(1, None), attr="x", **kwargs):
-    return iterate_fetch(buf, etype, None, None, bounds, group_attr=attr,
-                         **kwargs)
+    return iterate_fetch(buf.query(etype), bounds, group_attr=attr, **kwargs)
 
 
 def _atom(where):
@@ -53,11 +52,6 @@ class TestStore:
         assert _grouped(buf, new_event=b7) == [(b7,), (b, b7)]
         buf.store(b8)
         assert _grouped(buf, new_event=b8) == [(b8,)]
-
-    def test_out_of_order_store_is_internal_error(self, ev):
-        buf = _buf(ev("B", 5, 2))
-        with pytest.raises(StreamDataError):
-            buf.store(ev("B", 4, 1))
 
 
 class TestQuery:
@@ -150,12 +144,12 @@ class TestExpire:
 class TestIterateFetch:
     def test_all_subsets_of_three(self, ev):
         buf = _buf(ev("B", 1, 1), ev("B", 2, 2), ev("B", 3, 3))
-        subsets = iterate_fetch(buf, "B", None, None, (1, None))
+        subsets = iterate_fetch(buf.query("B"), (1, None))
         assert len(subsets) == 7
 
     def test_exact_pair_bound(self, ev):
         buf = _buf(ev("B", 1, 1), ev("B", 2, 2), ev("B", 3, 3))
-        subsets = iterate_fetch(buf, "B", None, None, (2, 2))
+        subsets = iterate_fetch(buf.query("B"), (2, 2))
         assert len(subsets) == math.comb(3, 2) == 3
 
     def test_group_homogeneous_subsets(self, ev):
@@ -163,7 +157,7 @@ class TestIterateFetch:
         b2 = ev("B", 2, 2, x=8.0)
         b3 = ev("B", 3, 3, x=7.0)
         buf = _buf(b1, b2, b3)
-        subsets = iterate_fetch(buf, "B", None, None, (1, None), group_attr="x")
+        subsets = iterate_fetch(buf.query("B"), (1, None), group_attr="x")
         assert subsets == [(b1,), (b2,), (b3,), (b1, b3)]
         # Independent count: sum over groups of (2^size - 1).
         assert len(subsets) == (2**2 - 1) + (2**1 - 1)
@@ -171,13 +165,13 @@ class TestIterateFetch:
     def test_order_by_size_then_members(self, ev):
         b1, b2 = ev("B", 1, 1), ev("B", 2, 2)
         buf = _buf(b1, b2)
-        assert iterate_fetch(buf, "B", None, None, (1, None)) == [
+        assert iterate_fetch(buf.query("B"), (1, None)) == [
             (b1,), (b2,), (b1, b2)]
 
     def test_new_event_must_be_included(self, ev):
         b1, b2 = ev("B", 1, 1), ev("B", 2, 2)
         buf = _buf(b1, b2)
-        subsets = iterate_fetch(buf, "B", None, None, (1, None), new_event=b2)
+        subsets = iterate_fetch(buf.query("B"), (1, None), new_event=b2)
         assert subsets == [(b2,), (b1, b2)]
 
     def test_condition_filters_subsets(self, ev):
@@ -185,22 +179,22 @@ class TestIterateFetch:
         b2 = ev("B", 2, 2, x=5.0)
         buf = _buf(b1, b2)
         atom = Cmp("<=", AttrRef("b", "x", "i"), Literal(2.0))
-        subsets = iterate_fetch(buf, "B", None, None, (1, None),
+        subsets = iterate_fetch(buf.query("B"), (1, None),
                                 condition=(atom,), role="b")
         assert subsets == [(b1,)]
 
     def test_generated_counter_reports_pre_filter_count(self, ev):
         buf = _buf(ev("B", 1, 1, x=1.0), ev("B", 2, 2, x=2.0))
         generated = [0]
-        iterate_fetch(buf, "B", None, None, (1, None), generated=generated)
+        iterate_fetch(buf.query("B"), (1, None), generated=generated)
         assert generated[0] == 3
 
     def test_bad_bounds(self, ev):
         buf = _buf(ev("B", 1, 1))
         with pytest.raises(ValueError):
-            iterate_fetch(buf, "B", None, None, (0, 2))
+            iterate_fetch(buf.query("B"), (0, 2))
         with pytest.raises(ValueError):
-            iterate_fetch(buf, "B", None, None, (3, 2))
+            iterate_fetch(buf.query("B"), (3, 2))
 
     @given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 5))
     def test_subset_count_matches_binomials(self, n, lo, hi_extra):
@@ -208,7 +202,7 @@ class TestIterateFetch:
         buf = InputBuffer()
         for i in range(n):
             buf.store(Event("B", i, i))
-        subsets = iterate_fetch(buf, "B", None, None, (lo, hi))
+        subsets = iterate_fetch(buf.query("B"), (lo, hi))
         expected = sum(math.comb(n, k) for k in range(lo, min(hi, n) + 1))
         assert len(subsets) == expected
 
@@ -219,14 +213,14 @@ class TestIterateFetch:
         buf = _buf(b0, b2)
         atom = _atom("avg(b[i].x) <= 1")
         assert split_kleene((atom,), "b").whole
-        assert iterate_fetch(buf, "B", None, None, (1, None),
+        assert iterate_fetch(buf.query("B"), (1, None),
                              condition=(atom,), role="b") == [(b0,), (b0, b2)]
 
     def test_new_event_failing_a_member_atom_yields_nothing(self, ev):
         b1, b2 = ev("B", 1, 1, x=1.0), ev("B", 2, 2, x=5.0)
         buf = _buf(b1, b2)
         generated = [7]
-        assert iterate_fetch(buf, "B", None, None, (1, None), new_event=b2,
+        assert iterate_fetch(buf.query("B"), (1, None), new_event=b2,
                              condition=(_atom("b[i].x <= 2"),), role="b",
                              generated=generated) == []
         assert generated[0] == 0
@@ -234,7 +228,7 @@ class TestIterateFetch:
     def test_member_atoms_run_once_per_candidate(self, ev):
         buf = _buf(*(ev("B", i, i, x=float(i % 2)) for i in range(6)))
         metrics = Metrics()
-        subsets = iterate_fetch(buf, "B", None, None, (1, None),
+        subsets = iterate_fetch(buf.query("B"), (1, None),
                                 condition=(_atom("b[i].x <= 0"),), role="b",
                                 counter=metrics)
         assert len(subsets) == 2**3 - 1
@@ -294,7 +288,7 @@ def test_iterate_fetch_equals_brute_force(members, lo, extra, grouped, closing,
                             binding)
     for cond in (condition, split_kleene(condition, "b", group_attr)):
         generated = [0]
-        got = iterate_fetch(buf, "B", lower, None, bounds,
+        got = iterate_fetch(buf.query("B", lower), bounds,
                             group_attr=group_attr, new_event=new_event,
                             condition=cond, bound_roles=binding, role="b",
                             generated=generated)

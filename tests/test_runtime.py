@@ -15,7 +15,7 @@ from cep.metrics import Metrics
 from cep.nfa import BuildError
 from cep.oracle import enumerate_matches_chains
 from cep.patterns import parse_pattern, to_dnf
-from cep.runtime import (Match, Runtime, ShadowMismatch,
+from cep.runtime import (Match, PairedRuntime, Runtime, ShadowMismatch,
                          match_key, match_line, run_stream)
 from cep.streams import StreamSpec, generate_stream
 
@@ -278,7 +278,7 @@ class TestSharedBufferEquivalence:
             order = [t for t in letters[:n]]
             rng.shuffle(order)
             nfa = build_lazy(chain, order)
-            rt = Runtime(nfa, paired_buffers=True)
+            rt = PairedRuntime(nfa)
             events = []
             ts = 0
             for seq in range(rng.randint(0, 22)):
@@ -295,19 +295,18 @@ class TestSharedBufferEquivalence:
         chains = apply_group_by(chains_of(
             "PATTERN SEQ(B+ b[], C c) WHERE skip_till_any_match"
             " { b[i].stock = b[i-1].stock } WITHIN 10 msec"), "b", "stock")
-        nfas = compile_pattern(chains, "lazy", orders=[["C", "B"]])
-        (nfa,) = nfas
+        (nfa,) = compile_pattern(chains, "lazy", orders=[["C", "B"]])
         assert [tp.emits for p in nfa.plans for tp in p.entry_takes] == [True]
         stream = mkstream(("B", 0, {"stock": 1}), ("B", 1, {"stock": 1}),
                           ("B", 25, {"stock": 1}), ("C", 30))
-        got = run_stream(make_runtime(nfas, paired_buffers=True), stream)
+        got = run_stream(PairedRuntime(nfa), stream)
         assert [match_line(m) for m in got] == ["b=B@25#2; c=C@30#3"]
         monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
         with pytest.raises(ShadowMismatch, match="type B"):
-            run_stream(make_runtime(nfas, paired_buffers=True), stream)
-        monkeypatch.setattr(Runtime, "_shadow_check", lambda *args: None)
+            run_stream(PairedRuntime(nfa), stream)
+        monkeypatch.setattr(PairedRuntime, "_query", Runtime._query)
         with pytest.raises(ShadowMismatch, match="window"):
-            run_stream(make_runtime(nfas, paired_buffers=True), stream)
+            run_stream(PairedRuntime(nfa), stream)
 
     @pytest.mark.parametrize("order", [["C", "B"], ["B", "C"]])
     def test_paired_mode_checks_kleene_pools(self, monkeypatch, order):
@@ -316,28 +315,29 @@ class TestSharedBufferEquivalence:
         # reaches past the window: only the pool check can notice.
         chains = chains_of("PATTERN SEQ(B+ b[], C c) WHERE skip_till_any_match"
                            " { b[i].x > 0 } WITHIN 10 msec")
-        nfas = compile_pattern(chains, "lazy", orders=[order])
+        (nfa,) = compile_pattern(chains, "lazy", orders=[order])
         stream = mkstream(("B", 0, {"x": 0}), ("B", 15, {"x": 1}), ("C", 20))
-        got = run_stream(make_runtime(nfas, paired_buffers=True), stream)
+        got = run_stream(PairedRuntime(nfa), stream)
         assert [match_line(m) for m in got] == ["b=B@15#1; c=C@20#2"]
         monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
         with pytest.raises(ShadowMismatch, match="type B"):
-            run_stream(make_runtime(nfas, paired_buffers=True), stream)
+            run_stream(PairedRuntime(nfa), stream)
 
     @pytest.mark.parametrize("mode, orders", [
-        ("eager", None), ("lazy", [["A", "C"]]), ("lazy", [["C", "A"]])])
+        ("eager", None), ("lazy", [["A", "C"]]), ("lazy", [["C", "A"]]),
+        ("lazy-fc", [["A", "C"]]), ("lazy-fc", [["C", "A"]])])
     def test_paired_mode_checks_absence_scans(self, monkeypatch, mode,
                                               orders):
         # With expiry off, B@0 stays in the shared buffer a window after it
         # left every instance's own: the absence scan must notice.
         chains = chains_of("PATTERN SEQ(NOT(B b), A a, C c) WITHIN 10 msec")
-        nfas = compile_pattern(chains, mode, orders=orders)
+        (nfa,) = compile_pattern(chains, mode, orders=orders)
         stream = mkstream(("B", 0), ("A", 20), ("C", 25))
-        got = run_stream(make_runtime(nfas, paired_buffers=True), stream)
+        got = run_stream(PairedRuntime(nfa), stream)
         assert [match_line(m) for m in got] == ["a=A@20#1; c=C@25#2"]
         monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
         with pytest.raises(ShadowMismatch, match="type B"):
-            run_stream(make_runtime(nfas, paired_buffers=True), stream)
+            run_stream(PairedRuntime(nfa), stream)
 
 
 class TestMetricsCounters:
@@ -700,15 +700,19 @@ def test_paired_mode_on_the_benchmark_patterns(pattern, rates, group_by):
     chains = chains_of(pattern)
     if group_by is not None:
         chains = apply_group_by(chains, *group_by)
-    nfas = compile_pattern(chains, "lazy", rates=rates)
     events = generate_stream(StreamSpec(rates=rates, count=1500, seed=3,
                                         stocks_per_type=8))
-    paired = make_runtime(nfas, paired_buffers=True)
-    got = run_stream(paired, events)  # raises ShadowMismatch on divergence
-    plain = run_stream(make_runtime(nfas), events)
-    assert [match_key(m.binding) for m in got] == [
-        match_key(m.binding) for m in plain]
-    assert got and paired.metrics.buffer_search > 0
+    for mode in ("eager", "lazy"):
+        (nfa,) = compile_pattern(chains, mode, rates=rates)
+        paired = PairedRuntime(nfa)
+        got = run_stream(paired, events)  # raises ShadowMismatch if unequal
+        plain = Runtime(nfa)
+        assert [match_key(m.binding) for m in got] == [
+            match_key(m.binding) for m in run_stream(plain, events)]
+        # The check changes no count, so paired runs stand for plain ones.
+        assert paired.metrics.counters() == plain.metrics.counters()
+        # Eager searches no buffer here: its paired run checks the spawns.
+        assert got and (mode == "eager" or paired.metrics.buffer_search > 0)
 
 
 def _draw_matches(data, signature=None) -> list:
