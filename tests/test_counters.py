@@ -1,12 +1,12 @@
 """Pinned counters: every ``Metrics.counters()`` value and every match.
 
 A fixed corpus of patterns covers each construct the runtime executes: SEQ,
-AND and partial order; leading, middle and trailing negation; Kleene,
-grouped and bounded iteration; an eager OR with iteration; and corr. Each
-runs over one seeded stream in every mode that compiles it. The pins are
-exact: a change to the engine that moves any counter, or any match, its
-detection time or its branch, fails here, so such a change has to update
-the pins on purpose and say why.
+AND, partial order and a sequence in a partial order; leading, middle and
+trailing negation; Kleene, grouped and bounded iteration; an eager OR with
+iteration; and corr. Each runs over one seeded stream in every mode that
+compiles it. The pins are exact: a change to the engine that moves any
+counter, or any match, its detection time or its branch, fails here, so
+such a change has to update the pins on purpose and say why.
 """
 
 import hashlib
@@ -29,6 +29,10 @@ CORPUS = {
             " { b.price > c.price } WITHIN 200 msec", None, 800, 12),
     "partial": ("PATTERN AND(SEQ(A a, B b), C c) WITHIN 200 msec",
                 None, 800, 13),
+    # Bound last, a must precede both b and c; the nearest of them is b.
+    "partial-chain": ("PATTERN AND(SEQ(A a, B b, C c), D d) WHERE"
+                      " skip_till_any_match { a.price < c.price }"
+                      " WITHIN 150 msec", None, 800, 23),
     "neg-leading": ("PATTERN SEQ(NOT(D d), C c, A a) WHERE"
                     " skip_till_any_match { d.price > c.price }"
                     " WITHIN 200 msec", None, 1000, 14),
@@ -76,6 +80,12 @@ PINNED = {
                           "61dde237e2bf73ad"),
     ("partial", "lazy-fc"): ((800, 703, 0, 922, 921, 500, 218, 496, 7),
                              "61dde237e2bf73ad"),
+    ("partial-chain", "eager"): ((800, 525, 1001, 7203, 7202, 0, 0, 0, 168),
+                                 "6d04533ee50a51d4"),
+    ("partial-chain", "lazy"): ((800, 525, 931, 1126, 1125, 750, 600, 739, 11),
+                                "6d04533ee50a51d4"),
+    ("partial-chain", "lazy-fc"): ((800, 525, 931, 1126, 1125, 750, 600, 739,
+                                    11), "6d04533ee50a51d4"),
     ("neg-leading", "eager"): ((1000, 203, 455, 430, 429, 290, 369, 287, 7),
                                "f5471ca79e6ad2ac"),
     ("neg-leading", "lazy"): ((1000, 203, 455, 430, 429, 756, 429, 750, 7),
