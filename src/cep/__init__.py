@@ -12,7 +12,7 @@ from .eager import build_eager, eager_parts
 from .engine import build_runtime, compile_pattern, make_runtime
 from .events import Event, StreamDataError, check_stream_order, within_window
 from .lazy import (ascending_freq_order, build_lazy, lazy_parts,
-                   partial_filters, sequence_filters)
+                   ordering_filters)
 from .metrics import Metrics
 from .nfa import BuildError, ChainParts, Nfa, build_multi_chain, validate_nfa
 from .oracle import enumerate_matches, enumerate_matches_chains
@@ -30,8 +30,8 @@ __all__ = [
     "build_lazy", "build_multi_chain", "build_runtime",
     "check_stream_order", "compile_pattern", "eager_parts",
     "enumerate_matches", "enumerate_matches_chains", "iterate_fetch",
-    "lazy_parts", "make_runtime", "match_key", "match_line", "parse_pattern",
-    "partial_filters", "pearson", "render_chain", "render_pattern",
-    "run_stream", "sequence_filters", "to_dnf", "validate_nfa",
+    "lazy_parts", "make_runtime", "match_key", "match_line",
+    "ordering_filters", "parse_pattern", "pearson", "render_chain",
+    "render_pattern", "run_stream", "to_dnf", "validate_nfa",
     "within_window",
 ]

@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .events import Event, EventType
-from .predicates import KleeneAtoms, eval_atoms, split_kleene
+from .predicates import KleeneAtoms, eval_atoms
 
 
 # A lane keeps its expired prefix until that holds more than this many
@@ -119,7 +119,7 @@ def iterate_fetch(
     bounds: tuple,
     group_attr: Optional[str] = None,
     new_event: Optional[Event] = None,
-    condition=(),
+    condition: KleeneAtoms = KleeneAtoms((), (), ()),
     bound_roles: Optional[dict] = None,
     role: str = "",
     counter=None,
@@ -133,13 +133,13 @@ def iterate_fetch(
     group-homogeneous when ``group_attr`` is set. Output order is by size,
     then lexicographically by member (ts, seq).
 
-    ``condition`` is a :class:`KleeneAtoms` split or a sequence of atoms,
-    split on the spot. Each candidate member is tested once, against the
-    member-wise atoms, before anything is enumerated. Subsets then grow
-    level by level from the prefixes that survived, and only the member a
-    step appends is checked, against the pair atoms. The whole-subset atoms
-    run last, on the subsets of an admissible size; ``generated`` (a
-    one-element list) receives how many those were.
+    ``condition`` is the :class:`KleeneAtoms` split of the take's atoms.
+    Each candidate member is tested once, against the member-wise atoms,
+    before anything is enumerated. Subsets then grow level by level from
+    the prefixes that survived, and only the member a step appends is
+    checked, against the pair atoms. The whole-subset atoms run last, on
+    the subsets of an admissible size; ``generated`` (a one-element list)
+    receives how many those were.
 
     No window test is made here: the runtime keeps only the current window
     in the buffer and in its live instances (see :mod:`cep.runtime`), so
@@ -148,8 +148,6 @@ def iterate_fetch(
     lo, hi = bounds
     if lo < 1 or (hi is not None and lo > hi):
         raise ValueError(f"invalid iteration bounds {bounds}")
-    if type(condition) is not KleeneAtoms:
-        condition = split_kleene(condition, role, group_attr)
     member_atoms, pair_atoms, whole_atoms = condition
     binding = dict(bound_roles or {})
 

@@ -23,21 +23,28 @@ from .difftest import run_suite
 from .engine import MODES, apply_group_by
 from .events import StreamDataError
 from .nfa import BuildError
-from .patterns import (ParseError, PatternError, parse_pattern, to_dnf)
+from .patterns import (UNITS_MS, ParseError, PatternError, parse_pattern,
+                       to_dnf)
 from .streams import (StreamSpec, generate_stream, load_csv, measure_rates,
                       save_csv)
 
-_DURATION_RE = re.compile(r"^(\d+(?:\.\d+)?)\s*(msec|sec|min|hour)?s?$")
-_UNITS = {"msec": 1, "sec": 1000, "min": 60_000, "hour": 3_600_000, None: 1}
+_DURATION_RE = re.compile(
+    rf"^(\d+(?:\.\d+)?)\s*({'|'.join(UNITS_MS)})?s?$", re.IGNORECASE)
 
 
 def _parse_duration(text: str) -> int:
+    """A window in milliseconds, read as ``WITHIN`` reads one: the pattern
+    units in any case (a bare number is msec), rounded to at least 1 ms."""
     m = _DURATION_RE.match(text.strip())
     if not m:
         raise argparse.ArgumentTypeError(
             f"bad duration {text!r} (use e.g. 1800000, 30min, 1hour)")
     value, unit = m.groups()
-    return int(round(float(value) * _UNITS[unit]))
+    ms = int(round(float(value) * (UNITS_MS[unit.lower()] if unit else 1)))
+    if ms <= 0:
+        raise argparse.ArgumentTypeError(
+            f"window must be positive, got {text!r}")
+    return ms
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,7 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
     tail_start = n_sub
     accepting = n_sub + len(chain.negations) if has_tail else sid_of[full]
 
-    tail_states, tail_edges, tail = N.negative_tail(chain.negations,
+    tail_states, tail_edges, tail = N.negative_tail(chain, chain.negations,
                                                     tail_start)
     states = []
     for s in subsets:

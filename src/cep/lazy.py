@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import nfa as N
 from .events import EventType
-from .patterns import ChainPattern, NegSpec
+from .patterns import ChainPattern
 from .predicates import atom_roles, compile_atom
 
 
@@ -29,53 +29,17 @@ def descending_freq_order(rates: Mapping[EventType, float]) -> list:
                                  key=lambda p: (-p[0], p[1]))]
 
 
-def sequence_filters(etype: EventType, freq: Sequence[EventType],
-                     seq: Sequence[EventType]) -> tuple:
-    """Ordering filters for one type of a totally ordered sequence.
+def ordering_filters(chain: ChainPattern, role: str, bound) -> tuple:
+    """The ordering filters of the take that binds ``role`` once the roles
+    in ``bound`` are bound.
 
-    prec: the latest (in sequence position) of the already-processed types
-    that must precede it; succ: the earliest that must succeed it. Either may
-    be empty; both are singletons otherwise.
+    ``(prec, succ)``: of the bound roles that must precede ``role``, those
+    no other of them follows; of those that must succeed it, those no other
+    of them precedes (:meth:`ChainPattern.nearest`). Either may be empty.
     """
-    prec_freq = set(freq[: freq.index(etype)])
-    pos = seq.index(etype)
-    p = prec_freq & set(seq[:pos])
-    s = prec_freq & set(seq[pos + 1 :])
-    prec = frozenset({max(p, key=seq.index)}) if p else frozenset()
-    succ = frozenset({min(s, key=seq.index)}) if s else frozenset()
-    return prec, succ
-
-
-def partial_filters(etype: EventType, freq: Sequence[EventType],
-                    order_pairs) -> tuple:
-    """Ordering filters under a partial temporal order (full sets).
-
-    The runtime applies the most restrictive bound: the latest bound event of
-    the prec set and the earliest of the succ set.
-    """
-    prec_freq = set(freq[: freq.index(etype)])
-    prec = frozenset(prec_freq & {u for (u, v) in order_pairs if v == etype})
-    succ = frozenset(prec_freq & {v for (u, v) in order_pairs if u == etype})
-    return prec, succ
-
-
-def _type_pairs(chain: ChainPattern) -> set:
-    types = chain.types
-    return {(types[u], types[v]) for (u, v) in chain.temporal_order}
-
-
-def _chain_filters(chain: ChainPattern, etype: EventType,
-                   freq: Sequence[EventType]) -> tuple:
-    if not chain.temporal_order:
-        return frozenset(), frozenset()
-    pairs = _type_pairs(chain)
-    if chain.is_total_order():
-        n = len(chain.positives)
-        seq = sorted((chain.etype_of(r) for r in chain.roles),
-                     key=lambda t: sum(1 for (u, v) in pairs if v == t))
-        assert len(seq) == n
-        return sequence_filters(etype, freq, seq)
-    return partial_filters(etype, freq, pairs)
+    bound = frozenset(bound)
+    return chain.nearest(chain.prec_of(role) & bound,
+                         chain.succ_of(role) & bound)
 
 
 def _check_freq(chain: ChainPattern, freq: Sequence[EventType]) -> None:
@@ -148,7 +112,7 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     # Negative tail: each state checks one negated type; an instance moves
     # on once that check is certified, and to F after the last one.
     tail_start = n
-    tail_states, tail_edges, tail = N.negative_tail(negs, tail_start)
+    tail_states, tail_edges, tail = N.negative_tail(chain, negs, tail_start)
     states = [N.State(i, N.CHAIN, f"q{i + 1}", 0) for i in range(n)]
     states += tail_states
     edges = []
@@ -163,9 +127,9 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
             store_t |= {it.etype}
         if store_t:
             edges.append(N.Edge(i, i, N.STORE, store_t))
-        prec, succ = _chain_filters(chain, etype, freq)
-        dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
         role = bind_order[i]
+        prec, succ = ordering_filters(chain, role, bind_order[:i])
+        dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
         if it is not None and i == n - 1:
             edges.append(N.Edge(i, dst, N.ITERATE, frozenset({etype}),
                                 cond=atom_slots[i], prec=prec, succ=succ,
@@ -180,12 +144,11 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     fc_checks: dict = {}
     if fc:
         for spec in chain.negations:
-            reduced = _reduce_neighbours(chain, spec)
-            sid = _dep_state(chain, reduced, freq, bind_order, accepting)
-            fc_checks.setdefault(sid, []).append(reduced.compiled())
+            chk = N.neg_check(chain, spec)
+            sid = _dep_state(chk, bind_order, accepting)
+            fc_checks.setdefault(sid, []).append(chk)
         fc_checks = {sid: tuple(v) for sid, v in fc_checks.items()}
 
-    _check_filter_soundness(edges, freq, n)
     branch = N.Branch(chain=chain, tail=tail, fc_checks=fc_checks)
     return N.ChainParts(label=label, states=tuple(states), edges=tuple(edges),
                         initial=0, accepting=accepting, window=chain.window,
@@ -201,38 +164,11 @@ def _check_fc_applicable(chain: ChainPattern) -> None:
             )
 
 
-def _reduce_neighbours(chain: ChainPattern, spec: NegSpec) -> NegSpec:
-    """Restrict a negation's neighbour sets to the binding elements.
-
-    Transitivity makes the latest preceding and earliest succeeding events
-    the effective bounds, so only the maximal prec roles and minimal succ
-    roles need to be bound before the check can run.
-    """
-    order = chain.temporal_order
-    prec_max = frozenset(u for u in spec.prec_roles
-                         if not any((u, v) in order for v in spec.prec_roles))
-    succ_min = frozenset(v for v in spec.succ_roles
-                         if not any((u, v) in order for u in spec.succ_roles))
-    return NegSpec(role=spec.role, etype=spec.etype, cond=spec.cond,
-                   prec_roles=prec_max, succ_roles=succ_min)
-
-
-def _dep_state(chain: ChainPattern, reduced: NegSpec,
-               freq: Sequence[EventType], bind_order: Sequence[str],
-               accepting: int) -> int:
-    dep = set(reduced.prec_roles) | set(reduced.succ_roles)
-    for atom in reduced.cond:
-        dep |= atom_roles(atom) - {reduced.role}
+def _dep_state(chk, bind_order: Sequence[str], accepting: int) -> int:
+    """The state at whose entry a first-chance check can run: the one after
+    the last of its nearest neighbours and its condition's roles is bound."""
+    dep = set(chk.prec_roles) | set(chk.succ_roles)
+    for atom in chk.cond:
+        dep |= atom_roles(atom.expr) - {chk.role}
     last = max(bind_order.index(r) for r in dep)
     return last + 1 if last + 1 < len(bind_order) else accepting
-
-
-def _check_filter_soundness(edges, freq, n) -> None:
-    # Edge filters may only reference types bound before their source state.
-    for e in edges:
-        if e.action in (N.TAKE, N.ITERATE) and e.src < n:
-            bound = set(freq[: e.src])
-            if not (set(e.prec) | set(e.succ)) <= bound:
-                raise N.BuildError(
-                    f"ordering filters of state {e.src} reference unbound types"
-                )

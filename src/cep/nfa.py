@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
-from .patterns import ChainPattern
+from .patterns import ChainPattern, NegSpec
 from .predicates import KleeneAtoms, split_kleene
 
 TAKE = "take"
@@ -50,8 +50,10 @@ class Edge:
     action: str  # take | store | iterate
     types: frozenset  # event types
     cond: tuple = ()  # compiled predicate atoms evaluated on traversal
-    prec: frozenset = frozenset()  # ordering filter: types that must precede
-    succ: frozenset = frozenset()  # ordering filter: types that must succeed
+    # Ordering filters: the nearest bound roles that must precede the taken
+    # event (lower bounds) and succeed it (upper bounds).
+    prec: frozenset = frozenset()
+    succ: frozenset = frozenset()
     role: Optional[str] = None  # role bound by take/iterate
     bounds: Optional[tuple] = None  # (lo, hi) for iterate; hi None = unbounded
     group_by: Optional[str] = None  # attribute for group-constrained iteration
@@ -71,10 +73,6 @@ class Branch:
     complete_state: Optional[int] = None
     # Gates applied at completion (eager): (iterated role, lo, its atoms).
     eager_gates: Optional[tuple] = None
-
-    @property
-    def role_of_type(self) -> dict:
-        return {t: r for r, t in self.chain.types.items()}
 
 
 @dataclass(frozen=True)
@@ -234,14 +232,22 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
                branches=tuple(branches))
 
 
-def negative_tail(negs, start: int) -> tuple:
-    """The post-processing tail over ``negs``, in check order.
+def neg_check(chain: ChainPattern, spec: NegSpec) -> NegSpec:
+    """The runtime check of ``spec``: its atoms compiled and its neighbour
+    sets cut to the nearest roles (:meth:`ChainPattern.nearest`)."""
+    prec, succ = chain.nearest(spec.prec_roles, spec.succ_roles)
+    return replace(spec.compiled(), prec_roles=prec, succ_roles=succ)
+
+
+def negative_tail(chain: ChainPattern, negs, start: int) -> tuple:
+    """The post-processing tail over ``chain``'s ``negs``, in check order.
 
     State ``start + j`` checks ``negs[j]``. Returns the tail's states, its
     store edges (each state keeps the later negated types in the buffer)
-    and the ``(sid, compiled check, waits_for_timeout)`` entries of
-    :attr:`Branch.tail`. A check waits for the timeout when no positive
-    event must succeed the negated one.
+    and the ``(sid, check, waits_for_timeout)`` entries of
+    :attr:`Branch.tail`, each check made by :func:`neg_check`. A check
+    waits for the timeout when no positive event must succeed the negated
+    one.
     """
     states, edges, tail = [], [], []
     for j, spec in enumerate(negs):
@@ -250,7 +256,7 @@ def negative_tail(negs, start: int) -> tuple:
         later = frozenset(s.etype for s in negs[j + 1 :])
         if later:
             edges.append(Edge(sid, sid, STORE, later))
-        tail.append((sid, spec.compiled(), not spec.succ_roles))
+        tail.append((sid, neg_check(chain, spec), not spec.succ_roles))
     return states, edges, tuple(tail)
 
 
@@ -283,10 +289,9 @@ def _compile_plans(nfa: Nfa) -> tuple:
         neg_plan = None
 
         for e in takes_by_src.get(st.sid, ()):
-            bi = e.branch if e.branch is not None else (st.branch or 0)
+            bi = e.branch
             branch = nfa.branches[bi]
             chain = branch.chain
-            role_of_type = branch.role_of_type
             etype = next(iter(e.types))
             append = e.src == e.dst
             it = chain.iterated
@@ -306,8 +311,8 @@ def _compile_plans(nfa: Nfa) -> tuple:
                 etype=etype,
                 dst=e.dst,
                 cond=e.cond,
-                prec_roles=frozenset(role_of_type[t] for t in e.prec),
-                succ_roles=frozenset(role_of_type[t] for t in e.succ),
+                prec_roles=e.prec,
+                succ_roles=e.succ,
                 stream_ok=not e.succ,
                 branch=bi,
                 iterate=iterate,
@@ -373,21 +378,9 @@ def _compile_plans(nfa: Nfa) -> tuple:
 
 
 def detection_order(m) -> tuple:
-    """Sorts matches as ``(m.detection_ts, m.key())`` does, with a smaller key.
-
-    The key is the detection time followed by one ``(role, etype, seq, ...)``
-    tuple per role, in role order. The members of one role share one type,
-    and ``Runtime.step`` keeps ``seq`` increasing with ``ts``, so ``seq``
-    orders a stream's events as ``(ts, seq)`` does. The type stays: OR
-    branches may bind one role name to different types.
-    """
-    key = [m.detection_ts]
-    for role, bound in sorted(m.binding.items()):
-        if type(bound) is tuple:
-            key.append((role, bound[0].etype, *[e.seq for e in bound]))
-        else:
-            key.append((role, bound.etype, bound.seq))
-    return tuple(key)
+    """The general sort key of one step's matches: the detection time, then
+    the match key."""
+    return (m.detection_ts, m.key())
 
 
 def _drain_key(branches: tuple):
@@ -396,9 +389,10 @@ def _drain_key(branches: tuple):
 
     When every branch binds the same roles to the same types, each
     iterated or not alike, every match has that one signature: roles and
-    types then compare equal, and the key keeps only the detection time
-    and, per role in role order, the ``seq`` of its event or the tuple of
-    its members' ``seq``.
+    types then compare equal. ``Runtime.step`` keeps ``seq`` increasing
+    with ``ts``, so ``seq`` orders a stream's events as ``(ts, seq)`` does.
+    The key then keeps only the detection time and, per role in role order,
+    the ``seq`` of its event or the tuple of its members' ``seq``.
     """
     signatures = {tuple(sorted(
         (role, etype, b.chain.iterated is not None

@@ -148,9 +148,20 @@ class ChainPattern:
     def succ_of(self, role: str) -> frozenset:
         return frozenset(v for u, v in self.temporal_order if u == role)
 
-    def is_total_order(self) -> bool:
-        n = len(self.positives)
-        return len(self.temporal_order) == n * (n - 1) // 2
+    def nearest(self, before, after) -> tuple:
+        """The roles of ``before`` that no other of them follows and the
+        roles of ``after`` that no other of them precedes.
+
+        A binding that keeps the temporal order puts the latest event of
+        ``before`` on one of the first and the earliest event of ``after``
+        on one of the second, so these bound a search as tightly as the
+        full sets.
+        """
+        order = self.temporal_order
+        return (frozenset(u for u in before
+                          if not any((u, v) in order for v in before)),
+                frozenset(v for v in after
+                          if not any((u, v) in order for u in after)))
 
     def key(self):
         """Canonical structural identity (used by the DNF idempotence check)."""

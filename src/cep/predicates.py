@@ -243,18 +243,16 @@ class KleeneAtoms(NamedTuple):
     whole: tuple
 
 
-def split_kleene(atoms: Sequence, role: str,
+def split_kleene(atoms: Sequence[Atom], role: str,
                  group_by: Optional[str] = None) -> KleeneAtoms:
-    """Split the atoms of an iterate take on ``role`` by quantifier kind.
+    """Split the compiled atoms of an iterate take on ``role`` by
+    quantifier kind.
 
-    Raw expression trees are compiled on the spot. With ``group_by`` set,
-    an equality ``role[i].A = role[i-1].A`` on that attribute is dropped:
-    every group-homogeneous subset satisfies it.
+    With ``group_by`` set, an equality ``role[i].A = role[i-1].A`` on that
+    attribute is dropped: every group-homogeneous subset satisfies it.
     """
     member, pair, whole = [], [], []
     for atom in atoms:
-        if type(atom) is not Atom:
-            atom = compile_atom(atom)
         kind = atom.kind if atom.role == role else SUBSET
         if kind == MEMBER:
             member.append(atom)
@@ -279,25 +277,18 @@ def compile_atoms(atoms: Sequence[BoolExpr]) -> tuple:
     return tuple(compile_atom(a) for a in atoms)
 
 
-def eval_atoms(atoms: Sequence, binding: Binding, counter=None) -> bool:
-    """True iff every atom holds; stops at the first that does not.
+def eval_atoms(atoms: Sequence[Atom], binding: Binding, counter=None) -> bool:
+    """True iff every compiled atom holds against ``binding`` (role ->
+    Event or member tuple); stops at the first that does not.
 
-    ``counter.predicate_evaluations`` counts the atoms evaluated. Atoms not
-    yet compiled (raw expression trees) are compiled on the spot.
+    ``counter.predicate_evaluations`` counts the atoms evaluated.
     """
     for atom in atoms:
         if counter is not None:
             counter.predicate_evaluations += 1
-        if type(atom) is not Atom:
-            atom = compile_atom(atom)
         if not atom.test(binding):
             return False
     return True
-
-
-def eval_atom(expr, binding: Binding, counter=None) -> bool:
-    """Evaluate one atom against a binding (role -> Event or member tuple)."""
-    return eval_atoms((expr,), binding, counter)
 
 
 # Each node below compiles into ``f(binding, i)``, where ``i`` is the member
@@ -390,7 +381,7 @@ def _ref(ref: AttrRef, quantified: bool):
     role, name = ref.role, ref.attr
     if not quantified or ref.index is None:
         # A plain role's event is read directly, inside a quantified atom
-        # too; only a member tuple bound to it (raw atoms) goes to _event.
+        # too; only a member tuple bound to it goes to _event.
         def get(b, i=None):
             try:
                 return b[role].attrs[name]

@@ -39,6 +39,14 @@ class StreamSpec:
     history_len: int = 5
     stocks_per_type: int = 25
 
+    def __post_init__(self):
+        if self.history_len < 1:
+            raise ValueError(f"history_len must be at least 1, "
+                             f"got {self.history_len}")
+        if self.stocks_per_type < 1:
+            raise ValueError(f"stocks_per_type must be at least 1, "
+                             f"got {self.stocks_per_type}")
+
     @staticmethod
     def from_json(text: str) -> "StreamSpec":
         raw = json.loads(text)

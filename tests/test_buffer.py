@@ -9,7 +9,8 @@ from cep.buffer import InputBuffer, iterate_fetch
 from cep.events import Event
 from cep.metrics import Metrics
 from cep.patterns import parse_pattern, to_dnf
-from cep.predicates import AttrRef, Cmp, Literal, eval_atoms, split_kleene
+from cep.predicates import (AttrRef, Cmp, Literal, compile_atom, eval_atoms,
+                            split_kleene)
 
 
 def _buf(*events):
@@ -24,11 +25,12 @@ def _grouped(buf, etype="B", bounds=(1, None), attr="x", **kwargs):
 
 
 def _atom(where):
-    """One WHERE atom over a plain role ``a`` and an iterated role ``b``."""
+    """One compiled WHERE atom over a plain role ``a`` and an iterated role
+    ``b``."""
     text = ("PATTERN SEQ(A a, B+ b[]) WHERE skip_till_any_match { "
             + where + " } WITHIN 10 msec")
     (atom,) = to_dnf(parse_pattern(text))[0].atoms
-    return atom
+    return compile_atom(atom)
 
 
 class TestStore:
@@ -178,9 +180,9 @@ class TestIterateFetch:
         b1 = ev("B", 1, 1, x=1.0)
         b2 = ev("B", 2, 2, x=5.0)
         buf = _buf(b1, b2)
-        atom = Cmp("<=", AttrRef("b", "x", "i"), Literal(2.0))
+        atom = compile_atom(Cmp("<=", AttrRef("b", "x", "i"), Literal(2.0)))
         subsets = iterate_fetch(buf.query("B"), (1, None),
-                                condition=(atom,), role="b")
+                                condition=split_kleene((atom,), "b"), role="b")
         assert subsets == [(b1,)]
 
     def test_generated_counter_reports_pre_filter_count(self, ev):
@@ -212,16 +214,18 @@ class TestIterateFetch:
         b0, b2 = ev("B", 1, 1, x=0.0), ev("B", 2, 2, x=2.0)
         buf = _buf(b0, b2)
         atom = _atom("avg(b[i].x) <= 1")
-        assert split_kleene((atom,), "b").whole
-        assert iterate_fetch(buf.query("B"), (1, None),
-                             condition=(atom,), role="b") == [(b0,), (b0, b2)]
+        condition = split_kleene((atom,), "b")
+        assert condition.whole
+        assert iterate_fetch(buf.query("B"), (1, None), condition=condition,
+                             role="b") == [(b0,), (b0, b2)]
 
     def test_new_event_failing_a_member_atom_yields_nothing(self, ev):
         b1, b2 = ev("B", 1, 1, x=1.0), ev("B", 2, 2, x=5.0)
         buf = _buf(b1, b2)
         generated = [7]
         assert iterate_fetch(buf.query("B"), (1, None), new_event=b2,
-                             condition=(_atom("b[i].x <= 2"),), role="b",
+                             condition=split_kleene(
+                                 (_atom("b[i].x <= 2"),), "b"), role="b",
                              generated=generated) == []
         assert generated[0] == 0
 
@@ -229,7 +233,8 @@ class TestIterateFetch:
         buf = _buf(*(ev("B", i, i, x=float(i % 2)) for i in range(6)))
         metrics = Metrics()
         subsets = iterate_fetch(buf.query("B"), (1, None),
-                                condition=(_atom("b[i].x <= 0"),), role="b",
+                                condition=split_kleene(
+                                    (_atom("b[i].x <= 0"),), "b"), role="b",
                                 counter=metrics)
         assert len(subsets) == 2**3 - 1
         assert metrics.predicate_evaluations == 6
@@ -286,11 +291,10 @@ def test_iterate_fetch_equals_brute_force(members, lo, extra, grouped, closing,
     bounds = (lo, None if extra is None else lo + extra)
     expected = _brute_force(pool, bounds, group_attr, new_event, condition,
                             binding)
-    for cond in (condition, split_kleene(condition, "b", group_attr)):
-        generated = [0]
-        got = iterate_fetch(buf.query("B", lower), bounds,
-                            group_attr=group_attr, new_event=new_event,
-                            condition=cond, bound_roles=binding, role="b",
-                            generated=generated)
-        assert got == expected
-        assert generated[0] >= len(got)
+    generated = [0]
+    got = iterate_fetch(buf.query("B", lower), bounds, group_attr=group_attr,
+                        new_event=new_event,
+                        condition=split_kleene(condition, "b", group_attr),
+                        bound_roles=binding, role="b", generated=generated)
+    assert got == expected
+    assert generated[0] >= len(got)

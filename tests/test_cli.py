@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from cep.cli import main
+from cep.cli import _parse_duration, main
+from cep.patterns import ParseError, parse_pattern
 
 PATTERN = """PATTERN SEQ(A a, B b, C c)
 WHERE skip_till_any_match { a.price > 0 and b.price > 0 }
@@ -138,6 +139,48 @@ def test_window_override(files):
                  "--window", "4sec", "--metrics-out", str(out_big)]) == 0
     big = json.loads(out_big.read_text())
     assert small["matches"] <= big["matches"]
+
+
+@pytest.mark.parametrize("text, ms", [
+    ("30MIN", 1_800_000), ("2 Hours", 7_200_000), ("1.5Sec", 1500),
+    ("5 msecs", 5), ("1hour", 3_600_000)])
+def test_window_units_are_the_pattern_units(text, ms):
+    assert _parse_duration(text) == ms
+    assert parse_pattern(f"PATTERN SEQ(A a) WITHIN {text}").window == ms
+
+
+def test_window_without_a_unit_is_msec():
+    assert _parse_duration("1800000") == 1_800_000
+
+
+@pytest.mark.parametrize("window", ["0", "0.4", "0.4msec", "0 sec"])
+def test_window_under_1_ms_is_exit_2(files, capsys, window):
+    _, pattern, spec, rates = files
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--pattern", str(pattern), "--generate", str(spec),
+              "--mode", "lazy", "--rates", str(rates), "--window", window])
+    assert exc.value.code == 2
+    assert "window must be positive" in capsys.readouterr().err
+    # WITHIN refuses the same window.
+    if not window[-1].isdigit():
+        with pytest.raises(ParseError, match="window must be positive"):
+            parse_pattern(f"PATTERN SEQ(A a) WITHIN {window}")
+
+
+@pytest.mark.parametrize("field, value", [("history_len", 0),
+                                          ("history_len", -1),
+                                          ("stocks_per_type", 0)])
+def test_bad_stream_spec_is_gen_exit_2_and_run_exit_3(files, capsys, field,
+                                                      value):
+    tmp, pattern, _, rates = files
+    spec = tmp / "bad_spec.json"
+    spec.write_text(json.dumps(dict(SPEC, **{field: value})))
+    assert main(["gen", "--spec", str(spec), "--out",
+                 str(tmp / "s.csv")]) == 2
+    assert f"{field} must be at least 1" in capsys.readouterr().err
+    assert main(["run", "--pattern", str(pattern), "--generate", str(spec),
+                 "--mode", "lazy", "--rates", str(rates)]) == 3
+    assert f"{field} must be at least 1" in capsys.readouterr().err
 
 
 def test_difftest_command(capsys):

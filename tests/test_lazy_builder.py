@@ -5,7 +5,7 @@ import pytest
 from cep import nfa as N
 from cep.events import Event
 from cep.lazy import (ascending_freq_order, build_lazy, lazy_parts,
-                      partial_filters, sequence_filters)
+                      ordering_filters)
 from cep.nfa import build_multi_chain
 from cep.patterns import parse_pattern, to_dnf
 from cep.runtime import Runtime
@@ -24,38 +24,60 @@ def take_edges(nfa):
     return [e for e in nfa.edges if e.action in (N.TAKE, N.ITERATE)]
 
 
+NONE = (frozenset(), frozenset())
+
+
 class TestSequenceFilters:
+    SEQ = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
+
     def test_most_common_type(self):
-        # Sequence A,B,C processed in order C,B,A: when A's state is reached
-        # both B and C are bound; B is the earliest bound successor.
-        assert sequence_filters("A", ["C", "B", "A"], ["A", "B", "C"]) == (
-            frozenset(), frozenset({"B"}))
+        # Sequence a,b,c bound in order c,b,a: when a is taken both b and c
+        # are bound; b is the earliest bound successor.
+        assert ordering_filters(self.SEQ, "a", {"c", "b"}) == (
+            frozenset(), frozenset({"b"}))
 
     def test_middle_type(self):
-        assert sequence_filters("B", ["C", "B", "A"], ["A", "B", "C"]) == (
-            frozenset(), frozenset({"C"}))
+        assert ordering_filters(self.SEQ, "b", {"c"}) == (
+            frozenset(), frozenset({"c"}))
+        assert ordering_filters(self.SEQ, "b", {"a", "c"}) == (
+            frozenset({"a"}), frozenset({"c"}))
 
     def test_rarest_type_has_no_filters(self):
-        for seq in permutations(["A", "B", "C"]):
-            assert sequence_filters("C", ["C", "B", "A"], list(seq)) == (
-                frozenset(), frozenset())
+        for seq in permutations(["A a", "B b", "C c"]):
+            chain = chain_of(f"PATTERN SEQ({', '.join(seq)}) WITHIN 1 hour")
+            assert ordering_filters(chain, "c", set()) == NONE
 
 
 class TestPartialFilters:
-    PAIRS = {("A", "B"), ("C", "D")}
+    # a before b and c before d; e is unordered.
+    CHAIN = chain_of(
+        "PATTERN AND(SEQ(A a, B b), SEQ(C c, D d), E e) WITHIN 1 hour")
 
     def test_constrained_type(self):
-        assert partial_filters("D", ["E", "A", "C", "B", "D"], self.PAIRS) == (
-            frozenset({"C"}), frozenset())
+        assert ordering_filters(self.CHAIN, "d", {"e", "a", "c", "b"}) == (
+            frozenset({"c"}), frozenset())
 
     def test_unconstrained_type(self):
-        assert partial_filters("E", ["E", "A", "C", "B", "D"], self.PAIRS) == (
-            frozenset(), frozenset())
+        assert ordering_filters(self.CHAIN, "e", {"a", "b", "c", "d"}) == NONE
 
     def test_pure_conjunction_has_no_filters(self):
-        for t in "ABC":
-            assert partial_filters(t, ["C", "B", "A"], set()) == (
-                frozenset(), frozenset())
+        chain = chain_of("PATTERN AND(A a, B b, C c) WITHIN 1 hour")
+        for role in "abc":
+            assert ordering_filters(chain, role, set("abc") - {role}) == NONE
+
+    def test_only_the_nearest_bound_roles_are_kept(self):
+        # a must precede b and c, and b precedes c: b alone bounds a from
+        # above. Likewise a before b before c bound c from below by b.
+        chain = chain_of("PATTERN AND(SEQ(A a, B b, C c), D d) WITHIN 1 hour")
+        assert ordering_filters(chain, "a", {"b", "c", "d"}) == (
+            frozenset(), frozenset({"b"}))
+        assert ordering_filters(chain, "c", {"a", "b", "d"}) == (
+            frozenset({"b"}), frozenset())
+        # Unordered neighbours are both kept.
+        chain = chain_of(
+            "PATTERN SEQ(AND(A a, B b), C c, AND(D d, E e)) WITHIN 1 hour")
+        assert ordering_filters(chain, "c", {"a", "b", "d", "e"}) == (
+            frozenset({"a", "b"}), frozenset({"d", "e"}))
 
 
 class TestBuildLazyChain:
@@ -66,8 +88,8 @@ class TestBuildLazyChain:
         takes = take_edges(nfa)
         assert [next(iter(e.types)) for e in takes] == ["C", "B", "A"]
         assert takes[0].prec == frozenset() and takes[0].succ == frozenset()
-        assert takes[1].succ == frozenset({"C"})
-        assert takes[2].succ == frozenset({"B"})
+        assert takes[1].succ == frozenset({"c"})
+        assert takes[2].succ == frozenset({"b"})
         N.validate_nfa(nfa)
 
     def test_single_state_chain(self):
@@ -313,4 +335,4 @@ def test_filter_soundness_across_permutations():
             bound: set = set()
             for e in take_edges(nfa):
                 assert (set(e.prec) | set(e.succ)) <= bound
-                bound |= set(e.types)
+                bound.add(e.role)

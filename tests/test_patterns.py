@@ -2,11 +2,13 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cep.oracle import enumerate_matches_chains
-from cep.patterns import (Kleene, Leaf, OpNode, ParseError,
+from cep.patterns import (ChainPattern, Kleene, Leaf, OpNode, ParseError,
                           PatternError, parse_pattern, render_chain, to_dnf)
-from cep.predicates import eval_atoms, split_conjunction
+from cep.predicates import compile_atoms, eval_atoms, split_conjunction
 from cep.runtime import match_key
 
 PATTERN_1 = """
@@ -128,7 +130,6 @@ class TestToDnf:
         (chain,) = to_dnf(parse_pattern("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour"))
         assert chain.temporal_order == frozenset(
             {("a", "b"), ("b", "c"), ("a", "c")})
-        assert chain.is_total_order()
 
     def test_negation_neighbours(self):
         ast = parse_pattern(
@@ -247,7 +248,7 @@ def _ast_matches(ast, stream):
         return out
 
     results = []
-    atoms = split_conjunction(ast.where)
+    atoms = compile_atoms(split_conjunction(ast.where))
     for alternative in walk(ast.root):
         for binding, _ in alternative:
             ts = [e.ts for v in binding.values()
@@ -279,3 +280,54 @@ def test_dnf_union_equals_ast_semantics():
         assert got == expected, text
         checked += 1
     assert checked > 40
+
+
+@st.composite
+def _ordered_keys(draw):
+    """Roles with the (first, last) keys of an order-keeping binding and a
+    transitively closed temporal order that the keys keep.
+
+    ``u`` before ``v`` holds only if ``u``'s last key is below ``v``'s
+    first: that relation is transitive, so the closure of any part of it
+    stays inside it. A role with several keys stands for a Kleene role.
+    """
+    n = draw(st.integers(1, 6))
+    keys = {}
+    for i in range(n):
+        first = draw(st.integers(0, 20))
+        keys[f"r{i}"] = (first, first + draw(st.integers(0, 4)))
+    fits = sorted((u, v) for u in keys for v in keys
+                  if keys[u][1] < keys[v][0])
+    order = set(draw(st.lists(st.sampled_from(fits), unique=True))
+                if fits else ())
+    while True:
+        more = {(u, w) for (u, v) in order for (x, w) in order if v == x}
+        if more <= order:
+            break
+        order |= more
+    chain = ChainPattern(positives=tuple((r, r.upper()) for r in keys),
+                         temporal_order=frozenset(order), negations=(),
+                         iterated=None, atoms=(), window=1)
+    return chain, keys
+
+
+@given(_ordered_keys(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_nearest_roles_bound_a_search_as_the_full_sets_do(ordered, data):
+    # A search is bounded below by the largest last key of the roles that
+    # must precede and above by the smallest first key of those that must
+    # succeed (Runtime._lower_bound and _upper_bound).
+    chain, keys = ordered
+    roles = sorted(keys)
+    before = frozenset(data.draw(st.lists(st.sampled_from(roles))))
+    after = frozenset(data.draw(st.lists(st.sampled_from(roles))))
+    near_before, near_after = chain.nearest(before, after)
+    assert near_before <= before and near_after <= after
+    assert bool(near_before) == bool(before)
+    assert bool(near_after) == bool(after)
+    if before:
+        assert max(keys[r][1] for r in near_before) == \
+            max(keys[r][1] for r in before)
+    if after:
+        assert min(keys[r][0] for r in near_after) == \
+            min(keys[r][0] for r in after)

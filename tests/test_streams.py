@@ -80,6 +80,14 @@ def test_rate_must_be_positive():
         generate_stream(StreamSpec(rates={"A": 0.0}, count=10))
 
 
+@pytest.mark.parametrize("field, value", [("history_len", 0),
+                                          ("history_len", -1),
+                                          ("stocks_per_type", 0)])
+def test_spec_needs_a_history_and_a_stock(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        StreamSpec(rates={"A": 1.0}, count=10, **{field: value})
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", ["price", "history"])
 def test_csv_rejects_non_finite_numbers(field, value):
