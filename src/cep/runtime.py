@@ -5,11 +5,15 @@ arrival order. Instances are persistent partial matches: a take never moves
 an instance, it spawns an extended clone, so every event may participate in
 any number of matches. Window expiry is driven by stream time: before an
 event at time T is processed, every instance whose window closed strictly
-before T receives a synthetic timeout, and buffered events older than one
-window behind T are dropped. Nothing else tests the window: every live
-instance then starts at or after T minus the window, every instance entered
-while T is processed binds the event at T, and the buffer holds nothing
-older than T minus the window, so whatever a search combines fits.
+before T receives a synthetic timeout. Buffered events are dropped lazily:
+a step that may search (some state listens to T's event type) first drops
+every event more than one window behind T; a step that only stores drops
+them once the oldest is more than two windows behind, which bounds the
+buffer by the window; flush catches up to the last step. Nothing else tests
+the window: every live instance starts at or after T minus the window,
+every instance entered while T is processed binds the event at T, and
+whenever a search runs the buffer holds nothing older than T minus the
+window, so whatever a search combines fits.
 
 The automaton carries its executable plan (:mod:`cep.nfa`): a Runtime only
 references those tables, compiles nothing, and never reads the automaton's
@@ -100,16 +104,18 @@ class Runtime:
 
     # -- instance bookkeeping ------------------------------------------------
 
-    def _count_new(self) -> int:
-        """Number a new instance; count its creation and the live peak.
+    def _count_new(self, n: int = 1) -> int:
+        """Number ``n`` new instances; count their creation and the live
+        peak. Returns the first number.
 
-        The peak counts it with the registered instances and the settling
-        ones whose entry is running.
+        The peak counts a new instance with the registered instances and
+        the settling ones whose entry is running. ``n`` > 1 only numbers
+        bare clones, each retired before the next exists: each counts alone.
         """
         iid = self._next_iid
-        self._next_iid = iid + 1
+        self._next_iid = iid + n
         metrics = self.metrics
-        metrics.instance_create += 1
+        metrics.instance_create += n
         live = len(self.live) + self._entering + 1
         if live > metrics.peak_live_instances:
             metrics.peak_live_instances = live
@@ -146,13 +152,10 @@ class Runtime:
         gets a copy of the binding instead.
         """
         binding = dict(inst.binding) if keep else inst.binding
-        self._match(binding, detection_ts, inst.branch)
+        self._pending.append(Match(binding, detection_ts, inst.branch))
+        self.metrics.matches += 1
         if not keep:
             self._retire(inst)
-
-    def _match(self, binding: dict, detection_ts: int, branch: int) -> None:
-        self._pending.append(Match(binding, detection_ts, branch))
-        self.metrics.matches += 1
 
     # -- stream driving ------------------------------------------------------
 
@@ -169,15 +172,21 @@ class Runtime:
             self._pending = []  # left over from a step that raised
         if self.heap and self.heap[0][0] < ts:
             self._fire_timeouts(ts)
-        watermark = ts - self.window
-        buffer = self.buffer
-        if buffer.oldest_ts is not None and watermark > buffer.oldest_ts:
-            metrics.buffer_remove += buffer.expire(watermark)
         etype = e.etype
+        sids = self.type_interest.get(etype)
+        buffer = self.buffer
+        oldest = buffer.oldest_ts
+        if oldest is not None:
+            # Expire before a step that may search, so that every search
+            # sees one window; otherwise only once the oldest event is two
+            # windows behind, which bounds the buffer by the window.
+            watermark = ts - self.window
+            if watermark > oldest and (sids is not None
+                                       or watermark - self.window > oldest):
+                metrics.buffer_remove += buffer.expire(watermark)
         if etype in self.storable:
             buffer.store(e)
             metrics.buffer_insert += 1
-        sids = self.type_interest.get(etype)
         if sids is None:
             # No state listens to this type: storing it was all the work.
             return self._drain() if self._pending else []
@@ -195,6 +204,10 @@ class Runtime:
 
     def flush(self) -> list:
         self._pending = []
+        if self._last_key is not None:
+            # Catch expiry up to the last step's watermark.
+            self.metrics.buffer_remove += self.buffer.expire(
+                self._last_key[0] - self.window)
         self._fire_timeouts(None)
         return self._drain()
 
@@ -309,13 +322,20 @@ class Runtime:
         lo, hi, group = tp.iterate
         pool = self._query(inst, tp, self._lower_bound(inst, tp.prec_roles),
                            self._upper_bound(inst, tp.succ_roles))
-        for members in iterate_fetch(pool, (lo, hi), group_attr=group,
-                                     new_event=new_event, condition=tp.kleene,
-                                     bound_roles=inst.binding, role=tp.role,
-                                     counter=self.metrics):
+        found = iterate_fetch(pool, (lo, hi), group_attr=group,
+                              new_event=new_event, condition=tp.kleene,
+                              bound_roles=inst.binding, role=tp.role,
+                              counter=self.metrics)
+        if tp.emits:
+            self._emit_bare(inst, tp, found)
+            return
+        for members in found:
             self._spawn(inst, tp, members)
 
     def _spawn(self, inst: Instance, tp: N.TakePlan, bound) -> None:
+        if tp.emits:
+            self._emit_bare(inst, tp, (bound,))
+            return
         binding = dict(inst.binding)
         binding[tp.role] = bound
         # Member tuples are ascending by key: the ends are the extremes.
@@ -325,15 +345,6 @@ class Runtime:
             lo_ts, hi_key = bound.ts, bound.key
         anchor = lo_ts if inst.anchor is None else min(inst.anchor, lo_ts)
         maxkey = hi_key if inst.maxkey is None else max(inst.maxkey, hi_key)
-        if tp.emits:
-            # The clone would only complete, bare, and retire: count it as
-            # created and retired, and emit its match unless the first-chance
-            # floor rules it out, without building it.
-            self._count_new()
-            if not self._under_floor(inst.theta, maxkey[0]):
-                self._match(binding, maxkey[0], tp.branch)
-            self.metrics.instance_retire += 1
-            return
         clone = self._new_instance(inst, tp.dst, tp.branch, binding, anchor,
                                    maxkey)
         if not self.settling[tp.dst]:
@@ -346,6 +357,37 @@ class Runtime:
             self._entering -= 1
         if clone.alive:
             self._retire(clone)
+
+    def _emit_bare(self, inst: Instance, tp: N.TakePlan, bounds) -> None:
+        """Emit the match of every bound that an ``emits`` take found.
+
+        Each clone would only complete, bare, and retire: count it as
+        created and retired, and emit its match unless the first-chance
+        floor rules it out, without building it. No instance is registered
+        or retired in between, so the batch is counted at once.
+        """
+        n = len(bounds)
+        if not n:
+            return
+        self._count_new(n)
+        metrics = self.metrics
+        metrics.instance_retire += n
+        base, role, branch = inst.binding, tp.role, tp.branch
+        theta, maxkey = inst.theta, inst.maxkey
+        pending = self._pending
+        emitted = 0
+        for bound in bounds:
+            # Member tuples are ascending by key: the last is the newest.
+            key = bound[-1].key if type(bound) is tuple else bound.key
+            if maxkey is not None and maxkey > key:
+                key = maxkey
+            if self._under_floor(theta, key[0]):
+                continue
+            binding = base.copy()
+            binding[role] = bound
+            pending.append(Match(binding, key[0], branch))
+            emitted += 1
+        metrics.matches += emitted
 
     # -- completion and negation ----------------------------------------------
 
@@ -486,14 +528,23 @@ class PairedRuntime(Runtime):
         super()._retire(inst)
         del self.shadows[inst.iid]
 
-    def _spawn(self, inst: Instance, tp: N.TakePlan, bound) -> None:
+    def _check_span(self, inst: Instance, tp: N.TakePlan, bound) -> None:
         stamps = [x.ts for b in (*inst.binding.values(), bound)
                   for x in (b if type(b) is tuple else (b,))]
         span = max(stamps) - min(stamps)
         if span > self.window:
             raise ShadowMismatch(f"instance spawned in state {tp.dst} spans "
                                  f"{span} > window {self.window}")
+
+    def _spawn(self, inst: Instance, tp: N.TakePlan, bound) -> None:
+        if not tp.emits:  # _emit_bare checks the bounds it is handed
+            self._check_span(inst, tp, bound)
         super()._spawn(inst, tp, bound)
+
+    def _emit_bare(self, inst: Instance, tp: N.TakePlan, bounds) -> None:
+        for bound in bounds:
+            self._check_span(inst, tp, bound)
+        super()._emit_bare(inst, tp, bounds)
 
     def _query(self, inst: Instance, chk, lower, upper) -> list:
         got = super()._query(inst, chk, lower, upper)

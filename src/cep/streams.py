@@ -40,6 +40,8 @@ class StreamSpec:
     stocks_per_type: int = 25
 
     def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"count must be at least 0, got {self.count}")
         if self.history_len < 1:
             raise ValueError(f"history_len must be at least 1, "
                              f"got {self.history_len}")

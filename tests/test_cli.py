@@ -169,18 +169,20 @@ def test_window_under_1_ms_is_exit_2(files, capsys, window):
 
 @pytest.mark.parametrize("field, value", [("history_len", 0),
                                           ("history_len", -1),
-                                          ("stocks_per_type", 0)])
+                                          ("stocks_per_type", 0),
+                                          ("count", -1)])
 def test_bad_stream_spec_is_gen_exit_2_and_run_exit_3(files, capsys, field,
                                                       value):
     tmp, pattern, _, rates = files
+    least = 0 if field == "count" else 1
     spec = tmp / "bad_spec.json"
     spec.write_text(json.dumps(dict(SPEC, **{field: value})))
     assert main(["gen", "--spec", str(spec), "--out",
                  str(tmp / "s.csv")]) == 2
-    assert f"{field} must be at least 1" in capsys.readouterr().err
+    assert f"{field} must be at least {least}" in capsys.readouterr().err
     assert main(["run", "--pattern", str(pattern), "--generate", str(spec),
                  "--mode", "lazy", "--rates", str(rates)]) == 3
-    assert f"{field} must be at least 1" in capsys.readouterr().err
+    assert f"{field} must be at least {least}" in capsys.readouterr().err
 
 
 def test_difftest_command(capsys):

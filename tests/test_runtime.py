@@ -386,15 +386,20 @@ def _held_events(root) -> set:
 
 def test_buffer_follows_the_window_not_the_group_values():
     # Every B carries a new stock: a grouped B+ runtime must not keep one
-    # entry per value ever seen, only the last window (and the lane's
-    # not yet compacted expired prefix).
+    # entry per value ever seen. No step here searches, so between
+    # searches the buffer may hold two windows; flush leaves the last one.
+    # Both bounds allow the lane's not yet compacted expired prefix.
     chains = apply_group_by(chains_of(
         "PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
         " { b[i].stock = b[i-1].stock } WITHIN 10 msec"), "b", "stock")
     rt = make_runtime(compile_pattern(chains, "lazy",
                                       orders=[["C", "A", "B"]]))
+    two_windows = 2 * 11  # one B per msec
     for i in range(10_000):
         rt.step(Event("B", i, i, {"stock": f"S{i}"}))
+        if i % 97 == 0:
+            assert len(_held_events(rt.buffer)) <= two_windows + LANE_SLACK
+    rt.flush()
     last_window = rt.buffer.query("B")
     assert [e.seq for e in last_window] == list(range(9_989, 10_000))
     held = _held_events(rt.buffer)
@@ -413,6 +418,21 @@ def test_negative_seqs_on_the_watermark_keep_their_match():
         rt = make_runtime(compile_pattern(chains, mode, orders=orders))
         got = [match_key(m.binding) for m in run_stream(rt, stream)]
         assert got == expected, (mode, orders)
+
+
+def test_a_search_never_sees_an_event_that_expiry_left_behind():
+    # A@5 is buffered when B@17 arrives, one window and less than two
+    # behind it: the step that searches must expire it first.
+    chains = chains_of("PATTERN SEQ(A a, B b) WITHIN 10 msec")
+    stream = mkstream(("A", 5), ("A", 8), ("B", 17))
+    expected = [match_key(b) for b in enumerate_matches_chains(chains, stream)]
+    assert expected == [match_key({"a": stream[1], "b": stream[2]})]
+    for mode, orders in (("lazy", [["B", "A"]]), ("lazy-fc", [["B", "A"]]),
+                         ("eager", None)):
+        (nfa,) = compile_pattern(chains, mode, orders=orders)
+        for rt in (Runtime(nfa), PairedRuntime(nfa)):
+            got = [match_key(m.binding) for m in run_stream(rt, stream)]
+            assert got == expected, (mode, type(rt).__name__)
 
 
 def _span(binding) -> int:

@@ -82,10 +82,12 @@ def test_rate_must_be_positive():
 
 @pytest.mark.parametrize("field, value", [("history_len", 0),
                                           ("history_len", -1),
-                                          ("stocks_per_type", 0)])
+                                          ("stocks_per_type", 0),
+                                          ("count", -1)])
 def test_spec_needs_a_history_and_a_stock(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
-        StreamSpec(rates={"A": 1.0}, count=10, **{field: value})
+    least = 0 if field == "count" else 1  # an empty stream is a stream
+    with pytest.raises(ValueError, match=f"{field} must be at least {least}"):
+        StreamSpec(**{"rates": {"A": 1.0}, "count": 10, field: value})
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
