@@ -11,7 +11,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import compile_pattern, make_runtime
 from .metrics import Metrics
@@ -21,7 +21,7 @@ from .runtime import match_line
 
 @dataclass
 class RunResult:
-    matches: list  # Match objects from the counted run (empty if not kept)
+    matches: list  # Match objects from the first counted run
     lines: list  # formatted match lines, deduplicated when requested
     metrics: Metrics
     report: dict
@@ -36,7 +36,6 @@ def run_benchmark(
     repeats: int = 1,
     warmup: bool = False,
     dedup: bool = False,
-    keep_matches: bool = True,
 ) -> RunResult:
     nfas = compile_pattern(chains, mode, rates=rates, orders=orders)
 
@@ -57,16 +56,11 @@ def run_benchmark(
     if warmup:
         one_run(keep=False)
     walls = []
-    matches: list = []
-    metrics: Optional[Metrics] = None
     for i in range(max(repeats, 1)):
-        keep = keep_matches and i == 0
-        kept, m, elapsed = one_run(keep)
+        kept, m, elapsed = one_run(keep=i == 0)
         walls.append(elapsed)
-        if keep:
-            matches = kept
-        if metrics is None:
-            metrics = m
+        if i == 0:
+            matches, metrics = kept, m
         elif m.counters() != metrics.counters():
             raise AssertionError("non-deterministic counters across repeats")
     metrics.wall_time = statistics.median(walls)

@@ -21,6 +21,7 @@ from .predicates import KleeneAtoms, eval_atoms
 LANE_SLACK = 512
 
 _KEY = attrgetter("key")  # lanes are bisected by each event's (ts, seq)
+_TS = attrgetter("ts")  # and expired by its ts alone
 
 
 class _TypeLane:
@@ -33,12 +34,9 @@ class _TypeLane:
         self.start = 0
 
     def expire(self, watermark_ts: int) -> int:
-        # Few events leave per call: walking the front beats bisecting.
         # The window is inclusive: an event on the watermark stays.
-        events, lo = self.events, self.start
-        hi, n = lo, len(events)
-        while hi < n and events[hi].ts < watermark_ts:
-            hi += 1
+        lo = self.start
+        hi = bisect.bisect_left(self.events, watermark_ts, lo=lo, key=_TS)
         removed = hi - lo
         self.start = hi
         if self.start > LANE_SLACK and self.start * 2 > len(self.events):

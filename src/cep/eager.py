@@ -64,6 +64,10 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
             chain_atoms.append((roles_a, compile_atom(a)))
     iter_atoms = tuple(iter_atom_list)
 
+    # The take that binds the iterated role binds a one-member tuple, and
+    # the takes after it wait for the role's minimum count.
+    req = {r: (it.role, it.lo) for r in roles
+           if it is not None and it.role in preds[r]}
     edges = []
     for s in subsets:
         sid = sid_of[s]
@@ -74,15 +78,16 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
                 a for roles_a, a in chain_atoms
                 if r in roles_a and roles_a <= (s | {r})
             )
-            edges.append(N.Edge(sid, sid_of[s | frozenset({r})], N.TAKE,
-                                frozenset({types[r]}), cond=cond, role=r,
-                                branch=0))
+            edges.append(N.Take(sid, sid_of[s | frozenset({r})], N.TAKE,
+                                types[r], r, cond,
+                                iter_first=it is not None and r == it.role,
+                                req_iter_min=req.get(r)))
         if it is not None and it.role in s and not (succs[it.role] & s):
             # Accumulating self-loop; conditions over the subset are deferred
             # to the acceptance gates, the loop itself only grows the list.
-            edges.append(N.Edge(sid, sid, N.TAKE,
-                                frozenset({types[it.role]}), role=it.role,
-                                branch=0))
+            edges.append(N.Take(sid, sid, N.TAKE, types[it.role], it.role,
+                                iterate=(it.lo, it.hi, it.group_by),
+                                append=True))
         if neg_types and not (s == full and not has_tail):
             edges.append(N.Edge(sid, sid, N.STORE, neg_types))
 

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 from . import nfa as N
 from .events import EventType
 from .patterns import ChainPattern
-from .predicates import atom_roles, compile_atom
+from .predicates import atom_roles, compile_atom, split_kleene
 
 
 def ascending_freq_order(rates: Mapping[EventType, float]) -> list:
@@ -130,15 +130,14 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
         role = bind_order[i]
         prec, succ = ordering_filters(chain, role, bind_order[:i])
         dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
+        cond = atom_slots[i]
         if it is not None and i == n - 1:
-            edges.append(N.Edge(i, dst, N.ITERATE, frozenset({etype}),
-                                cond=atom_slots[i], prec=prec, succ=succ,
-                                role=role, bounds=(it.lo, it.hi),
-                                group_by=it.group_by, branch=0))
+            edges.append(N.Take(i, dst, N.ITERATE, etype, role, cond, prec,
+                                succ, iterate=(it.lo, it.hi, it.group_by),
+                                kleene=split_kleene(cond, role, it.group_by)))
         else:
-            edges.append(N.Edge(i, dst, N.TAKE, frozenset({etype}),
-                                cond=atom_slots[i], prec=prec, succ=succ,
-                                role=role, branch=0))
+            edges.append(N.Take(i, dst, N.TAKE, etype, role, cond, prec,
+                                succ))
     edges += tail_edges
 
     fc_checks: dict = {}

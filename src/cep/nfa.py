@@ -1,16 +1,20 @@
 """Automaton data model and its executable plan, shared by every builder.
 
 An :class:`Nfa` is the immutable compilation artifact. Each builder lays out
-one chain as :class:`ChainParts`: states, take/iterate and store edges with
-their ordering filters, and per-branch metadata (negative tail, first-chance
-checks, eager completion). One chain's parts become an automaton as they
-are; :func:`build_multi_chain` merges several into one that shares the
-initial and accepting states. Constructing an automaton compiles it, once,
-into the executable plan: one :class:`StatePlan` per state, the states each
-arriving type acts on, the states that settle, the types the shared buffer
-stores and the sort key of the matches one step emits. It then validates
-the automaton from those tables. Every ``Runtime`` (in :mod:`cep.runtime`)
-shares the plan and compiles nothing.
+one chain as :class:`ChainParts`: states, store :class:`Edge` records, one
+:class:`Take` record per take or iterate edge, stated as the runtime
+executes it (ordering filters, iteration bounds, the eager lattice's flags),
+and per-branch metadata (negative tail, first-chance checks, eager
+completion). One chain's parts become an automaton as they are;
+:func:`build_multi_chain` merges several into one that shares the initial
+and accepting states. Constructing an automaton compiles it, once, into the
+executable plan: one :class:`StatePlan` per state, which indexes the
+state's takes by how they act (on an arrival or on entry) and marks the
+takes that emit their match, the states each arriving type acts on, the
+states that settle, the types the shared buffer stores and the sort key of
+the matches one step emits. It then validates the automaton from those
+tables. Every ``Runtime`` (in :mod:`cep.runtime`) shares the plan and
+compiles nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .patterns import ChainPattern, NegSpec
-from .predicates import KleeneAtoms, split_kleene
+from .predicates import KleeneAtoms
 
 TAKE = "take"
 STORE = "store"
@@ -45,19 +49,42 @@ class State:
 
 @dataclass(frozen=True)
 class Edge:
+    """A store edge: the state keeps arriving events of ``types`` in the
+    shared buffer."""
+
     src: int
     dst: int
-    action: str  # take | store | iterate
+    action: str  # store
     types: frozenset  # event types
+
+
+@dataclass(frozen=True)
+class Take:
+    """A take or iterate edge, laid out by its builder as the runtime
+    executes it."""
+
+    src: int
+    dst: int
+    action: str  # take | iterate
+    etype: str
+    role: str  # role bound by the take
     cond: tuple = ()  # compiled predicate atoms evaluated on traversal
     # Ordering filters: the nearest bound roles that must precede the taken
     # event (lower bounds) and succeed it (upper bounds).
-    prec: frozenset = frozenset()
-    succ: frozenset = frozenset()
-    role: Optional[str] = None  # role bound by take/iterate
-    bounds: Optional[tuple] = None  # (lo, hi) for iterate; hi None = unbounded
-    group_by: Optional[str] = None  # attribute for group-constrained iteration
-    branch: Optional[int] = None  # owning chain in a merged automaton
+    prec_roles: frozenset = frozenset()
+    succ_roles: frozenset = frozenset()
+    branch: int = 0  # owning chain in a merged automaton
+    # (lo, hi, group_attr) of the iterated role, on iterate and append
+    # takes; hi None = unbounded.
+    iterate: Optional[tuple] = None
+    kleene: Optional[KleeneAtoms] = None  # cond split for iterate_fetch
+    append: bool = False  # eager accumulation self-loop
+    iter_first: bool = False  # eager first bind of the iterated role
+    req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
+    # Set by the plan only: the destination is a settling F whose
+    # completion for this branch is BARE, so the spawned instance would
+    # only emit its match and retire.
+    emits: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,27 +100,6 @@ class Branch:
     complete_state: Optional[int] = None
     # Gates applied at completion (eager): (iterated role, lo, its atoms).
     eager_gates: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class TakePlan:
-    role: str
-    etype: str
-    dst: int
-    cond: tuple
-    prec_roles: frozenset
-    succ_roles: frozenset
-    stream_ok: bool
-    branch: int
-    # (lo, hi, group_attr) of the iterated role, on iterate and append takes.
-    iterate: Optional[tuple] = None
-    kleene: Optional[KleeneAtoms] = None  # cond split for iterate_fetch
-    append: bool = False  # eager accumulation self-loop
-    iter_first: bool = False  # eager first bind of the iterated role
-    req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
-    # The destination is a settling F whose completion for this branch is
-    # BARE: the spawned instance would only emit its match and retire.
-    emits: bool = False
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ class NegPlan:
 class StatePlan:
     kind: str
     entry_takes: tuple
-    stream_takes: dict  # etype -> tuple[TakePlan]
+    stream_takes: dict  # etype -> tuple[Take]
     fc_checks: tuple
     complete: dict  # branch -> Completion
     neg: Optional[NegPlan]
@@ -216,8 +222,11 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
     edges, branches = [], []
     for bi, (p, mapping) in enumerate(zip(parts, mappings)):
         mapping[p.accepting] = accepting
-        edges += [replace(e, src=mapping[e.src], dst=mapping[e.dst],
-                          branch=bi) for e in p.edges]
+        for e in p.edges:
+            moved = {"src": mapping[e.src], "dst": mapping[e.dst]}
+            if e.action != STORE:
+                moved["branch"] = bi
+            edges.append(replace(e, **moved))
         b = p.branch
         branches.append(replace(
             b,
@@ -276,10 +285,10 @@ def _compile_plans(nfa: Nfa) -> tuple:
     takes_by_src: dict = defaultdict(list)
     stores_by_src: dict = defaultdict(set)
     for e in nfa.edges:
-        if e.action in (TAKE, ITERATE):
+        if e.action == STORE:
+            stores_by_src[e.src] |= e.types
+        else:
             takes_by_src[e.src].append(e)
-        elif e.action == STORE:
-            stores_by_src[e.src] |= set(e.types)
     tail_at = {sid: (branch, i) for branch in nfa.branches
                for i, (sid, _, _) in enumerate(branch.tail)}
 
@@ -288,45 +297,14 @@ def _compile_plans(nfa: Nfa) -> tuple:
         fc: tuple = ()
         neg_plan = None
 
-        for e in takes_by_src.get(st.sid, ()):
-            bi = e.branch
-            branch = nfa.branches[bi]
-            chain = branch.chain
-            etype = next(iter(e.types))
-            append = e.src == e.dst
-            it = chain.iterated
-            req = None
-            # Only an eager branch completes on a lattice state; its takes
-            # after the iterated role wait for the role's minimum count.
-            if (branch.complete_state is not None and it is not None
-                    and e.role != it.role and it.role in chain.prec_of(e.role)):
-                req = (it.role, it.lo)
-            iterate = None
-            if e.action == ITERATE:
-                iterate = (e.bounds[0], e.bounds[1], e.group_by)
-            elif append:
-                iterate = (it.lo, it.hi, it.group_by)
-            tp = TakePlan(
-                role=e.role,
-                etype=etype,
-                dst=e.dst,
-                cond=e.cond,
-                prec_roles=e.prec,
-                succ_roles=e.succ,
-                stream_ok=not e.succ,
-                branch=bi,
-                iterate=iterate,
-                kleene=(split_kleene(e.cond, e.role, e.group_by)
-                        if e.action == ITERATE else None),
-                append=append,
-                iter_first=(e.action == TAKE and it is not None
-                            and e.role == it.role and not append),
-                req_iter_min=req,
-                emits=e.dst == nfa.accepting and bi in emitting,
-            )
-            if tp.stream_ok:
+        for tp in takes_by_src.get(st.sid, ()):
+            if tp.dst == nfa.accepting and tp.branch in emitting:
+                tp = replace(tp, emits=True)
+            # An arrival is newer than every bound event, so only a take
+            # with no bound successor can take it.
+            if not tp.succ_roles:
                 stream[tp.etype].append(tp)
-            if not tp.append and (set(e.types) & storable):
+            if not tp.append and tp.etype in storable:
                 entry.append(tp)
 
         # A completed instance may still grow exactly when its branch has

@@ -547,7 +547,7 @@ def _validate_ast(ast: PatternAst) -> None:
                 )
             if ref.role in neg_roles:
                 negs_in_atom.add(ref.role)
-        for sub in _walk_values(atom):
+        for sub in P.nodes(atom):
             if isinstance(sub, P.Agg) and sub.ref.role not in iter_roles:
                 raise PatternError(f"{sub.render()}: aggregates require an iterated role")
         if len(negs_in_atom) > 1:
@@ -555,24 +555,6 @@ def _validate_ast(ast: PatternAst) -> None:
                 f"predicate {atom.render()} links two negated events; "
                 "conditions may reference at most one negated role"
             )
-
-
-def _walk_values(expr):
-    if isinstance(expr, P.Cmp):
-        yield from _walk_value_tree(expr.left)
-        yield from _walk_value_tree(expr.right)
-    elif isinstance(expr, P.Not):
-        yield from _walk_values(expr.child)
-    elif isinstance(expr, P.BoolOp):
-        for c in expr.children:
-            yield from _walk_values(c)
-
-
-def _walk_value_tree(v):
-    yield v
-    if isinstance(v, P.Arith):
-        yield from _walk_value_tree(v.left)
-        yield from _walk_value_tree(v.right)
 
 
 @dataclass(frozen=True)

@@ -113,28 +113,26 @@ class BoolOp:
 BoolExpr = Union[Cmp, Not, BoolOp]
 
 
-def value_refs(expr: ValueExpr):
-    if isinstance(expr, AttrRef):
-        yield expr
+def nodes(expr):
+    """Every node of an expression tree, in pre-order: the sides of a
+    comparison, an arithmetic or a correlation, a negated or combined
+    child, an aggregate's reference."""
+    yield expr
+    if isinstance(expr, (Cmp, Arith, Corr)):
+        yield from nodes(expr.left)
+        yield from nodes(expr.right)
+    elif isinstance(expr, Not):
+        yield from nodes(expr.child)
+    elif isinstance(expr, BoolOp):
+        for c in expr.children:
+            yield from nodes(c)
     elif isinstance(expr, Agg):
         yield expr.ref
-    elif isinstance(expr, Corr):
-        yield expr.left
-        yield expr.right
-    elif isinstance(expr, Arith):
-        yield from value_refs(expr.left)
-        yield from value_refs(expr.right)
 
 
 def bool_refs(expr: BoolExpr):
-    if isinstance(expr, Cmp):
-        yield from value_refs(expr.left)
-        yield from value_refs(expr.right)
-    elif isinstance(expr, Not):
-        yield from bool_refs(expr.child)
-    elif isinstance(expr, BoolOp):
-        for c in expr.children:
-            yield from bool_refs(c)
+    """The attribute references of ``expr``, in pre-order."""
+    return (n for n in nodes(expr) if isinstance(n, AttrRef))
 
 
 def atom_roles(expr: BoolExpr) -> frozenset:
@@ -201,7 +199,8 @@ def compile_atom(expr: BoolExpr) -> Atom:
     pair = any(ref.index == "i-1" for ref in indexed)
     body = _bool(expr, True)
     role, start = first.role, 1 if pair else 0
-    if _has_agg(expr) or any(ref.role != role for ref in indexed):
+    if (any(isinstance(n, Agg) for n in nodes(expr))
+            or any(ref.role != role for ref in indexed)):
         kind = SUBSET
     else:
         kind = PAIR if pair else MEMBER
@@ -216,18 +215,6 @@ def compile_atom(expr: BoolExpr) -> Atom:
         return True
 
     return Atom(expr, each, kind, role)
-
-
-def _has_agg(expr) -> bool:
-    if isinstance(expr, Agg):
-        return True
-    if isinstance(expr, (Cmp, Arith)):
-        return _has_agg(expr.left) or _has_agg(expr.right)
-    if isinstance(expr, Not):
-        return _has_agg(expr.child)
-    if isinstance(expr, BoolOp):
-        return any(_has_agg(c) for c in expr.children)
-    return False
 
 
 class KleeneAtoms(NamedTuple):

@@ -246,7 +246,7 @@ class Runtime:
         for tp in plan.stream_takes.get(e.etype, ()):
             self._stream_take(inst, tp, e)
 
-    def _stream_take(self, inst: Instance, tp: N.TakePlan, e: Event) -> None:
+    def _stream_take(self, inst: Instance, tp: N.Take, e: Event) -> None:
         if tp.append:
             # Eager branches of a merged automaton share F and its appends.
             if tp.branch != inst.branch:
@@ -292,21 +292,22 @@ class Runtime:
                 for x in self._candidates(inst, tp):
                     self._spawn(inst, tp, (x,) if tp.iter_first else x)
 
-    def _query(self, inst: Instance, chk, lower, upper) -> list:
+    def _query(self, inst: Instance, chk) -> list:
         """Every buffer search, one ``buffer_search`` each: the events of
-        ``chk``'s type (a TakePlan's or a NegSpec's) between the bounds."""
+        ``chk``'s type (a Take's or a NegSpec's) between the ordering
+        bounds that ``inst``'s binding sets for it."""
         self.metrics.buffer_search += 1
-        return self.buffer.query(chk.etype, lower, upper)
+        return self.buffer.query(chk.etype,
+                                 self._lower_bound(inst, chk.prec_roles),
+                                 self._upper_bound(inst, chk.succ_roles))
 
     def _candidates(self, inst: Instance, chk):
         """Lazily yield the buffered events that ``chk`` may bind in ``inst``.
 
-        The search runs between the ordering bounds that ``inst``'s binding
-        sets. A candidate is yielded once it satisfies ``chk``'s condition,
-        so a caller that stops at the first evaluates no more.
+        A candidate is yielded once it satisfies ``chk``'s condition, so a
+        caller that stops at the first evaluates no more.
         """
-        cands = self._query(inst, chk, self._lower_bound(inst, chk.prec_roles),
-                            self._upper_bound(inst, chk.succ_roles))
+        cands = self._query(inst, chk)
         if not chk.cond:
             yield from cands
             return
@@ -317,11 +318,10 @@ class Runtime:
             if eval_atoms(chk.cond, scratch, self.metrics):
                 yield x
 
-    def _iterate_candidates(self, inst: Instance, tp: N.TakePlan,
+    def _iterate_candidates(self, inst: Instance, tp: N.Take,
                             new_event: Optional[Event]) -> None:
         lo, hi, group = tp.iterate
-        pool = self._query(inst, tp, self._lower_bound(inst, tp.prec_roles),
-                           self._upper_bound(inst, tp.succ_roles))
+        pool = self._query(inst, tp)
         found = iterate_fetch(pool, (lo, hi), group_attr=group,
                               new_event=new_event, condition=tp.kleene,
                               bound_roles=inst.binding, role=tp.role,
@@ -332,7 +332,7 @@ class Runtime:
         for members in found:
             self._spawn(inst, tp, members)
 
-    def _spawn(self, inst: Instance, tp: N.TakePlan, bound) -> None:
+    def _spawn(self, inst: Instance, tp: N.Take, bound) -> None:
         if tp.emits:
             self._emit_bare(inst, tp, (bound,))
             return
@@ -358,7 +358,7 @@ class Runtime:
         if clone.alive:
             self._retire(clone)
 
-    def _emit_bare(self, inst: Instance, tp: N.TakePlan, bounds) -> None:
+    def _emit_bare(self, inst: Instance, tp: N.Take, bounds) -> None:
         """Emit the match of every bound that an ``emits`` take found.
 
         Each clone would only complete, bare, and retire: count it as
@@ -459,8 +459,7 @@ class Runtime:
         # match window; carry the latest candidate and decide at completion.
         # Only the latest satisfying candidate above the floor matters, so
         # the scan runs from the newest down and stops at the first one.
-        cands = self._query(inst, chk, None,
-                            self._upper_bound(inst, chk.succ_roles))
+        cands = self._query(inst, chk)
         for x in reversed(cands):
             if x.ts <= inst.theta:
                 break
@@ -528,7 +527,7 @@ class PairedRuntime(Runtime):
         super()._retire(inst)
         del self.shadows[inst.iid]
 
-    def _check_span(self, inst: Instance, tp: N.TakePlan, bound) -> None:
+    def _check_span(self, inst: Instance, tp: N.Take, bound) -> None:
         stamps = [x.ts for b in (*inst.binding.values(), bound)
                   for x in (b if type(b) is tuple else (b,))]
         span = max(stamps) - min(stamps)
@@ -536,18 +535,20 @@ class PairedRuntime(Runtime):
             raise ShadowMismatch(f"instance spawned in state {tp.dst} spans "
                                  f"{span} > window {self.window}")
 
-    def _spawn(self, inst: Instance, tp: N.TakePlan, bound) -> None:
+    def _spawn(self, inst: Instance, tp: N.Take, bound) -> None:
         if not tp.emits:  # _emit_bare checks the bounds it is handed
             self._check_span(inst, tp, bound)
         super()._spawn(inst, tp, bound)
 
-    def _emit_bare(self, inst: Instance, tp: N.TakePlan, bounds) -> None:
+    def _emit_bare(self, inst: Instance, tp: N.Take, bounds) -> None:
         for bound in bounds:
             self._check_span(inst, tp, bound)
         super()._emit_bare(inst, tp, bounds)
 
-    def _query(self, inst: Instance, chk, lower, upper) -> list:
-        got = super()._query(inst, chk, lower, upper)
+    def _query(self, inst: Instance, chk) -> list:
+        got = super()._query(inst, chk)
+        lower = self._lower_bound(inst, chk.prec_roles)
+        upper = self._upper_bound(inst, chk.succ_roles)
         keys = [x.key for x in got]
         mine = [x.key for x in self.shadows[inst.iid].get(chk.etype, ())
                 if x.ts >= self.watermark and (lower is None or x.key > lower)

@@ -123,7 +123,7 @@ WITHIN 1800 msec
 
 def _bench(chains, events, mode, rates, repeats=3, warmup=True):
     return run_benchmark(chains, events, mode, rates=rates, repeats=repeats,
-                         warmup=warmup, keep_matches=False)
+                         warmup=warmup)
 
 
 def test_criterion_4_lazy_outperforms_eager():

@@ -104,19 +104,23 @@ class TestExpire:
         assert _grouped(buf) == [(b2,)]
         assert _grouped(buf, new_event=b2) == [(b2,)]
 
-    # Runs of (events, ts step, watermark lag): every store is followed by
-    # an expire at ts - lag. A zero step or lag puts equal timestamps on the
-    # watermark; the explicit example expires enough events of type A to
-    # cross the 512-event lane compaction.
+    # Runs of (events, ts step, watermark lag, expiry interval): every
+    # interval-th store is followed by an expire at ts - lag, so that one
+    # call may remove a long run of events, as the runtime's deferred
+    # expiry does. A zero step or lag puts equal timestamps on the
+    # watermark; the explicit examples expire enough events of type A to
+    # cross the 512-event lane compaction, one at a time and in bulk.
     @given(st.lists(st.tuples(st.integers(1, 700), st.integers(0, 2),
-                              st.integers(0, 30)), min_size=1, max_size=3))
-    @example([(1500, 1, 3), (40, 0, 0), (60, 2, 0)])
+                              st.integers(0, 30), st.integers(1, 300)),
+                    min_size=1, max_size=3))
+    @example([(1500, 1, 3, 1), (40, 0, 0, 1), (60, 2, 0, 1)])
+    @example([(1500, 1, 3, 700), (40, 0, 0, 7)])
     @settings(deadline=None, max_examples=40)
     def test_no_stale_event_survives(self, runs):
         buf = InputBuffer()
         stored, live = [], []
         ts = 0
-        for n, step, lag in runs:
+        for n, step, lag, interval in runs:
             for _ in range(n):
                 seq = len(stored)
                 etype = "B" if seq % 3 == 0 else "A"
@@ -124,10 +128,11 @@ class TestExpire:
                 buf.store(e)
                 stored.append(e)
                 live.append(e)
-                watermark = ts - lag
-                kept = [x for x in live if x.ts >= watermark]
-                assert buf.expire(watermark) == len(live) - len(kept)
-                live = kept
+                if len(stored) % interval == 0:
+                    watermark = ts - lag
+                    kept = [x for x in live if x.ts >= watermark]
+                    assert buf.expire(watermark) == len(live) - len(kept)
+                    live = kept
                 for t in "AB":
                     assert buf.query(t) == [x for x in live if x.etype == t]
                 if etype == "A":

@@ -17,7 +17,7 @@ def test_sequence_is_a_chain():
     nfa = build_eager(chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour"))
     assert len(nfa.states) == 4  # q0, {a}, {a,b} and F
     takes = [e for e in nfa.edges if e.action == N.TAKE]
-    assert [next(iter(e.types)) for e in takes] == ["A", "B", "C"]
+    assert [e.etype for e in takes] == ["A", "B", "C"]
     # Each state acts only on arrivals of the next type in the sequence.
     assert nfa.type_interest == {"A": (0,), "B": (1,), "C": (2,)}
     N.validate_nfa(nfa)
@@ -51,13 +51,13 @@ def test_eager_never_uses_ordering_filters():
         nfa = build_eager(chain_of(text))
         for e in nfa.edges:
             if e.action == N.TAKE:
-                assert e.prec == frozenset() and e.succ == frozenset()
+                assert e.prec_roles == frozenset() == e.succ_roles
 
 
 def test_iterated_role_gets_a_take_self_loop():
     nfa = build_eager(chain_of("PATTERN SEQ(A a, B+ b[], C c) WITHIN 1 hour"))
     loops = [e for e in nfa.edges if e.action == N.TAKE and e.src == e.dst]
-    assert len(loops) == 1 and loops[0].types == frozenset({"B"})
+    assert len(loops) == 1 and loops[0].etype == "B"
 
 
 def test_negation_adds_post_processing_tail():

@@ -55,6 +55,17 @@ def test_a_state_without_a_path_to_accept_is_a_build_error(build, breakage,
     assert str(err.value).endswith(stuck)
 
 
+def _plan_runs_the_laid_out_takes(nfa):
+    # Each state's plan executes the takes its builder laid out from it, as
+    # they are but for ``emits``: none is dead and none is invented.
+    planned = {(sid, replace(tp, emits=False))
+               for sid, plan in enumerate(nfa.plans)
+               for tps in (plan.entry_takes, *plan.stream_takes.values())
+               for tp in tps}
+    laid_out = {(e.src, e) for e in nfa.edges if e.action != N.STORE}
+    assert planned == laid_out, nfa.label
+
+
 def test_every_builder_output_over_the_difftest_corpus_validates():
     rng = random.Random(2024)
     built = 0
@@ -75,9 +86,12 @@ def test_every_builder_output_over_the_difftest_corpus_validates():
                 assert len(nfa.plans) == len(nfa.states)
                 assert all(p.neg is not None for p in nfa.plans
                            if p.kind == N.NEG)
+                _plan_runs_the_laid_out_takes(nfa)
             built += len(nfas)
-        N.validate_nfa(N.build_multi_chain(lazies))
-        N.validate_nfa(N.build_multi_chain(eagers))
+        for merged in (N.build_multi_chain(lazies),
+                       N.build_multi_chain(eagers)):
+            N.validate_nfa(merged)
+            _plan_runs_the_laid_out_takes(merged)
     assert built > 400
 
 
