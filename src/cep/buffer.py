@@ -1,9 +1,10 @@
 """Shared time-ordered input buffer with type indexing, and subset enumeration.
 
-One buffer serves the whole automaton run: contents depend only on the
-stream and the union of storable types, so instances can share it and carry
-only their ordering bounds. Events expire once they fall a full window
-behind the latest processed timestamp.
+One buffer serves the whole automaton run. It holds every arrival of the
+types that some search in the automaton's plan reads (``Nfa.storable``),
+whatever state the searching instance is in, so instances share it and
+carry only their ordering bounds. The runtime expires it (see
+:mod:`cep.runtime`), so that every search sees exactly one window.
 """
 
 from __future__ import annotations

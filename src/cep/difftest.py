@@ -1,13 +1,15 @@
 """Randomized differential testing: oracle vs eager vs every lazy variant.
 
 Each case draws a random pattern (sequence/conjunction/partial nesting,
-optional negation, iteration, disjunction, predicates) with its window, and
-a short random stream whose gaps sometimes fall on the window's edge, then
-checks that every applicable evaluation mode produces exactly the oracle's
-match multiset. Every mode runs in a ``PairedRuntime`` (the shadow-buffer
-check) and must emit each step's matches in ``(detection_ts, key)`` order;
-a ``ShadowMismatch`` or a misordered step is a divergence too. On
-divergence the stream is greedily shrunk before reporting.
+optional negation, iteration, disjunction, predicates) with its window; a
+negation in an alternative of a disjunction sometimes negates a type that
+another alternative binds. A short random stream follows, whose gaps
+sometimes fall on the window's edge. Every applicable evaluation mode must
+produce exactly the oracle's match multiset. Every mode runs in a
+``PairedRuntime`` (the shadow-buffer check) and must emit each step's
+matches in ``(detection_ts, key)`` order; a ``ShadowMismatch`` or a
+misordered step is a divergence too. On divergence the stream is greedily
+shrunk before reporting.
 """
 
 from __future__ import annotations
@@ -69,11 +71,29 @@ def random_pattern(rng: random.Random) -> str:
             items[k] = f"{types[k]}{{{lo},{hi}}} {iter_role}[]"
         else:
             items[k] = f"{types[k]}+ {iter_role}[]"
+    groups = list(items)
     neg_roles = []
     if rng.random() < 0.45:
         neg_type = TYPE_POOL[n_pos] if n_pos < len(TYPE_POOL) else "Y"
         neg_roles.append(("h", neg_type))
-        items.insert(rng.randint(0, len(items)), f"NOT({neg_type} h)")
+        neg_at = rng.randint(0, len(items))
+        items.insert(neg_at, f"NOT({neg_type} h)")
+        # Under an OR the negation joins its neighbour, so that no
+        # alternative is a negation alone.
+        j = min(neg_at, n_pos - 1)
+        groups[j] = ", ".join(items[j : j + 2])
+
+    def alternative(gs: list) -> str:
+        if len(gs) == 1 and "NOT" not in gs[0]:
+            return gs[0]
+        return "SEQ(" + ", ".join(gs) + ")"
+
+    def negate_another(others: list) -> None:
+        # The negation in group j sometimes negates a type that another
+        # alternative binds.
+        if rng.random() < 0.5:
+            groups[j] = groups[j].replace(f"NOT({neg_type} ",
+                                          f"NOT({rng.choice(others)} ")
 
     # Roles usable in WHERE must appear in every DNF alternative.
     common_roles = list(roles)
@@ -85,21 +105,21 @@ def random_pattern(rng: random.Random) -> str:
         inner = "SEQ(" + ", ".join(items[: cut + 1]) + ")"
         rest = items[cut + 1 :]
         body = "AND(" + ", ".join([inner] + rest) + ")"
-    elif structure == "or" and len(items) >= 2 and not neg_roles:
-        cut = max(1, len(items) // 2)
-        left = "SEQ(" + ", ".join(items[:cut]) + ")" if cut > 1 else items[0]
-        right = ("SEQ(" + ", ".join(items[cut:]) + ")"
-                 if len(items) - cut > 1 else items[cut])
-        body = f"OR({left}, {right})"
-        common_roles = []
+    elif structure == "or" and n_pos >= 2:
+        cut = max(1, n_pos // 2)
+        if neg_roles:
+            negate_another(types[cut:] if j < cut else types[:cut])
+        body = f"OR({alternative(groups[:cut])}, {alternative(groups[cut:])})"
+        common_roles = neg_roles = []
         iter_role = None  # may sit in one branch only
-    elif structure == "or-mid" and len(items) >= 3 and not neg_roles:
-        mid = items[1:-1]
-        alt = " , ".join(mid)
-        body = f"SEQ({items[0]}, OR({alt.replace(' , ', ', ')}), {items[-1]})" \
-            if len(mid) > 1 else f"SEQ({items[0]}, {mid[0]}, {items[-1]})"
-        first_role = roles[0] if "[" not in items[0] else None
-        last_role = roles[-1] if "[" not in items[-1] else None
+    elif structure == "or-mid" and n_pos >= 4:
+        if neg_roles and 0 < j < n_pos - 1:
+            negate_another(types[1:j] + types[j + 1 : -1])
+            neg_roles = []  # in one alternative only: no atom names h
+        alts = ", ".join(alternative([g]) for g in groups[1:-1])
+        body = f"SEQ({groups[0]}, OR({alts}), {groups[-1]})"
+        first_role = roles[0] if "[" not in groups[0] else None
+        last_role = roles[-1] if "[" not in groups[-1] else None
         common_roles = [r for r in (first_role, last_role) if r]
         if iter_role in set(roles[1:-1]):
             iter_role = None

@@ -5,7 +5,8 @@ temporal order (a chain for full sequences, the full subset lattice for
 conjunctions). An iterated role contributes a take self-loop accumulating
 events one by one. Negated roles are verified as a post-processing step
 once all positives are bound, via the same negative-tail machinery the lazy
-post-processing chain uses.
+post-processing chain uses. Takes bind arrivals only and never search the
+buffer, so it stores only the negated types that the tail checks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
     succs = {r: chain.succ_of(r) & set(roles) for r in roles}
     it = chain.iterated
     types = chain.types
-    neg_types = frozenset(s.etype for s in chain.negations)
 
     subsets = _downward_closed(roles, preds)
     subsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
@@ -41,8 +41,7 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
     tail_start = n_sub
     accepting = n_sub + len(chain.negations) if has_tail else sid_of[full]
 
-    tail_states, tail_edges, tail = N.negative_tail(chain, chain.negations,
-                                                    tail_start)
+    tail_states, tail = N.negative_tail(chain, chain.negations, tail_start)
     states = []
     for s in subsets:
         name = "{" + ",".join(sorted(s)) + "}" if s else "q0"
@@ -88,12 +87,8 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
             edges.append(N.Take(sid, sid, N.TAKE, types[it.role], it.role,
                                 iterate=(it.lo, it.hi, it.group_by),
                                 append=True))
-        if neg_types and not (s == full and not has_tail):
-            edges.append(N.Edge(sid, sid, N.STORE, neg_types))
 
     # Completion on the full roleset hands off to the tail (Completion).
-    edges += tail_edges
-
     gates = (it.role, it.lo, iter_atoms) if it is not None else None
     branch = N.Branch(chain=chain, tail=tail, fc_checks={},
                       complete_state=sid_of[full], eager_gates=gates)

@@ -97,7 +97,6 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     if fc:
         _check_fc_applicable(chain)
         negs = []
-    neg_types = frozenset(s.etype for s in chain.negations)
 
     if negs:
         if neg_freq is None:
@@ -112,7 +111,7 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     # Negative tail: each state checks one negated type; an instance moves
     # on once that check is certified, and to F after the last one.
     tail_start = n
-    tail_states, tail_edges, tail = N.negative_tail(chain, negs, tail_start)
+    tail_states, tail = N.negative_tail(chain, negs, tail_start)
     states = [N.State(i, N.CHAIN, f"q{i + 1}", 0) for i in range(n)]
     states += tail_states
     edges = []
@@ -120,25 +119,18 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     states.append(N.State(accepting, N.ACCEPT, "F", 0))
 
     for i, etype in enumerate(freq):
-        store_t = frozenset(freq[i + 1 :]) | neg_types
-        if it is not None and i == n - 1:
-            # An iterate edge taking from the stream inserts the new event
-            # into the buffer before generating the subsets that contain it.
-            store_t |= {it.etype}
-        if store_t:
-            edges.append(N.Edge(i, i, N.STORE, store_t))
         role = bind_order[i]
         prec, succ = ordering_filters(chain, role, bind_order[:i])
         dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
         cond = atom_slots[i]
         if it is not None and i == n - 1:
             edges.append(N.Take(i, dst, N.ITERATE, etype, role, cond, prec,
-                                succ, iterate=(it.lo, it.hi, it.group_by),
+                                succ, search=True,
+                                iterate=(it.lo, it.hi, it.group_by),
                                 kleene=split_kleene(cond, role, it.group_by)))
         else:
             edges.append(N.Take(i, dst, N.TAKE, etype, role, cond, prec,
-                                succ))
-    edges += tail_edges
+                                succ, search=True))
 
     fc_checks: dict = {}
     if fc:

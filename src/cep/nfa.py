@@ -1,20 +1,20 @@
 """Automaton data model and its executable plan, shared by every builder.
 
 An :class:`Nfa` is the immutable compilation artifact. Each builder lays out
-one chain as :class:`ChainParts`: states, store :class:`Edge` records, one
-:class:`Take` record per take or iterate edge, stated as the runtime
-executes it (ordering filters, iteration bounds, the eager lattice's flags),
-and per-branch metadata (negative tail, first-chance checks, eager
+one chain as :class:`ChainParts`: states, one :class:`Take` record per take
+or iterate edge, stated as the runtime executes it (ordering filters,
+whether it searches the buffer, iteration bounds, the eager lattice's
+flags), and per-branch metadata (negative tail, first-chance checks, eager
 completion). One chain's parts become an automaton as they are;
 :func:`build_multi_chain` merges several into one that shares the initial
 and accepting states. Constructing an automaton compiles it, once, into the
 executable plan: one :class:`StatePlan` per state, which indexes the
 state's takes by how they act (on an arrival or on entry) and marks the
 takes that emit their match, the states each arriving type acts on, the
-states that settle, the types the shared buffer stores and the sort key of
-the matches one step emits. It then validates the automaton from those
-tables. Every ``Runtime`` (in :mod:`cep.runtime`) shares the plan and
-compiles nothing.
+states that settle, the sort key of the matches one step emits and the
+types the shared buffer stores: those that some search in the plan reads.
+It then validates the automaton from those tables. Every ``Runtime`` (in
+:mod:`cep.runtime`) shares the plan and compiles nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .patterns import ChainPattern, NegSpec
 from .predicates import KleeneAtoms
 
 TAKE = "take"
-STORE = "store"
 ITERATE = "iterate"
 
 CHAIN = "chain"
@@ -48,17 +47,6 @@ class State:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """A store edge: the state keeps arriving events of ``types`` in the
-    shared buffer."""
-
-    src: int
-    dst: int
-    action: str  # store
-    types: frozenset  # event types
-
-
-@dataclass(frozen=True)
 class Take:
     """A take or iterate edge, laid out by its builder as the runtime
     executes it."""
@@ -73,6 +61,9 @@ class Take:
     # event (lower bounds) and succeed it (upper bounds).
     prec_roles: frozenset = frozenset()
     succ_roles: frozenset = frozenset()
+    # The take also searches the buffer when its source state is entered
+    # (lazy); otherwise it binds arrivals only (eager).
+    search: bool = False
     branch: int = 0  # owning chain in a merged automaton
     # (lo, hi, group_attr) of the iterated role, on iterate and append
     # takes; hi None = unbounded.
@@ -137,7 +128,6 @@ class StatePlan:
     fc_checks: tuple
     complete: dict  # branch -> Completion
     neg: Optional[NegPlan]
-    store_types: frozenset
 
 
 @dataclass(frozen=True)
@@ -152,20 +142,18 @@ class Nfa:
     window: int
     branches: tuple
     # The executable plan, compiled on construction; every runtime shares it.
-    storable: frozenset = field(init=False, repr=False, compare=False)
     plans: tuple = field(init=False, repr=False, compare=False)
+    # The types the shared buffer stores: those some search in the plan reads.
+    storable: frozenset = field(init=False, repr=False, compare=False)
     type_interest: dict = field(init=False, repr=False, compare=False)
     settling: tuple = field(init=False, repr=False, compare=False)
     # Sort key of one step's matches: ``(detection_ts, match key)`` order.
     drain_key: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The shared buffer stores exactly the store-edge types.
-        storable = frozenset().union(
-            *[e.types for e in self.edges if e.action == STORE])
-        object.__setattr__(self, "storable", storable)
         plans = _compile_plans(self)
         object.__setattr__(self, "plans", plans)
+        object.__setattr__(self, "storable", _searched_types(plans))
         # Which states care about which arriving types.
         interest = defaultdict(set)
         for sid, plan in enumerate(plans):
@@ -222,11 +210,8 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
     edges, branches = [], []
     for bi, (p, mapping) in enumerate(zip(parts, mappings)):
         mapping[p.accepting] = accepting
-        for e in p.edges:
-            moved = {"src": mapping[e.src], "dst": mapping[e.dst]}
-            if e.action != STORE:
-                moved["branch"] = bi
-            edges.append(replace(e, **moved))
+        edges += [replace(tp, src=mapping[tp.src], dst=mapping[tp.dst],
+                          branch=bi) for tp in p.edges]
         b = p.branch
         branches.append(replace(
             b,
@@ -251,22 +236,17 @@ def neg_check(chain: ChainPattern, spec: NegSpec) -> NegSpec:
 def negative_tail(chain: ChainPattern, negs, start: int) -> tuple:
     """The post-processing tail over ``chain``'s ``negs``, in check order.
 
-    State ``start + j`` checks ``negs[j]``. Returns the tail's states, its
-    store edges (each state keeps the later negated types in the buffer)
-    and the ``(sid, check, waits_for_timeout)`` entries of
+    State ``start + j`` checks ``negs[j]``. Returns the tail's states and
+    the ``(sid, check, waits_for_timeout)`` entries of
     :attr:`Branch.tail`, each check made by :func:`neg_check`. A check
     waits for the timeout when no positive event must succeed the negated
     one.
     """
-    states, edges, tail = [], [], []
-    for j, spec in enumerate(negs):
-        sid = start + j
-        states.append(State(sid, NEG, f"r_{spec.etype}", 0))
-        later = frozenset(s.etype for s in negs[j + 1 :])
-        if later:
-            edges.append(Edge(sid, sid, STORE, later))
-        tail.append((sid, neg_check(chain, spec), not spec.succ_roles))
-    return states, edges, tuple(tail)
+    states = [State(start + j, NEG, f"r_{spec.etype}", 0)
+              for j, spec in enumerate(negs)]
+    tail = tuple((start + j, neg_check(chain, spec), not spec.succ_roles)
+                 for j, spec in enumerate(negs))
+    return states, tail
 
 
 def _settles(plan: StatePlan) -> bool:
@@ -280,15 +260,27 @@ def _settles(plan: StatePlan) -> bool:
             and all(c.tail_start is None for c in plan.complete.values()))
 
 
+def _searched_types(plans: tuple) -> frozenset:
+    """The types that some search in ``plans`` reads: entry takes, Kleene
+    pools read on arrival, and every absence check (first-chance,
+    completion and negative-tail)."""
+    types = set()
+    for plan in plans:
+        types.update(tp.etype for tp in plan.entry_takes)
+        types.update(tp.etype for tps in plan.stream_takes.values()
+                     for tp in tps if tp.iterate and not tp.append)
+        types.update(chk.etype for chk in plan.fc_checks)
+        for c in plan.complete.values():
+            types.update(chk.etype for chk in c.checks)
+        if plan.neg is not None:
+            types.update(spec.etype for _, spec, _ in plan.neg.tail)
+    return frozenset(types)
+
+
 def _compile_plans(nfa: Nfa) -> tuple:
-    storable = nfa.storable
     takes_by_src: dict = defaultdict(list)
-    stores_by_src: dict = defaultdict(set)
-    for e in nfa.edges:
-        if e.action == STORE:
-            stores_by_src[e.src] |= e.types
-        else:
-            takes_by_src[e.src].append(e)
+    for tp in nfa.edges:
+        takes_by_src[tp.src].append(tp)
     tail_at = {sid: (branch, i) for branch in nfa.branches
                for i, (sid, _, _) in enumerate(branch.tail)}
 
@@ -304,7 +296,8 @@ def _compile_plans(nfa: Nfa) -> tuple:
             # with no bound successor can take it.
             if not tp.succ_roles:
                 stream[tp.etype].append(tp)
-            if not tp.append and tp.etype in storable:
+            # The seed is never entered.
+            if tp.search and st.sid != nfa.initial:
                 entry.append(tp)
 
         # A completed instance may still grow exactly when its branch has
@@ -343,7 +336,6 @@ def _compile_plans(nfa: Nfa) -> tuple:
             fc_checks=fc,
             complete=complete,
             neg=neg_plan,
-            store_types=frozenset(stores_by_src.get(st.sid, ())),
         )
 
     # F comes first: a take into it emits the match itself when F settles

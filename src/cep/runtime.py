@@ -62,7 +62,8 @@ def match_line(m: Match) -> str:
 
 
 class ShadowMismatch(AssertionError):
-    """Shared-buffer candidates diverged from the per-instance reference."""
+    """A buffer search diverged from the arrival log, or a spawn spans more
+    than the window (paired mode)."""
 
 
 class Instance:
@@ -499,33 +500,28 @@ class Runtime:
 class PairedRuntime(Runtime):
     """A :class:`Runtime` that holds its shared buffer to a reference.
 
-    Test machinery (the shadow-buffer check). Each instance also keeps its
-    parent's buffer plus every later arrival its state stores; a search
-    that disagrees with it, or a spawn spanning more than the window,
+    Test machinery (the shadow-buffer check). It logs every arrival that
+    ``Runtime.step`` accepts, of every type. A buffer search that returns
+    other events than the log holds of its type within the window and the
+    search's ordering bounds, or a spawn spanning more than the window,
     raises :class:`ShadowMismatch`. Matches and counters are unchanged.
     """
 
     def __init__(self, nfa: N.Nfa):
-        self.shadows: dict = {}  # iid -> {etype: [Event, ...]}
         super().__init__(nfa)
+        self.log: dict = defaultdict(list)  # etype -> [Event, ...]
 
     def step(self, e: Event) -> list:
-        self.watermark = e.ts - self.window
-        # Before the step, so that the instances it spawns copy e too.
-        for inst in self.live.values():
-            if e.etype in self.plans[inst.sid].store_types:
-                self.shadows[inst.iid].setdefault(e.etype, []).append(e)
-        return super().step(e)
-
-    def _new_instance(self, parent, *args) -> Instance:
-        inst = super()._new_instance(parent, *args)
-        self.shadows[inst.iid] = {} if parent is None else {
-            t: list(v) for t, v in self.shadows[parent.iid].items()}
-        return inst
-
-    def _retire(self, inst: Instance) -> None:
-        super()._retire(inst)
-        del self.shadows[inst.iid]
+        # Logged before the step, whose searches may return e, and taken
+        # back if the step rejects e as out of order.
+        log = self.log[e.etype]
+        log.append(e)
+        processed = self.metrics.events_processed
+        try:
+            return super().step(e)
+        finally:
+            if self.metrics.events_processed == processed:
+                log.pop()
 
     def _check_span(self, inst: Instance, tp: N.Take, bound) -> None:
         stamps = [x.ts for b in (*inst.binding.values(), bound)
@@ -550,13 +546,16 @@ class PairedRuntime(Runtime):
         lower = self._lower_bound(inst, chk.prec_roles)
         upper = self._upper_bound(inst, chk.succ_roles)
         keys = [x.key for x in got]
-        mine = [x.key for x in self.shadows[inst.iid].get(chk.etype, ())
-                if x.ts >= self.watermark and (lower is None or x.key > lower)
-                and (upper is None or x.key < upper)]
-        if keys != mine:
+        # Every search runs while a step dispatches the last accepted event.
+        watermark = self._last_key[0] - self.window
+        logged = [x.key for x in self.log.get(chk.etype, ())
+                  if x.ts >= watermark
+                  and (lower is None or x.key > lower)
+                  and (upper is None or x.key < upper)]
+        if keys != logged:
             raise ShadowMismatch(
-                f"shared buffer returned {keys} but the per-instance buffer "
-                f"holds {mine} (type {chk.etype}, state {inst.sid})")
+                f"shared buffer returned {keys} but the arrival log holds "
+                f"{logged} (type {chk.etype}, state {inst.sid})")
         return got
 
 

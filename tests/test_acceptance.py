@@ -254,7 +254,7 @@ def test_criterion_7_group_by():
             f"{gen_g[0]} grouped vs {gen_u[0]} ungrouped candidate subsets")
 
 
-# -- 8. shared vs per-instance buffers ------------------------------------------
+# -- 8. shared buffer vs a log of every arrival --------------------------------
 
 def test_criterion_8_shared_buffer_equivalence():
     import random

@@ -3,7 +3,8 @@
 A fixed corpus of patterns covers each construct the runtime executes: SEQ,
 AND, partial order and a sequence in a partial order; leading, middle and
 trailing negation; Kleene, grouped and bounded iteration; an eager OR with
-iteration; and corr. Each runs over one seeded stream in every mode that
+iteration; an OR whose one branch negates the type the other binds; and
+corr. Each runs over one seeded stream in every mode that
 compiles it. The pins are exact: a change to the engine that moves any
 counter, or any match, its detection time or its branch, fails here, so
 such a change has to update the pins on purpose and say why.
@@ -52,6 +53,9 @@ CORPUS = {
                        None, 800, 19),
     "or-iteration": ("PATTERN OR(SEQ(C c, B+ b[]), SEQ(D d, B+ b[]))"
                      " WITHIN 150 msec", None, 600, 20),
+    # One branch negates the type that the other binds.
+    "or-negation": ("PATTERN OR(SEQ(A a, NOT(D x), C c), SEQ(B b, D d))"
+                    " WITHIN 150 msec", None, 800, 24),
     "corr": ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"
              " { corr(a.history, b.history) > 0.5 and"
              " corr(b.history, c.history) > 0.5 } WITHIN 400 msec",
@@ -132,6 +136,12 @@ PINNED = {
                                "ef3dc69b2e0a6e72"),
     ("or-iteration", "lazy-fc"): ((600, 826, 0, 1045, 1044, 106, 576, 104, 11),
                                   "ef3dc69b2e0a6e72"),
+    ("or-negation", "eager"): ((800, 508, 0, 1181, 1180, 232, 223, 230, 16),
+                               "8c8bd446fe9561e9"),
+    ("or-negation", "lazy"): ((800, 508, 0, 847, 846, 611, 412, 606, 7),
+                              "8c8bd446fe9561e9"),
+    ("or-negation", "lazy-fc"): ((800, 508, 0, 847, 846, 611, 412, 606, 7),
+                                 "8c8bd446fe9561e9"),
     ("corr", "eager"): ((1200, 114, 3084, 1452, 1451, 0, 0, 0, 68),
                         "2f5ae070111767f9"),
     ("corr", "lazy"): ((1200, 114, 597, 224, 223, 783, 109, 755, 4),
@@ -175,9 +185,10 @@ def test_the_corpus_runs_every_mode_that_compiles():
 
 
 def test_only_mixed_signatures_keep_the_general_drain_key():
-    # Both or-iteration branches bind b, one with c and one with d: their
-    # matches differ in roles, so they sort by the general key. Every other
-    # pattern sorts by one compiled from its single signature.
+    # Both or-iteration branches bind b, one with c and one with d, and the
+    # or-negation branches bind a, c and b, d: their matches differ in
+    # roles, so they sort by the general key. Every other pattern sorts by
+    # one compiled from its single signature.
     general = {name for name, mode in PINNED
                if _compile(name, mode)[0].drain_key is detection_order}
-    assert general == {"or-iteration"}
+    assert general == {"or-iteration", "or-negation"}

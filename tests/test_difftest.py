@@ -48,8 +48,8 @@ def test_shrinker_minimizes_a_planted_divergence():
 def test_paired_buffer_mismatches_are_divergences(monkeypatch):
     from cep.buffer import InputBuffer
 
-    # With expiry off the shared buffer keeps what every instance's own
-    # buffer dropped: the paired check must turn that into a divergence.
+    # With expiry off the shared buffer keeps events that left the window:
+    # the paired check must turn that into a divergence.
     monkeypatch.setattr(InputBuffer, "expire", lambda self, ts: 0)
     divergence = run_suite(cases=200, seed=4, max_events=16)
     assert divergence is not None

@@ -128,8 +128,9 @@ class TestBuildLazyChain:
     def test_store_types_and_type_interest(self):
         chain = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
         nfa = build_lazy(chain, ["C", "B", "A"])
-        assert [p.store_types for p in nfa.plans] == [
-            frozenset({"B", "A"}), frozenset({"A"}), frozenset(), frozenset()]
+        # q2 searches for B and q3 for A; the seed at q1 is never entered.
+        assert [[tp.etype for tp in p.entry_takes] for p in nfa.plans] == [
+            [], ["B"], ["A"], []]
         # An arrival of a type already bound acts on no later state.
         for sid, bound in {1: {"C"}, 2: {"C", "B"}}.items():
             for t in bound:
@@ -174,8 +175,8 @@ class TestPpNegation:
         # check does not wait for arrivals, and passing it completes.
         assert not wait and nfa.plans[3].neg.kill_map == {}
         assert all(3 not in sids for sids in nfa.type_interest.values())
-        # Positive states store the negated type too.
-        assert all("B" in nfa.plans[src].store_types for src in (0, 1, 2))
+        # The tail's check searches B, so the buffer stores it.
+        assert nfa.storable == frozenset({"A", "B", "D"})
 
     def test_conjunction_negation_waits_for_timeout(self):
         chain = chain_of("PATTERN AND(A a, NOT(B b), C c) WITHIN 1 hour")

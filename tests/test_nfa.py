@@ -62,7 +62,7 @@ def _plan_runs_the_laid_out_takes(nfa):
                for sid, plan in enumerate(nfa.plans)
                for tps in (plan.entry_takes, *plan.stream_takes.values())
                for tp in tps}
-    laid_out = {(e.src, e) for e in nfa.edges if e.action != N.STORE}
+    laid_out = {(tp.src, tp) for tp in nfa.edges}
     assert planned == laid_out, nfa.label
 
 

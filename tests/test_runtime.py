@@ -237,6 +237,11 @@ class TestNegationInsideDisjunction:
         "WHERE skip_till_any_match { h.x < b.x }\nWITHIN 12 msec",
         "PATTERN OR(SEQ(A a, NOT(X h), B b), SEQ(C c, NOT(Y g), D d))\n"
         "WITHIN 10 msec",
+        # One branch negates the type that the other binds: the buffer
+        # stores it for the absence check, and the eager take must still
+        # bind it on arrival only.
+        "PATTERN OR(SEQ(A a, NOT(D x), C c), SEQ(B b, D d)) WITHIN 10 msec",
+        "PATTERN OR(SEQ(C c, NOT(B x), D d), AND(A a, B b)) WITHIN 10 msec",
     ]
 
     def test_all_modes_match_oracle(self):
@@ -308,6 +313,25 @@ class TestSharedBufferEquivalence:
         with pytest.raises(ShadowMismatch, match="window"):
             run_stream(PairedRuntime(nfa), stream)
 
+    def test_paired_mode_steps_on_after_an_out_of_order_event(self):
+        # A@3 is rejected, so it is no arrival: the later search for As
+        # before B@8 must expect A@5 alone.
+        chains = chains_of("PATTERN SEQ(A a, B b) WITHIN 10 msec")
+        (nfa,) = compile_pattern(chains, "lazy", orders=[["B", "A"]])
+        stream = mkstream(("A", 5), ("A", 3), ("B", 8))
+
+        def lines(rt):
+            out = []
+            for e in stream:
+                try:
+                    out += rt.step(e)
+                except StreamDataError:
+                    pass
+            return [match_line(m) for m in out + rt.flush()]
+
+        assert lines(PairedRuntime(nfa)) == lines(Runtime(nfa)) == [
+            "a=A@5#0; b=B@8#2"]
+
     @pytest.mark.parametrize("order", [["C", "B"], ["B", "C"]])
     def test_paired_mode_checks_kleene_pools(self, monkeypatch, order):
         # With expiry off, B@0 stays in the shared buffer after it left the
@@ -328,8 +352,8 @@ class TestSharedBufferEquivalence:
         ("lazy-fc", [["A", "C"]]), ("lazy-fc", [["C", "A"]])])
     def test_paired_mode_checks_absence_scans(self, monkeypatch, mode,
                                               orders):
-        # With expiry off, B@0 stays in the shared buffer a window after it
-        # left every instance's own: the absence scan must notice.
+        # With expiry off, B@0 stays in the shared buffer after it left the
+        # window: the absence scan must notice.
         chains = chains_of("PATTERN SEQ(NOT(B b), A a, C c) WITHIN 10 msec")
         (nfa,) = compile_pattern(chains, mode, orders=orders)
         stream = mkstream(("B", 0), ("A", 20), ("C", 25))
