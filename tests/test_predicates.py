@@ -1,11 +1,17 @@
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cep.events import Event, StreamDataError
 from cep.metrics import Metrics
 from cep.patterns import parse_pattern
-from cep.predicates import (Agg, AttrRef, Cmp, Literal, PredicateError,
-                            atom_roles, compile_atom, compile_atoms,
-                            eval_atoms, split_conjunction, split_kleene)
+from cep.predicates import (Agg, Arith, AttrRef, BoolOp, Cmp, Corr, Literal,
+                            Not, PredicateError, atom_roles, compile_atom,
+                            compile_atoms, eval_atoms, split_conjunction,
+                            split_kleene)
+from cep.stats import UndefinedCorrelationError, pearson
 
 
 def _atoms(where: str, pattern="SEQ(A a, B b, C c)"):
@@ -207,3 +213,174 @@ def test_evaluation_counter():
     eval_atoms(atoms, {"a": ev("A", 1, 1, x=2.0), "b": ev("B", 2, 2, x=2.0)},
                counter)
     assert counter.predicate_evaluations == 2
+
+
+# -- compiled atoms against a tree-walking reference --------------------------
+#
+# Roles a and c are bound to single events, b to a tuple of members. Values
+# cover floats, ints, strings, histories and None; an attribute may also be
+# missing. Each case must give the reference's value, or raise the
+# reference's exception type with the same message.
+
+_ATTRS = ("x", "y", "h")
+_HISTORIES = st.lists(st.sampled_from([0.0, 1.0, 2.5, -1.0, 4.0]),
+                      max_size=4).map(tuple)
+_MISSING = object()
+_VALUES = st.one_of(st.floats(-5, 5), st.floats(-5, 5),
+                    st.sampled_from([0.0, 1.0, float("inf")]),
+                    st.integers(-2, 2), st.sampled_from(["Eu", "Us"]),
+                    _HISTORIES, _HISTORIES, st.none(), st.just(_MISSING))
+_EVENT_ATTRS = st.lists(_VALUES, min_size=len(_ATTRS),
+                        max_size=len(_ATTRS)).map(
+    lambda values: {name: v for name, v in zip(_ATTRS, values)
+                    if v is not _MISSING})
+
+_PLAIN_REFS = st.builds(AttrRef, st.sampled_from(("a", "c")),
+                        st.sampled_from(_ATTRS))
+_MEMBER_REFS = st.builds(AttrRef, st.just("b"), st.sampled_from(_ATTRS),
+                         st.sampled_from(("i", "i-1")))
+_REFS = st.one_of(_PLAIN_REFS, _MEMBER_REFS)
+_LEAVES = st.one_of(
+    st.builds(Literal, st.one_of(st.floats(-5, 5),
+                                 st.sampled_from([0.0, 0.9, 1.0]))),
+    _REFS,
+    st.builds(Agg, st.sampled_from(("avg", "sum", "min", "max", "count")),
+              st.builds(AttrRef, st.just("b"), st.sampled_from(_ATTRS),
+                        st.just("i"))),
+    st.builds(Corr, _REFS, _REFS),
+)
+_VALUE_EXPRS = st.recursive(
+    _LEAVES, lambda inner: st.builds(Arith, st.sampled_from("+-*/"), inner,
+                                     inner), max_leaves=3)
+_BOOL_EXPRS = st.recursive(
+    st.builds(Cmp, st.sampled_from(("<", "<=", ">", ">=", "=", "!=")),
+              _VALUE_EXPRS, _VALUE_EXPRS),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(BoolOp, st.sampled_from(("and", "or")),
+                  st.lists(inner, min_size=2, max_size=3).map(tuple))),
+    max_leaves=4)
+
+
+@st.composite
+def _bindings(draw):
+    def event(etype, k):
+        return Event(etype, k, k, draw(_EVENT_ATTRS))
+
+    members = draw(st.integers(1, 3))
+    return {"a": event("A", 1), "b": tuple(event("B", 2 + k) for k in range(members)),
+            "c": event("C", 9)}
+
+
+def _ref_indices(expr):
+    if isinstance(expr, AttrRef):
+        yield expr.index
+    elif isinstance(expr, Agg):
+        yield expr.ref.index
+    elif isinstance(expr, (Cmp, Arith, Corr)):
+        yield from _ref_indices(expr.left)
+        yield from _ref_indices(expr.right)
+    elif isinstance(expr, Not):
+        yield from _ref_indices(expr.child)
+    elif isinstance(expr, BoolOp):
+        for c in expr.children:
+            yield from _ref_indices(c)
+
+
+def _reference(expr, binding):
+    """The atom's value: over every member (or adjacent pair) of b when it
+    has an indexed reference, once otherwise."""
+    indices = set(_ref_indices(expr))
+    if indices == {None}:
+        return _ref_bool(expr, binding, None)
+    start = 1 if "i-1" in indices else 0
+    return all(_ref_bool(expr, binding, i)
+               for i in range(start, len(binding["b"])))
+
+
+_REF_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge}
+
+
+def _ref_bool(expr, binding, i):
+    if isinstance(expr, Not):
+        return not _ref_bool(expr.child, binding, i)
+    if isinstance(expr, BoolOp):
+        test = all if expr.op == "and" else any
+        return test(_ref_bool(c, binding, i) for c in expr.children)
+    x = _ref_value(expr.left, binding, i)
+    y = _ref_value(expr.right, binding, i)
+    if x is None or y is None:
+        return False
+    mismatch = StreamDataError(f"type mismatch comparing {x!r} {expr.op} {y!r}")
+    if expr.op in ("=", "!="):
+        if type(x) is not type(y) and isinstance(x, str) != isinstance(y, str):
+            raise mismatch
+        return (x == y) == (expr.op == "=")
+    try:
+        return _REF_ORDER[expr.op](x, y)
+    except TypeError:
+        if isinstance(x, str) != isinstance(y, str):
+            raise mismatch from None
+        raise
+
+
+def _ref_number(v):
+    if v is None or isinstance(v, float):
+        return v
+    if isinstance(v, int):
+        return float(v)
+    raise StreamDataError(f"expected a number, got {v!r}")
+
+
+def _ref_value(expr, binding, i):
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, AttrRef):
+        bound = binding[expr.role]
+        if expr.index is not None:
+            bound = bound[i - 1 if expr.index == "i-1" else i]
+        return bound.attr(expr.attr)
+    if isinstance(expr, Agg):
+        members = binding[expr.ref.role]
+        if expr.fn == "count":
+            return float(len(members))
+        vals = [_ref_number(e.attr(expr.ref.attr)) for e in members]
+        if expr.fn == "avg":
+            return sum(vals) / len(vals)
+        return {"sum": sum, "min": min, "max": max}[expr.fn](vals)
+    if isinstance(expr, Corr):
+        x = _ref_value(expr.left, binding, i)
+        y = _ref_value(expr.right, binding, i)
+        if not isinstance(x, tuple) or not isinstance(y, tuple):
+            raise StreamDataError("corr() arguments must be history lists")
+        try:
+            return pearson(x, y)
+        except UndefinedCorrelationError:
+            return None
+        except ValueError as exc:
+            raise StreamDataError(f"{expr.render()}: {exc}") from None
+    x = _ref_number(_ref_value(expr.left, binding, i))
+    y = _ref_number(_ref_value(expr.right, binding, i))
+    if x is None or y is None:
+        return None
+    if expr.op == "/":
+        if y == 0:
+            raise StreamDataError("division by zero in predicate")
+        return x / y
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul}[expr.op](x, y)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # the error itself is the outcome compared
+        return ("error", type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BOOL_EXPRS, _bindings())
+def test_compiled_atoms_agree_with_a_tree_walking_reference(expr, binding):
+    got = _outcome(_holds, expr, binding)
+    want = _outcome(_reference, expr, binding)
+    assert got == want, expr.render()
