@@ -149,25 +149,12 @@ def iterate_fetch(
         raise ValueError(f"invalid iteration bounds {bounds}")
     member_atoms, pair_atoms, whole_atoms = condition
     binding = dict(bound_roles or {})
-
-    def admit(x: Event) -> bool:
-        if not member_atoms:
-            return True
-        binding[role] = (x,)
-        return eval_atoms(member_atoms, binding, counter)
-
-    def extend(s: tuple, x: Event) -> Optional[tuple]:
-        if pair_atoms:
-            binding[role] = (s[-1], x)
-            if not eval_atoms(pair_atoms, binding, counter):
-                return None
-        return s + (x,)
-
     found = []
     if new_event is not None:
         # The arriving event is the newest, so it closes every subset; the
         # others come from its own group.
-        if not admit(new_event):
+        binding[role] = (new_event,)
+        if member_atoms and not eval_atoms(member_atoms, binding, counter):
             pool = []
         else:
             key = new_event.key
@@ -175,46 +162,70 @@ def iterate_fetch(
                 pool = [x for x in pool if x.key != key]
             else:
                 value = new_event.attr(group_attr)
-                pool = [x for x in pool
-                        if x.key != key and x.attr(group_attr) == value]
+                try:
+                    pool = [x for x in pool
+                            if x.key != key and x.attrs[group_attr] == value]
+                except KeyError:
+                    for x in pool:
+                        x.attr(group_attr)  # raises the typed error
+                    raise
             group_attr = None
             if lo == 1:
                 found.append((new_event,))
     # Level 1: the admitted members in key order, each with its group
     # (a list in key order) and its position there. A subset only ever
-    # grows by a later member of its first member's group.
+    # grows by a later member of its first member's group; ungrouped, every
+    # admitted member is in one group.
     level = []
-    if group_attr is None:
-        group = [x for x in pool if admit(x)]
-        level = [((x,), group, j) for j, x in enumerate(group)]
-    else:
-        groups: dict = {}
-        for x in pool:
-            if admit(x):
-                group = groups.setdefault(x.attr(group_attr), [])
-                level.append(((x,), group, len(group)))
-                group.append(x)
+    groups: dict = {}
+    for x in pool:
+        one = (x,)
+        if member_atoms:
+            binding[role] = one
+            if not eval_atoms(member_atoms, binding, counter):
+                continue
+        if group_attr is None:
+            value = None
+        else:
+            try:
+                value = x.attrs[group_attr]
+            except KeyError:
+                value = x.attr(group_attr)  # raises the typed error
+        group = groups.get(value)
+        if group is None:
+            group = groups[value] = []
+        level.append((one, group, len(group)))
+        group.append(x)
     closing = 0 if new_event is None else 1
     top = None if hi is None else hi - closing  # the largest level needed
     size = 1
     while level and (top is None or size <= top):
         if size + closing >= lo:
             if new_event is None:
-                found.extend(s for s, _, _ in level)
+                found += [s for s, _, _ in level]
             else:
                 for s, _, _ in level:
-                    s = extend(s, new_event)
-                    if s is not None:
-                        found.append(s)
+                    if pair_atoms:
+                        binding[role] = (s[-1], new_event)
+                        if not eval_atoms(pair_atoms, binding, counter):
+                            continue
+                    found.append(s + (new_event,))
         if size == top:
             break
         size += 1
         longer = []
         for s, group, j in level:
-            for k in range(j + 1, len(group)):
-                t = extend(s, group[k])
-                if t is not None:
-                    longer.append((t, group, k))
+            # Each later member of the group; a while loop, as a range
+            # per prefix costs more than the step.
+            k, last = j, len(group) - 1
+            while k < last:
+                k += 1
+                x = group[k]
+                if pair_atoms:
+                    binding[role] = (s[-1], x)
+                    if not eval_atoms(pair_atoms, binding, counter):
+                        continue
+                longer.append((s + (x,), group, k))
         level = longer
     if generated is not None:
         generated[0] = len(found)

@@ -77,14 +77,14 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
                 a for roles_a, a in chain_atoms
                 if r in roles_a and roles_a <= (s | {r})
             )
-            edges.append(N.Take(sid, sid_of[s | frozenset({r})], N.TAKE,
-                                types[r], r, cond,
+            edges.append(N.Take(sid, sid_of[s | frozenset({r})], types[r],
+                                r, cond,
                                 iter_first=it is not None and r == it.role,
                                 req_iter_min=req.get(r)))
         if it is not None and it.role in s and not (succs[it.role] & s):
             # Accumulating self-loop; conditions over the subset are deferred
             # to the acceptance gates, the loop itself only grows the list.
-            edges.append(N.Take(sid, sid, N.TAKE, types[it.role], it.role,
+            edges.append(N.Take(sid, sid, types[it.role], it.role,
                                 iterate=(it.lo, it.hi, it.group_by),
                                 append=True))
 

@@ -124,13 +124,13 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
         dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
         cond = atom_slots[i]
         if it is not None and i == n - 1:
-            edges.append(N.Take(i, dst, N.ITERATE, etype, role, cond, prec,
-                                succ, search=True,
+            edges.append(N.Take(i, dst, etype, role, cond, prec, succ,
+                                search=True,
                                 iterate=(it.lo, it.hi, it.group_by),
                                 kleene=split_kleene(cond, role, it.group_by)))
         else:
-            edges.append(N.Take(i, dst, N.TAKE, etype, role, cond, prec,
-                                succ, search=True))
+            edges.append(N.Take(i, dst, etype, role, cond, prec, succ,
+                                search=True))
 
     fc_checks: dict = {}
     if fc:

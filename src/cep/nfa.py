@@ -26,9 +26,6 @@ from typing import Callable, Optional, Sequence
 from .patterns import ChainPattern, NegSpec
 from .predicates import KleeneAtoms
 
-TAKE = "take"
-ITERATE = "iterate"
-
 CHAIN = "chain"
 NEG = "neg"
 ACCEPT = "accept"
@@ -53,7 +50,6 @@ class Take:
 
     src: int
     dst: int
-    action: str  # take | iterate
     etype: str
     role: str  # role bound by the take
     cond: tuple = ()  # compiled predicate atoms evaluated on traversal

@@ -236,3 +236,20 @@ def test_module_run_on_histories_of_different_lengths_is_exit_3(tmp_path,
     assert "stream error" in proc.stderr
     assert "length mismatch" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_module_run_ordering_a_history_against_a_number_is_exit_3(tmp_path):
+    pattern = tmp_path / "order.pat"
+    pattern.write_text("PATTERN SEQ(A a, B b) WHERE skip_till_any_match"
+                       " { a.history > 0.9 } WITHIN 1 sec\n")
+    stream = tmp_path / "stream.csv"
+    stream.write_text("seq,ts,type,stock,region,price,history\n"
+                      "0,1,A,s,A,1.0,1;2\n"
+                      "1,2,B,s,B,1.0,1;2\n")
+    proc = subprocess.run([sys.executable, "-m", "cep", "run",
+                           "--pattern", str(pattern), "--input", str(stream),
+                           "--mode", "eager"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "stream error: type mismatch comparing (1.0, 2.0) > 0.9" in proc.stderr
+    assert "Traceback" not in proc.stderr

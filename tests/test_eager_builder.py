@@ -16,7 +16,7 @@ def chain_of(text):
 def test_sequence_is_a_chain():
     nfa = build_eager(chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour"))
     assert len(nfa.states) == 4  # q0, {a}, {a,b} and F
-    takes = [e for e in nfa.edges if e.action == N.TAKE]
+    takes = [e for e in nfa.edges if e.iterate is None]
     assert [e.etype for e in takes] == ["A", "B", "C"]
     # Each state acts only on arrivals of the next type in the sequence.
     assert nfa.type_interest == {"A": (0,), "B": (1,), "C": (2,)}
@@ -32,7 +32,7 @@ def test_conjunction_is_a_subset_lattice():
 def test_single_event_pattern():
     nfa = build_eager(chain_of("PATTERN SEQ(A a) WITHIN 1 hour"))
     assert len(nfa.states) == 2
-    assert len([e for e in nfa.edges if e.action == N.TAKE]) == 1
+    assert len([e for e in nfa.edges if e.iterate is None]) == 1
 
 
 def test_partial_sequence_lattice_is_downward_closed():
@@ -50,13 +50,12 @@ def test_eager_never_uses_ordering_filters():
                  "PATTERN SEQ(A a, B+ b[], C c) WITHIN 1 hour"]:
         nfa = build_eager(chain_of(text))
         for e in nfa.edges:
-            if e.action == N.TAKE:
-                assert e.prec_roles == frozenset() == e.succ_roles
+            assert e.prec_roles == frozenset() == e.succ_roles
 
 
 def test_iterated_role_gets_a_take_self_loop():
     nfa = build_eager(chain_of("PATTERN SEQ(A a, B+ b[], C c) WITHIN 1 hour"))
-    loops = [e for e in nfa.edges if e.action == N.TAKE and e.src == e.dst]
+    loops = [e for e in nfa.edges if e.src == e.dst]
     assert len(loops) == 1 and loops[0].etype == "B"
 
 

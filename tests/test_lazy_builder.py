@@ -21,7 +21,7 @@ def chains_of(text):
 
 
 def take_edges(nfa):
-    return [e for e in nfa.edges if e.action in (N.TAKE, N.ITERATE)]
+    return list(nfa.edges)
 
 
 NONE = (frozenset(), frozenset())
@@ -248,7 +248,7 @@ class TestIteration:
         nfa = build_lazy(chain, ["C", "A", "B"])
         takes = take_edges(nfa)
         assert [e.etype for e in takes] == ["C", "A", "B"]
-        assert takes[-1].action == N.ITERATE
+        assert [e.iterate is not None for e in takes] == [False, False, True]
         assert takes[-1].iterate[:2] == (1, None)
 
     def test_iterated_type_forced_to_end(self):
@@ -281,7 +281,7 @@ class TestMultiChain:
         merged = build_multi_chain(parts)
         assert len(merged.states) == 6  # q1, 2+2 internal, F
         q1_takes = [e for e in merged.edges
-                    if e.src == merged.initial and e.action == N.TAKE]
+                    if e.src == merged.initial and e.iterate is None]
         assert {e.etype for e in q1_takes} == {"C"}
         assert len(q1_takes) == 2  # one instance per sub-chain on arrival
         N.validate_nfa(merged)

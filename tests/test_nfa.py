@@ -19,8 +19,7 @@ def chain_of(text):
 
 def _last_take_dropped(nfa):
     # q2 loses its only take, and q1's only take leads to q2.
-    edges = tuple(e for e in nfa.edges
-                  if not (e.action == N.TAKE and e.src == 1))
+    edges = tuple(e for e in nfa.edges if e.src != 1)
     return replace(nfa, edges=edges)
 
 
