@@ -162,13 +162,8 @@ def iterate_fetch(
                 pool = [x for x in pool if x.key != key]
             else:
                 value = new_event.attr(group_attr)
-                try:
-                    pool = [x for x in pool
-                            if x.key != key and x.attrs[group_attr] == value]
-                except KeyError:
-                    for x in pool:
-                        x.attr(group_attr)  # raises the typed error
-                    raise
+                pool = [x for x in pool
+                        if x.key != key and x.attr(group_attr) == value]
             group_attr = None
             if lo == 1:
                 found.append((new_event,))
@@ -184,13 +179,7 @@ def iterate_fetch(
             binding[role] = one
             if not eval_atoms(member_atoms, binding, counter):
                 continue
-        if group_attr is None:
-            value = None
-        else:
-            try:
-                value = x.attrs[group_attr]
-            except KeyError:
-                value = x.attr(group_attr)  # raises the typed error
+        value = None if group_attr is None else x.attr(group_attr)
         group = groups.get(value)
         if group is None:
             group = groups[value] = []

@@ -190,25 +190,34 @@ def compile_atom(expr: BoolExpr) -> Atom:
     Atoms with bare iterated references hold iff they hold for every member
     (or every adjacent pair, when some reference is ``r[i-1]``) of the
     quantified role, the role of the first indexed reference; aggregates see
-    the whole subset. A quantified comparison loops over the members itself.
+    the whole subset.
     """
     indexed = [ref for ref in bool_refs(expr) if ref.index is not None]
     if not indexed:
         return Atom(expr, _bool(expr, False))
     first = indexed[0]
     pair = any(ref.index == "i-1" for ref in indexed)
-    role = first.role
+    body = _bool(expr, True)
+    role, start = first.role, 1 if pair else 0
     if (any(isinstance(n, Agg) for n in nodes(expr))
             or any(ref.role != role for ref in indexed)):
         kind = SUBSET
     else:
         kind = PAIR if pair else MEMBER
-    start = 1 if pair else 0
-    if isinstance(expr, Cmp):
-        test = _cmp(expr, True, first, start)
-    else:
-        test = _each(_bool(expr, True), first, start)
-    return Atom(expr, test, kind, role)
+
+    def each(binding: Binding) -> bool:
+        bound = binding[role]
+        if not isinstance(bound, tuple):
+            raise PredicateError(f"{first.render()}: role is not iterated")
+        # A while loop: a range per evaluation costs about as much as the body.
+        i, n = start, len(bound)
+        while i < n:
+            if not body(binding, i):
+                return False
+            i += 1
+        return True
+
+    return Atom(expr, each, kind, role)
 
 
 class KleeneAtoms(NamedTuple):
@@ -274,9 +283,7 @@ def eval_atoms(atoms: Sequence[Atom], binding: Binding, counter=None) -> bool:
 
 # Each node below compiles into ``f(binding, i)``, where ``i`` is the member
 # index of a quantified atom and None otherwise. ``quantified`` tells the
-# references which of the two they are compiled for. Attribute references
-# and literals compile into no function of their own: the comparison, the
-# correlation or the arithmetic that holds them reads them.
+# references which of the two they are compiled for.
 
 
 def _bool(expr: BoolExpr, quantified: bool):
@@ -297,96 +304,40 @@ def _bool(expr: BoolExpr, quantified: bool):
     return unknown
 
 
-def _each(body, first: AttrRef, start: int):
-    """``body`` at every member from ``start`` of the tuple bound to the
-    role of ``first``, the atom's first indexed reference."""
-    role = first.role
-
-    def test(b: Binding) -> bool:
-        bound = b[role]
-        if not isinstance(bound, tuple):
-            raise PredicateError(f"{first.render()}: role is not iterated")
-        i, n = start, len(bound)
-        while i < n:
-            if not body(b, i):
-                return False
-            i += 1
-        return True
-
-    return test
-
-
 _ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
              ">=": operator.ge}
-_COMPARE = {**_ORDERING, "=": operator.eq, "!=": operator.ne}
 
 
-def _cmp(expr: Cmp, quantified: bool, first: Optional[AttrRef] = None,
-         start: int = 0):
-    """One comparison, in one function that reads both sides itself.
-
-    With ``first``, the atom's first indexed reference, it is a quantified
-    atom's test, as :func:`_each` would make it: it holds iff the
-    comparison holds at every member from ``start`` of the tuple bound to
-    that reference's role. A side that is None makes it false. Sides of two
-    types that cannot be ordered, or a string and a non-string, are a
-    stream data error.
-    """
-    lfn, lref, lshift, lvalue = _operand(expr.left, quantified)
-    rfn, rref, rshift, rvalue = _operand(expr.right, quantified)
-    lrole, lname = (lref.role, lref.attr) if lref is not None else (None, None)
-    rrole, rname = (rref.role, rref.attr) if rref is not None else (None, None)
+def _cmp(expr: Cmp, quantified: bool):
+    left = _value(expr.left, quantified)
+    right = _value(expr.right, quantified)
     op = expr.op
-    compare = _COMPARE.get(op)
-    if compare is None:
-        def compare(x, y):
-            raise PredicateError(f"unknown comparison {op}")
-    equality = op not in _ORDERING
-    role = None if first is None else first.role
-
-    def cmp(b, i=None):
-        # One pass at ``i``, or one per member index from ``start`` to
-        # ``last``. A while loop: a range costs more than the comparison.
-        if role is None:
-            last = i
-        else:
-            bound = b[role]
-            if not isinstance(bound, tuple):
-                raise PredicateError(f"{first.render()}: role is not iterated")
-            i, last = start, len(bound) - 1
-            if i > last:
-                return True
-        while True:
-            # Each side inlines _read.
-            if lref is not None:
-                try:
-                    x = (b[lrole] if lshift is None
-                         else b[lrole][i - lshift]).attrs[lname]
-                except (AttributeError, KeyError, TypeError):
-                    x = _event(b, lref, i).attr(lname)
-            else:
-                x = lvalue if lfn is None else lfn(b, i)
-            if rref is not None:
-                try:
-                    y = (b[rrole] if rshift is None
-                         else b[rrole][i - rshift]).attrs[rname]
-                except (AttributeError, KeyError, TypeError):
-                    y = _event(b, rref, i).attr(rname)
-            else:
-                y = rvalue if rfn is None else rfn(b, i)
+    order = _ORDERING.get(op)
+    if order is not None:
+        def cmp(b, i=None):
+            x = left(b, i)
+            y = right(b, i)
             if x is None or y is None:
                 return False
-            if (equality and type(x) is not type(y)
-                    and isinstance(x, str) != isinstance(y, str)):
-                raise _mismatch(op, x, y)
             try:
-                if not compare(x, y):
-                    return False
-            except TypeError:
+                return order(x, y)
+            except TypeError:  # a history against a number, say
                 raise _mismatch(op, x, y) from None
-            if i == last:
-                return True
-            i += 1
+        return cmp
+    equal = op == "="
+
+    def cmp(b, i=None):
+        x = left(b, i)
+        y = right(b, i)
+        if x is None or y is None:
+            return False
+        if type(x) is not type(y) and isinstance(x, str) != isinstance(y, str):
+            raise _mismatch(op, x, y)
+        if equal:
+            return x == y
+        if op == "!=":
+            return x != y
+        raise PredicateError(f"unknown comparison {op}")
 
     return cmp
 
@@ -395,51 +346,45 @@ def _mismatch(op: str, a, b) -> StreamDataError:
     return StreamDataError(f"type mismatch comparing {a!r} {op} {b!r}")
 
 
-def _operand(expr: ValueExpr, quantified: bool) -> tuple:
-    """How one side of a comparison or an arithmetic is read, as
-    ``(fn, ref, shift, value)``: a computed side (aggregate, correlation,
-    arithmetic) by ``fn(binding, i)``; an attribute reference ``ref`` from
-    the event bound to its role, or from the member ``i - shift`` of a
-    quantified reference; a literal is ``value``."""
+def _value(expr: ValueExpr, quantified: bool):
     if isinstance(expr, Literal):
-        return None, None, None, expr.value
+        value = expr.value
+        return lambda b, i=None: value
     if isinstance(expr, AttrRef):
-        return None, expr, _shift(expr, quantified), None
+        return _ref(expr, quantified)
     if isinstance(expr, Agg):
-        return _agg(expr), None, None, None
+        return _agg(expr)
     if isinstance(expr, Corr):
-        return _corr(expr, quantified), None, None, None
+        return _corr(expr, quantified)
     if isinstance(expr, Arith):
-        return _arith(expr, quantified), None, None, None
+        return _arith(expr, quantified)
 
     def unknown(b, i=None):
         raise PredicateError(f"unknown value node {expr!r}")
 
-    return unknown, None, None, None
+    return unknown
 
 
-def _shift(ref: AttrRef, quantified: bool) -> Optional[int]:
-    """How far behind member ``i`` a reference reads; None for a plain one.
-
-    A plain role's event is read directly, inside a quantified atom too;
-    only a member tuple bound to it goes to _event.
-    """
+def _ref(ref: AttrRef, quantified: bool):
+    role, name = ref.role, ref.attr
     if not quantified or ref.index is None:
-        return None
-    return 1 if ref.index == "i-1" else 0
+        # A plain role's event is read directly, inside a quantified atom
+        # too; only a member tuple bound to it goes to _event.
+        def get(b, i=None):
+            try:
+                return b[role].attrs[name]
+            except (AttributeError, KeyError):
+                return _event(b, ref, i).attr(name)  # a tuple, or the error
+        return get
+    shift = 1 if ref.index == "i-1" else 0
 
+    def get_member(b, i):
+        try:
+            return b[role][i - shift].attrs[name]
+        except (TypeError, KeyError):
+            return _event(b, ref, i).attr(name)  # an Event bound, or the error
 
-def _read(b: Binding, i: Optional[int], operand: tuple):
-    """The value of one side, read as :func:`_operand` compiled it."""
-    fn, ref, shift, value = operand
-    if ref is None:
-        return value if fn is None else fn(b, i)
-    name = ref.attr
-    try:
-        bound = b[ref.role]
-        return (bound if shift is None else bound[i - shift]).attrs[name]
-    except (AttributeError, KeyError, TypeError):
-        return _event(b, ref, i).attr(name)  # the other shape, or the error
+    return get_member
 
 
 def _event(binding: Binding, ref: AttrRef, i: Optional[int]) -> Event:
@@ -477,22 +422,12 @@ def _agg(expr: Agg):
 
 
 def _corr(expr: Corr, quantified: bool):
-    left, right = expr.left, expr.right
-    lrole, lname, lshift = left.role, left.attr, _shift(left, quantified)
-    rrole, rname, rshift = right.role, right.attr, _shift(right, quantified)
+    left = _ref(expr.left, quantified)
+    right = _ref(expr.right, quantified)
 
     def corr(b, i=None):
-        # Each history inlines _read.
-        try:
-            x = (b[lrole] if lshift is None
-                 else b[lrole][i - lshift]).attrs[lname]
-        except (AttributeError, KeyError, TypeError):
-            x = _event(b, left, i).attr(lname)
-        try:
-            y = (b[rrole] if rshift is None
-                 else b[rrole][i - rshift]).attrs[rname]
-        except (AttributeError, KeyError, TypeError):
-            y = _event(b, right, i).attr(rname)
+        x = left(b, i)
+        y = right(b, i)
         if not isinstance(x, (tuple, list)) or not isinstance(y, (tuple, list)):
             raise StreamDataError("corr() arguments must be history lists")
         try:
@@ -509,14 +444,14 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _arith(expr: Arith, quantified: bool):
-    left = _operand(expr.left, quantified)
-    right = _operand(expr.right, quantified)
+    left = _value(expr.left, quantified)
+    right = _value(expr.right, quantified)
     divide = expr.op == "/"
     fn = _ARITH.get(expr.op)
 
     def arith(b, i=None):
-        x = _as_number(_read(b, i, left))
-        y = _as_number(_read(b, i, right))
+        x = _as_number(left(b, i))
+        y = _as_number(right(b, i))
         if x is None or y is None:
             return None
         if divide:

@@ -375,7 +375,6 @@ class Runtime:
         metrics.instance_retire += n
         base, role, branch = inst.binding, tp.role, tp.branch
         theta, maxkey = inst.theta, inst.maxkey
-        floored = theta > NEG_INF
         pending = self._pending
         emitted = 0
         for bound in bounds:
@@ -383,7 +382,7 @@ class Runtime:
             key = bound[-1].key if type(bound) is tuple else bound.key
             if maxkey is not None and maxkey > key:
                 key = maxkey
-            if floored and self._under_floor(theta, key[0]):
+            if self._under_floor(theta, key[0]):
                 continue
             binding = base.copy()
             binding[role] = bound
