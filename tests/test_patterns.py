@@ -53,6 +53,33 @@ class TestParse:
             parse_pattern("PATTERN SEQ(A a,\n B) WITHIN 1 hour")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("# stocks\nPATTERN SEQ(A a,\n\n\t# tab-indented comment\n"
+         "\tB b; C c)\nWITHIN 1 hour\n",
+         "5:5: unexpected character ';'"),
+        ("PATTERN SEQ(A a)\n# window\nWITHIN 1 hour\n\n\t  extra # not a clause\n",
+         "5:4: trailing input 'extra'"),
+        ("PATTERN SEQ(A a, B b)\n\t# the clause is misspelt\n"
+         "WHEN skip_till_any_match { a.x > 1 }\nWITHIN 1 hour",
+         "3:1: expected WITHIN, got 'WHEN'"),
+        ("PATTERN SEQ(A a)\n\nWITHIN\t# long\n\t5 days",
+         "4:4: unknown time unit 'days'"),
+        ("PATTERN SEQ(\n\tA a,  # first\n\tB and\n) WITHIN 1 hour",
+         "3:4: 'and' is a reserved word"),
+        ("PATTERN SEQ(A a,\n# bounded\n\tB{1.5,3} b[])\nWITHIN 1 hour",
+         "3:4: expected an integer lower repetition bound"),
+        ("PATTERN SEQ(A a)\nWITHIN 5 # no unit\n",
+         "3:1: expected a time unit (msec|sec|min|hour)"),
+        ("PATTERN SEQ(A a)\n\tWITHIN 5 # no unit",
+         "2:20: expected a time unit (msec|sec|min|hour)"),
+    ])
+    def test_parse_error_positions(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_pattern(text)
+        assert str(err.value) == message
+        line, col = message.split(":")[:2]
+        assert (err.value.line, err.value.col) == (int(line), int(col))
+
     def test_duplicate_role_same_conjunct(self):
         with pytest.raises(PatternError, match="twice"):
             to_dnf(parse_pattern("PATTERN SEQ(A a, A a) WITHIN 1 hour"))
