@@ -81,6 +81,9 @@ class PatternAst:
     window: int  # milliseconds
     strategy: str = STRATEGY
 
+    def __post_init__(self):
+        _validate_ast(self)
+
 
 @dataclass(frozen=True)
 class NegSpec:
@@ -180,83 +183,80 @@ class ChainPattern:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
+    \s+ | \#[^\n]*
   | (?P<num>\d+(?:\.\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><=|>=|!=|[-+*/(){},.<>=\[\]])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # num | ident | op | eof
-    text: str
-    line: int
-    col: int
+def _error_at(text: str, offset: int, msg: str) -> ParseError:
+    """A ParseError for ``msg`` at character ``offset`` of ``text``."""
+    return ParseError(msg, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> list:
-    tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, tok, line, m.start() - line_start + 1))
-        line += tok.count("\n")
-        if "\n" in tok:
-            line_start = m.start() + tok.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    """The ``(kind, text, offset)`` tokens of ``text`` in one scan, ending
+    with an ``eof`` token; whitespace and comments yield none."""
+    tokens = [(m.lastgroup, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+    for kind, tok, offset in tokens:
+        if kind == "bad":
+            raise _error_at(text, offset, f"unexpected character {tok!r}")
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
+    # Tokens are (kind, text, offset) tuples; kind is num | ident | op | eof.
+    # No other kind of token has an operator's text, so a test of the text
+    # alone finds an operator.
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.tokens[self.i]
         self.i += 1
         return t
 
-    def error(self, msg: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+    def error(self, msg: str, tok: Optional[tuple] = None):
+        raise _error_at(self.text, (tok or self.tokens[self.i])[2], msg)
 
-    def expect_op(self, text: str) -> Token:
-        t = self.peek()
-        if t.kind != "op" or t.text != text:
-            self.error(f"expected {text!r}, got {t.text!r}")
-        return self.next()
+    def expect_op(self, text: str) -> None:
+        got = self.tokens[self.i][1]
+        if got != text:
+            self.error(f"expected {text!r}, got {got!r}")
+        self.i += 1
 
     def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text.lower() == word
+        kind, text, _ = self.tokens[self.i]
+        return kind == "ident" and text.lower() == word
 
-    def expect_keyword(self, word: str) -> Token:
+    def expect_keyword(self, word: str) -> None:
         if not self.at_keyword(word):
-            self.error(f"expected {word.upper()}, got {self.peek().text!r}")
-        return self.next()
+            self.error(f"expected {word.upper()}, got {self.peek()[1]!r}")
+        self.i += 1
 
-    def ident(self, what: str) -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            self.error(f"expected {what}, got {t.text!r}")
-        if t.text.lower() in KEYWORDS:
-            self.error(f"{t.text!r} is a reserved word")
-        return self.next()
+    def ident(self, what: str) -> str:
+        kind, text, _ = self.tokens[self.i]
+        if kind != "ident":
+            self.error(f"expected {what}, got {text!r}")
+        if text.lower() in KEYWORDS:
+            self.error(f"{text!r} is a reserved word")
+        self.i += 1
+        return text
 
     # -- pattern grammar ----------------------------------------------------
 
@@ -267,29 +267,29 @@ class _Parser:
         if self.at_keyword("where"):
             self.next()
             strat = self.next()
-            if strat.text != STRATEGY:
-                self.error(f"unsupported selection strategy {strat.text!r}", strat)
+            if strat[1] != STRATEGY:
+                self.error(f"unsupported selection strategy {strat[1]!r}", strat)
             self.expect_op("{")
             where = self.or_expr()
             self.expect_op("}")
         self.expect_keyword("within")
         window = self.duration()
-        t = self.peek()
-        if t.kind != "eof":
-            self.error(f"trailing input {t.text!r}")
+        kind, text, _ = self.peek()
+        if kind != "eof":
+            self.error(f"trailing input {text!r}")
         return PatternAst(root=root, where=where, window=window)
 
     def duration(self) -> int:
         t = self.peek()
-        if t.kind != "num":
+        if t[0] != "num":
             self.error("expected a duration value")
-        value = float(self.next().text)
+        value = float(self.next()[1])
         unit = self.peek()
-        if unit.kind != "ident":
+        if unit[0] != "ident":
             self.error("expected a time unit (msec|sec|min|hour)")
-        name = self.next().text.lower().rstrip("s") or "s"
+        name = self.next()[1].lower().rstrip("s") or "s"
         if name not in UNITS_MS:
-            self.error(f"unknown time unit {unit.text!r}", unit)
+            self.error(f"unknown time unit {unit[1]!r}", unit)
         ms = int(round(value * UNITS_MS[name]))
         if ms <= 0:
             self.error("window must be positive", t)
@@ -297,11 +297,11 @@ class _Parser:
 
     def elem(self) -> AstNode:
         t = self.peek()
-        if t.kind == "ident" and t.text.lower() in ("seq", "and", "or"):
-            op = self.next().text.lower()
+        if t[0] == "ident" and t[1].lower() in ("seq", "and", "or"):
+            op = self.next()[1].lower()
             self.expect_op("(")
             children = [self.elem_or_item(op)]
-            while self.peek().text == ",":
+            while self.peek()[1] == ",":
                 self.next()
                 children.append(self.elem_or_item(op))
             self.expect_op(")")
@@ -330,34 +330,34 @@ class _Parser:
                 self.error("NOT applies to a single typed event", t)
             self.expect_op(")")
             return NotItem(inner)
-        etype = self.ident("an event type").text
+        etype = self.ident("an event type")
         nxt = self.peek()
-        if nxt.text == "+":  # Kleene closure: TYPE+ role[]
+        if nxt[1] == "+":  # Kleene closure: TYPE+ role[]
             self.next()
-            role = self.ident("a role name").text
+            role = self.ident("a role name")
             self.expect_op("[")
             self.expect_op("]")
             return Kleene(Leaf(etype, role))
-        if nxt.text == "{":  # bounded repetition: TYPE{l,m} role[]
+        if nxt[1] == "{":  # bounded repetition: TYPE{l,m} role[]
             self.next()
             lo = self.int_tok("lower repetition bound")
             self.expect_op(",")
             hi = self.int_tok("upper repetition bound")
             self.expect_op("}")
-            role = self.ident("a role name").text
+            role = self.ident("a role name")
             self.expect_op("[")
             self.expect_op("]")
             if not (1 <= lo <= hi):
                 self.error(f"invalid repetition bounds {{{lo},{hi}}}", nxt)
             return Kleene(Leaf(etype, role), lo, hi)
-        role = self.ident("a role name").text
-        return Leaf(etype, role)
+        return Leaf(etype, self.ident("a role name"))
 
     def int_tok(self, what: str) -> int:
-        t = self.peek()
-        if t.kind != "num" or "." in t.text:
+        kind, text, _ = self.peek()
+        if kind != "num" or "." in text:
             self.error(f"expected an integer {what}")
-        return int(self.next().text)
+        self.i += 1
+        return int(text)
 
     # -- WHERE grammar: not > comparison > and > or; arithmetic binds tighter
 
@@ -377,8 +377,8 @@ class _Parser:
 
     def not_expr(self) -> P.BoolExpr:
         if self.at_keyword("not"):
-            t = self.next()
-            if self.peek().text == "(":
+            self.next()
+            if self.peek()[1] == "(":
                 self.next()
                 inner = self.or_expr()
                 self.expect_op(")")
@@ -387,8 +387,7 @@ class _Parser:
         return self.cmp_expr()
 
     def cmp_expr(self) -> P.BoolExpr:
-        t = self.peek()
-        if t.text == "(":
+        if self.peek()[1] == "(":
             # Either a parenthesized boolean or a parenthesized value; decide
             # by attempting the boolean first and falling back on failure.
             save = self.i
@@ -401,28 +400,28 @@ class _Parser:
                 self.i = save
         left = self.add_expr()
         op_tok = self.peek()
-        if op_tok.text in ("<", ">", "<=", ">=", "=", "!="):
+        op = op_tok[1]
+        if op in ("<", ">", "<=", ">=", "=", "!="):
             self.next()
-            right = self.add_expr()
-            return P.Cmp(op_tok.text, left, right)
+            return P.Cmp(op, left, self.add_expr())
         self.error("expected a comparison", op_tok)
 
     def add_expr(self) -> P.ValueExpr:
         node = self.mul_expr()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
             node = P.Arith(op, node, self.mul_expr())
         return node
 
     def mul_expr(self) -> P.ValueExpr:
         node = self.unary()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
+        while self.peek()[1] in ("*", "/"):
+            op = self.next()[1]
             node = P.Arith(op, node, self.unary())
         return node
 
     def unary(self) -> P.ValueExpr:
-        if self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.next()
             node = self.unary()
             if isinstance(node, P.Literal):
@@ -432,27 +431,26 @@ class _Parser:
 
     def primary(self) -> P.ValueExpr:
         t = self.peek()
-        if t.text == "(":
+        kind, text, _ = t
+        if text == "(":
             self.next()
             node = self.add_expr()
             self.expect_op(")")
             return node
-        if t.kind == "num":
+        if kind == "num":
             self.next()
-            return P.Literal(float(t.text))
-        if t.kind == "ident":
-            low = t.text.lower()
-            if low in AGG_FNS and self.tokens[self.i + 1].text == "(":
-                self.next()
-                self.next()
+            return P.Literal(float(text))
+        if kind == "ident":
+            low = text.lower()
+            if low in AGG_FNS and self.tokens[self.i + 1][1] == "(":
+                self.i += 2
                 ref = self.attr_ref()
                 if ref.index is None:
                     self.error(f"{low}() requires an iterated reference like r[i].x", t)
                 self.expect_op(")")
                 return P.Agg(low, ref)
-            if low == "corr" and self.tokens[self.i + 1].text == "(":
-                self.next()
-                self.next()
+            if low == "corr" and self.tokens[self.i + 1][1] == "(":
+                self.i += 2
                 left = self.attr_ref()
                 self.expect_op(",")
                 right = self.attr_ref()
@@ -461,28 +459,27 @@ class _Parser:
                     self.error("corr() takes plain role.attr references", t)
                 return P.Corr(left, right)
             return self.attr_ref()
-        self.error(f"expected a value, got {t.text!r}")
+        self.error(f"expected a value, got {text!r}")
 
     def attr_ref(self) -> P.AttrRef:
-        role = self.ident("a role name").text
+        role = self.ident("a role name")
         index = None
-        if self.peek().text == "[":
+        if self.peek()[1] == "[":
             self.next()
-            idx = self.ident("an iteration index")
-            if idx.text != "i":
+            idx = self.peek()
+            if self.ident("an iteration index") != "i":
                 self.error("iteration index must be 'i' or 'i-1'", idx)
             index = "i"
-            if self.peek().text == "-":
+            if self.peek()[1] == "-":
                 self.next()
                 one = self.peek()
-                if one.kind != "num" or one.text != "1":
+                if one[0] != "num" or one[1] != "1":
                     self.error("iteration index must be 'i' or 'i-1'", one)
                 self.next()
                 index = "i-1"
             self.expect_op("]")
         self.expect_op(".")
-        attr = self.ident("an attribute name").text
-        return P.AttrRef(role, attr, index)
+        return P.AttrRef(role, self.ident("an attribute name"), index)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +602,6 @@ def _product_blocks(children) -> list:
 
 def to_dnf(ast: PatternAst) -> list:
     """Normalize a pattern to its list of chains, in deterministic order."""
-    _validate_ast(ast)
     atoms = tuple(P.split_conjunction(ast.where))
     chains = []
     for block in _normalize(ast.root):
@@ -687,9 +683,7 @@ def _block_to_chain(block: _Block, atoms: tuple, window: int) -> ChainPattern:
 
 
 def parse_pattern(text: str) -> PatternAst:
-    ast = _Parser(text).parse()
-    _validate_ast(ast)
-    return ast
+    return _Parser(text).parse()
 
 
 def render_pattern(ast: PatternAst) -> str:

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cep.oracle import enumerate_matches_chains
-from cep.patterns import (ChainPattern, Kleene, Leaf, OpNode, ParseError,
-                          PatternError, parse_pattern, render_chain, to_dnf)
-from cep.predicates import compile_atoms, eval_atoms, split_conjunction
+from cep.patterns import (ChainPattern, Kleene, Leaf, NotItem, OpNode,
+                          ParseError, PatternAst, PatternError, parse_pattern,
+                          render_chain, to_dnf)
+from cep.predicates import (AttrRef, Cmp, Literal, compile_atoms, eval_atoms,
+                            split_conjunction)
 from cep.runtime import match_key
 
 PATTERN_1 = """
@@ -125,6 +127,32 @@ class TestParse:
     def test_all_negative_rejected(self):
         with pytest.raises(PatternError, match="positive"):
             parse_pattern("PATTERN AND(NOT(A a), NOT(B b)) WITHIN 1 hour")
+
+    @pytest.mark.parametrize("root, where, message", [
+        (OpNode("seq", (Leaf("A", "a"),)),
+         Cmp(">", AttrRef("z", "x"), Literal(1.0)),
+         "unknown role 'z' in WHERE clause"),
+        (OpNode("seq", (Leaf("A", "a"), Leaf("B", "a"))), None,
+         "role 'a' declared with types 'A' and 'B'"),
+        (OpNode("seq", (Leaf("A", "a"), Kleene(Leaf("B", "b")),
+                        NotItem(Leaf("B", "b")))), None,
+         "a negated event cannot be iterated"),
+    ])
+    def test_ast_is_validated_when_built(self, root, where, message):
+        with pytest.raises(PatternError) as err:
+            PatternAst(root=root, where=where, window=1000)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("PATTERN SEQ(A a, A a) WITHIN 1 hour", "twice"),
+        ("PATTERN SEQ(A a, A b) WITHIN 1 hour", "distinct"),
+        ("PATTERN OR(SEQ(A a, B b), SEQ(C c, D d))\n"
+         "WHERE skip_till_any_match { a.x > d.x }\nWITHIN 1 hour", "outside this"),
+    ])
+    def test_conjunct_errors_come_from_to_dnf(self, text, message):
+        ast = parse_pattern(text)
+        with pytest.raises(PatternError, match=message):
+            to_dnf(ast)
 
     def test_roundtrip_through_render(self):
         from cep.patterns import render_pattern
