@@ -416,6 +416,8 @@ def _agg(expr: Agg):
         vals = [_as_number(e.attr(name)) for e in bound]
         if reduce is None:
             raise PredicateError(f"unknown aggregate {expr.fn}")
+        if None in vals:
+            raise StreamDataError(f"{expr.render()} over a member valued None")
         return reduce(vals)
 
     return agg

@@ -200,6 +200,21 @@ def test_aggregate_over_a_non_iterated_role_is_an_error():
                          "c": (ev("C", 2, 2, y=1.0),)})
 
 
+@pytest.mark.parametrize("fn", ["avg", "sum", "min", "max"])
+def test_aggregate_over_a_none_member_is_a_data_error(fn):
+    atom = Cmp("<", Agg(fn, AttrRef("b", "x", "i")), Literal(5.0))
+    members = (ev("B", 1, 1, x=1.0), ev("B", 2, 2, x=None))
+    with pytest.raises(StreamDataError,
+                       match=rf"^{fn}\(b\[i\]\.x\) over a member valued None$"):
+        _holds(atom, {"b": members})
+
+
+def test_count_over_a_none_member_counts_it():
+    atom = Cmp("=", Agg("count", AttrRef("b", "x", "i")), Literal(2.0))
+    members = (ev("B", 1, 1, x=1.0), ev("B", 2, 2, x=None))
+    assert _holds(atom, {"b": members}) is True
+
+
 def test_corr_over_a_non_history_attribute_is_a_data_error():
     (atom,) = _atoms("corr(a.x, b.x) > 0.5")
     with pytest.raises(StreamDataError, match="history lists"):
@@ -348,6 +363,8 @@ def _ref_value(expr, binding, i):
         if expr.fn == "count":
             return float(len(members))
         vals = [_ref_number(e.attr(expr.ref.attr)) for e in members]
+        if None in vals:
+            raise StreamDataError(f"{expr.render()} over a member valued None")
         if expr.fn == "avg":
             return sum(vals) / len(vals)
         return {"sum": sum, "min": min, "max": max}[expr.fn](vals)
