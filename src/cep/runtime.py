@@ -68,16 +68,19 @@ class ShadowMismatch(AssertionError):
 
 class Instance:
     __slots__ = ("iid", "sid", "branch", "binding", "anchor", "maxkey",
-                 "theta", "alive")
+                 "floor", "alive")
 
-    def __init__(self, iid, sid, branch, binding, anchor, maxkey, theta):
+    def __init__(self, iid, sid, branch, binding, anchor, maxkey, floor):
         self.iid = iid
         self.sid = sid
         self.branch = branch
         self.binding = binding
         self.anchor = anchor  # min bound ts; None for the seed
         self.maxkey = maxkey  # max bound (ts, seq); None for the seed
-        self.theta = theta  # deferred negation floor (first-chance checks)
+        # A match ending at or before ``floor`` has a window that reaches
+        # back to a negated event found by a first-chance scan; NEG_INF
+        # while no scan found one.
+        self.floor = floor
         self.alive = True
 
 
@@ -125,8 +128,8 @@ class Runtime:
     def _new_instance(self, parent: Optional[Instance], sid, branch, binding,
                       anchor, maxkey) -> Instance:
         iid = self._count_new()
-        theta = NEG_INF if parent is None else parent.theta
-        inst = Instance(iid, sid, branch, binding, anchor, maxkey, theta)
+        floor = NEG_INF if parent is None else parent.floor
+        inst = Instance(iid, sid, branch, binding, anchor, maxkey, floor)
         if not self.settling[sid]:
             self.live[iid] = inst
             self.by_state[sid][iid] = inst
@@ -374,7 +377,7 @@ class Runtime:
         metrics = self.metrics
         metrics.instance_retire += n
         base, role, branch = inst.binding, tp.role, tp.branch
-        theta, maxkey = inst.theta, inst.maxkey
+        floor, maxkey = inst.floor, inst.maxkey
         pending = self._pending
         emitted = 0
         for bound in bounds:
@@ -382,7 +385,7 @@ class Runtime:
             key = bound[-1].key if type(bound) is tuple else bound.key
             if maxkey is not None and maxkey > key:
                 key = maxkey
-            if self._under_floor(theta, key[0]):
+            if key[0] <= floor:
                 continue
             binding = base.copy()
             binding[role] = bound
@@ -401,7 +404,7 @@ class Runtime:
         for chk in c.checks:
             if self._neg_scan(inst, chk):
                 return True
-        if self._under_floor(inst.theta, inst.maxkey[0]):
+        if inst.maxkey[0] <= inst.floor:
             self._retire(inst)
             return True
         if c.gate is not None:
@@ -425,11 +428,6 @@ class Runtime:
                                   inst.maxkey)
         self._tail_entry(copy, tail)
         return False
-
-    def _under_floor(self, theta, last_ts: int) -> bool:
-        """A match ending at ``last_ts`` has a window that reaches back to
-        a negated event found at ``theta`` by a first-chance scan."""
-        return theta > NEG_INF and last_ts <= theta + self.window
 
     def _tail_entry(self, inst: Instance, tail: tuple) -> None:
         # Scan the buffered candidates of every remaining negated type now:
@@ -457,15 +455,18 @@ class Runtime:
             return self._neg_scan(inst, chk)
         # No event is required to precede the negated one, so whether a
         # candidate invalidates a match depends on the final extent of the
-        # match window; carry the latest candidate and decide at completion.
-        # Only the latest satisfying candidate above the floor matters, so
-        # the scan runs from the newest down and stops at the first one.
+        # match window; carry the latest candidate, as the floor one window
+        # after it, and decide at completion. Only the latest satisfying
+        # candidate matters, so the scan runs from the newest down to the
+        # one found before and stops at the first one.
         cands = self._query(inst, chk)
+        window = self.window
+        found = inst.floor - window
         for x in reversed(cands):
-            if x.ts <= inst.theta:
+            if x.ts <= found:
                 break
             if self._cond_ok(inst, chk, x):
-                inst.theta = x.ts
+                inst.floor = x.ts + window
                 break
         return False
 
