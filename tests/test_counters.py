@@ -2,12 +2,13 @@
 
 A fixed corpus of patterns covers each construct the runtime executes: SEQ,
 AND, partial order and a sequence in a partial order; leading, middle and
-trailing negation; Kleene, grouped and bounded iteration; an eager OR with
-iteration; an OR whose one branch negates the type the other binds; and
-corr. Each runs over one seeded stream in every mode that
-compiles it. The pins are exact: a change to the engine that moves any
-counter, or any match, its detection time or its branch, fails here, so
-such a change has to update the pins on purpose and say why.
+trailing negation; Kleene, grouped and bounded iteration; member atoms on a
+Kleene searched between two bound roles and on a trailing one; an eager OR
+with iteration; an OR whose one branch negates the type the other binds;
+and corr. Each runs over one seeded stream in every mode that compiles it.
+The pins are exact: a change to the engine that moves any counter, or any
+match, its detection time or its branch, fails here, so such a change has
+to update the pins on purpose and say why.
 """
 
 import hashlib
@@ -51,6 +52,16 @@ CORPUS = {
                        ("b", "stock"), 800, 18),
     "kleene-bounded": ("PATTERN SEQ(A a, B{2,3} b[], C c) WITHIN 250 msec",
                        None, 800, 19),
+    # The benchmark's Kleene pattern: a member atom, and the iterated role
+    # searched between two bound roles.
+    "kleene-member-grouped": ("PATTERN SEQ(A a, B+ b[], C c) WHERE"
+                              " skip_till_any_match { b[i].stock = b[i-1].stock"
+                              " and b[i].price > a.price } WITHIN 400 msec",
+                              ("b", "stock"), 800, 25),
+    # A member atom on a trailing Kleene: no bound role follows the members.
+    "kleene-member-trailing": ("PATTERN SEQ(A a, B+ b[]) WHERE"
+                               " skip_till_any_match { b[i].price > a.price }"
+                               " WITHIN 250 msec", None, 800, 26),
     "or-iteration": ("PATTERN OR(SEQ(C c, B+ b[]), SEQ(D d, B+ b[]))"
                      " WITHIN 150 msec", None, 600, 20),
     # One branch negates the type that the other binds.
@@ -130,6 +141,18 @@ PINNED = {
                                  "e158a4539b1b3e0f"),
     ("kleene-bounded", "lazy-fc"): ((800, 843, 0, 1236, 1235, 518, 392, 509, 4),
                                     "e158a4539b1b3e0f"),
+    ("kleene-member-grouped", "eager"): (
+        (800, 854, 2868, 4128, 4127, 0, 0, 0, 182), "e2979a55b075a65b"),
+    ("kleene-member-grouped", "lazy"): (
+        (800, 854, 1280, 1433, 1432, 530, 578, 513, 4), "e2979a55b075a65b"),
+    ("kleene-member-grouped", "lazy-fc"): (
+        (800, 854, 1280, 1433, 1432, 530, 578, 513, 4), "e2979a55b075a65b"),
+    ("kleene-member-trailing", "eager"): (
+        (800, 4008, 7224, 7597, 7596, 0, 0, 0, 963), "bda2db71b02c7e25"),
+    ("kleene-member-trailing", "lazy"): (
+        (800, 4008, 2210, 4381, 4380, 140, 1446, 139, 20), "bda2db71b02c7e25"),
+    ("kleene-member-trailing", "lazy-fc"): (
+        (800, 4008, 2210, 4381, 4380, 140, 1446, 139, 20), "bda2db71b02c7e25"),
     ("or-iteration", "eager"): ((600, 826, 0, 1045, 1044, 0, 0, 0, 93),
                                 "ef3dc69b2e0a6e72"),
     ("or-iteration", "lazy"): ((600, 826, 0, 1045, 1044, 106, 576, 104, 11),
