@@ -134,11 +134,13 @@ def iterate_fetch(
 
     ``condition`` is the :class:`KleeneAtoms` split of the take's atoms.
     Each candidate member is tested once, against the member-wise atoms,
-    before anything is enumerated. Subsets then grow level by level from
-    the prefixes that survived, and only the member a step appends is
-    checked, against the pair atoms. The whole-subset atoms run last, on
-    the subsets of an admissible size; ``generated`` (a one-element list)
-    receives how many those were.
+    before anything is enumerated; those atoms are in their one-member
+    form, so ``role`` is bound to the candidate event itself, not to a
+    one-member tuple. Subsets then grow level by level from the prefixes
+    that survived, and only the member a step appends is checked, against
+    the pair atoms. The whole-subset atoms run last, on the subsets of an
+    admissible size; ``generated`` (a one-element list) receives how many
+    those were.
 
     No window test is made here: the runtime keeps only the current window
     in the buffer and in its live instances (see :mod:`cep.runtime`), so
@@ -153,7 +155,7 @@ def iterate_fetch(
     if new_event is not None:
         # The arriving event is the newest, so it closes every subset; the
         # others come from its own group.
-        binding[role] = (new_event,)
+        binding[role] = new_event
         if member_atoms and not eval_atoms(member_atoms, binding, counter):
             pool = []
         else:
@@ -174,16 +176,15 @@ def iterate_fetch(
     level = []
     groups: dict = {}
     for x in pool:
-        one = (x,)
         if member_atoms:
-            binding[role] = one
+            binding[role] = x
             if not eval_atoms(member_atoms, binding, counter):
                 continue
         value = None if group_attr is None else x.attr(group_attr)
         group = groups.get(value)
         if group is None:
             group = groups[value] = []
-        level.append((one, group, len(group)))
+        level.append(((x,), group, len(group)))
         group.append(x)
     closing = 0 if new_event is None else 1
     top = None if hi is None else hi - closing  # the largest level needed

@@ -53,11 +53,18 @@ def _check_freq(chain: ChainPattern, freq: Sequence[EventType]) -> None:
 
 def _assign_atoms(chain: ChainPattern, bind_order: Sequence[str]) -> list:
     """Compiled atoms per take position: each atom fires at the position
-    binding its last referenced role."""
+    binding its last referenced role.
+
+    Every MEMBER atom is quantified over the iterated role, so it rides the
+    iterate take, whose search evaluates it in its one-member form only
+    (:func:`split_kleene`): it is compiled in that form alone.
+    """
     pos_of = {r: i for i, r in enumerate(bind_order)}
     slots = [[] for _ in bind_order]
+    one_member = chain.iterated is not None
     for atom in chain.atoms:
-        slots[max(pos_of[r] for r in atom_roles(atom))].append(compile_atom(atom))
+        slots[max(pos_of[r] for r in atom_roles(atom))].append(
+            compile_atom(atom, one_member))
     return [tuple(s) for s in slots]
 
 

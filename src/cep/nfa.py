@@ -64,7 +64,9 @@ class Take:
     # (lo, hi, group_attr) of the iterated role, on iterate and append
     # takes; hi None = unbounded.
     iterate: Optional[tuple] = None
-    kleene: Optional[KleeneAtoms] = None  # cond split for iterate_fetch
+    # cond split for iterate_fetch; its MEMBER atoms, in cond too, are in
+    # their one-member form.
+    kleene: Optional[KleeneAtoms] = None
     append: bool = False  # eager accumulation self-loop
     iter_first: bool = False  # eager first bind of the iterated role
     req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate

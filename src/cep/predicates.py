@@ -167,15 +167,19 @@ class Atom:
     resolved when it was compiled; error messages are rendered only when an
     error is raised. ``role`` is the quantified role and ``kind`` one of
     MEMBER, PAIR and SUBSET; both are None for an unquantified atom.
+    ``one_member``: a MEMBER atom compiled in its one-member form, whose
+    test reads the event bound to ``role`` instead of a member tuple.
     """
 
-    __slots__ = ("expr", "test", "kind", "role")
+    __slots__ = ("expr", "test", "kind", "role", "one_member")
 
-    def __init__(self, expr: BoolExpr, test, kind=None, role=None):
+    def __init__(self, expr: BoolExpr, test, kind=None, role=None,
+                 one_member=False):
         self.expr = expr
         self.test = test
         self.kind = kind
         self.role = role
+        self.one_member = one_member
 
     def render(self) -> str:
         return self.expr.render()
@@ -184,26 +188,33 @@ class Atom:
         return f"Atom({self.render()})"
 
 
-def compile_atom(expr: BoolExpr) -> Atom:
+def compile_atom(expr: BoolExpr, one_member: bool = False) -> Atom:
     """Lower one atom into a closure over a binding.
 
     Atoms with bare iterated references hold iff they hold for every member
     (or every adjacent pair, when some reference is ``r[i-1]``) of the
     quantified role, the role of the first indexed reference; aggregates see
     the whole subset.
+
+    With ``one_member``, a MEMBER atom is compiled in its one-member form
+    instead: the quantified role is bound to one event, which its
+    references read as they read a plain role's. It holds for an event iff
+    the quantified form holds for the tuple of that event alone.
     """
     indexed = [ref for ref in bool_refs(expr) if ref.index is not None]
     if not indexed:
         return Atom(expr, _bool(expr, False))
     first = indexed[0]
     pair = any(ref.index == "i-1" for ref in indexed)
-    body = _bool(expr, True)
     role, start = first.role, 1 if pair else 0
     if (any(isinstance(n, Agg) for n in nodes(expr))
             or any(ref.role != role for ref in indexed)):
         kind = SUBSET
     else:
         kind = PAIR if pair else MEMBER
+    if one_member and kind == MEMBER:
+        return Atom(expr, _bool(expr, False), kind, role, one_member=True)
+    body = _bool(expr, True)
 
     def each(binding: Binding) -> bool:
         bound = binding[role]
@@ -224,8 +235,9 @@ class KleeneAtoms(NamedTuple):
     """The atoms of an iterate take, split by what they need to be decided.
 
     ``member`` atoms hold for a subset iff they hold for each of its members
-    alone, ``pair`` atoms iff they hold for each adjacent pair, and
-    ``whole`` atoms are decided on the complete subset only.
+    alone, and are tested on the member event itself; ``pair`` atoms hold
+    iff they hold for each adjacent pair, and ``whole`` atoms are decided
+    on the complete subset only.
     """
 
     member: tuple
@@ -238,6 +250,11 @@ def split_kleene(atoms: Sequence[Atom], role: str,
     """Split the compiled atoms of an iterate take on ``role`` by
     quantifier kind.
 
+    The ``member`` atoms come in their one-member form (see
+    :func:`compile_atom`): ``iterate_fetch`` tests a candidate with the
+    role bound to the candidate event itself. An atom compiled in the
+    quantified form is compiled again in that one.
+
     With ``group_by`` set, an equality ``role[i].A = role[i-1].A`` on that
     attribute is dropped: every group-homogeneous subset satisfies it.
     """
@@ -245,7 +262,8 @@ def split_kleene(atoms: Sequence[Atom], role: str,
     for atom in atoms:
         kind = atom.kind if atom.role == role else SUBSET
         if kind == MEMBER:
-            member.append(atom)
+            member.append(atom if atom.one_member
+                          else compile_atom(atom.expr, one_member=True))
         elif kind == PAIR:
             if not _is_group_equality(atom.expr, role, group_by):
                 pair.append(atom)

@@ -1,16 +1,16 @@
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cep.events import Event, StreamDataError
 from cep.metrics import Metrics
 from cep.patterns import parse_pattern
-from cep.predicates import (Agg, Arith, AttrRef, BoolOp, Cmp, Corr, Literal,
-                            Not, PredicateError, atom_roles, compile_atom,
-                            compile_atoms, eval_atoms, split_conjunction,
-                            split_kleene)
+from cep.predicates import (MEMBER, Agg, Arith, AttrRef, BoolOp, Cmp, Corr,
+                            Literal, Not, PredicateError, atom_roles,
+                            compile_atom, compile_atoms, eval_atoms,
+                            split_conjunction, split_kleene)
 from cep.stats import UndefinedCorrelationError, pearson
 
 
@@ -403,3 +403,42 @@ def test_compiled_atoms_agree_with_a_tree_walking_reference(expr, binding):
     got = _outcome(_holds, expr, binding)
     want = _outcome(_reference, expr, binding)
     assert got == want, expr.render()
+
+
+def _member_wise(expr):
+    """``expr`` with every ``b[i-1]`` reference read as ``b[i]`` and every
+    aggregate as its reference: an atom quantified per member of b, unless
+    it references no member at all."""
+    if isinstance(expr, AttrRef):
+        return AttrRef(expr.role, expr.attr, expr.index and "i")
+    if isinstance(expr, Agg):
+        return _member_wise(expr.ref)
+    if isinstance(expr, (Cmp, Arith)):
+        return type(expr)(expr.op, _member_wise(expr.left),
+                          _member_wise(expr.right))
+    if isinstance(expr, Corr):
+        return Corr(_member_wise(expr.left), _member_wise(expr.right))
+    if isinstance(expr, Not):
+        return Not(_member_wise(expr.child))
+    if isinstance(expr, BoolOp):
+        return BoolOp(expr.op, tuple(map(_member_wise, expr.children)))
+    return expr
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BOOL_EXPRS.map(_member_wise), _bindings())
+def test_one_member_form_agrees_with_the_quantified_form(expr, binding):
+    # A MEMBER atom as iterate_fetch gets it from split_kleene, tested with
+    # b bound to a member event, against the quantified atom on the tuple of
+    # that event alone: the same value, or the same error.
+    quantified = compile_atom(expr)
+    assume(quantified.kind == MEMBER)
+    member = binding["b"][0]
+    want = _outcome(eval_atoms, (quantified,), dict(binding, b=(member,)))
+    # Recompiled from the quantified form, and compiled in the one-member
+    # form alone, as the lazy builder does.
+    for atom in (quantified, compile_atom(expr, one_member=True)):
+        (one,) = split_kleene((atom,), "b").member
+        assert one.one_member
+        got = _outcome(eval_atoms, (one,), dict(binding, b=member))
+        assert got == want, expr.render()
