@@ -62,8 +62,9 @@ def match_line(m: Match) -> str:
 
 
 class ShadowMismatch(AssertionError):
-    """A buffer search diverged from the arrival log, or a spawn spans more
-    than the window (paired mode)."""
+    """A buffer search diverged from the arrival log, a spawn spans more
+    than the window, or a batch stamped at the instance's newest key binds
+    a newer event (paired mode)."""
 
 
 class Instance:
@@ -102,7 +103,6 @@ class Runtime:
         self._next_iid = 0
         self._pending: list = []
         self._last_key = None
-        self._last_seq = None
         self._entering = 0  # settling instances whose entry is running
         self.seed = self._new_instance(None, nfa.initial, None, {}, None, None)
 
@@ -166,10 +166,10 @@ class Runtime:
     def step(self, e: Event) -> list:
         key = e.key
         ts, seq = key
-        if self._last_key is not None and (key <= self._last_key
-                                           or seq <= self._last_seq):
+        last = self._last_key
+        if last is not None and (key <= last or seq <= last[1]):
             raise StreamDataError(f"stream out of order at {e}")
-        self._last_key, self._last_seq = key, seq
+        self._last_key = key
         metrics = self.metrics
         metrics.events_processed += 1
         if self._pending:
@@ -369,6 +369,10 @@ class Runtime:
         created and retired, and emit its match unless the first-chance
         floor rules it out, without building it. No instance is registered
         or retired in between, so the batch is counted at once.
+
+        A take with successor roles searched every bound below a bound
+        role, so every match of the batch ends at ``inst.maxkey``: the batch
+        is stamped, and tested against the floor, once.
         """
         n = len(bounds)
         if not n:
@@ -379,6 +383,16 @@ class Runtime:
         base, role, branch = inst.binding, tp.role, tp.branch
         floor, maxkey = inst.floor, inst.maxkey
         pending = self._pending
+        if tp.succ_roles:
+            ts = maxkey[0]
+            if ts <= floor:
+                return
+            for bound in bounds:
+                binding = base.copy()
+                binding[role] = bound
+                pending.append(Match(binding, ts, branch))
+            metrics.matches += n
+            return
         emitted = 0
         for bound in bounds:
             # Member tuples are ascending by key: the last is the newest.
@@ -504,8 +518,10 @@ class PairedRuntime(Runtime):
     Test machinery (the shadow-buffer check). It logs every arrival that
     ``Runtime.step`` accepts, of every type. A buffer search that returns
     other events than the log holds of its type within the window and the
-    search's ordering bounds, or a spawn spanning more than the window,
-    raises :class:`ShadowMismatch`. Matches and counters are unchanged.
+    search's ordering bounds, a spawn spanning more than the window, or an
+    emitted bound of a take with successor roles that is not older than
+    the instance's newest event, raises :class:`ShadowMismatch`. Matches
+    and counters are unchanged.
     """
 
     def __init__(self, nfa: N.Nfa):
@@ -540,6 +556,13 @@ class PairedRuntime(Runtime):
     def _emit_bare(self, inst: Instance, tp: N.Take, bounds) -> None:
         for bound in bounds:
             self._check_span(inst, tp, bound)
+            # Runtime._emit_bare stamps such a take's batch at maxkey.
+            newest = bound[-1].key if type(bound) is tuple else bound.key
+            if tp.succ_roles and newest >= inst.maxkey:
+                raise ShadowMismatch(
+                    f"take into state {tp.dst} with successor roles "
+                    f"{sorted(tp.succ_roles)} bound an event at {newest}, "
+                    f"not before the instance's newest {inst.maxkey}")
         super()._emit_bare(inst, tp, bounds)
 
     def _query(self, inst: Instance, chk) -> list:

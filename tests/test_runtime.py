@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cep import nfa as N
+from cep import runtime
 from cep.buffer import LANE_SLACK, InputBuffer
 from cep.difftest import random_pattern, random_stream
 from cep.engine import apply_group_by, compile_pattern, make_runtime
@@ -331,6 +332,25 @@ class TestSharedBufferEquivalence:
 
         assert lines(PairedRuntime(nfa)) == lines(Runtime(nfa)) == [
             "a=A@5#0; b=B@8#2"]
+
+    def test_paired_mode_checks_the_batch_stamp(self, monkeypatch):
+        # Every b is searched below c, so the take stamps its whole batch
+        # at the instance's newest event, c. A subset reaching past c would
+        # be stamped too early: the paired check refuses it.
+        chains = chains_of("PATTERN SEQ(A a, B+ b[], C c) WITHIN 10 msec")
+        (nfa,) = compile_pattern(chains, "lazy", orders=[["C", "A", "B"]])
+        (tp,) = [tp for p in nfa.plans for tp in p.entry_takes if tp.emits]
+        assert tp.succ_roles == {"c"}
+        stream = mkstream(("A", 1), ("B", 2), ("C", 5))
+        got = run_stream(PairedRuntime(nfa), stream)
+        assert [(m.detection_ts, match_line(m)) for m in got] == [
+            (5, "a=A@1#0; b=B@2#1; c=C@5#2")]
+        fetch = runtime.iterate_fetch
+        late = Event("B", 6, 3)
+        monkeypatch.setattr(runtime, "iterate_fetch",
+                            lambda *a, **k: fetch(*a, **k) + [(late,)])
+        with pytest.raises(ShadowMismatch, match="successor roles"):
+            run_stream(PairedRuntime(nfa), stream)
 
     @pytest.mark.parametrize("order", [["C", "B"], ["B", "C"]])
     def test_paired_mode_checks_kleene_pools(self, monkeypatch, order):
