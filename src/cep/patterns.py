@@ -529,8 +529,14 @@ def _validate_ast(ast: PatternAst) -> None:
         raise PatternError("a negated event cannot be iterated")
 
     for atom in P.split_conjunction(ast.where):
+        refs, aggs = [], []
+        for sub in P.nodes(atom):
+            if isinstance(sub, P.AttrRef):
+                refs.append(sub)
+            elif isinstance(sub, P.Agg):
+                aggs.append(sub)
         negs_in_atom = set()
-        for ref in P.bool_refs(atom):
+        for ref in refs:
             if ref.role not in role_types:
                 raise PatternError(f"unknown role {ref.role!r} in WHERE clause")
             if ref.index is not None and ref.role not in iter_roles:
@@ -544,8 +550,8 @@ def _validate_ast(ast: PatternAst) -> None:
                 )
             if ref.role in neg_roles:
                 negs_in_atom.add(ref.role)
-        for sub in P.nodes(atom):
-            if isinstance(sub, P.Agg) and sub.ref.role not in iter_roles:
+        for sub in aggs:
+            if sub.ref.role not in iter_roles:
                 raise PatternError(f"{sub.render()}: aggregates require an iterated role")
         if len(negs_in_atom) > 1:
             raise PatternError(

@@ -9,8 +9,8 @@ from cep.oracle import enumerate_matches_chains
 from cep.patterns import (ChainPattern, Kleene, Leaf, NotItem, OpNode,
                           ParseError, PatternAst, PatternError, parse_pattern,
                           render_chain, to_dnf)
-from cep.predicates import (AttrRef, Cmp, Literal, compile_atoms, eval_atoms,
-                            split_conjunction)
+from cep.predicates import (Agg, Arith, AttrRef, Cmp, Literal, compile_atoms,
+                            eval_atoms, split_conjunction)
 from cep.runtime import match_key
 
 PATTERN_1 = """
@@ -21,6 +21,11 @@ WHERE skip_till_any_match {
 }
 WITHIN 1 hour
 """
+
+# SEQ(A a, NOT(C c), NOT(D d), B b), and a value over both negated roles.
+_TWO_NEGATIONS = OpNode("seq", (Leaf("A", "a"), NotItem(Leaf("C", "c")),
+                                NotItem(Leaf("D", "d")), Leaf("B", "b")))
+_NEGATED_SUM = Arith("+", AttrRef("c", "x"), AttrRef("d", "x"))
 
 
 class TestParse:
@@ -137,6 +142,17 @@ class TestParse:
         (OpNode("seq", (Leaf("A", "a"), Kleene(Leaf("B", "b")),
                         NotItem(Leaf("B", "b")))), None,
          "a negated event cannot be iterated"),
+        # An atom's reference errors come before its aggregate errors, and
+        # those before the two-negations error.
+        (OpNode("seq", (Leaf("A", "a"), Leaf("B", "b"))),
+         Cmp(">", Agg("avg", AttrRef("b", "x")), AttrRef("z", "x")),
+         "unknown role 'z' in WHERE clause"),
+        (_TWO_NEGATIONS,
+         Cmp(">", Agg("avg", AttrRef("b", "x")), _NEGATED_SUM),
+         "avg(b.x): aggregates require an iterated role"),
+        (_TWO_NEGATIONS, Cmp(">", AttrRef("a", "x"), _NEGATED_SUM),
+         "predicate a.x > (c.x + d.x) links two negated events; "
+         "conditions may reference at most one negated role"),
     ])
     def test_ast_is_validated_when_built(self, root, where, message):
         with pytest.raises(PatternError) as err:
