@@ -61,10 +61,9 @@ def _assign_atoms(chain: ChainPattern, bind_order: Sequence[str]) -> list:
     """
     pos_of = {r: i for i, r in enumerate(bind_order)}
     slots = [[] for _ in bind_order]
-    one_member = chain.iterated is not None
     for atom in chain.atoms:
         slots[max(pos_of[r] for r in atom_roles(atom))].append(
-            compile_atom(atom, one_member))
+            compile_atom(atom, one_member=True))
     return [tuple(s) for s in slots]
 
 

@@ -556,9 +556,11 @@ class PairedRuntime(Runtime):
     def _emit_bare(self, inst: Instance, tp: N.Take, bounds) -> None:
         for bound in bounds:
             self._check_span(inst, tp, bound)
-            # Runtime._emit_bare stamps such a take's batch at maxkey.
+            if not tp.succ_roles:
+                continue
+            # Runtime._emit_bare stamps this batch at the instance's maxkey.
             newest = bound[-1].key if type(bound) is tuple else bound.key
-            if tp.succ_roles and newest >= inst.maxkey:
+            if newest >= inst.maxkey:
                 raise ShadowMismatch(
                     f"take into state {tp.dst} with successor roles "
                     f"{sorted(tp.succ_roles)} bound an event at {newest}, "
