@@ -15,7 +15,6 @@ from itertools import combinations
 
 from . import nfa as N
 from .patterns import ChainPattern
-from .predicates import atom_roles, compile_atom
 
 
 def build_eager(chain: ChainPattern) -> N.Nfa:
@@ -53,15 +52,11 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
         states += tail_states
         states.append(N.State(accepting, N.ACCEPT, "F", 0))
 
-    # (roles, compiled atom); one atom may ride several lattice edges.
-    chain_atoms, iter_atom_list = [], []
-    for a in chain.atoms:
-        roles_a = atom_roles(a)
-        if it is not None and it.role in roles_a:
-            iter_atom_list.append(compile_atom(a))
-        else:
-            chain_atoms.append((roles_a, compile_atom(a)))
-    iter_atoms = tuple(iter_atom_list)
+    # The iterated role's atoms wait for the completion gates; any other
+    # atom may ride several lattice edges.
+    iter_atoms = tuple(a for a in chain.atoms
+                       if it is not None and it.role in a.roles)
+    chain_atoms = [a for a in chain.atoms if a not in iter_atoms]
 
     # The take that binds the iterated role binds a one-member tuple, and
     # the takes after it wait for the role's minimum count.
@@ -73,10 +68,8 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
         for r in roles:
             if r in s or not preds[r] <= s:
                 continue
-            cond = tuple(
-                a for roles_a, a in chain_atoms
-                if r in roles_a and roles_a <= (s | {r})
-            )
+            cond = tuple(a for a in chain_atoms
+                         if r in a.roles and a.roles <= (s | {r}))
             edges.append(N.Take(sid, sid_of[s | frozenset({r})], types[r],
                                 r, cond,
                                 iter_first=it is not None and r == it.role,

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 from . import nfa as N
 from .events import EventType
 from .patterns import ChainPattern
-from .predicates import atom_roles, compile_atom, split_kleene
+from .predicates import split_kleene
 
 
 def ascending_freq_order(rates: Mapping[EventType, float]) -> list:
@@ -52,18 +52,12 @@ def _check_freq(chain: ChainPattern, freq: Sequence[EventType]) -> None:
 
 
 def _assign_atoms(chain: ChainPattern, bind_order: Sequence[str]) -> list:
-    """Compiled atoms per take position: each atom fires at the position
-    binding its last referenced role.
-
-    Every MEMBER atom is quantified over the iterated role, so it rides the
-    iterate take, whose search evaluates it in its one-member form only
-    (:func:`split_kleene`): it is compiled in that form alone.
-    """
+    """The chain's compiled atoms per take position: each atom fires at the
+    position binding the last of its ``roles``."""
     pos_of = {r: i for i, r in enumerate(bind_order)}
     slots = [[] for _ in bind_order]
     for atom in chain.atoms:
-        slots[max(pos_of[r] for r in atom_roles(atom))].append(
-            compile_atom(atom, one_member=True))
+        slots[max(pos_of[r] for r in atom.roles)].append(atom)
     return [tuple(s) for s in slots]
 
 
@@ -128,15 +122,16 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
         role = bind_order[i]
         prec, succ = ordering_filters(chain, role, bind_order[:i])
         dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
-        cond = atom_slots[i]
         if it is not None and i == n - 1:
-            edges.append(N.Take(i, dst, etype, role, cond, prec, succ,
+            # The iterate take carries its atoms once, split for its search.
+            edges.append(N.Take(i, dst, etype, role, (), prec, succ,
                                 search=True,
                                 iterate=(it.lo, it.hi, it.group_by),
-                                kleene=split_kleene(cond, role, it.group_by)))
+                                kleene=split_kleene(atom_slots[i], role,
+                                                    it.group_by)))
         else:
-            edges.append(N.Take(i, dst, etype, role, cond, prec, succ,
-                                search=True))
+            edges.append(N.Take(i, dst, etype, role, atom_slots[i], prec,
+                                succ, search=True))
 
     fc_checks: dict = {}
     if fc:
@@ -164,8 +159,7 @@ def _check_fc_applicable(chain: ChainPattern) -> None:
 def _dep_state(chk, bind_order: Sequence[str], accepting: int) -> int:
     """The state at whose entry a first-chance check can run: the one after
     the last of its nearest neighbours and its condition's roles is bound."""
-    dep = set(chk.prec_roles) | set(chk.succ_roles)
-    for atom in chk.cond:
-        dep |= atom_roles(atom.expr) - {chk.role}
+    dep = chk.prec_roles.union(chk.succ_roles,
+                               *(a.roles - {chk.role} for a in chk.cond))
     last = max(bind_order.index(r) for r in dep)
     return last + 1 if last + 1 < len(bind_order) else accepting

@@ -52,7 +52,9 @@ class Take:
     dst: int
     etype: str
     role: str  # role bound by the take
-    cond: tuple = ()  # compiled predicate atoms evaluated on traversal
+    # The chain's compiled atoms evaluated on traversal; empty on an
+    # iterate take, whose atoms are in ``kleene``.
+    cond: tuple = ()
     # Ordering filters: the nearest bound roles that must precede the taken
     # event (lower bounds) and succeed it (upper bounds).
     prec_roles: frozenset = frozenset()
@@ -64,8 +66,9 @@ class Take:
     # (lo, hi, group_attr) of the iterated role, on iterate and append
     # takes; hi None = unbounded.
     iterate: Optional[tuple] = None
-    # cond split for iterate_fetch; its MEMBER atoms, in cond too, are in
-    # their one-member form.
+    # A lazy iterate take's atoms, split for iterate_fetch
+    # (:func:`cep.predicates.split_kleene`): the MEMBER atoms in their
+    # one-member form, the others as the chain holds them.
     kleene: Optional[KleeneAtoms] = None
     append: bool = False  # eager accumulation self-loop
     iter_first: bool = False  # eager first bind of the iterated role
@@ -225,10 +228,10 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
 
 
 def neg_check(chain: ChainPattern, spec: NegSpec) -> NegSpec:
-    """The runtime check of ``spec``: its atoms compiled and its neighbour
-    sets cut to the nearest roles (:meth:`ChainPattern.nearest`)."""
+    """The runtime check of ``spec``: its neighbour sets cut to the nearest
+    roles (:meth:`ChainPattern.nearest`)."""
     prec, succ = chain.nearest(spec.prec_roles, spec.succ_roles)
-    return replace(spec.compiled(), prec_roles=prec, succ_roles=succ)
+    return replace(spec, prec_roles=prec, succ_roles=succ)
 
 
 def negative_tail(chain: ChainPattern, negs, start: int) -> tuple:

@@ -3,7 +3,10 @@ stream and test it directly against the chain pattern.
 
 This module is the ground truth for the differential suite. It shares no
 evaluation machinery with the automaton runtime beyond the predicate
-evaluator, and checks each candidate assignment against the pattern's
+evaluator: it evaluates the chain's own compiled atoms and its negations'
+conditions as :func:`cep.patterns.to_dnf` made them, whole, and keeps each
+negation's full neighbour sets rather than the nearest ones the automata
+search between. It checks each candidate assignment against the pattern's
 temporal order, window, predicates, and negations by direct enumeration.
 """
 
@@ -14,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .events import Event, within_window
 from .patterns import ChainPattern, NegSpec
-from .predicates import compile_atoms, eval_atoms
+from .predicates import eval_atoms
 from .runtime import match_key
 
 
@@ -44,13 +47,11 @@ def enumerate_matches(chain: ChainPattern, stream: Sequence[Event],
             role_choices.append((role, _subset_choices(events, it)))
         else:
             role_choices.append((role, events))
-    atoms = compile_atoms(chain.atoms)
-    negations = [n.compiled() for n in chain.negations]
     out = []
     for combo in product(*(choices for _, choices in role_choices)):
         binding = {role: value
                    for (role, _), value in zip(role_choices, combo)}
-        if _match_ok(chain, atoms, negations, binding, by_type, w):
+        if _match_ok(chain, binding, by_type, w):
             out.append(binding)
     out.sort(key=match_key)
     return out
@@ -76,8 +77,8 @@ def _bounds_of(binding, role):
     return bound.key, bound.key
 
 
-def _match_ok(chain: ChainPattern, atoms: tuple, negations: list,
-              binding: dict, by_type: dict, w: int) -> bool:
+def _match_ok(chain: ChainPattern, binding: dict, by_type: dict,
+              w: int) -> bool:
     for u, v in chain.temporal_order:
         _, u_hi = _bounds_of(binding, u)
         v_lo, _ = _bounds_of(binding, v)
@@ -88,9 +89,9 @@ def _match_ok(chain: ChainPattern, atoms: tuple, negations: list,
     lo_ts, hi_ts = min(all_ts), max(all_ts)
     if not within_window(lo_ts, hi_ts, w):
         return False
-    if atoms and not eval_atoms(atoms, binding):
+    if chain.atoms and not eval_atoms(chain.atoms, binding):
         return False
-    for neg in negations:
+    for neg in chain.negations:
         if _invalidated(neg, binding, by_type, lo_ts, hi_ts, w):
             return False
     return True

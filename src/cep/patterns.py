@@ -15,7 +15,7 @@ order, per-chain negations, and at most one iterated role.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import predicates as P
@@ -91,13 +91,9 @@ class NegSpec:
 
     role: str
     etype: EventType
-    cond: tuple  # atoms referencing this role (plus positives)
+    cond: tuple  # the chain's compiled atoms over this role (plus positives)
     prec_roles: frozenset  # positive/iterated roles that must precede it
     succ_roles: frozenset  # positive/iterated roles that must succeed it
-
-    def compiled(self) -> "NegSpec":
-        """This check with its condition atoms compiled."""
-        return replace(self, cond=P.compile_atoms(self.cond))
 
     def key(self):
         return (
@@ -126,7 +122,7 @@ class ChainPattern:
     temporal_order: frozenset  # (role_u, role_v) pairs, transitively closed
     negations: tuple  # NegSpec, declaration order
     iterated: Optional[IterSpec]
-    atoms: tuple  # predicate atoms over positive/iterated roles
+    atoms: tuple  # compiled predicate atoms over positive/iterated roles
     window: int
     # Full pair set over all items (incl. negated-negated pairs) retained so
     # the chain can be rendered back to a series-parallel pattern text.
@@ -607,8 +603,14 @@ def _product_blocks(children) -> list:
 
 
 def to_dnf(ast: PatternAst) -> list:
-    """Normalize a pattern to its list of chains, in deterministic order."""
-    atoms = tuple(P.split_conjunction(ast.where))
+    """Normalize a pattern to its list of chains, in deterministic order.
+
+    Each WHERE atom is compiled here, once, by
+    :func:`cep.predicates.compile_atom`: every chain shares the compiled
+    atoms, and the builders, the runtimes and the oracle read them as they
+    are.
+    """
+    atoms = tuple(map(P.compile_atom, P.split_conjunction(ast.where)))
     chains = []
     for block in _normalize(ast.root):
         chains.append(_block_to_chain(block, atoms, ast.window))
@@ -650,7 +652,7 @@ def _block_to_chain(block: _Block, atoms: tuple, window: int) -> ChainPattern:
     chain_atoms = []
     neg_conds = {r: [] for r in neg_roles}
     for atom in atoms:
-        roles = P.atom_roles(atom)
+        roles = atom.roles
         if not roles <= chain_roles:
             missing = sorted(roles - chain_roles)
             raise PatternError(

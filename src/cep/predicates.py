@@ -1,11 +1,12 @@
 """Predicate expression trees evaluated against partial or full role bindings.
 
 A parsed WHERE clause is split into a conjunction of *atoms*. Each atom is a
-boolean expression tree, compiled once into an :class:`Atom` when the
-automata are built, that the runtime evaluates as soon as every role it
-references is bound. Atoms referencing an iterated role are implicitly
-universally quantified over the members of the bound subset (adjacent-pair
-references ``r[i-1]`` shift the quantification range accordingly).
+boolean expression tree, compiled once into an :class:`Atom` by
+:func:`cep.patterns.to_dnf`, which every chain, builder, runtime and the
+oracle share; the runtime evaluates it as soon as every role it references
+is bound. Atoms referencing an iterated role are implicitly universally
+quantified over the members of the bound subset (adjacent-pair references
+``r[i-1]`` shift the quantification range accordingly).
 """
 
 from __future__ import annotations
@@ -130,15 +131,6 @@ def nodes(expr):
         yield expr.ref
 
 
-def bool_refs(expr: BoolExpr):
-    """The attribute references of ``expr``, in pre-order."""
-    return (n for n in nodes(expr) if isinstance(n, AttrRef))
-
-
-def atom_roles(expr: BoolExpr) -> frozenset:
-    return frozenset(r.role for r in bool_refs(expr))
-
-
 def split_conjunction(expr: Optional[BoolExpr]) -> list:
     """Flatten top-level ANDs into the list of atoms the runtime schedules."""
     if expr is None:
@@ -151,8 +143,6 @@ def split_conjunction(expr: Optional[BoolExpr]) -> list:
     return [expr]
 
 
-
-
 # Quantifier kinds of an atom over an iterated role (``Atom.kind``).
 MEMBER = "member"  # only r[i] references: holds per member
 PAIR = "pair"  # some r[i-1] reference: holds per adjacent pair
@@ -162,24 +152,23 @@ SUBSET = "subset"  # an aggregate, or several iterated roles: whole subset
 class Atom:
     """A WHERE atom compiled once, by :func:`compile_atom`.
 
-    ``test(binding)`` evaluates it. The quantifier kind, the quantified
-    role, the ``i``/``i-1`` index shifts and the attribute names were
-    resolved when it was compiled; error messages are rendered only when an
-    error is raised. ``role`` is the quantified role and ``kind`` one of
+    ``test(binding)`` evaluates it. The roles it references, the quantifier
+    kind, the quantified role, the ``i``/``i-1`` index shifts and the
+    attribute names were resolved when it was compiled; error messages are
+    rendered only when an error is raised. ``roles`` is the set of roles
+    the atom references, ``role`` the quantified role and ``kind`` one of
     MEMBER, PAIR and SUBSET; both are None for an unquantified atom.
-    ``one_member``: a MEMBER atom compiled in its one-member form, whose
-    test reads the event bound to ``role`` instead of a member tuple.
     """
 
-    __slots__ = ("expr", "test", "kind", "role", "one_member")
+    __slots__ = ("expr", "test", "roles", "kind", "role")
 
-    def __init__(self, expr: BoolExpr, test, kind=None, role=None,
-                 one_member=False):
+    def __init__(self, expr: BoolExpr, test, roles: frozenset, kind=None,
+                 role=None):
         self.expr = expr
         self.test = test
+        self.roles = roles
         self.kind = kind
         self.role = role
-        self.one_member = one_member
 
     def render(self) -> str:
         return self.expr.render()
@@ -188,32 +177,33 @@ class Atom:
         return f"Atom({self.render()})"
 
 
-def compile_atom(expr: BoolExpr, one_member: bool = False) -> Atom:
+def compile_atom(expr: BoolExpr) -> Atom:
     """Lower one atom into a closure over a binding.
 
     Atoms with bare iterated references hold iff they hold for every member
     (or every adjacent pair, when some reference is ``r[i-1]``) of the
     quantified role, the role of the first indexed reference; aggregates see
-    the whole subset.
-
-    With ``one_member``, a MEMBER atom is compiled in its one-member form
-    instead: the quantified role is bound to one event, which its
-    references read as they read a plain role's. It holds for an event iff
-    the quantified form holds for the tuple of that event alone.
+    the whole subset. One walk of the tree finds the references, their
+    roles and the aggregates.
     """
-    indexed = [ref for ref in bool_refs(expr) if ref.index is not None]
+    roles, indexed, aggregate = set(), [], False
+    for n in nodes(expr):
+        if isinstance(n, AttrRef):
+            roles.add(n.role)
+            if n.index is not None:
+                indexed.append(n)
+        elif isinstance(n, Agg):
+            aggregate = True
+    roles = frozenset(roles)
     if not indexed:
-        return Atom(expr, _bool(expr, False))
+        return Atom(expr, _bool(expr, False), roles)
     first = indexed[0]
     pair = any(ref.index == "i-1" for ref in indexed)
     role, start = first.role, 1 if pair else 0
-    if (any(isinstance(n, Agg) for n in nodes(expr))
-            or any(ref.role != role for ref in indexed)):
+    if aggregate or any(ref.role != role for ref in indexed):
         kind = SUBSET
     else:
         kind = PAIR if pair else MEMBER
-    if one_member and kind == MEMBER:
-        return Atom(expr, _bool(expr, False), kind, role, one_member=True)
     body = _bool(expr, True)
 
     def each(binding: Binding) -> bool:
@@ -228,7 +218,7 @@ def compile_atom(expr: BoolExpr, one_member: bool = False) -> Atom:
             i += 1
         return True
 
-    return Atom(expr, each, kind, role)
+    return Atom(expr, each, roles, kind, role)
 
 
 class KleeneAtoms(NamedTuple):
@@ -250,10 +240,11 @@ def split_kleene(atoms: Sequence[Atom], role: str,
     """Split the compiled atoms of an iterate take on ``role`` by
     quantifier kind.
 
-    The ``member`` atoms come in their one-member form (see
-    :func:`compile_atom`): ``iterate_fetch`` tests a candidate with the
-    role bound to the candidate event itself. An atom compiled in the
-    quantified form is compiled again in that one.
+    The ``member`` atoms come in their one-member form, built from the
+    compiled atom without analysing it again: ``iterate_fetch`` binds the
+    role to the candidate event itself, which the references read as they
+    read a plain role's. It holds for an event iff the quantified form
+    holds for the tuple of that event alone.
 
     With ``group_by`` set, an equality ``role[i].A = role[i-1].A`` on that
     attribute is dropped: every group-homogeneous subset satisfies it.
@@ -262,8 +253,8 @@ def split_kleene(atoms: Sequence[Atom], role: str,
     for atom in atoms:
         kind = atom.kind if atom.role == role else SUBSET
         if kind == MEMBER:
-            member.append(atom if atom.one_member
-                          else compile_atom(atom.expr, one_member=True))
+            member.append(Atom(atom.expr, _bool(atom.expr, False),
+                               atom.roles, MEMBER, role))
         elif kind == PAIR:
             if not _is_group_equality(atom.expr, role, group_by):
                 pair.append(atom)
@@ -279,10 +270,6 @@ def _is_group_equality(expr, role: str, group_by: Optional[str]) -> bool:
     return (all(isinstance(r, AttrRef) and r.role == role and r.attr == group_by
                 for r in sides)
             and {r.index for r in sides} == {"i", "i-1"})
-
-
-def compile_atoms(atoms: Sequence[BoolExpr]) -> tuple:
-    return tuple(compile_atom(a) for a in atoms)
 
 
 def eval_atoms(atoms: Sequence[Atom], binding: Binding, counter=None) -> bool:

@@ -30,7 +30,7 @@ def _atom(where):
     text = ("PATTERN SEQ(A a, B+ b[]) WHERE skip_till_any_match { "
             + where + " } WITHIN 10 msec")
     (atom,) = to_dnf(parse_pattern(text))[0].atoms
-    return compile_atom(atom)
+    return atom
 
 
 class TestStore:

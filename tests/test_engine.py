@@ -89,21 +89,27 @@ def test_rate_orders_respected_per_chain():
     assert q1_take_types == {"B", "C"}
 
 
+def _record_atoms(monkeypatch) -> list:
+    """Patch ``Atom`` to record every atom built from now on, in order."""
+    built = []
+    real = predicates.Atom.__init__
+
+    def recording(self, *args):
+        real(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(predicates.Atom, "__init__", recording)
+    return built
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_runtimes_reuse_the_atoms_compiled_with_the_automata(monkeypatch, mode):
     # Every compiled atom is an Atom, whichever module compiled it.
-    compiled = []
-    real = predicates.Atom.__init__
-
-    def counting(self, expr, test):
-        compiled.append(expr)
-        real(self, expr, test)
-
-    monkeypatch.setattr(predicates.Atom, "__init__", counting)
+    compiled = _record_atoms(monkeypatch)
     chains = chains_of("PATTERN SEQ(A a, NOT(B b), C c) WHERE skip_till_any_match"
                        " { a.x < c.x and b.x > c.x } WITHIN 1 hour")
-    nfas = compile_pattern(chains, mode, rates={"A": 2.0, "B": 3.0, "C": 1.0})
     assert compiled
+    nfas = compile_pattern(chains, mode, rates={"A": 2.0, "B": 3.0, "C": 1.0})
     compiled.clear()
     stream = mkstream(("A", 1, {"x": 1.0}), ("B", 2, {"x": 0.0}),
                       ("C", 3, {"x": 2.0}), ("A", 4, {"x": 3.0}),
@@ -113,6 +119,68 @@ def test_runtimes_reuse_the_atoms_compiled_with_the_automata(monkeypatch, mode):
     # B@5 (x=9 > 5) rules out both matches ending at C@6.
     assert runs[0] == runs[1] == ["a=A@1#0; c=C@3#2"]
     assert compiled == []
+
+
+def _held(chain) -> tuple:
+    """The atoms ``chain`` holds: its own and its negations' conditions."""
+    return chain.atoms + tuple(a for n in chain.negations for a in n.cond)
+
+
+def _one_of(items, pool) -> bool:
+    """Whether each of ``items`` is one of the objects in ``pool``."""
+    return all(any(x is y for y in pool) for x in items)
+
+
+# (pattern, MEMBER atoms over the iterated role, counted once per chain)
+SHARED_ATOM_PATTERNS = {
+    "or": ("PATTERN OR(SEQ(A a, B b), SEQ(A a, C c)) WHERE skip_till_any_match"
+           " { a.x < 5 and a.y > 1 } WITHIN 1 hour", 0),
+    "negation": ("PATTERN SEQ(A a, NOT(N n), C c) WHERE skip_till_any_match"
+                 " { a.x < c.x and n.x > c.x } WITHIN 1 hour", 0),
+    "kleene": ("PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
+               " { b[i].x > a.x and b[i].x >= b[i-1].x and avg(b[i].x) < c.x }"
+               " WITHIN 1 hour", 1),
+    "all": ("PATTERN OR(SEQ(A a, NOT(N n), B+ b[], C c),"
+            " SEQ(A a, NOT(N n), B+ b[], D d)) WHERE skip_till_any_match"
+            " { b[i].x > a.x and n.x > a.x and avg(b[i].x) < 10 }"
+            " WITHIN 1 hour", 2),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", SHARED_ATOM_PATTERNS)
+def test_to_dnf_compiles_each_atom_once_for_every_mode(monkeypatch, name,
+                                                       mode):
+    text, members = SHARED_ATOM_PATTERNS[name]
+    built = _record_atoms(monkeypatch)
+    ast = parse_pattern(text)
+    chains = to_dnf(ast)
+    # One Atom per WHERE atom, shared by every chain of the OR.
+    assert len(built) == len(predicates.split_conjunction(ast.where))
+    for chain in chains:
+        assert _one_of(_held(chain), built)
+    built.clear()
+    (nfa,) = compile_pattern(chains, mode, rates={
+        "A": 2.0, "B": 5.0, "C": 1.0, "D": 1.5, "N": 3.0})
+    # The builders compile nothing but the one-member form of each MEMBER
+    # atom on a lazy iterate take.
+    assert len(built) == (0 if mode == "eager" else members)
+    assert all(a.kind == predicates.MEMBER for a in built)
+
+    for tp in nfa.edges:
+        held = _held(nfa.branches[tp.branch].chain)
+        assert _one_of(tp.cond, held)
+        if tp.kleene is not None:
+            assert _one_of(tp.kleene.pair + tp.kleene.whole, held)
+            assert _one_of([a.expr for a in tp.kleene.member],
+                           [a.expr for a in held])
+    for branch in nfa.branches:
+        held = _held(branch.chain)
+        checks = [chk for _, chk, _ in branch.tail]
+        checks += [chk for chks in branch.fc_checks.values() for chk in chks]
+        assert all(_one_of(chk.cond, held) for chk in checks)
+        if branch.eager_gates is not None:
+            assert _one_of(branch.eager_gates[2], held)
 
 
 @pytest.mark.parametrize("mode", MODES)

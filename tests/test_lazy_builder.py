@@ -262,7 +262,7 @@ class TestIteration:
             "PATTERN SEQ(A a, B+ b[], C c)\n"
             "WHERE skip_till_any_match { avg(b[i].x) < c.y }\nWITHIN 1 hour")
         nfa = build_lazy(chain, ["C", "A", "B"])
-        assert take_edges(nfa)[-1].cond
+        assert take_edges(nfa)[-1].kleene.whole
 
     def test_repeat_bounds_carried(self):
         chain = chain_of("PATTERN SEQ(A a, B{2,2} b[], C c) WITHIN 1 hour")

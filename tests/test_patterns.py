@@ -9,7 +9,7 @@ from cep.oracle import enumerate_matches_chains
 from cep.patterns import (ChainPattern, Kleene, Leaf, NotItem, OpNode,
                           ParseError, PatternAst, PatternError, parse_pattern,
                           render_chain, to_dnf)
-from cep.predicates import (Agg, Arith, AttrRef, Cmp, Literal, compile_atoms,
+from cep.predicates import (Agg, Arith, AttrRef, Cmp, Literal, compile_atom,
                             eval_atoms, split_conjunction)
 from cep.runtime import match_key
 
@@ -319,7 +319,7 @@ def _ast_matches(ast, stream):
         return out
 
     results = []
-    atoms = compile_atoms(split_conjunction(ast.where))
+    atoms = tuple(map(compile_atom, split_conjunction(ast.where)))
     for alternative in walk(ast.root):
         for binding, _ in alternative:
             ts = [e.ts for v in binding.values()

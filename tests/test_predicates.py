@@ -8,9 +8,8 @@ from cep.events import Event, StreamDataError
 from cep.metrics import Metrics
 from cep.patterns import parse_pattern
 from cep.predicates import (MEMBER, Agg, Arith, AttrRef, BoolOp, Cmp, Corr,
-                            Literal, Not, PredicateError, atom_roles,
-                            compile_atom, compile_atoms, eval_atoms,
-                            split_conjunction, split_kleene)
+                            Literal, Not, PredicateError, compile_atom,
+                            eval_atoms, split_conjunction, split_kleene)
 from cep.stats import UndefinedCorrelationError, pearson
 
 
@@ -113,7 +112,7 @@ def test_split_kleene_sorts_atoms_by_what_decides_them():
     atoms = _iter_atoms(
         "b[i].x >= a.x and b[i].x = b[i-1].x and b[i].y = b[i-1].y"
         " and avg(b[i].x) <= 1 and b[i].x <= avg(b[i].x) and a.x < c.x")
-    atoms = compile_atoms(atoms)
+    atoms = tuple(map(compile_atom, atoms))
     member, pair, whole = split_kleene(atoms, "b")
     assert [a.render() for a in member] == ["b[i].x >= a.x"]
     assert [a.render() for a in pair] == ["b[i].x = b[i-1].x",
@@ -223,11 +222,14 @@ def test_corr_over_a_non_history_attribute_is_a_data_error():
 
 def test_atom_roles():
     (atom,) = _atoms("a.x + b.x > c.x")
-    assert atom_roles(atom) == frozenset({"a", "b", "c"})
+    assert compile_atom(atom).roles == frozenset({"a", "b", "c"})
+    # An aggregate's reference counts, and an indexed one names its role.
+    (atom,) = _iter_atoms("avg(b[i].x) < c.y")
+    assert compile_atom(atom).roles == frozenset({"b", "c"})
 
 
 def test_evaluation_counter():
-    atoms = compile_atoms(_atoms("a.x > 1 and b.x > 1"))
+    atoms = tuple(map(compile_atom, _atoms("a.x > 1 and b.x > 1")))
     counter = Metrics()
     eval_atoms(atoms, {"a": ev("A", 1, 1, x=2.0), "b": ev("B", 2, 2, x=2.0)},
                counter)
@@ -435,10 +437,8 @@ def test_one_member_form_agrees_with_the_quantified_form(expr, binding):
     assume(quantified.kind == MEMBER)
     member = binding["b"][0]
     want = _outcome(eval_atoms, (quantified,), dict(binding, b=(member,)))
-    # Recompiled from the quantified form, and compiled in the one-member
-    # form alone, as the lazy builder does.
-    for atom in (quantified, compile_atom(expr, one_member=True)):
-        (one,) = split_kleene((atom,), "b").member
-        assert one.one_member
-        got = _outcome(eval_atoms, (one,), dict(binding, b=member))
-        assert got == want, expr.render()
+    (one,) = split_kleene((quantified,), "b").member
+    assert (one.expr, one.roles, one.kind, one.role) == (
+        quantified.expr, quantified.roles, MEMBER, "b")
+    got = _outcome(eval_atoms, (one,), dict(binding, b=member))
+    assert got == want, expr.render()
