@@ -125,12 +125,19 @@ def cmd_run(args) -> int:
     if args.rates:
         try:
             with open(args.rates, "r", encoding="utf-8") as fh:
-                rates = {str(k): float(v) for k, v in json.load(fh).items()}
-        except (OSError, ValueError) as exc:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError("expected a JSON object of type -> events/sec")
+            rates = {str(k): float(v) for k, v in raw.items()}
+        except (OSError, ValueError, TypeError) as exc:
             print(f"rates error: {exc}", file=sys.stderr)
             return 2
     elif args.measure_rates:
-        rates = measure_rates(events, args.measure_rates)
+        try:
+            rates = measure_rates(events, args.measure_rates)
+        except StreamDataError as exc:
+            print(f"stream error: {exc}", file=sys.stderr)
+            return 3
     elif args.generate and not args.input:
         rates = dict(spec.rates)
 

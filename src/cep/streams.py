@@ -52,15 +52,21 @@ class StreamSpec:
     @staticmethod
     def from_json(text: str) -> "StreamSpec":
         raw = json.loads(text)
-        return StreamSpec(
-            rates={str(k): float(v) for k, v in raw["rates"].items()},
-            count=int(raw["count"]),
-            seed=int(raw.get("seed", 0)),
-            price_start=float(raw.get("price_start", 100.0)),
-            price_step_std=float(raw.get("price_step_std", 1.0)),
-            history_len=int(raw.get("history_len", 5)),
-            stocks_per_type=int(raw.get("stocks_per_type", 25)),
-        )
+        if not isinstance(raw, dict) or not isinstance(raw.get("rates"), dict):
+            raise ValueError("a stream spec is a JSON object whose rates "
+                             "is an object of type -> events/sec")
+        try:
+            return StreamSpec(
+                rates={str(k): float(v) for k, v in raw["rates"].items()},
+                count=int(raw["count"]),
+                seed=int(raw.get("seed", 0)),
+                price_start=float(raw.get("price_start", 100.0)),
+                price_step_std=float(raw.get("price_step_std", 1.0)),
+                history_len=int(raw.get("history_len", 5)),
+                stocks_per_type=int(raw.get("stocks_per_type", 25)),
+            )
+        except TypeError as exc:
+            raise ValueError(f"bad stream spec: {exc}") from None
 
 
 class _TypeSource:

@@ -253,3 +253,48 @@ def test_module_run_ordering_a_history_against_a_number_is_exit_3(tmp_path):
     assert proc.returncode == 3
     assert "stream error: type mismatch comparing (1.0, 2.0) > 0.9" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_measuring_rates_on_one_event_is_exit_3(files, capsys):
+    tmp, pattern, _, _ = files
+    stream = tmp / "one.csv"
+    stream.write_text("seq,ts,type,stock,region,price,history\n"
+                      "0,1,A,s,A,1.0,1\n")
+    assert main(["run", "--pattern", str(pattern), "--input", str(stream),
+                 "--mode", "lazy", "--measure-rates", "5"]) == 3
+    _one_error_line(capsys, "stream error: need at least 2 events")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"A": null}'],
+                         ids=["list", "null-rate"])
+def test_malformed_rates_file_is_exit_2(files, capsys, content):
+    tmp, pattern, spec, rates = files
+    rates.write_text(content)
+    assert main(["run", "--pattern", str(pattern), "--generate", str(spec),
+                 "--mode", "lazy", "--rates", str(rates)]) == 2
+    _one_error_line(capsys, "rates error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+@pytest.mark.parametrize("field, value, message", [
+    ("rates", [40, 8, 2], "a stream spec is a JSON object"),
+    ("count", None, "bad stream spec"),
+], ids=["list-of-rates", "null-count"])
+def test_malformed_spec_is_a_spec_error(files, capsys, command, field, value,
+                                        message):
+    tmp, pattern, spec, _ = files
+    spec.write_text(json.dumps(dict(SPEC, **{field: value})))
+    if command == "run":
+        argv = ["run", "--pattern", str(pattern), "--generate", str(spec),
+                "--mode", "eager"]
+        code, prefix = 3, "stream error: "
+    else:
+        argv = ["gen", "--spec", str(spec), "--out", str(tmp / "s.csv")]
+        code, prefix = 2, "gen error: "
+    assert main(argv) == code
+    _one_error_line(capsys, prefix + message)
