@@ -9,7 +9,7 @@ benchmark CLI round out the package.
 
 from .buffer import InputBuffer, iterate_fetch
 from .eager import build_eager, eager_parts
-from .engine import build_runtime, compile_pattern, make_runtime
+from .engine import compile_pattern, make_runtime
 from .events import Event, StreamDataError, check_stream_order, within_window
 from .lazy import (ascending_freq_order, build_lazy, lazy_parts,
                    ordering_filters)
@@ -27,8 +27,8 @@ __all__ = [
     "Match", "Metrics", "Nfa", "PairedRuntime", "ParseError", "PatternAst",
     "PatternError", "Runtime", "ShadowMismatch", "StreamDataError",
     "UndefinedCorrelationError", "ascending_freq_order", "build_eager",
-    "build_lazy", "build_multi_chain", "build_runtime",
-    "check_stream_order", "compile_pattern", "eager_parts",
+    "build_lazy", "build_multi_chain", "check_stream_order",
+    "compile_pattern", "eager_parts",
     "enumerate_matches", "enumerate_matches_chains", "iterate_fetch",
     "lazy_parts", "make_runtime", "match_key", "match_line",
     "ordering_filters", "parse_pattern", "pearson", "render_chain",

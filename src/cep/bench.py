@@ -21,7 +21,6 @@ from .runtime import match_line
 
 @dataclass
 class RunResult:
-    matches: list  # Match objects from the first counted run
     lines: list  # formatted match lines, deduplicated when requested
     metrics: Metrics
     report: dict
@@ -32,12 +31,11 @@ def run_benchmark(
     events: Sequence,
     mode: str,
     rates=None,
-    orders=None,
     repeats: int = 1,
     warmup: bool = False,
     dedup: bool = False,
 ) -> RunResult:
-    nfas = compile_pattern(chains, mode, rates=rates, orders=orders)
+    nfas = compile_pattern(chains, mode, rates=rates)
 
     def one_run(keep: bool):
         runtime = make_runtime(nfas)
@@ -73,5 +71,4 @@ def run_benchmark(
                 seen.add(line)
                 unique.append(line)
         lines = unique
-    return RunResult(matches=matches, lines=lines, metrics=metrics,
-                     report=metrics.report())
+    return RunResult(lines=lines, metrics=metrics, report=metrics.report())

@@ -6,8 +6,9 @@
 
 ``python -m cep`` runs the same interface.
 
-Exit codes: 0 success, 1 differential divergence, 2 usage or build error,
-3 stream data error.
+Exit codes: 0 success, 1 differential divergence, 2 usage, build or output
+error, 3 stream data error. ``cep run`` opens its output files before it
+reads the stream.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 
 from .bench import run_benchmark
@@ -99,6 +101,10 @@ def _flatten_report(report: dict, prefix: str = "") -> list:
     return rows
 
 
+# cep run's output files, each opened in its mode before the stream is read.
+OUTPUTS = {"matches_out": "w", "metrics_out": "w", "metrics_csv": "a"}
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.pattern, "r", encoding="utf-8") as fh:
@@ -107,7 +113,19 @@ def cmd_run(args) -> int:
     except (ParseError, PatternError, OSError) as exc:
         print(f"pattern error: {exc}", file=sys.stderr)
         return 2
+    with ExitStack() as stack:
+        try:
+            outs = {name: stack.enter_context(open(
+                getattr(args, name), mode, encoding="utf-8", newline="\n"))
+                for name, mode in OUTPUTS.items() if getattr(args, name)}
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
+        return _run(args, chains, outs)
 
+
+def _run(args, chains, outs: dict) -> int:
+    """Read the stream, run it and write ``outs``, the open output files."""
     try:
         if args.input:
             events = load_csv(args.input)
@@ -159,19 +177,16 @@ def cmd_run(args) -> int:
         print(f"stream error: {exc}", file=sys.stderr)
         return 3
 
-    if args.matches_out:
-        with open(args.matches_out, "w", encoding="utf-8", newline="\n") as fh:
-            for line in result.lines:
-                fh.write(line + "\n")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(result.report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.metrics_csv:
+    if "matches_out" in outs:
+        outs["matches_out"].writelines(line + "\n" for line in result.lines)
+    if "metrics_out" in outs:
+        json.dump(result.report, outs["metrics_out"], indent=2, sort_keys=True)
+        outs["metrics_out"].write("\n")
+    if "metrics_csv" in outs:
         window = chains[0].window
-        with open(args.metrics_csv, "a", encoding="utf-8", newline="\n") as fh:
-            for metric, value in _flatten_report(result.report):
-                fh.write(f"{args.mode},{metric},{window},{value}\n")
+        outs["metrics_csv"].writelines(
+            f"{args.mode},{metric},{window},{value}\n"
+            for metric, value in _flatten_report(result.report))
     tp = result.report["throughput_eps"]
     print(f"{args.mode}: {result.metrics.events_processed} events, "
           f"{result.metrics.matches} matches, "

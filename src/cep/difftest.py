@@ -1,7 +1,7 @@
 """Randomized differential testing: oracle vs eager vs every lazy variant.
 
-Each case draws a random pattern (sequence/conjunction/partial nesting,
-optional negation, iteration, disjunction, predicates) with its window; a
+Each case draws a random pattern (sequence/conjunction/partial nesting, up
+to two negations, iteration, disjunction, predicates) with its window; a
 negation in an alternative of a disjunction sometimes negates a type that
 another alternative binds. A short random stream follows, whose gaps
 sometimes fall on the window's edge. Every applicable evaluation mode must
@@ -82,6 +82,10 @@ def random_pattern(rng: random.Random) -> str:
         # alternative is a negation alone.
         j = min(neg_at, n_pos - 1)
         groups[j] = ", ".join(items[j : j + 2])
+    if rng.random() < 0.5:
+        # A second negation, so that a negative tail may hold two checks;
+        # the disjunctions, built from the groups, leave it out.
+        items.insert(rng.randint(0, len(items)), "NOT(X g)")
 
     def alternative(gs: list) -> str:
         if len(gs) == 1 and "NOT" not in gs[0]:
@@ -125,6 +129,8 @@ def random_pattern(rng: random.Random) -> str:
             iter_role = None
     else:
         body = "SEQ(" + ", ".join(items) + ")"
+    if "NOT(X g)" in body:
+        neg_roles.append(("g", "X"))
 
     atoms = []
     cmp_ops = ["<", "<=", ">", ">=", "=", "!="]
@@ -155,9 +161,10 @@ def random_pattern(rng: random.Random) -> str:
             both = [rng.choice(member), rng.choice(pair + whole)]
             rng.shuffle(both)
             atoms.extend(both)
-    if neg_roles and rng.random() < 0.7 and plain_roles:
-        h, _ = neg_roles[0]
-        atoms.append(f"{h}.x {rng.choice(cmp_ops)} {rng.choice(plain_roles)}.x")
+    for h, _ in neg_roles:
+        if rng.random() < 0.7 and plain_roles:
+            atoms.append(
+                f"{h}.x {rng.choice(cmp_ops)} {rng.choice(plain_roles)}.x")
 
     where = ""
     if atoms:

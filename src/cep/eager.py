@@ -2,10 +2,11 @@
 
 States are the downward-closed sets of bound roles under the pattern's
 temporal order (a chain for full sequences, the full subset lattice for
-conjunctions). An iterated role contributes a take self-loop accumulating
-events one by one. Negated roles are verified as a post-processing step
-once all positives are bound, via the same negative-tail machinery the lazy
-post-processing chain uses. Takes bind arrivals only and never search the
+conjunctions). An iterated role's members are appended one by one: its
+first member by the take that binds the role, the others by a self-loop.
+Negated roles are verified as a post-processing step once all positives
+are bound, via the same negative-tail machinery the lazy post-processing
+chain uses. Takes bind arrivals only and never search the
 buffer, so it stores only the negated types that the tail checks.
 """
 
@@ -58,28 +59,28 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
                        if it is not None and it.role in a.roles)
     chain_atoms = [a for a in chain.atoms if a not in iter_atoms]
 
-    # The take that binds the iterated role binds a one-member tuple, and
-    # the takes after it wait for the role's minimum count.
+    # The take that binds the iterated role appends its first member to
+    # none, and the takes after it wait for the role's minimum count.
     req = {r: (it.role, it.lo) for r in roles
            if it is not None and it.role in preds[r]}
+    iterate = (it.lo, it.hi, it.group_by) if it is not None else None
     edges = []
     for s in subsets:
         sid = sid_of[s]
         for r in roles:
             if r in s or not preds[r] <= s:
                 continue
+            first = it is not None and r == it.role
             cond = tuple(a for a in chain_atoms
                          if r in a.roles and a.roles <= (s | {r}))
             edges.append(N.Take(sid, sid_of[s | frozenset({r})], types[r],
-                                r, cond,
-                                iter_first=it is not None and r == it.role,
-                                req_iter_min=req.get(r)))
+                                r, cond, iterate=iterate if first else None,
+                                append=first, req_iter_min=req.get(r)))
         if it is not None and it.role in s and not (succs[it.role] & s):
             # Accumulating self-loop; conditions over the subset are deferred
             # to the acceptance gates, the loop itself only grows the list.
             edges.append(N.Take(sid, sid, types[it.role], it.role,
-                                iterate=(it.lo, it.hi, it.group_by),
-                                append=True))
+                                iterate=iterate, append=True))
 
     # Completion on the full roleset hands off to the tail (Completion).
     gates = (it.role, it.lo, iter_atoms) if it is not None else None

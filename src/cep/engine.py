@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 from .eager import eager_parts
 from .lazy import ascending_freq_order, descending_freq_order, lazy_parts
 from .nfa import BuildError, Nfa, build_multi_chain
-from .patterns import ChainPattern, PatternAst, to_dnf
+from .patterns import ChainPattern
 from .runtime import Runtime
 
 MODES = ("eager", "lazy", "lazy-pp", "lazy-fc", "multi")
@@ -87,14 +87,3 @@ def make_runtime(nfas: Sequence[Nfa]):
     """A runtime for the automaton that :func:`compile_pattern` returns."""
     (nfa,) = nfas
     return Runtime(nfa)
-
-
-def build_runtime(ast: PatternAst, mode: str,
-                  rates: Optional[Mapping[str, float]] = None,
-                  orders: Optional[Sequence[Sequence[str]]] = None,
-                  group_by: Optional[tuple] = None):
-    chains = to_dnf(ast)
-    if group_by is not None:
-        chains = apply_group_by(chains, group_by[0], group_by[1])
-    nfas = compile_pattern(chains, mode, rates=rates, orders=orders)
-    return make_runtime(nfas)

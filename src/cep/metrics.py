@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import resource
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -20,18 +20,10 @@ class Metrics:
     wall_time: float = 0.0
 
     def counters(self) -> dict:
-        """The deterministic part of the report (no timings)."""
-        return {
-            "events_processed": self.events_processed,
-            "matches": self.matches,
-            "predicate_evaluations": self.predicate_evaluations,
-            "instance_create": self.instance_create,
-            "instance_retire": self.instance_retire,
-            "buffer_insert": self.buffer_insert,
-            "buffer_search": self.buffer_search,
-            "buffer_remove": self.buffer_remove,
-            "peak_live_instances": self.peak_live_instances,
-        }
+        """The deterministic part of the report: every field but the
+        timing."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "wall_time"}
 
     def report(self) -> dict:
         ev = self.events_processed or 1

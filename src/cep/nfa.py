@@ -8,13 +8,14 @@ flags), and per-branch metadata (negative tail, first-chance checks, eager
 completion). One chain's parts become an automaton as they are;
 :func:`build_multi_chain` merges several into one that shares the initial
 and accepting states. Constructing an automaton compiles it, once, into the
-executable plan: one :class:`StatePlan` per state, which indexes the
-state's takes by how they act (on an arrival or on entry) and marks the
-takes that emit their match, the states each arriving type acts on, the
-states that settle, the sort key of the matches one step emits and the
-types the shared buffer stores: those that some search in the plan reads.
-It then validates the automaton from those tables. Every ``Runtime`` (in
-:mod:`cep.runtime`) shares the plan and compiles nothing.
+executable plan: one :class:`StatePlan` per state, which indexes the state's
+takes by how they act (on an arrival or on entry) and marks the takes that
+emit their match, one :class:`NegPlan` per negative tail, run as one unit,
+the states each arriving type acts on, the states that settle, the sort key
+of the matches one step emits and the types the shared buffer stores: those
+that some search in the plan reads. It then validates the automaton from
+those tables. Every ``Runtime`` (in :mod:`cep.runtime`) shares the plan and
+compiles nothing.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class Take:
     # (:func:`cep.predicates.split_kleene`): the MEMBER atoms in their
     # one-member form, the others as the chain holds them.
     kleene: Optional[KleeneAtoms] = None
-    append: bool = False  # eager accumulation self-loop
-    iter_first: bool = False  # eager first bind of the iterated role
+    # Eager: appends the arrival to the iterated role's members, none
+    # before the take that binds the first one.
+    append: bool = False
     req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
     # Set by the plan only: the destination is a settling F whose
     # completion for this branch is BARE, so the spawned instance would
@@ -84,7 +86,8 @@ class Branch:
     """Per-chain metadata: the source chain and its completion pipeline."""
 
     chain: ChainPattern
-    # PP-style negation tail: (state id, check, waits_for_timeout) in order.
+    # Post-processing negative tail: (state id, check) in check order; the
+    # runtime enters it at its first state only and runs it as one unit.
     tail: tuple = ()
     # First-chance checks keyed by the state at whose entry they run.
     fc_checks: dict = field(default_factory=dict)
@@ -117,7 +120,12 @@ BARE = Completion(checks=(), gate=None, grow=False, tail_start=None)
 
 @dataclass(frozen=True)
 class NegPlan:
-    tail: tuple  # (sid, NegSpec, wait) of this state and those after it
+    """A negative tail as the runtime runs it; the tail's states share it."""
+
+    checks: tuple  # NegSpec, in check order; all scan the buffer on entry
+    # The state of the first check that no positive event succeeds, where
+    # an instance that passed every check waits; None: it emits at once.
+    wait: Optional[int]
     kill_map: dict  # etype -> tuple[NegSpec] for arrivals while waiting
 
 
@@ -160,7 +168,7 @@ class Nfa:
         for sid, plan in enumerate(plans):
             for t in plan.stream_takes:
                 interest[t].add(sid)
-            if plan.neg is not None:
+            if plan.neg is not None and plan.neg.wait == sid:
                 for t in plan.neg.kill_map:
                     interest[t].add(sid)
         object.__setattr__(self, "type_interest",
@@ -216,7 +224,7 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
         b = p.branch
         branches.append(replace(
             b,
-            tail=tuple((mapping[sid], spec, wait) for sid, spec, wait in b.tail),
+            tail=tuple((mapping[sid], chk) for sid, chk in b.tail),
             fc_checks={mapping[sid]: checks
                        for sid, checks in b.fc_checks.items()},
             complete_state=(mapping[b.complete_state]
@@ -238,14 +246,13 @@ def negative_tail(chain: ChainPattern, negs, start: int) -> tuple:
     """The post-processing tail over ``chain``'s ``negs``, in check order.
 
     State ``start + j`` checks ``negs[j]``. Returns the tail's states and
-    the ``(sid, check, waits_for_timeout)`` entries of
-    :attr:`Branch.tail`, each check made by :func:`neg_check`. A check
-    waits for the timeout when no positive event must succeed the negated
-    one.
+    the ``(sid, check)`` entries of :attr:`Branch.tail`, each check made by
+    :func:`neg_check`. An instance enters at ``start`` and scans every check
+    there; then it waits at the first check with no successor roles, if any.
     """
     states = [State(start + j, NEG, f"r_{spec.etype}", 0)
               for j, spec in enumerate(negs)]
-    tail = tuple((start + j, neg_check(chain, spec), not spec.succ_roles)
+    tail = tuple((start + j, neg_check(chain, spec))
                  for j, spec in enumerate(negs))
     return states, tail
 
@@ -274,7 +281,7 @@ def _searched_types(plans: tuple) -> frozenset:
         for c in plan.complete.values():
             types.update(chk.etype for chk in c.checks)
         if plan.neg is not None:
-            types.update(spec.etype for _, spec, _ in plan.neg.tail)
+            types.update(chk.etype for chk in plan.neg.checks)
     return frozenset(types)
 
 
@@ -282,13 +289,23 @@ def _compile_plans(nfa: Nfa) -> tuple:
     takes_by_src: dict = defaultdict(list)
     for tp in nfa.edges:
         takes_by_src[tp.src].append(tp)
-    tail_at = {sid: (branch, i) for branch in nfa.branches
-               for i, (sid, _, _) in enumerate(branch.tail)}
+    # One plan per negative tail, shared by its states. ``neg_check`` never
+    # empties a non-empty neighbour set, so a check waits exactly when its
+    # own ``succ_roles`` is empty.
+    neg_plans = {}
+    for tail in [b.tail for b in nfa.branches if b.tail]:
+        waiting = [(sid, chk) for sid, chk in tail if not chk.succ_roles]
+        kill: dict = defaultdict(list)
+        for _, chk in waiting:
+            kill[chk.etype].append(chk)
+        neg = NegPlan(checks=tuple(chk for _, chk in tail),
+                      wait=waiting[0][0] if waiting else None,
+                      kill_map={t: tuple(v) for t, v in kill.items()})
+        neg_plans.update((sid, neg) for sid, _ in tail)
 
     def compile_state(st: State, emitting) -> StatePlan:
         entry, stream = [], defaultdict(list)
         fc: tuple = ()
-        neg_plan = None
 
         for tp in takes_by_src.get(st.sid, ()):
             if tp.dst == nfa.accepting and tp.branch in emitting:
@@ -320,15 +337,6 @@ def _compile_plans(nfa: Nfa) -> tuple:
                     tail_start=None if at_f else branch.tail[0][0])
         if st.kind == CHAIN and st.branch is not None:
             fc = nfa.branches[st.branch].fc_checks.get(st.sid, ())
-        if st.kind == NEG and st.sid in tail_at:
-            branch, idx = tail_at[st.sid]
-            rest = branch.tail[idx:]
-            kill: dict = defaultdict(list)
-            for sid, spec, wait in rest:
-                if wait:
-                    kill[spec.etype].append(spec)
-            neg_plan = NegPlan(tail=rest,
-                               kill_map={t: tuple(v) for t, v in kill.items()})
 
         return StatePlan(
             kind=st.kind,
@@ -336,7 +344,7 @@ def _compile_plans(nfa: Nfa) -> tuple:
             stream_takes={t: tuple(v) for t, v in stream.items()},
             fc_checks=fc,
             complete=complete,
-            neg=neg_plan,
+            neg=neg_plans.get(st.sid),
         )
 
     # F comes first: a take into it emits the match itself when F settles
@@ -390,9 +398,9 @@ def _drain_key(branches: tuple):
 def validate_nfa(nfa: Nfa) -> None:
     """Structural invariants: one F, every other state reaches F.
 
-    Reachability follows what the plan executes: take destinations, each
-    negative state's successor in its tail (F after the last one), and
-    eager completion's hand-off to the tail.
+    Reachability follows what the plan executes: take destinations, F from
+    every negative state in a tail (an instance there either emits or is
+    retired), and eager completion's hand-off to the tail.
     """
     if [s.kind for s in nfa.states].count(ACCEPT) != 1:
         raise BuildError("an automaton needs exactly one accepting state")
@@ -403,8 +411,7 @@ def validate_nfa(nfa: Nfa) -> None:
         nxt = {tp.dst for tp in plan.entry_takes}
         nxt.update(tp.dst for tps in plan.stream_takes.values() for tp in tps)
         if plan.neg is not None:
-            rest = plan.neg.tail
-            nxt.add(rest[1][0] if len(rest) > 1 else nfa.accepting)
+            nxt.add(nfa.accepting)
         nxt.update(c.tail_start for c in plan.complete.values()
                    if c.tail_start is not None)
         for dst in nxt:

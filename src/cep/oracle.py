@@ -13,7 +13,7 @@ temporal order, window, predicates, and negations by direct enumeration.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .events import Event, within_window
 from .patterns import ChainPattern, NegSpec
@@ -26,7 +26,7 @@ class OracleCapExceeded(ValueError):
 
 
 def enumerate_matches(chain: ChainPattern, stream: Sequence[Event],
-                      window: Optional[int] = None, cap: int = 30) -> list:
+                      cap: int = 30) -> list:
     """All bindings of stream events to the chain's roles that match.
 
     Returns binding dicts sorted by canonical key. Set semantics per chain:
@@ -34,7 +34,6 @@ def enumerate_matches(chain: ChainPattern, stream: Sequence[Event],
     """
     if len(stream) > cap:
         raise OracleCapExceeded(f"stream length {len(stream)} exceeds cap {cap}")
-    w = chain.window if window is None else window
     by_type: dict = {}
     for e in stream:
         by_type.setdefault(e.etype, []).append(e)
@@ -51,7 +50,7 @@ def enumerate_matches(chain: ChainPattern, stream: Sequence[Event],
     for combo in product(*(choices for _, choices in role_choices)):
         binding = {role: value
                    for (role, _), value in zip(role_choices, combo)}
-        if _match_ok(chain, binding, by_type, w):
+        if _match_ok(chain, binding, by_type, chain.window):
             out.append(binding)
     out.sort(key=match_key)
     return out
@@ -132,12 +131,11 @@ def _invalidated(neg: NegSpec, binding: dict, by_type: dict,
 
 def enumerate_matches_chains(chains: Iterable[ChainPattern],
                              stream: Sequence[Event],
-                             window: Optional[int] = None,
                              cap: int = 30) -> list:
     """Concatenated per-chain matches (multiplicity across chains is kept,
     mirroring how the engines report duplicates of composite patterns)."""
     out = []
     for chain in chains:
-        out.extend(enumerate_matches(chain, stream, window, cap))
+        out.extend(enumerate_matches(chain, stream, cap))
     out.sort(key=match_key)
     return out

@@ -79,7 +79,6 @@ class PatternAst:
     root: AstNode
     where: Optional[P.BoolExpr]
     window: int  # milliseconds
-    strategy: str = STRATEGY
 
     def __post_init__(self):
         _validate_ast(self)
@@ -137,9 +136,6 @@ class ChainPattern:
         d = {r: t for r, t in self.positives}
         d.update({n.role: n.etype for n in self.negations})
         return d
-
-    def etype_of(self, role: str) -> EventType:
-        return self.types[role]
 
     def prec_of(self, role: str) -> frozenset:
         return frozenset(u for u, v in self.temporal_order if v == role)

@@ -252,10 +252,11 @@ class Runtime:
 
     def _stream_take(self, inst: Instance, tp: N.Take, e: Event) -> None:
         if tp.append:
-            # Eager branches of a merged automaton share F and its appends.
-            if tp.branch != inst.branch:
+            # Eager branches of a merged automaton share F and its appends;
+            # the seed, of no branch, takes every branch's first member.
+            if tp.branch != inst.branch and inst.branch is not None:
                 return
-            members = inst.binding[tp.role]
+            members = inst.binding.get(tp.role, ())
             lo, hi, group = tp.iterate
             if hi is not None and len(members) >= hi:
                 return
@@ -275,14 +276,14 @@ class Runtime:
             binding[tp.role] = e
             if not eval_atoms(tp.cond, binding, self.metrics):
                 return
-        self._spawn(inst, tp, (e,) if tp.iter_first else e)
+        self._spawn(inst, tp, e)
 
     # -- buffer searches -----------------------------------------------------
 
     def _entry(self, inst: Instance) -> None:
         plan = self.plans[inst.sid]
         if plan.kind == N.NEG:
-            self._tail_entry(inst, plan.neg.tail)
+            self._tail_entry(inst, plan.neg)
             return
         for chk in plan.fc_checks:
             if self._fc_scan(inst, chk):
@@ -294,7 +295,7 @@ class Runtime:
                 self._iterate_candidates(inst, tp, new_event=None)
             else:
                 for x in self._candidates(inst, tp):
-                    self._spawn(inst, tp, (x,) if tp.iter_first else x)
+                    self._spawn(inst, tp, x)
 
     def _query(self, inst: Instance, chk) -> list:
         """Every buffer search, one ``buffer_search`` each: the events of
@@ -433,29 +434,27 @@ class Runtime:
         if c.tail_start is None:
             self._emit(inst, inst.maxkey[0], keep=c.grow)
             return True
-        tail = self.plans[c.tail_start].neg.tail
+        neg = self.plans[c.tail_start].neg
         if not c.grow:
-            self._tail_entry(inst, tail)
+            self._tail_entry(inst, neg)
             return True
         copy = self._new_instance(inst, c.tail_start, inst.branch,
                                   dict(inst.binding), inst.anchor,
                                   inst.maxkey)
-        self._tail_entry(copy, tail)
+        self._tail_entry(copy, neg)
         return False
 
-    def _tail_entry(self, inst: Instance, tail: tuple) -> None:
-        # Scan the buffered candidates of every remaining negated type now:
-        # this is the only moment all of them are both complete (for types
-        # that must precede a positive) and not yet expired.
-        for sid, chk, wait in tail:
+    def _tail_entry(self, inst: Instance, neg: N.NegPlan) -> None:
+        # Scan the buffered candidates of every negated type now: this is
+        # the only moment all of them are both complete (for types that
+        # must precede a positive) and not yet expired.
+        for chk in neg.checks:
             if self._neg_scan(inst, chk):
                 return
-        for sid, chk, wait in tail:
-            if wait:
-                if inst.sid != sid:
-                    self._move(inst, sid)
-                return
-        self._emit(inst, inst.maxkey[0])
+        if neg.wait is None:
+            self._emit(inst, inst.maxkey[0])
+        elif inst.sid != neg.wait:
+            self._move(inst, neg.wait)
 
     def _neg_scan(self, inst: Instance, chk: NegSpec) -> bool:
         """Buffered-candidate absence check; retires the instance on a hit."""

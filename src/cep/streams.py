@@ -21,7 +21,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .events import Event, StreamDataError, check_stream_order
@@ -118,11 +118,6 @@ def generate_stream(spec: StreamSpec) -> list:
         nxt_clock, nxt_attrs = sources[t].next_event()
         heapq.heappush(heap, (nxt_clock, t, pushes, nxt_attrs))
         pushes += 1
-    # Rounding can locally disorder equal-millisecond arrivals; clamp.
-    for i in range(1, len(events)):
-        if events[i].ts < events[i - 1].ts:
-            events[i] = Event(events[i].etype, events[i - 1].ts,
-                              events[i].seq, events[i].attrs)
     return events
 
 

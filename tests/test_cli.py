@@ -99,6 +99,21 @@ def test_malformed_csv_is_exit_3(files, capsys):
                  "--mode", "eager"]) == 3
 
 
+@pytest.mark.parametrize("flag", ["--matches-out", "--metrics-out",
+                                  "--metrics-csv"])
+def test_unopenable_output_is_exit_2_before_the_stream_is_read(files, capsys,
+                                                               flag):
+    tmp, pattern, _, _ = files
+    out = tmp / "no-such-dir" / "x.txt"
+    # The input does not exist either: reading it first would be exit 3.
+    rc = main(["run", "--pattern", str(pattern), "--input",
+               str(tmp / "absent.csv"), "--mode", "eager", flag, str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    assert stderr.startswith("output error:") and str(out) in stderr
+    assert len(stderr.splitlines()) == 1
+
+
 def test_dedup_collapses_duplicate_lines(tmp_path):
     pattern = tmp_path / "dup.pat"
     # Both alternatives share roles {a, d}; with the negated middle types

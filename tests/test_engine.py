@@ -7,8 +7,8 @@ import cep.nfa
 import cep.runtime
 from cep import predicates
 from cep.buffer import InputBuffer
-from cep.engine import (MODES, apply_group_by, build_runtime, chain_orders,
-                        compile_pattern, make_runtime)
+from cep.engine import (MODES, apply_group_by, chain_orders, compile_pattern,
+                        make_runtime)
 from cep.nfa import BuildError
 from cep.patterns import parse_pattern, to_dnf
 from cep.runtime import match_line, run_stream
@@ -72,9 +72,10 @@ def test_group_by_requires_iterated_role():
         apply_group_by(chains, "b", "x")
 
 
-def test_build_runtime_end_to_end():
-    ast = parse_pattern("PATTERN SEQ(A a, B b) WITHIN 1 hour")
-    rt = build_runtime(ast, "lazy", rates={"A": 2.0, "B": 1.0})
+def test_parse_compile_run_end_to_end():
+    chains = to_dnf(parse_pattern("PATTERN SEQ(A a, B b) WITHIN 1 hour"))
+    rt = make_runtime(compile_pattern(chains, "lazy",
+                                      rates={"A": 2.0, "B": 1.0}))
     matches = run_stream(rt, mkstream(("A", 1), ("B", 2)))
     assert [match_line(m) for m in matches] == ["a=A@1#0; b=B@2#1"]
 
@@ -176,7 +177,7 @@ def test_to_dnf_compiles_each_atom_once_for_every_mode(monkeypatch, name,
                            [a.expr for a in held])
     for branch in nfa.branches:
         held = _held(branch.chain)
-        checks = [chk for _, chk, _ in branch.tail]
+        checks = [chk for _, chk in branch.tail]
         checks += [chk for chks in branch.fc_checks.values() for chk in chks]
         assert all(_one_of(chk.cond, held) for chk in checks)
         if branch.eager_gates is not None:

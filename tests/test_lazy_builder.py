@@ -169,11 +169,13 @@ class TestPpNegation:
         assert nfa.states[3].kind == N.NEG
         # The last positive take enters the tail; after r_B comes F.
         assert [tp.dst for tp in nfa.plans[2].stream_takes["D"]] == [3]
-        ((sid, spec, wait),) = nfa.plans[3].neg.tail
+        neg = nfa.plans[3].neg
+        ((sid, spec),) = nfa.branches[0].tail
         assert (sid, spec.role, spec.etype) == (3, "b", "B") and spec.cond
+        assert neg.checks == (spec,)
         # B precedes a positive (C), so its candidates are buffer-only: the
         # check does not wait for arrivals, and passing it completes.
-        assert not wait and nfa.plans[3].neg.kill_map == {}
+        assert neg.wait is None and neg.kill_map == {}
         assert all(3 not in sids for sids in nfa.type_interest.values())
         # The tail's check searches B, so the buffer stores it.
         assert nfa.storable == frozenset({"A", "B", "D"})
@@ -182,9 +184,10 @@ class TestPpNegation:
         chain = chain_of("PATTERN AND(A a, NOT(B b), C c) WITHIN 1 hour")
         nfa = build_lazy(chain, ["A", "C"])
         neg_sid = next(s.sid for s in nfa.states if s.kind == N.NEG)
-        ((sid, spec, wait),) = nfa.plans[neg_sid].neg.tail  # then F
-        assert sid == neg_sid and wait
-        assert nfa.plans[neg_sid].neg.kill_map == {"B": (spec,)}
+        neg = nfa.plans[neg_sid].neg
+        (spec,) = neg.checks  # then F
+        assert neg.wait == neg_sid
+        assert neg.kill_map == {"B": (spec,)}
         assert neg_sid in nfa.type_interest["B"]
         assert not nfa.settling[neg_sid]
 
@@ -206,8 +209,13 @@ class TestPpNegation:
         nfa = build_lazy(chain, ["A"], neg_freq=["C", "B"])
         neg_names = [s.name for s in nfa.states if s.kind == N.NEG]
         assert neg_names == ["r_C", "r_B"]
-        first = nfa.plans[1].neg
-        assert [spec.etype for _, spec, _ in first.tail] == ["C", "B"]
+        # Both tail states share one plan, which checks in tail order.
+        first, second = nfa.plans[1].neg, nfa.plans[2].neg
+        assert first is second
+        assert [spec.etype for spec in first.checks] == ["C", "B"]
+        assert first.wait == 1 and set(first.kill_map) == {"B", "C"}
+        # Only the waiting state holds instances, so only it listens.
+        assert nfa.type_interest["B"] == nfa.type_interest["C"] == (1,)
 
 
 class TestFcNegation:

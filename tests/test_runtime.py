@@ -12,7 +12,6 @@ from cep.difftest import random_pattern, random_stream
 from cep.engine import apply_group_by, compile_pattern, make_runtime
 from cep.events import Event, StreamDataError
 from cep.lazy import build_lazy
-from cep.metrics import Metrics
 from cep.nfa import BuildError
 from cep.oracle import enumerate_matches_chains
 from cep.patterns import parse_pattern, to_dnf
@@ -837,3 +836,45 @@ def test_compiled_drain_key_sorts_as_the_match_key(data):
     assert nfa.drain_key is not N.detection_order
     matches = _draw_matches(data, {r: r == iterated for r in roles})
     assert _sorts_as_the_match_key(matches, nfa.drain_key)
+
+
+@pytest.mark.parametrize("pattern, order, stream", [
+    # The A clone's first-chance scan finds D@1 and sets its floor to 11.
+    # The B take into F then emits a bare batch bounded by C@4, stamped at
+    # 4: the batch is dropped at once.
+    pytest.param("PATTERN SEQ(NOT(D h), A a, B b, C c) WITHIN 10 msec",
+                 ["C", "A", "B"],
+                 mkstream(("D", 1), ("A", 2), ("B", 3), ("C", 4)),
+                 id="bare-batch"),
+    # F checks NOT(E g), so the take into F builds an instance, and the
+    # completion at F drops it under the floor that D@1 set.
+    pytest.param("PATTERN SEQ(NOT(D h), A a, NOT(E g), B b) WITHIN 10 msec",
+                 ["A", "B"], mkstream(("D", 1), ("A", 2), ("B", 5)),
+                 id="completion"),
+    # The scan for D sets the floor to 13; the scan for E stops there, and
+    # does not lower it to the 11 that E@1 would give.
+    pytest.param("PATTERN SEQ(NOT(D h), NOT(E g), A a, B b) WITHIN 10 msec",
+                 ["A", "B"],
+                 mkstream(("E", 1), ("D", 3), ("A", 5), ("B", 12)),
+                 id="second-scan"),
+])
+def test_first_chance_floor_rules_out_the_match(pattern, order, stream):
+    chains = chains_of(pattern)
+    rt = make_runtime(compile_pattern(chains, "lazy-fc", orders=[order]))
+    assert run_stream(rt, stream) == []
+    assert enumerate_matches_chains(chains, stream) == []
+
+
+def test_a_step_that_raised_leaves_no_match_behind():
+    # B@3 completes a match with A@1, then raises on A@2's text: the next
+    # step, which no state listens to, returns nothing.
+    chains = chains_of("PATTERN SEQ(A a, B b) WHERE skip_till_any_match"
+                       " { b.x > a.x } WITHIN 10 msec")
+    rt = make_runtime(compile_pattern(chains, "eager"))
+    rt.step(Event("A", 1, 0, {"x": 1.0}))
+    rt.step(Event("A", 2, 1, {"x": "s"}))
+    with pytest.raises(StreamDataError):
+        rt.step(Event("B", 3, 2, {"x": 2.0}))
+    assert [match_line(m) for m in rt._pending] == ["a=A@1#0; b=B@3#2"]
+    assert rt.step(Event("C", 4, 3)) == []
+    assert rt.flush() == []
