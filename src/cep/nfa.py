@@ -71,8 +71,8 @@ class Take:
     # (:func:`cep.predicates.split_kleene`): the MEMBER atoms in their
     # one-member form, the others as the chain holds them.
     kleene: Optional[KleeneAtoms] = None
-    # Eager: appends the arrival to the iterated role's members, none
-    # before the take that binds the first one.
+    # Eager: the take appends the arrival to the iterated role's members
+    # (to none on the take that binds the role).
     append: bool = False
     req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
     # Set by the plan only: the destination is a settling F whose
