@@ -1,9 +1,9 @@
 """Benchmark driver: timed engine runs with exact counters.
 
 Timing covers the step/flush loop only (stream parsing and output writing
-are excluded). In repeated mode one warm-up run is discarded and the median
-wall time over the remaining runs is reported; counters are required to be
-identical across runs.
+are excluded). The median wall time over the repeats is reported; counters
+are required to be identical across runs. With ``warmup`` one untimed run
+is discarded first.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
@@ -25,28 +24,28 @@ from .difftest import run_suite
 from .engine import MODES, apply_group_by
 from .events import StreamDataError
 from .nfa import BuildError
-from .patterns import (UNITS_MS, ParseError, PatternError, parse_pattern,
+from .patterns import (ParseError, PatternError, parse_pattern, parse_window,
                        to_dnf)
 from .streams import (StreamSpec, generate_stream, load_csv, measure_rates,
-                      save_csv)
-
-_DURATION_RE = re.compile(
-    rf"^(\d+(?:\.\d+)?)\s*({'|'.join(UNITS_MS)})?s?$", re.IGNORECASE)
+                      read_rates, save_csv)
 
 
 def _parse_duration(text: str) -> int:
-    """A window in milliseconds, read as ``WITHIN`` reads one: the pattern
-    units in any case (a bare number is msec), rounded to at least 1 ms."""
-    m = _DURATION_RE.match(text.strip())
-    if not m:
-        raise argparse.ArgumentTypeError(
-            f"bad duration {text!r} (use e.g. 1800000, 30min, 1hour)")
-    value, unit = m.groups()
-    ms = int(round(float(value) * (UNITS_MS[unit.lower()] if unit else 1)))
-    if ms <= 0:
-        raise argparse.ArgumentTypeError(
-            f"window must be positive, got {text!r}")
-    return ms
+    """A window in milliseconds (:func:`cep.patterns.parse_window`)."""
+    try:
+        return parse_window(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+def _count(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,14 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--window", type=_parse_duration,
                      help="override the pattern's window")
     run.add_argument("--rates", help="JSON file: type -> events/sec")
-    run.add_argument("--measure-rates", type=int, metavar="N",
+    run.add_argument("--measure-rates", type=_count(2), metavar="N",
                      help="estimate rates from the first N events")
     run.add_argument("--seed", type=int, help="override generator seed")
     run.add_argument("--dedup", action="store_true",
                      help="suppress duplicate matches of composite patterns")
     run.add_argument("--group-by", metavar="ROLE.ATTR",
                      help="group-by attribute for the iterated role")
-    run.add_argument("--repeats", type=int, default=1)
+    run.add_argument("--repeats", type=_count(1), default=1)
     run.add_argument("--warmup", action="store_true",
                      help="discard one untimed warm-up run")
     run.add_argument("--matches-out", help="write match lines here")
@@ -84,9 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diff = sub.add_parser("difftest",
                           help="randomized oracle/eager/lazy comparison")
-    diff.add_argument("--cases", type=int, default=500)
+    diff.add_argument("--cases", type=_count(1), default=500)
     diff.add_argument("--seed", type=int, default=0)
-    diff.add_argument("--max-events", type=int, default=25)
+    diff.add_argument("--max-events", type=_count(0), default=25)
     return top
 
 
@@ -143,11 +142,8 @@ def _run(args, chains, outs: dict) -> int:
     if args.rates:
         try:
             with open(args.rates, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ValueError("expected a JSON object of type -> events/sec")
-            rates = {str(k): float(v) for k, v in raw.items()}
-        except (OSError, ValueError, TypeError) as exc:
+                rates = read_rates(json.load(fh))
+        except (OSError, ValueError) as exc:
             print(f"rates error: {exc}", file=sys.stderr)
             return 2
     elif args.measure_rates:

@@ -3,7 +3,8 @@
 Each case draws a random pattern (sequence/conjunction/partial nesting, up
 to two negations, iteration, disjunction, predicates) with its window; a
 negation in an alternative of a disjunction sometimes negates a type that
-another alternative binds. A short random stream follows, whose gaps
+another alternative binds. WHERE atoms compare plain, arithmetic, boolean
+and aggregate expressions. A short random stream follows, whose gaps
 sometimes fall on the window's edge. Every applicable evaluation mode must
 produce exactly the oracle's match multiset. Every mode runs in a
 ``PairedRuntime`` (the shadow-buffer check) and must emit each step's
@@ -139,20 +140,27 @@ def random_pattern(rng: random.Random) -> str:
         if not plain_roles:
             break
         r = rng.choice(plain_roles)
-        if len(plain_roles) >= 2 and rng.random() < 0.5:
-            r2 = rng.choice([x for x in plain_roles if x != r])
-            atoms.append(f"{r}.x {rng.choice(cmp_ops)} {r2}.x")
-        else:
-            atoms.append(f"{r}.x {rng.choice(cmp_ops)} {rng.randint(0, 3)}")
+        r2 = rng.choice([x for x in plain_roles if x != r] or [r])
+        op, k = rng.choice(cmp_ops), rng.randint(0, 3)
+        # Plain, arithmetic and boolean atoms. Only literals divide: a zero
+        # divisor is a stream error in the engine and the oracle alike.
+        atoms.append(rng.choice([
+            f"{r}.x {op} {r2}.x", f"{r}.x {op} {k}",
+            f"({r}.x + {r2}.x) {op} {k}", f"{r}.x * 2 {op} {r2}.x",
+            f"{r}.x - {r2}.x {op} 1", f"{r}.x / 2 {op} {k}",
+            f"not ({r}.x = {r2}.x)", f"({r}.x > {k} or {r2}.x < {k})"]))
     if iter_role is not None and iter_role in common_roles and rng.random() < 0.6:
         r = iter_role
-        member = [f"{r}[i].x >= {rng.randint(0, 2)}"]
+        op, k = rng.choice(cmp_ops), rng.randint(0, 3)
+        member = [f"{r}[i].x >= {rng.randint(0, 2)}",
+                  f"not ({r}[i].x * 2 = {k})"]
         if plain_roles:
-            member.append(f"{r}[i].x {rng.choice(cmp_ops)} "
-                          f"{rng.choice(plain_roles)}.x")
+            p = rng.choice(plain_roles)
+            member += [f"{r}[i].x {op} {p}.x", f"{r}[i].x + 1 {op} {p}.x"]
         pair = [f"{r}[i].x = {r}[i-1].x", f"{r}[i].x >= {r}[i-1].x"]
         whole = [f"avg({r}[i].x) <= {rng.randint(1, 3)}",
-                 f"count({r}[i].x) <= 2"]
+                 f"count({r}[i].x) <= 2",
+                 f"{rng.choice(['min', 'max', 'sum'])}({r}[i].x) {op} {k}"]
         if rng.random() < 0.5:
             atoms.append(rng.choice(member + pair + whole))
         else:
@@ -163,8 +171,9 @@ def random_pattern(rng: random.Random) -> str:
             atoms.extend(both)
     for h, _ in neg_roles:
         if rng.random() < 0.7 and plain_roles:
-            atoms.append(
-                f"{h}.x {rng.choice(cmp_ops)} {rng.choice(plain_roles)}.x")
+            op, p = rng.choice(cmp_ops), rng.choice(plain_roles)
+            atoms.append(rng.choice([f"{h}.x {op} {p}.x",
+                                     f"({h}.x + {p}.x) / 2 {op} 1"]))
 
     where = ""
     if atoms:

@@ -72,7 +72,7 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
                 continue
             first = it is not None and r == it.role
             cond = tuple(a for a in chain_atoms
-                         if r in a.roles and a.roles <= (s | {r}))
+                         if N.binds_last(a.roles, r, s))
             edges.append(N.Take(sid, sid_of[s | frozenset({r})], types[r],
                                 r, cond, iterate=iterate if first else None,
                                 append=first, req_iter_min=req.get(r)))

@@ -51,16 +51,6 @@ def _check_freq(chain: ChainPattern, freq: Sequence[EventType]) -> None:
         )
 
 
-def _assign_atoms(chain: ChainPattern, bind_order: Sequence[str]) -> list:
-    """The chain's compiled atoms per take position: each atom fires at the
-    position binding the last of its ``roles``."""
-    pos_of = {r: i for i, r in enumerate(bind_order)}
-    slots = [[] for _ in bind_order]
-    for atom in chain.atoms:
-        slots[max(pos_of[r] for r in atom.roles)].append(atom)
-    return [tuple(s) for s in slots]
-
-
 def build_lazy(chain: ChainPattern, freq: Sequence[EventType],
                negation: str = "pp",
                neg_freq: Optional[Sequence[EventType]] = None) -> N.Nfa:
@@ -89,7 +79,6 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
 
     role_of_type = {t: r for r, t in chain.positives}
     bind_order = [role_of_type[t] for t in freq]
-    atom_slots = _assign_atoms(chain, bind_order)
     n = len(freq)
     fc = bool(chain.negations) and negation == "fc"
     label = "lazy-fc" if fc else "lazy-pp" if chain.negations else "lazy"
@@ -119,19 +108,21 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     states.append(N.State(accepting, N.ACCEPT, "F", 0))
 
     for i, etype in enumerate(freq):
-        role = bind_order[i]
-        prec, succ = ordering_filters(chain, role, bind_order[:i])
+        role, bound = bind_order[i], bind_order[:i]
+        prec, succ = ordering_filters(chain, role, bound)
+        cond = tuple(a for a in chain.atoms
+                     if N.binds_last(a.roles, role, bound))
         dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
         if it is not None and i == n - 1:
             # The iterate take carries its atoms once, split for its search.
             edges.append(N.Take(i, dst, etype, role, (), prec, succ,
                                 search=True,
                                 iterate=(it.lo, it.hi, it.group_by),
-                                kleene=split_kleene(atom_slots[i], role,
+                                kleene=split_kleene(cond, role,
                                                     it.group_by)))
         else:
-            edges.append(N.Take(i, dst, etype, role, atom_slots[i], prec,
-                                succ, search=True))
+            edges.append(N.Take(i, dst, etype, role, cond, prec, succ,
+                                search=True))
 
     fc_checks: dict = {}
     if fc:
@@ -161,5 +152,6 @@ def _dep_state(chk, bind_order: Sequence[str], accepting: int) -> int:
     the last of its nearest neighbours and its condition's roles is bound."""
     dep = chk.prec_roles.union(chk.succ_roles,
                                *(a.roles - {chk.role} for a in chk.cond))
-    last = max(bind_order.index(r) for r in dep)
+    last = next(i for i, r in enumerate(bind_order)
+                if N.binds_last(dep, r, bind_order[:i]))
     return last + 1 if last + 1 < len(bind_order) else accepting

@@ -235,6 +235,14 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
                branches=tuple(branches))
 
 
+def binds_last(roles: frozenset, role: str, bound) -> bool:
+    """Whether the take that binds ``role`` after the roles in ``bound``
+    binds the last of ``roles``. A condition over ``roles`` runs on that
+    take: every builder places its atoms, and first-chance checks, by this
+    rule."""
+    return role in roles and roles <= {role, *bound}
+
+
 def neg_check(chain: ChainPattern, spec: NegSpec) -> NegSpec:
     """The runtime check of ``spec``: its neighbour sets cut to the nearest
     roles (:meth:`ChainPattern.nearest`)."""

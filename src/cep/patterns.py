@@ -265,26 +265,29 @@ class _Parser:
             where = self.or_expr()
             self.expect_op("}")
         self.expect_keyword("within")
-        window = self.duration()
-        kind, text, _ = self.peek()
-        if kind != "eof":
-            self.error(f"trailing input {text!r}")
-        return PatternAst(root=root, where=where, window=window)
+        return PatternAst(root=root, where=where, window=self.window())
 
-    def duration(self) -> int:
+    def window(self, bare_unit: Optional[str] = None) -> int:
+        """The window, which ends the input, in whole milliseconds (at least
+        1): a number and a unit of UNITS_MS in any case, with at most one
+        trailing ``s``. A bare number is in ``bare_unit`` when given."""
         t = self.peek()
         if t[0] != "num":
             self.error("expected a duration value")
         value = float(self.next()[1])
-        unit = self.peek()
-        if unit[0] != "ident":
+        unit = self.next() if self.peek()[0] == "ident" else None
+        if unit is None and bare_unit is None:
             self.error("expected a time unit (msec|sec|min|hour)")
-        name = self.next()[1].lower().rstrip("s") or "s"
+        # No unit ends in "s", so a trailing "s" can only be a plural.
+        name = unit[1].lower().removesuffix("s") if unit else bare_unit
         if name not in UNITS_MS:
             self.error(f"unknown time unit {unit[1]!r}", unit)
         ms = int(round(value * UNITS_MS[name]))
         if ms <= 0:
             self.error("window must be positive", t)
+        kind, text, _ = self.peek()
+        if kind != "eof":
+            self.error(f"trailing input {text!r}")
         return ms
 
     def elem(self) -> AstNode:
@@ -527,6 +530,8 @@ def _validate_ast(ast: PatternAst) -> None:
                 refs.append(sub)
             elif isinstance(sub, P.Agg):
                 aggs.append(sub)
+        if not refs:
+            raise PatternError(f"predicate {atom.render()} names no event")
         negs_in_atom = set()
         for ref in refs:
             if ref.role not in role_types:
@@ -688,6 +693,12 @@ def _block_to_chain(block: _Block, atoms: tuple, window: int) -> ChainPattern:
 
 def parse_pattern(text: str) -> PatternAst:
     return _Parser(text).parse()
+
+
+def parse_window(text: str) -> int:
+    """A window given alone, as ``cep run --window`` takes one: as
+    ``WITHIN`` reads it, or a bare number of msec."""
+    return _Parser(text).window(bare_unit="msec")
 
 
 def render_pattern(ast: PatternAst) -> str:

@@ -29,6 +29,18 @@ from .events import Event, StreamDataError, check_stream_order
 CSV_HEADER = "seq,ts,type,stock,region,price,history"
 
 
+def read_rates(raw) -> dict:
+    """``raw`` as arrival rates: an object of type -> events/sec, each a
+    finite number above 0. Raises ValueError otherwise."""
+    if not isinstance(raw, Mapping):
+        raise ValueError("expected a JSON object of type -> events/sec")
+    for etype, rate in raw.items():
+        if not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+            raise ValueError(f"rate for {etype!r} must be a finite number "
+                             f"above 0, got {rate!r}")
+    return {str(etype): float(rate) for etype, rate in raw.items()}
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     rates: Mapping[str, float]  # events per second of simulated time
@@ -40,6 +52,7 @@ class StreamSpec:
     stocks_per_type: int = 25
 
     def __post_init__(self):
+        object.__setattr__(self, "rates", read_rates(self.rates))
         if self.count < 0:
             raise ValueError(f"count must be at least 0, got {self.count}")
         if self.history_len < 1:
@@ -57,7 +70,7 @@ class StreamSpec:
                              "is an object of type -> events/sec")
         try:
             return StreamSpec(
-                rates={str(k): float(v) for k, v in raw["rates"].items()},
+                rates=raw["rates"],
                 count=int(raw["count"]),
                 seed=int(raw.get("seed", 0)),
                 price_start=float(raw.get("price_start", 100.0)),
@@ -73,8 +86,6 @@ class _TypeSource:
     """Deterministic per-type arrival and price process."""
 
     def __init__(self, etype: str, rate: float, spec: StreamSpec):
-        if rate <= 0:
-            raise ValueError(f"rate for {etype!r} must be positive")
         self.etype = etype
         self.rate = rate
         self.rng = random.Random((spec.seed, etype).__repr__())

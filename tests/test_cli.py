@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -158,8 +159,17 @@ def test_window_override(files):
 
 @pytest.mark.parametrize("text, ms", [
     ("30MIN", 1_800_000), ("2 Hours", 7_200_000), ("1.5Sec", 1500),
-    ("5 msecs", 5), ("1hour", 3_600_000)])
+    ("5 msecs", 5), ("1hour", 3_600_000),
+    # At most one trailing "s", and only after a unit: both readers refuse.
+    ("5 secss", None), ("5 ms", None), ("5 s", None)])
 def test_window_units_are_the_pattern_units(text, ms):
+    if ms is None:
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="unknown time unit"):
+            _parse_duration(text)
+        with pytest.raises(ParseError, match="unknown time unit"):
+            parse_pattern(f"PATTERN SEQ(A a) WITHIN {text}")
+        return
     assert _parse_duration(text) == ms
     assert parse_pattern(f"PATTERN SEQ(A a) WITHIN {text}").window == ms
 
@@ -198,6 +208,50 @@ def test_bad_stream_spec_is_gen_exit_2_and_run_exit_3(files, capsys, field,
     assert main(["run", "--pattern", str(pattern), "--generate", str(spec),
                  "--mode", "lazy", "--rates", str(rates)]) == 3
     assert f"{field} must be at least {least}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["eager", "lazy", "lazy-fc", "multi"])
+@pytest.mark.parametrize("where", ["1 > 2", "not (1 > 2)"])
+def test_atom_naming_no_event_is_exit_2(files, capsys, mode, where):
+    tmp, _, spec, rates = files
+    bad = tmp / "bad.pat"
+    bad.write_text(f"PATTERN SEQ(A a, B b) WHERE skip_till_any_match "
+                   f"{{ {where} }} WITHIN 1 sec\n")
+    assert main(["run", "--pattern", str(bad), "--generate", str(spec),
+                 "--mode", mode, "--rates", str(rates)]) == 2
+    _one_error_line(capsys, f"pattern error: predicate {where} names no event")
+
+
+@pytest.mark.parametrize("rate", ["-1", "0", "NaN", "Infinity"])
+def test_rates_file_refuses_what_a_spec_refuses(files, capsys, rate):
+    tmp, pattern, spec, rates = files
+    rates.write_text(f'{{"A": {rate}, "B": 8, "C": 2}}')
+    assert main(["run", "--pattern", str(pattern), "--generate", str(spec),
+                 "--mode", "lazy", "--rates", str(rates)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rates error: rate for 'A' must be a finite number")
+    spec.write_text(f'{{"rates": {{"A": {rate}, "B": 8}}, "count": 10}}')
+    assert main(["run", "--pattern", str(pattern), "--generate", str(spec),
+                 "--mode", "eager"]) == 3
+    assert (capsys.readouterr().err.removeprefix("stream error: ")
+            == err.removeprefix("rates error: "))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--cases", "-3"), ("--cases", "0"), ("--max-events", "-1"),
+    ("--repeats", "0"), ("--repeats", "-2"), ("--measure-rates", "1"),
+    ("--measure-rates", "-5"), ("--cases", "x")])
+def test_counts_out_of_range_are_exit_2(files, capsys, flag, value):
+    _, pattern, spec, _ = files
+    if flag in ("--cases", "--max-events"):
+        argv = ["difftest"]
+    else:
+        argv = ["run", "--pattern", str(pattern), "--generate", str(spec),
+                "--mode", "lazy"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert "expected an integer of at least" in capsys.readouterr().err
 
 
 def test_difftest_command(capsys):

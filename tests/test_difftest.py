@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 from cep.difftest import random_pattern, random_stream, run_case, run_suite
+from cep.lazy import lazy_parts
 from cep.patterns import parse_pattern, to_dnf
 
 
@@ -9,6 +11,20 @@ def test_generated_patterns_parse_and_normalize():
     for _ in range(200):
         chains = to_dnf(parse_pattern(random_pattern(rng)))
         assert chains
+
+
+def test_every_chain_atom_lands_on_one_take_of_each_lazy_chain():
+    rng = random.Random(17)
+    for _ in range(300):
+        for chain in to_dnf(parse_pattern(random_pattern(rng))):
+            order = [t for _, t in chain.positives]
+            rng.shuffle(order)
+            placed = Counter()
+            for tp in lazy_parts(chain, order).edges:
+                # An iterate take holds its atoms in its Kleene split only.
+                for atom in tp.cond + sum(tp.kleene or (), ()):
+                    placed[atom.expr] += 1
+            assert placed == Counter(a.expr for a in chain.atoms)
 
 
 def test_generated_streams_are_ordered():

@@ -133,6 +133,13 @@ class TestParse:
         with pytest.raises(PatternError, match="positive"):
             parse_pattern("PATTERN AND(NOT(A a), NOT(B b)) WITHIN 1 hour")
 
+    @pytest.mark.parametrize("where", ["1 > 2", "not (1 > 2)",
+                                       "a.x > 1 and 2 < 3"])
+    def test_atom_naming_no_event_rejected(self, where):
+        with pytest.raises(PatternError, match="names no event"):
+            parse_pattern("PATTERN SEQ(A a, B b) WHERE skip_till_any_match "
+                          f"{{ {where} }} WITHIN 1 hour")
+
     @pytest.mark.parametrize("root, where, message", [
         (OpNode("seq", (Leaf("A", "a"),)),
          Cmp(">", AttrRef("z", "x"), Literal(1.0)),

@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -76,8 +77,9 @@ def test_measure_rates():
 
 
 def test_rate_must_be_positive():
-    with pytest.raises(ValueError):
-        generate_stream(StreamSpec(rates={"A": 0.0}, count=10))
+    for rate in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be a finite number above 0"):
+            generate_stream(StreamSpec(rates={"A": rate}, count=10))
 
 
 @pytest.mark.parametrize("field, value", [("history_len", 0),
