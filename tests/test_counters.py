@@ -5,7 +5,7 @@ AND, partial order and a sequence in a partial order; leading, middle and
 trailing negation; Kleene, grouped and bounded iteration; member atoms on a
 Kleene searched between two bound roles and on a trailing one; an eager OR
 with iteration; an OR whose one branch negates the type the other binds;
-and corr. Each runs over one seeded stream in every mode that compiles it.
+and corr, with thresholds of both signs. Each runs over one seeded stream in every mode that compiles it.
 The pins are exact: a change to the engine that moves any counter, or any
 match, its detection time or its branch, fails here, so such a change has
 to update the pins on purpose and say why.
@@ -71,6 +71,13 @@ CORPUS = {
              " { corr(a.history, b.history) > 0.5 and"
              " corr(b.history, c.history) > 0.5 } WITHIN 400 msec",
              None, 1200, 21),
+    # Thresholds of both signs, the literal on either side, and one that
+    # the covariance's sign cannot decide.
+    "corr-signs": ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"
+                   " { corr(a.history, b.history) < -0.3 and"
+                   " 0.5 < corr(b.history, c.history) and"
+                   " corr(a.history, c.history) >= 0 } WITHIN 400 msec",
+                   None, 1200, 27),
 }
 
 MODES = ("eager", "lazy", "lazy-fc")
@@ -171,6 +178,12 @@ PINNED = {
                        "2f5ae070111767f9"),
     ("corr", "lazy-fc"): ((1200, 114, 597, 224, 223, 783, 109, 755, 4),
                           "2f5ae070111767f9"),
+    ("corr-signs", "eager"): ((1200, 18, 3964, 1521, 1520, 0, 0, 0, 72),
+                              "d76e6fc73fe463f2"),
+    ("corr-signs", "lazy"): ((1200, 18, 1497, 248, 247, 737, 229, 717, 4),
+                             "d76e6fc73fe463f2"),
+    ("corr-signs", "lazy-fc"): ((1200, 18, 1497, 248, 247, 737, 229, 717, 4),
+                                "d76e6fc73fe463f2"),
 }
 
 
