@@ -4,7 +4,8 @@ Each case draws a random pattern (sequence/conjunction/partial nesting, up
 to two negations, iteration, disjunction, predicates) with its window; a
 negation in an alternative of a disjunction sometimes negates a type that
 another alternative binds. WHERE atoms compare plain, arithmetic, boolean
-and aggregate expressions. A short random stream follows, whose gaps
+and aggregate expressions, and correlations of the events' ``h`` histories
+with a threshold of either sign. A short random stream follows, whose gaps
 sometimes fall on the window's edge. Every applicable evaluation mode must
 produce exactly the oracle's match multiset. Every mode runs in a
 ``PairedRuntime`` (the shadow-buffer check) and must emit each step's
@@ -135,6 +136,14 @@ def random_pattern(rng: random.Random) -> str:
 
     atoms = []
     cmp_ops = ["<", "<=", ">", ">=", "=", "!="]
+
+    def corr(p: str, q: str) -> str:
+        # The literal on either side, with a threshold of either sign: the
+        # covariance's sign decides some of these comparisons, not others.
+        op, k = rng.choice(cmp_ops), rng.choice(["-0.5", "0", "0.5"])
+        c = f"corr({p}.h, {q}.h)"
+        return rng.choice([f"{c} {op} {k}", f"{k} {op} {c}"])
+
     plain_roles = [r for r in common_roles if r != iter_role]
     for _ in range(rng.randint(0, 2)):
         if not plain_roles:
@@ -148,7 +157,8 @@ def random_pattern(rng: random.Random) -> str:
             f"{r}.x {op} {r2}.x", f"{r}.x {op} {k}",
             f"({r}.x + {r2}.x) {op} {k}", f"{r}.x * 2 {op} {r2}.x",
             f"{r}.x - {r2}.x {op} 1", f"{r}.x / 2 {op} {k}",
-            f"not ({r}.x = {r2}.x)", f"({r}.x > {k} or {r2}.x < {k})"]))
+            f"not ({r}.x = {r2}.x)", f"({r}.x > {k} or {r2}.x < {k})",
+            corr(r, r2)]))
     if iter_role is not None and iter_role in common_roles and rng.random() < 0.6:
         r = iter_role
         op, k = rng.choice(cmp_ops), rng.randint(0, 3)
@@ -173,7 +183,8 @@ def random_pattern(rng: random.Random) -> str:
         if rng.random() < 0.7 and plain_roles:
             op, p = rng.choice(cmp_ops), rng.choice(plain_roles)
             atoms.append(rng.choice([f"{h}.x {op} {p}.x",
-                                     f"({h}.x + {p}.x) / 2 {op} 1"]))
+                                     f"({h}.x + {p}.x) / 2 {op} 1",
+                                     corr(h, p)]))
 
     where = ""
     if atoms:
@@ -185,7 +196,11 @@ def random_pattern(rng: random.Random) -> str:
 def random_stream(rng: random.Random, pattern_types, max_events: int,
                   window: Optional[int] = None) -> list:
     """Up to ``max_events`` events; with a ``window``, some gaps fall on
-    its edge (one less than, equal to and one more than the window)."""
+    its edge (one less than, equal to and one more than the window).
+
+    Each event has a number ``x`` and a history ``h`` of three points from
+    a small value set, so that correlations of both signs, of 0 and of
+    zero variance all occur."""
     n = rng.randint(0, max_events)
     pool = list(pattern_types) + [NOISE_TYPE]
     gaps = [0, 0, 1, 1, 2, 3]
@@ -196,7 +211,9 @@ def random_stream(rng: random.Random, pattern_types, max_events: int,
     for seq in range(n):
         ts += rng.choice(gaps)
         etype = rng.choice(pool)
-        events.append(Event(etype, ts, seq, {"x": float(rng.randint(0, 3))}))
+        h = tuple(float(rng.randint(0, 2)) for _ in range(3))
+        events.append(Event(etype, ts, seq, {"x": float(rng.randint(0, 3)),
+                                             "h": h}))
     return events
 
 

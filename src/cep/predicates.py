@@ -314,6 +314,9 @@ _ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 
 def _cmp(expr: Cmp, quantified: bool):
+    threshold = _corr_threshold(expr)
+    if threshold is not None:
+        return _corr(*threshold, quantified)
     left = _value(expr.left, quantified)
     right = _value(expr.right, quantified)
     op = expr.op
@@ -347,6 +350,33 @@ def _cmp(expr: Cmp, quantified: bool):
     return cmp
 
 
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+_TESTS = dict(_ORDERING, **{"=": operator.eq, "!=": operator.ne})
+
+
+def _corr_threshold(expr: Cmp):
+    """``(corr, op, k)`` for ``corr(..) op k`` or ``k op corr(..)`` with a
+    number ``k``, the literal moved to the right; None for any other
+    comparison."""
+    corr, k, op = expr.left, expr.right, expr.op
+    if isinstance(k, Corr):
+        corr, k, op = k, corr, _FLIPPED.get(op)
+    if (op in _FLIPPED and isinstance(corr, Corr) and isinstance(k, Literal)
+            and isinstance(k.value, (int, float))):
+        return corr, op, k.value
+    return None
+
+
+def _decisive_sign(op: Optional[str], k) -> int:
+    """1 (-1) when ``corr op k`` fails for every coefficient that is not
+    positive (not negative), and for an undefined one; 0 otherwise."""
+    if op == ">" and k >= 0 or op in (">=", "=") and k > 0:
+        return 1
+    if op == "<" and k <= 0 or op in ("<=", "=") and k < 0:
+        return -1
+    return 0
+
+
 def _mismatch(op: str, a, b) -> StreamDataError:
     return StreamDataError(f"type mismatch comparing {a!r} {op} {b!r}")
 
@@ -360,7 +390,7 @@ def _value(expr: ValueExpr, quantified: bool):
     if isinstance(expr, Agg):
         return _agg(expr)
     if isinstance(expr, Corr):
-        return _corr(expr, quantified)
+        return _corr(expr, None, None, quantified)
     if isinstance(expr, Arith):
         return _arith(expr, quantified)
 
@@ -428,9 +458,18 @@ def _agg(expr: Agg):
     return agg
 
 
-def _corr(expr: Corr, quantified: bool):
+def _corr(expr: Corr, op: Optional[str], k, quantified: bool):
+    """The coefficient, None when it is undefined; or, given a comparison
+    ``op`` with the number ``k``, its verdict.
+
+    Where the covariance's sign can decide the verdict (``_decisive_sign``),
+    ``pearson`` is asked to stop at the covariance when it does. Each node
+    keeps its own memo of the last history tuple on each side.
+    """
     left = _ref(expr.left, quantified)
     right = _ref(expr.right, quantified)
+    test, sign = _TESTS.get(op), _decisive_sign(op, k)
+    memo = [None, None]
 
     def corr(b, i=None):
         x = left(b, i)
@@ -438,11 +477,14 @@ def _corr(expr: Corr, quantified: bool):
         if not isinstance(x, (tuple, list)) or not isinstance(y, (tuple, list)):
             raise StreamDataError("corr() arguments must be history lists")
         try:
-            return pearson(x, y)  # looked up at call time
+            r = pearson(x, y, memo, sign)  # looked up at call time
         except UndefinedCorrelationError:
-            return None  # undefined correlation: comparisons treat as false
+            r = None  # undefined correlation: comparisons treat as false
         except ValueError as exc:  # histories of different lengths
             raise StreamDataError(f"{expr.render()}: {exc}") from None
+        if test is None:
+            return r
+        return r is not None and test(r, k)
 
     return corr
 

@@ -88,7 +88,7 @@ def test_extra_negated_event_never_adds_matches():
         extra = Event(sorted(neg_types)[0],
                       stream[-1].ts if stream else 0,
                       (stream[-1].seq + 1) if stream else 0,
-                      {"x": 1.0})
+                      {"x": 1.0, "h": (0.0, 1.0, 2.0)})
         bigger = {match_key(b) for c in chains
                   for b in enumerate_matches(c, stream + [extra], cap=25)}
         assert bigger <= base
@@ -106,7 +106,7 @@ def test_extra_positive_event_never_removes_matches():
         extra = Event(pos_types[0],
                       stream[-1].ts if stream else 0,
                       (stream[-1].seq + 1) if stream else 0,
-                      {"x": 1.0})
+                      {"x": 1.0, "h": (0.0, 1.0, 2.0)})
         bigger = {match_key(b) for c in chains
                   for b in enumerate_matches(c, stream + [extra], cap=25)}
         assert base <= bigger

@@ -1,7 +1,7 @@
 import operator
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cep.events import Event, StreamDataError
@@ -373,7 +373,7 @@ def _ref_value(expr, binding, i):
     if isinstance(expr, Corr):
         x = _ref_value(expr.left, binding, i)
         y = _ref_value(expr.right, binding, i)
-        if not isinstance(x, tuple) or not isinstance(y, tuple):
+        if not isinstance(x, (tuple, list)) or not isinstance(y, (tuple, list)):
             raise StreamDataError("corr() arguments must be history lists")
         try:
             return pearson(x, y)
@@ -442,3 +442,99 @@ def test_one_member_form_agrees_with_the_quantified_form(expr, binding):
         quantified.expr, quantified.roles, MEMBER, "b")
     got = _outcome(eval_atoms, (one,), dict(binding, b=member))
     assert got == want, expr.render()
+
+
+# -- corr thresholds against the full coefficient -----------------------------
+#
+# A compiled ``corr(..) op k`` may decide from the sign of the covariance
+# alone, and keeps a memo per side. _ref_value calls pearson with neither,
+# so the verdicts, or the errors, must agree.
+
+_THRESHOLDS = (-1, -0.9, -0.5, -0.0, 0.0, 0, 0.5, 0.9, 1, 1.5)
+_CMP_OPS = ("<", "<=", ">", ">=", "=", "!=")
+_INF = float("inf")
+
+
+def _small(n):
+    """``n`` points from a small value set: covariances of exactly 0, and
+    small coefficients of either sign, are common."""
+    return st.lists(st.sampled_from((-1.0, 0.0, 1.0, 2.0)), min_size=n,
+                    max_size=n)
+
+
+def _series(n):
+    """Histories of ``n`` points, as a tuple or a list: random; from a
+    small value set; constant; near-constant; or holding infinities."""
+    value = st.floats(-5, 5)
+    nudge = st.sampled_from((0.0, 1e-9, -1e-9, 2.0 ** -40))
+    points = st.one_of(
+        st.lists(value, min_size=n, max_size=n),
+        _small(n),
+        value.map(lambda c: [c] * n),
+        st.builds(lambda c, d: [c + e for e in d], value,
+                  st.lists(nudge, min_size=n, max_size=n)),
+        st.lists(st.one_of(value, st.sampled_from((_INF, -_INF))),
+                 min_size=n, max_size=n),
+    )
+    return points.flatmap(lambda xs: st.sampled_from((tuple(xs), list(xs))))
+
+
+@st.composite
+def _history_pairs(draw):
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return tuple(draw(_small(n))), tuple(draw(_small(n)))
+    # Now and then a pair of different lengths: a data error.
+    m = draw(st.sampled_from((n, n, n, n, n + 1)))
+    return draw(_series(n)), draw(_series(m))
+
+
+def _threshold(op, k, flipped):
+    corr = Corr(AttrRef("a", "h"), AttrRef("c", "h"))
+    return Cmp(op, Literal(k), corr) if flipped else Cmp(op, corr, Literal(k))
+
+
+def _corr_binding(x, y):
+    return {"a": ev("A", 1, 1, h=x), "c": ev("C", 9, 9, h=y)}
+
+
+_ZERO = ((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0))  # covariance exactly 0
+_WEAK = ((0.0, 1.0, 2.0, 3.0), (2.0, 0.0, 1.0, 1.0))  # coefficient -0.32
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(_CMP_OPS), st.sampled_from(_THRESHOLDS), st.booleans(),
+       _history_pairs())
+@example(">=", 0.0, False, _ZERO)
+@example(">=", 0, True, _ZERO)
+@example("=", -0.0, False, _ZERO)
+@example(">", -0.5, False, _WEAK)
+@example(">", 0.5, True, (_WEAK[0], _WEAK[1][::-1]))
+def test_corr_thresholds_agree_with_the_full_coefficient(op, k, flipped,
+                                                         histories):
+    expr = _threshold(op, k, flipped)
+    binding = _corr_binding(*histories)
+    got = _outcome(_holds, expr, binding)
+    want = _outcome(_reference, expr, binding)
+    assert got == want, expr.render()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CMP_OPS), st.sampled_from(_THRESHOLDS), st.booleans(),
+       st.lists(_series(4).map(tuple), min_size=3, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.booleans()), min_size=1, max_size=12))
+def test_one_compiled_corr_over_a_run_of_bindings(op, k, flipped, pool,
+                                                  steps):
+    # Bindings repeat, swap and share histories; the last in the pool is a
+    # list, rotated in place now and then.
+    pool.append(list(pool[0]))
+    expr = _threshold(op, k, flipped)
+    atom = compile_atom(expr)
+    for left, right, rotate in steps:
+        if rotate:
+            pool[3].append(pool[3].pop(0))
+        binding = _corr_binding(pool[left], pool[right])
+        got = _outcome(eval_atoms, (atom,), binding)
+        want = _outcome(_reference, expr, binding)
+        assert got == want, (expr.render(), binding)

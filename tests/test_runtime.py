@@ -507,8 +507,10 @@ def test_window_boundary_and_shifted_streams(seed, stream, dts, dseq):
     events, ts = [], 0
     for seq, (kind, gap, x) in enumerate(stream):
         ts += (0, 1, w - 1, w, w + 1)[gap]
+        # The history that generated corr atoms read, from the same draws.
+        h = (float(x % 3), float(gap % 3), float(kind % 3))
         events.append(Event(types[kind % len(types)], ts, seq,
-                            {"x": float(x)}))
+                            {"x": float(x), "h": h}))
     moved = [Event(e.etype, e.ts + dts, e.seq + dseq, e.attrs)
              for e in events]
     expected = sorted(match_key(b) for b in

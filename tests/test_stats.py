@@ -114,3 +114,9 @@ def test_non_finite_sums_are_undefined(x):
         pearson(x, (1.0, 2.0, 4.0))
     with pytest.raises(UndefinedCorrelationError, match="non-finite"):
         pearson((1.0, 2.0, 4.0), list(x))
+
+
+def test_an_infinity_of_one_sign_is_undefined():
+    # No sum raises here: the covariance and one sum of squares are nan.
+    with pytest.raises(UndefinedCorrelationError, match="non-finite"):
+        pearson((math.inf, 1.0, 2.0), (4.0, 1.0, 1.0))
