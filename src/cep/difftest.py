@@ -24,7 +24,7 @@ from .engine import apply_group_by, compile_pattern
 from .events import Event
 from .nfa import BuildError
 from .oracle import enumerate_matches_chains
-from .patterns import parse_pattern, to_dnf
+from .patterns import parse_pattern, render_chain, to_dnf
 from .runtime import PairedRuntime, ShadowMismatch, match_key
 
 TYPE_POOL = ["A", "B", "C", "D", "E"]
@@ -34,7 +34,7 @@ NOISE_TYPE = "Z"
 @dataclass
 class Divergence:
     pattern: str
-    window: int
+    chains: list  # the pattern's DNF chains, as the modes ran them
     events: list
     mode: str
     orders: Optional[list]
@@ -46,9 +46,11 @@ class Divergence:
             f"mode: {self.mode}",
             f"orders: {self.orders}",
             f"pattern:\n{self.pattern}",
-            f"window: {self.window}",
-            "events:",
+            f"chains ({len(self.chains)}):",
         ]
+        for chain in self.chains:
+            lines.extend(f"  {line}" for line in render_chain(chain).splitlines())
+        lines.append("events:")
         for e in self.events:
             lines.append(f"  {e.etype}@{e.ts}#{e.seq} {dict(e.attrs)}")
         lines.append(f"expected ({len(self.expected)}):")
@@ -258,8 +260,8 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
             shrunk = _shrink(chains, events, mode, mode_orders,
                              cap=max_events + 1)
             result.divergence = Divergence(
-                pattern=text, window=chains[0].window, events=shrunk[0],
-                mode=mode, orders=mode_orders, expected=shrunk[1], got=shrunk[2])
+                pattern=text, chains=chains, events=shrunk[0], mode=mode,
+                orders=mode_orders, expected=shrunk[1], got=shrunk[2])
             return result
     return result
 

@@ -87,15 +87,11 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
         _check_fc_applicable(chain)
         negs = []
 
-    if negs:
-        if neg_freq is None:
-            order = {s.role: i for i, s in enumerate(chain.negations)}
-            negs.sort(key=lambda s: order[s.role])
-        else:
-            if sorted(neg_freq) != sorted(s.etype for s in negs):
-                raise N.BuildError("negative order must cover the negated types")
-            by_type = {s.etype: s for s in negs}
-            negs = [by_type[t] for t in neg_freq]
+    if negs and neg_freq is not None:
+        if sorted(neg_freq) != sorted(s.etype for s in negs):
+            raise N.BuildError("negative order must cover the negated types")
+        by_type = {s.etype: s for s in negs}
+        negs = [by_type[t] for t in neg_freq]
 
     # Negative tail: each state checks one negated type; an instance moves
     # on once that check is certified, and to F after the last one.

@@ -9,7 +9,8 @@ A pattern file has the shape::
 ``#`` starts a comment. Keywords are case-insensitive; type and role names
 are case-sensitive. Composite patterns are normalized to a disjunction of
 chains: each chain is a conjunction of typed roles plus a partial temporal
-order, per-chain negations, and at most one iterated role.
+order, per-chain negations, and at most one iterated role. A chain keeps
+its alternative's text as written, for :func:`render_chain`.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ class ChainPattern:
     iterated: Optional[IterSpec]
     atoms: tuple  # compiled predicate atoms over positive/iterated roles
     window: int
-    # Full pair set over all items (incl. negated-negated pairs) retained so
-    # the chain can be rendered back to a series-parallel pattern text.
-    render_pairs: frozenset = field(compare=False, repr=False, default=frozenset())
+    # The alternative as written, without WHERE and WITHIN (render_chain).
+    text: Optional[str] = field(compare=False, repr=False, default=None)
 
     @property
     def roles(self) -> tuple:
@@ -481,34 +481,47 @@ class _Parser:
 # Validation and DNF conversion
 
 
-def _iter_items(node: AstNode):
-    if isinstance(node, (Leaf, Kleene, NotItem)):
-        yield node
-    elif isinstance(node, OpNode):
+def _iter_items(node: AstNode, parent_op: str = ""):
+    """The items under ``node`` in declaration order. A node that the
+    parser never builds raises a PatternError, with the parser's message
+    where the parser has one."""
+    if isinstance(node, OpNode):
+        if node.op not in ("seq", "and", "or"):
+            raise PatternError(f"unknown operator {node.op!r}")
+        if node.op == "or" and len(node.children) < 2:
+            raise PatternError("OR needs at least two alternatives")
         for c in node.children:
-            yield from _iter_items(c)
+            yield from _iter_items(c, node.op)
+        return
+    if isinstance(node, NotItem):
+        if parent_op == "or":
+            raise PatternError("NOT is only supported directly under SEQ or AND")
+        if not isinstance(node.leaf, Leaf):
+            raise PatternError("NOT applies to a single typed event")
+    elif isinstance(node, Kleene):
+        lo, hi = node.lo, node.hi
+        if not isinstance(node.leaf, Leaf):
+            raise PatternError("repetition applies to a single typed event")
+        if not ((lo, hi) == (1, None) or hi is not None and 1 <= lo <= hi):
+            raise PatternError(f"invalid repetition bounds {{{lo},{hi}}}")
+    elif not isinstance(node, Leaf):
+        raise PatternError(f"not a pattern node: {node!r}")
+    yield node
 
 
-def _item_role(item) -> str:
-    if isinstance(item, Leaf):
-        return item.role
-    if isinstance(item, Kleene):
-        return item.leaf.role
-    return item.leaf.role
-
-
-def _item_type(item) -> str:
-    if isinstance(item, Leaf):
-        return item.etype
-    return item.leaf.etype
+def _role_type(item) -> tuple:
+    leaf = item if isinstance(item, Leaf) else item.leaf
+    return leaf.role, leaf.etype
 
 
 def _validate_ast(ast: PatternAst) -> None:
+    if not ast.window >= 1:
+        raise PatternError("window must be positive")
     role_types: dict = {}
     iter_roles = set()
     neg_roles = set()
     for item in _iter_items(ast.root):
-        role, etype = _item_role(item), _item_type(item)
+        role, etype = _role_type(item)
         if role in role_types and role_types[role] != etype:
             raise PatternError(
                 f"role {role!r} declared with types {role_types[role]!r} and {etype!r}"
@@ -561,12 +574,13 @@ def _validate_ast(ast: PatternAst) -> None:
 class _Block:
     items: tuple  # AST items in declaration order
     pairs: frozenset  # (role_u, role_v) over all item roles
+    text: str  # the alternative as written
 
 
 def _normalize(node: AstNode) -> list:
     """Return the list of DNF alternatives for an AST subtree."""
     if isinstance(node, (Leaf, Kleene, NotItem)):
-        return [_Block((node,), frozenset())]
+        return [_Block((node,), frozenset(), _render_node(node))]
     assert isinstance(node, OpNode)
     if node.op == "or":
         out = []
@@ -582,7 +596,7 @@ def _normalize(node: AstNode) -> list:
         pairs: set = set()
         groups = []
         for blk in combo:
-            groups.append([_item_role(it) for it in blk.items])
+            groups.append([_role_type(it)[0] for it in blk.items])
             items += blk.items
             pairs |= blk.pairs
         if node.op == "seq":
@@ -591,7 +605,8 @@ def _normalize(node: AstNode) -> list:
                     for u in groups[gi]:
                         for v in groups[gj]:
                             pairs.add((u, v))
-        out.append(_Block(items, frozenset(pairs)))
+        text = ", ".join(blk.text for blk in combo)
+        out.append(_Block(items, frozenset(pairs), f"{node.op.upper()}({text})"))
     return out
 
 
@@ -625,7 +640,7 @@ def _block_to_chain(block: _Block, atoms: tuple, window: int) -> ChainPattern:
     iterated: Optional[IterSpec] = None
     types_seen: dict = {}
     for item in block.items:
-        role, etype = _item_role(item), _item_type(item)
+        role, etype = _role_type(item)
         if role in types_seen:
             raise PatternError(f"role {role!r} appears twice in one conjunct")
         types_seen[role] = etype
@@ -642,6 +657,8 @@ def _block_to_chain(block: _Block, atoms: tuple, window: int) -> ChainPattern:
         raise PatternError(
             f"event types must be distinct within one conjunct: {sorted(types_seen.values())}"
         )
+    if not positives:
+        raise PatternError("every alternative must contain at least one positive event")
     pos_roles = {r for r, _ in positives}
     neg_roles = {r for r, _ in negated}
 
@@ -683,7 +700,7 @@ def _block_to_chain(block: _Block, atoms: tuple, window: int) -> ChainPattern:
         iterated=iterated,
         atoms=tuple(chain_atoms),
         window=window,
-        render_pairs=block.pairs,
+        text=block.text,
     )
 
 
@@ -702,11 +719,8 @@ def parse_window(text: str) -> int:
 
 
 def render_pattern(ast: PatternAst) -> str:
-    body = _render_node(ast.root)
-    where = ""
-    if ast.where is not None:
-        where = f"\nWHERE {STRATEGY} {{ {ast.where.render()} }}"
-    return f"PATTERN {body}{where}\nWITHIN {ast.window} msec"
+    where = "" if ast.where is None else ast.where.render()
+    return _pattern_text(_render_node(ast.root), where, ast.window)
 
 
 def _render_node(node: AstNode) -> str:
@@ -721,96 +735,15 @@ def _render_node(node: AstNode) -> str:
 
 
 def render_chain(chain: ChainPattern) -> str:
-    """Render one chain back to pattern text (series-parallel reconstruction)."""
-    items = {}
-    for role, etype in chain.positives:
-        if chain.iterated is not None and role == chain.iterated.role:
-            it = chain.iterated
-            items[role] = Kleene(Leaf(etype, role), it.lo, it.hi)
-        else:
-            items[role] = Leaf(etype, role)
-    for n in chain.negations:
-        items[n.role] = NotItem(Leaf(n.etype, n.role))
-    order = list(items)
-    node = _sp_tree(order, set(chain.render_pairs), items)
-    atoms = list(chain.atoms)
-    for n in chain.negations:
-        atoms.extend(n.cond)
-    where = ""
-    if atoms:
-        rendered = " and ".join(a.render() for a in atoms)
-        where = f"\nWHERE {STRATEGY} {{ {rendered} }}"
-    return f"PATTERN {_render_node(node)}{where}\nWITHIN {chain.window} msec"
+    """One chain as pattern text: its alternative as written, with the
+    chain's atoms and those of its negations, and its window."""
+    if chain.text is None:
+        raise PatternError("only a chain built by to_dnf can be rendered")
+    atoms = chain.atoms + tuple(a for n in chain.negations for a in n.cond)
+    return _pattern_text(chain.text, " and ".join(a.render() for a in atoms),
+                         chain.window)
 
 
-def _sp_tree(roles: list, pairs: set, items: dict) -> AstNode:
-    if len(roles) == 1:
-        return items[roles[0]]
-    # Series decomposition: grow a topological prefix; cut where the prefix
-    # precedes everything that remains.
-    layers = _series_layers(roles, pairs)
-    if len(layers) > 1:
-        children = tuple(_sp_tree(layer, _restrict(pairs, layer), items) for layer in layers)
-        return OpNode("seq", children)
-    comps = _parallel_components(roles, pairs)
-    if len(comps) > 1:
-        children = tuple(_sp_tree(comp, _restrict(pairs, comp), items) for comp in comps)
-        return OpNode("and", children)
-    raise PatternError("temporal constraints are not series-parallel")
-
-
-def _restrict(pairs: set, roles: list) -> set:
-    rs = set(roles)
-    return {(u, v) for (u, v) in pairs if u in rs and v in rs}
-
-
-def _series_layers(roles: list, pairs: set) -> list:
-    remaining = list(_topo_sorted(roles, pairs))
-    layers = []
-    current: list = []
-    for idx, r in enumerate(remaining):
-        current.append(r)
-        rest = remaining[idx + 1 :]
-        if rest and all((u, v) in pairs for u in current for v in rest):
-            layers.append(current)
-            current = []
-    layers.append(current)
-    return layers
-
-
-def _topo_sorted(roles: list, pairs: set) -> list:
-    order = []
-    pending = list(roles)
-    placed: set = set()
-    while pending:
-        for r in pending:
-            if all(u in placed for (u, v) in pairs if v == r):
-                order.append(r)
-                placed.add(r)
-                pending.remove(r)
-                break
-        else:
-            raise PatternError("temporal constraints contain a cycle")
-    return order
-
-
-def _parallel_components(roles: list, pairs: set) -> list:
-    adj = {r: set() for r in roles}
-    for u, v in pairs:
-        adj[u].add(v)
-        adj[v].add(u)
-    comps = []
-    seen: set = set()
-    for r in roles:
-        if r in seen:
-            continue
-        comp, stack = [], [r]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            comp.append(x)
-            stack.extend(adj[x] - seen)
-        comps.append(sorted(comp, key=roles.index))
-    return comps
+def _pattern_text(body: str, where: str, window: int) -> str:
+    where = f"\nWHERE {STRATEGY} {{ {where} }}" if where else ""
+    return f"PATTERN {body}{where}\nWITHIN {window} msec"

@@ -24,7 +24,8 @@ def pearson(x: Sequence[float], y: Sequence[float], memo=None,
     ``UndefinedCorrelationError`` when the series have fewer than 2 points,
     either series has zero variance, the product of the two variances
     underflows to zero, or a sum is not a finite number (a series holds an
-    infinity, or a square or sum overflows).
+    infinity, or a square or sum overflows). A product of the variances
+    that overflows is avoided by taking each square root first.
 
     ``memo`` is the caller's two-slot list, one slot per side, each None or
     an entry ``(series, deviations, sum of squares or None)``. A side that
@@ -85,4 +86,6 @@ def pearson(x: Sequence[float], y: Sequence[float], memo=None,
     product = sxx * syy
     if product == 0.0:
         raise UndefinedCorrelationError("variance product underflows")
+    if product == math.inf:  # each variance is finite; their product is not
+        return sxy / (math.sqrt(sxx) * math.sqrt(syy))
     return sxy / math.sqrt(product)

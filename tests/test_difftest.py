@@ -82,3 +82,37 @@ def test_misordered_steps_are_divergences(monkeypatch):
     assert divergence is not None
     assert divergence.got[0].startswith("matches emitted out of order")
     assert len(divergence.events) <= 6
+
+
+def test_divergence_report_prints_each_chain():
+    from cep.difftest import Divergence
+    from cep.events import Event
+    from cep.runtime import match_key
+
+    text = ("PATTERN SEQ(A a, OR(SEQ(B b, NOT(X x), C c), D d))\n"
+            "WHERE skip_till_any_match { a.x < 2 }\nWITHIN 5 msec")
+    events = [Event("A", 0, 0, {"x": 1.0}), Event("D", 3, 1, {"x": 0.0})]
+    divergence = Divergence(
+        pattern=text, chains=to_dnf(parse_pattern(text)), events=events,
+        mode="lazy-pp", orders=[["B", "C", "A"], ["D", "A"]],
+        expected=[match_key({"a": events[0], "d": events[1]})], got=[])
+    assert divergence.describe() == """\
+mode: lazy-pp
+orders: [['B', 'C', 'A'], ['D', 'A']]
+pattern:
+PATTERN SEQ(A a, OR(SEQ(B b, NOT(X x), C c), D d))
+WHERE skip_till_any_match { a.x < 2 }
+WITHIN 5 msec
+chains (2):
+  PATTERN SEQ(A a, SEQ(B b, NOT(X x), C c))
+  WHERE skip_till_any_match { a.x < 2 }
+  WITHIN 5 msec
+  PATTERN SEQ(A a, D d)
+  WHERE skip_till_any_match { a.x < 2 }
+  WITHIN 5 msec
+events:
+  A@0#0 {'x': 1.0}
+  D@3#1 {'x': 0.0}
+expected (1):
+  (('a', (('A', 0, 0),)), ('d', (('D', 3, 1),)))
+got (0):"""

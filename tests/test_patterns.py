@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -160,17 +161,42 @@ class TestParse:
         (_TWO_NEGATIONS, Cmp(">", AttrRef("a", "x"), _NEGATED_SUM),
          "predicate a.x > (c.x + d.x) links two negated events; "
          "conditions may reference at most one negated role"),
+        # Nodes the parser never builds, with the parser's messages.
+        (OpNode("xor", (Leaf("A", "a"), Leaf("B", "b"))), None,
+         "unknown operator 'xor'"),
+        (OpNode("or", (Leaf("A", "a"),)), None,
+         "OR needs at least two alternatives"),
+        (OpNode("or", (NotItem(Leaf("B", "b")), Leaf("A", "a"))), None,
+         "NOT is only supported directly under SEQ or AND"),
+        (OpNode("seq", (Leaf("A", "a"), NotItem(Kleene(Leaf("B", "b"))))),
+         None, "NOT applies to a single typed event"),
+        (OpNode("seq", (Leaf("A", "a"), Kleene(NotItem(Leaf("B", "b"))))),
+         None, "repetition applies to a single typed event"),
+        (OpNode("seq", (Leaf("A", "a"), Kleene(Leaf("B", "b"), 3, 1))), None,
+         "invalid repetition bounds {3,1}"),
+        (OpNode("seq", (Leaf("A", "a"), Kleene(Leaf("B", "b"), 0, 2))), None,
+         "invalid repetition bounds {0,2}"),
+        (OpNode("seq", (Leaf("A", "a"), Kleene(Leaf("B", "b"), 2))), None,
+         "invalid repetition bounds {2,None}"),
+        (OpNode("seq", (Leaf("A", "a"), "B b")), None,
+         "not a pattern node: 'B b'"),
     ])
     def test_ast_is_validated_when_built(self, root, where, message):
         with pytest.raises(PatternError) as err:
             PatternAst(root=root, where=where, window=1000)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("window", [0, 0.5, -1000])
+    def test_hand_built_window_is_validated(self, window):
+        with pytest.raises(PatternError, match="^window must be positive$"):
+            PatternAst(root=Leaf("A", "a"), where=None, window=window)
+
     @pytest.mark.parametrize("text, message", [
         ("PATTERN SEQ(A a, A a) WITHIN 1 hour", "twice"),
         ("PATTERN SEQ(A a, A b) WITHIN 1 hour", "distinct"),
         ("PATTERN OR(SEQ(A a, B b), SEQ(C c, D d))\n"
          "WHERE skip_till_any_match { a.x > d.x }\nWITHIN 1 hour", "outside this"),
+        ("PATTERN OR(SEQ(NOT(X x)), A a) WITHIN 1 hour", "positive event"),
     ])
     def test_conjunct_errors_come_from_to_dnf(self, text, message):
         ast = parse_pattern(text)
@@ -260,6 +286,17 @@ class TestToDnf:
             for chain in chains:
                 (again,) = to_dnf(parse_pattern(render_chain(chain)))
                 assert again.key() == chain.key()
+                # The order is a strict partial order, closed under
+                # transitivity, as the runtimes and the oracle assume.
+                order = chain.temporal_order
+                assert {(u, w) for (u, v) in order for (x, w) in order
+                        if v == x} <= order
+                assert not any((v, u) in order for (u, v) in order)
+
+    def test_render_refuses_a_hand_built_chain(self):
+        (chain,) = to_dnf(parse_pattern("PATTERN SEQ(A a, B b) WITHIN 1 hour"))
+        with pytest.raises(PatternError, match="to_dnf"):
+            render_chain(replace(chain, text=None))
 
     def test_seq_subtree_order_is_total_within_chain(self):
         ast = parse_pattern(

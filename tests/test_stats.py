@@ -94,6 +94,13 @@ def test_underflowing_variance_product_is_undefined():
         pearson(x, x)
 
 
+def test_overflowing_variance_product_keeps_the_coefficient():
+    # Each sum of squares is finite (2e160), but their product is not.
+    x = (0.0, 1e80, 2e80)
+    assert pearson(x, x) == 1.0
+    assert pearson(x, x[::-1]) == -1.0
+
+
 def test_zero_variance():
     with pytest.raises(UndefinedCorrelationError):
         pearson([1, 1, 1], [1, 2, 3])
