@@ -129,18 +129,21 @@ def iterate_fetch(
 
     Subsets have sizes within ``bounds``, satisfy ``condition`` joined with
     the already-bound roles, contain ``new_event`` when one is given, and are
-    group-homogeneous when ``group_attr`` is set. Output order is by size,
-    then lexicographically by member (ts, seq).
+    group-homogeneous when ``group_attr`` is set. Output order is by member
+    keys: lexicographic on the members' (ts, seq), a subset before its
+    extensions. A subset closed by ``new_event`` therefore comes after its
+    extensions, and ``(new_event,)`` comes last.
 
     ``condition`` is the :class:`KleeneAtoms` split of the take's atoms.
     Each candidate member is tested once, against the member-wise atoms,
     before anything is enumerated; those atoms are in their one-member
     form, so ``role`` is bound to the candidate event itself, not to a
-    one-member tuple. Subsets then grow level by level from the prefixes
-    that survived, and only the member a step appends is checked, against
-    the pair atoms. The whole-subset atoms run last, on the subsets of an
-    admissible size; ``generated`` (a one-element list) receives how many
-    those were.
+    one-member tuple. Subsets then grow depth-first, in output order, from
+    the members that survived, and only the member a step appends is
+    checked, against the pair atoms: a pair atom's error is raised on the
+    first subset this order reaches. The whole-subset atoms run last, on the
+    subsets of an admissible size; ``generated`` (a one-element list)
+    receives how many those were.
 
     No window test is made here: the runtime keeps only the current window
     in the buffer and in its live instances (see :mod:`cep.runtime`), so
@@ -152,6 +155,7 @@ def iterate_fetch(
     member_atoms, pair_atoms, whole_atoms = condition
     binding = dict(bound_roles or {})
     found = []
+    alone = False  # whether (new_event,) itself qualifies
     if new_event is not None:
         # The arriving event is the newest, so it closes every subset; the
         # others come from its own group.
@@ -167,13 +171,12 @@ def iterate_fetch(
                 pool = [x for x in pool
                         if x.key != key and x.attr(group_attr) == value]
             group_attr = None
-            if lo == 1:
-                found.append((new_event,))
-    # Level 1: the admitted members in key order, each with its group
-    # (a list in key order) and its position there. A subset only ever
-    # grows by a later member of its first member's group; ungrouped, every
-    # admitted member is in one group.
-    level = []
+            alone = lo == 1
+    # The admitted members in key order, each with its group (a list in key
+    # order) and its position there. A subset only ever grows by a later
+    # member of its first member's group; ungrouped, every admitted member
+    # is in one group.
+    firsts = []
     groups: dict = {}
     for x in pool:
         if member_atoms:
@@ -184,39 +187,44 @@ def iterate_fetch(
         group = groups.get(value)
         if group is None:
             group = groups[value] = []
-        level.append(((x,), group, len(group)))
+        firsts.append((x, group, len(group)))
         group.append(x)
-    closing = 0 if new_event is None else 1
-    top = None if hi is None else hi - closing  # the largest level needed
-    size = 1
-    while level and (top is None or size <= top):
-        if size + closing >= lo:
-            if new_event is None:
-                found += [s for s, _, _ in level]
-            else:
-                for s, _, _ in level:
-                    if pair_atoms:
-                        binding[role] = (s[-1], new_event)
-                        if not eval_atoms(pair_atoms, binding, counter):
-                            continue
-                    found.append(s + (new_event,))
-        if size == top:
-            break
-        size += 1
-        longer = []
-        for s, group, j in level:
-            # Each later member of the group; a while loop, as a range
-            # per prefix costs more than the step.
-            k, last = j, len(group) - 1
-            while k < last:
+    closing = new_event is not None
+    top = None if hi is None else hi - closing  # the largest prefix needed
+    if top == 0:
+        firsts = []  # only the arriving event fits
+    # Depth-first from each one-member prefix: ``s`` is the current prefix,
+    # ``k`` the position of its last member, and ``stack`` holds the
+    # prefixes above it, each with the position to resume after.
+    stack = []
+    for first, group, k in firsts:
+        end = len(group) - 1
+        s = (first,)
+        if not closing and lo == 1:
+            found.append(s)
+        while True:
+            while k < end and len(s) != top:
                 k += 1
                 x = group[k]
                 if pair_atoms:
                     binding[role] = (s[-1], x)
                     if not eval_atoms(pair_atoms, binding, counter):
                         continue
-                longer.append((s + (x,), group, k))
-        level = longer
+                stack.append((s, k))
+                s += (x,)
+                if not closing and len(s) >= lo:
+                    found.append(s)
+            # Every extension of s came first; the subset s closes follows.
+            if closing and len(s) + 1 >= lo:
+                if pair_atoms:
+                    binding[role] = (s[-1], new_event)
+                if not pair_atoms or eval_atoms(pair_atoms, binding, counter):
+                    found.append(s + (new_event,))
+            if not stack:
+                break
+            s, k = stack.pop()
+    if alone:
+        found.append((new_event,))
     if generated is not None:
         generated[0] = len(found)
     if not whole_atoms:

@@ -9,9 +9,10 @@ with a threshold of either sign. A short random stream follows, whose gaps
 sometimes fall on the window's edge. Every applicable evaluation mode must
 produce exactly the oracle's match multiset. Every mode runs in a
 ``PairedRuntime`` (the shadow-buffer check) and must emit each step's
-matches in ``(detection_ts, key)`` order; a ``ShadowMismatch`` or a
-misordered step is a divergence too. On divergence the stream is greedily
-shrunk before reporting.
+matches in ``(detection_ts, key)`` order, whether the runtime sorted them
+or the plan emitted them so (``Nfa.drain_key`` is None); a
+``ShadowMismatch`` or a misordered step is a divergence too. On divergence
+the stream is greedily shrunk before reporting.
 """
 
 from __future__ import annotations

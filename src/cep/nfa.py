@@ -12,10 +12,10 @@ executable plan: one :class:`StatePlan` per state, which indexes the state's
 takes by how they act (on an arrival or on entry) and marks the takes that
 emit their match, one :class:`NegPlan` per negative tail, run as one unit,
 the states each arriving type acts on, the states that settle, the sort key
-of the matches one step emits and the types the shared buffer stores: those
-that some search in the plan reads. It then validates the automaton from
-those tables. Every ``Runtime`` (in :mod:`cep.runtime`) shares the plan and
-compiles nothing.
+of the matches one step emits (none where the plan emits them in order) and
+the types the shared buffer stores: those that some search in the plan
+reads. It then validates the automaton from those tables. Every ``Runtime``
+(in :mod:`cep.runtime`) shares the plan and compiles nothing.
 """
 
 from __future__ import annotations
@@ -156,8 +156,10 @@ class Nfa:
     storable: frozenset = field(init=False, repr=False, compare=False)
     type_interest: dict = field(init=False, repr=False, compare=False)
     settling: tuple = field(init=False, repr=False, compare=False)
-    # Sort key of one step's matches: ``(detection_ts, match key)`` order.
-    drain_key: Callable = field(init=False, repr=False, compare=False)
+    # Sort key of one step's matches: ``(detection_ts, match key)`` order;
+    # None when the plan emits them in that order (:func:`_emits_in_order`).
+    drain_key: Optional[Callable] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         plans = _compile_plans(self)
@@ -174,7 +176,9 @@ class Nfa:
         object.__setattr__(self, "type_interest",
                            {t: tuple(sorted(s)) for t, s in interest.items()})
         object.__setattr__(self, "settling", tuple(map(_settles, plans)))
-        object.__setattr__(self, "drain_key", _drain_key(self.branches))
+        object.__setattr__(self, "drain_key",
+                           None if _emits_in_order(self)
+                           else _drain_key(self.branches))
         validate_nfa(self)
 
 
@@ -401,6 +405,43 @@ def _drain_key(branches: tuple):
         return tuple(out)
 
     return key
+
+
+def _emits_in_order(nfa: Nfa) -> bool:
+    """Whether every step's matches leave the plan in
+    :func:`detection_order`, so that no sort is needed.
+
+    It holds for one branch with no NEG state, no first-chance check and
+    only BARE completions, whose one stream take is a plain take of the
+    initial state, where each state has at most one entry take, and whose
+    entry takes, followed from that take's destination, bind roles in
+    ascending role-name order. Then only the seed acts on an arrival: the
+    arrival is the newest event of every match of the step, which all
+    share its time, and the nested searches, each ascending by key (a
+    Kleene take's subsets too, see :func:`cep.buffer.iterate_fetch`), emit
+    the matches in the order of their keys, sorted by role.
+    """
+    plans = nfa.plans
+    if len(nfa.branches) != 1:
+        return False
+    for plan in plans:
+        if (plan.kind == NEG or plan.fc_checks or len(plan.entry_takes) > 1
+                or any(c != BARE for c in plan.complete.values())):
+            return False
+    stream = [(sid, tp) for sid, plan in enumerate(plans)
+              for tps in plan.stream_takes.values() for tp in tps]
+    if len(stream) != 1:
+        return False
+    ((sid, tp),) = stream
+    if sid != nfa.initial or tp.iterate is not None or tp.append:
+        return False
+    role, sid = None, tp.dst
+    while plans[sid].entry_takes:
+        (tp,) = plans[sid].entry_takes
+        if role is not None and tp.role <= role:
+            return False
+        role, sid = tp.role, tp.dst
+    return True
 
 
 def validate_nfa(nfa: Nfa) -> None:

@@ -218,8 +218,9 @@ class Runtime:
     def _drain(self) -> list:
         out = self._pending
         self._pending = []
-        if len(out) > 1:
-            out.sort(key=self.nfa.drain_key)
+        key = self.nfa.drain_key
+        if key is not None and len(out) > 1:
+            out.sort(key=key)
         return out
 
     def _fire_timeouts(self, now_ts: Optional[int]) -> None:

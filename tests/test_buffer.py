@@ -51,7 +51,7 @@ class TestStore:
         # The arriving event's group holds b for x=7.0 and nothing for 8.0.
         b7, b8 = ev("B", 2, 2, x=7.0), ev("B", 3, 3, x=8.0)
         buf.store(b7)
-        assert _grouped(buf, new_event=b7) == [(b7,), (b, b7)]
+        assert _grouped(buf, new_event=b7) == [(b, b7), (b7,)]
         buf.store(b8)
         assert _grouped(buf, new_event=b8) == [(b8,)]
 
@@ -72,7 +72,7 @@ class TestQuery:
         b2 = ev("B", 2, 2, x=8.0)
         b3 = ev("B", 3, 3, x=7.0)
         buf = _buf(b1, b2, b3)
-        assert _grouped(buf, new_event=b3) == [(b3,), (b1, b3)]
+        assert _grouped(buf, new_event=b3) == [(b1, b3), (b3,)]
         assert _grouped(buf, bounds=(2, 2)) == [(b1, b3)]
 
     def test_inverted_bounds_rejected(self, ev):
@@ -165,21 +165,27 @@ class TestIterateFetch:
         b3 = ev("B", 3, 3, x=7.0)
         buf = _buf(b1, b2, b3)
         subsets = iterate_fetch(buf.query("B"), (1, None), group_attr="x")
-        assert subsets == [(b1,), (b2,), (b3,), (b1, b3)]
+        assert subsets == [(b1,), (b1, b3), (b2,), (b3,)]
         # Independent count: sum over groups of (2^size - 1).
         assert len(subsets) == (2**2 - 1) + (2**1 - 1)
 
-    def test_order_by_size_then_members(self, ev):
+    def test_order_by_member_keys(self, ev):
         b1, b2 = ev("B", 1, 1), ev("B", 2, 2)
         buf = _buf(b1, b2)
         assert iterate_fetch(buf.query("B"), (1, None)) == [
-            (b1,), (b2,), (b1, b2)]
+            (b1,), (b1, b2), (b2,)]
 
     def test_new_event_must_be_included(self, ev):
         b1, b2 = ev("B", 1, 1), ev("B", 2, 2)
         buf = _buf(b1, b2)
         subsets = iterate_fetch(buf.query("B"), (1, None), new_event=b2)
-        assert subsets == [(b2,), (b1, b2)]
+        assert subsets == [(b1, b2), (b2,)]
+
+    def test_closing_subsets_follow_their_extensions(self, ev):
+        b1, b2, e = ev("B", 1, 1), ev("B", 2, 2), ev("B", 3, 3)
+        buf = _buf(b1, b2, e)
+        assert iterate_fetch(buf.query("B"), (1, None), new_event=e) == [
+            (b1, b2, e), (b1, e), (b2, e), (e,)]
 
     def test_condition_filters_subsets(self, ev):
         b1 = ev("B", 1, 1, x=1.0)
@@ -270,7 +276,7 @@ def _brute_force(pool, bounds, group_attr, new_event, condition, binding):
                 continue
             if eval_atoms(condition, dict(binding, b=s)):
                 out.append(s)
-    return sorted(out, key=lambda s: (len(s), [x.key for x in s]))
+    return sorted(out, key=lambda s: [x.key for x in s])
 
 
 @given(

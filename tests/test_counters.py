@@ -228,3 +228,17 @@ def test_only_mixed_signatures_keep_the_general_drain_key():
     general = {name for name, mode in PINNED
                if _compile(name, mode)[0].drain_key is detection_order}
     assert general == {"or-iteration", "or-negation"}
+
+
+def test_only_kleene_chains_in_role_order_skip_the_drain_sort():
+    # Bound C, A, then B: the seed takes c and the entry takes bind a, then
+    # b, in role order, so each step's matches come out sorted. Every eager
+    # lattice, corr's C, B, A chain, a trailing Kleene that reads arrivals
+    # (kleene-grouped, kleene-member-trailing), the negations and the ORs
+    # keep a key; the first-chance build of a negation-free chain is the
+    # plain lazy one.
+    unsorted = {(name, mode) for name, mode in PINNED
+                if _compile(name, mode)[0].drain_key is None}
+    assert unsorted == {(name, mode) for name in
+                        ("kleene", "kleene-bounded", "kleene-member-grouped")
+                        for mode in ("lazy", "lazy-fc")}

@@ -84,6 +84,18 @@ def test_misordered_steps_are_divergences(monkeypatch):
     assert len(divergence.events) <= 6
 
 
+def test_a_wrong_order_rule_is_a_divergence(monkeypatch):
+    from cep import nfa
+
+    # Every automaton skips the drain sort: the steps whose plan does not
+    # emit in order must turn into a divergence.
+    monkeypatch.setattr(nfa, "_emits_in_order", lambda automaton: True)
+    divergence = run_suite(cases=200, seed=4, max_events=16)
+    assert divergence is not None
+    assert divergence.got[0].startswith("matches emitted out of order")
+    assert len(divergence.events) <= 6
+
+
 def test_divergence_report_prints_each_chain():
     from cep.difftest import Divergence
     from cep.events import Event

@@ -214,6 +214,16 @@ class TestDeterminism:
         keys = [(m.detection_ts, match_key(m.binding)) for m in out]
         assert keys == sorted(keys)
 
+    def test_matches_emitted_in_detection_order_unsorted(self):
+        # Bound C, A, B: the plan emits each step's matches in order, and
+        # the runtime does not sort them.
+        chains = chains_of("PATTERN SEQ(A a, B b, C c) WITHIN 1 hour")
+        (nfa,) = compile_pattern(chains, "lazy", orders=[["C", "A", "B"]])
+        assert nfa.drain_key is None
+        out = run_stream(Runtime(nfa), FIG3_STREAM)
+        keys = [(m.detection_ts, match_key(m.binding)) for m in out]
+        assert len(keys) == 4 and keys == sorted(keys)
+
     def test_merged_matches_emitted_in_detection_order(self):
         # The second chain's flush match is the earlier one.
         chains = chains_of(
@@ -829,7 +839,9 @@ def test_detection_order_sorts_as_the_match_key(data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_compiled_drain_key_sorts_as_the_match_key(data):
-    roles = sorted(data.draw(st.sets(st.sampled_from("abc"), min_size=1)))
+    # One role: the seed's take emits the step's one match, and no key is
+    # compiled.
+    roles = sorted(data.draw(st.sets(st.sampled_from("abc"), min_size=2)))
     iterated = data.draw(st.sampled_from([None] + roles))
     items = [f"{r.upper()}+ {r}[]" if r == iterated else f"{r.upper()} {r}"
              for r in roles]
@@ -838,6 +850,35 @@ def test_compiled_drain_key_sorts_as_the_match_key(data):
     assert nfa.drain_key is not N.detection_order
     matches = _draw_matches(data, {r: r == iterated for r in roles})
     assert _sorts_as_the_match_key(matches, nfa.drain_key)
+
+
+def test_unsorted_drain_on_the_kleene_benchmark_pattern():
+    # The benchmark's Kleene pattern, group-by and rates, on two sessions
+    # far apart: the plan's order is the sorted order, step by step.
+    class SortingRuntime(Runtime):
+        def _drain(self) -> list:
+            return sorted(super()._drain(), key=N.detection_order)
+
+    rates = {"A": 5.0, "B": 40.0, "C": 2.0}
+    chains = apply_group_by(chains_of(
+        "PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
+        " { b[i].stock = b[i-1].stock and b[i].price > a.price }"
+        " WITHIN 400 msec"), "b", "stock")
+    (nfa,) = compile_pattern(chains, "lazy", rates=rates)
+    assert nfa.drain_key is None
+    events, offset = [], 0
+    for seed in (7, 8):
+        for e in generate_stream(StreamSpec(rates=rates, count=400, seed=seed,
+                                            stocks_per_type=8)):
+            events.append(Event(e.etype, e.ts + offset, len(events), e.attrs))
+        offset = events[-1].ts + 10_000
+    plain, sorting = Runtime(nfa), SortingRuntime(nfa)
+    steps = [(plain.step(e), sorting.step(e)) for e in events]
+    steps.append((plain.flush(), sorting.flush()))
+    for got, want in steps:
+        assert [(m.detection_ts, m.key()) for m in got] == [
+            (m.detection_ts, m.key()) for m in want]
+    assert max(len(got) for got, _ in steps) > 1
 
 
 @pytest.mark.parametrize("pattern, order, stream", [
