@@ -63,12 +63,6 @@ def run_benchmark(
             raise AssertionError("non-deterministic counters across repeats")
     metrics.wall_time = statistics.median(walls)
     lines = [match_line(m) for m in matches]
-    if dedup:
-        seen = set()
-        unique = []
-        for line in lines:
-            if line not in seen:
-                seen.add(line)
-                unique.append(line)
-        lines = unique
+    if dedup:  # keep each line's first occurrence, in order
+        lines = list(dict.fromkeys(lines))
     return RunResult(lines=lines, metrics=metrics, report=metrics.report())

@@ -18,6 +18,7 @@ import json
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
+from typing import Optional
 
 from .bench import run_benchmark
 from .difftest import run_suite
@@ -89,6 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _read_spec(path: str, seed: Optional[int]) -> StreamSpec:
+    """The stream spec in the JSON file ``path``, with ``seed`` if given."""
+    with open(path, "r", encoding="utf-8") as fh:
+        spec = StreamSpec.from_json(fh.read())
+    return spec if seed is None else replace(spec, seed=seed)
+
+
 def _flatten_report(report: dict, prefix: str = "") -> list:
     rows = []
     for key, value in report.items():
@@ -126,15 +134,9 @@ def cmd_run(args) -> int:
 def _run(args, chains, outs: dict) -> int:
     """Read the stream, run it and write ``outs``, the open output files."""
     try:
-        if args.input:
-            events = load_csv(args.input)
-        else:
-            with open(args.generate, "r", encoding="utf-8") as fh:
-                spec = StreamSpec.from_json(fh.read())
-            if args.seed is not None:
-                spec = replace(spec, seed=args.seed)
-            events = generate_stream(spec)
-    except (StreamDataError, OSError, ValueError, KeyError) as exc:
+        spec = None if args.input else _read_spec(args.generate, args.seed)
+        events = load_csv(args.input) if args.input else generate_stream(spec)
+    except (StreamDataError, OSError, ValueError) as exc:
         print(f"stream error: {exc}", file=sys.stderr)
         return 3
 
@@ -152,7 +154,7 @@ def _run(args, chains, outs: dict) -> int:
         except StreamDataError as exc:
             print(f"stream error: {exc}", file=sys.stderr)
             return 3
-    elif args.generate and not args.input:
+    elif spec is not None:
         rates = dict(spec.rates)
 
     try:
@@ -193,13 +195,9 @@ def _run(args, chains, outs: dict) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = StreamSpec.from_json(fh.read())
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        events = generate_stream(spec)
+        events = generate_stream(_read_spec(args.spec, args.seed))
         save_csv(events, args.out)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"gen error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(events)} events to {args.out}")

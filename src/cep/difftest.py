@@ -223,13 +223,12 @@ def random_stream(rng: random.Random, pattern_types, max_events: int,
 @dataclass
 class CaseResult:
     divergence: Optional[Divergence] = None
-    modes_run: int = 0
+    modes_run: int = 0  # automata run; an equal one is run once
 
 
 def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
     text = random_pattern(rng)
-    ast = parse_pattern(text)
-    chains = to_dnf(ast)
+    chains = to_dnf(parse_pattern(text))
     iter_roles = {c.iterated.role for c in chains if c.iterated is not None}
     if (len(iter_roles) == 1 and all(c.iterated is not None for c in chains)
             and rng.random() < 0.4):
@@ -239,27 +238,30 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
     expected = [match_key(b) for b in
                 enumerate_matches_chains(chains, events, cap=max_events + 1)]
 
-    modes: list = [("eager", None)]
-    pos_types = sorted({t for c in chains for _, t in c.positives})
-    perm = list(pos_types)
+    perm = sorted({t for c in chains for _, t in c.positives})
     rng.shuffle(perm)
     orders = [[t for t in perm if t in {ty for _, ty in c.positives}]
               for c in chains]
-    modes.append(("lazy-pp", orders))
-    try:
-        compile_pattern(chains, "lazy-fc", orders=orders)
-        modes.append(("lazy-fc", orders))
-    except BuildError:
-        pass
-    modes.append(("multi", orders))
 
     result = CaseResult()
-    for mode, mode_orders in modes:
-        got = _run_mode(chains, events, mode, mode_orders)
+    ran: list = []
+    for mode, mode_orders in [("eager", None), ("lazy-pp", orders),
+                              ("lazy-fc", orders), ("multi", orders)]:
+        try:
+            (nfa,) = compile_pattern(chains, mode, orders=mode_orders)
+        except BuildError:
+            if mode == "lazy-fc":
+                continue  # first-chance negation refuses a trailing one
+            raise
+        # lazy-fc without negations, or multi on several chains, builds
+        # lazy-pp's automaton: each automaton runs once.
+        if nfa in ran:
+            continue
+        ran.append(nfa)
+        got = _run_mode(nfa, events)
         result.modes_run += 1
         if got != expected:
-            shrunk = _shrink(chains, events, mode, mode_orders,
-                             cap=max_events + 1)
+            shrunk = _shrink(chains, nfa, events, cap=max_events + 1)
             result.divergence = Divergence(
                 pattern=text, chains=chains, events=shrunk[0], mode=mode,
                 orders=mode_orders, expected=shrunk[1], got=shrunk[2])
@@ -267,14 +269,13 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
     return result
 
 
-def _run_mode(chains, events, mode: str, orders):
-    """The sorted match keys of ``mode`` over ``events``, run paired.
+def _run_mode(nfa, events):
+    """The sorted match keys of ``nfa`` over ``events``, run paired.
 
     A ``ShadowMismatch``, or a step or flush whose matches are not sorted
     by ``(detection_ts, key)``, comes back as a one-line failure instead,
     which no oracle result equals.
     """
-    (nfa,) = compile_pattern(chains, mode, orders=orders)
     runtime = PairedRuntime(nfa)
 
     def outputs():
@@ -294,15 +295,15 @@ def _run_mode(chains, events, mode: str, orders):
     return sorted(got)
 
 
-def _shrink(chains, events, mode: str, orders, cap: int):
-    """Greedy event removal keeping the divergence alive."""
+def _shrink(chains, nfa, events, cap: int):
+    """Greedy event removal keeping ``nfa``'s divergence alive."""
     def expected_fn(evs):
         return [match_key(b) for b in
                 enumerate_matches_chains(chains, evs, cap=cap)]
 
     current = list(events)
     expected = expected_fn(current)
-    got = _run_mode(chains, current, mode, orders)
+    got = _run_mode(nfa, current)
     changed = True
     while changed:
         changed = False
@@ -310,7 +311,7 @@ def _shrink(chains, events, mode: str, orders, cap: int):
             trial = current[:i] + current[i + 1 :]
             exp = expected_fn(trial)
             try:
-                g = _run_mode(chains, trial, mode, orders)
+                g = _run_mode(nfa, trial)
             except Exception:
                 continue
             if g != exp:

@@ -131,12 +131,11 @@ class NegPlan:
 
 @dataclass(frozen=True)
 class StatePlan:
-    kind: str
     entry_takes: tuple
     stream_takes: dict  # etype -> tuple[Take]
     fc_checks: tuple
     complete: dict  # branch -> Completion
-    neg: Optional[NegPlan]
+    neg: Optional[NegPlan]  # set on exactly the states of a negative tail
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def _settles(plan: StatePlan) -> bool:
     takes nothing from the stream and no completion hands the instance to
     a tail, where it may wait. NEG states never settle: their timeout
     emits."""
-    return (plan.kind != NEG and not plan.stream_takes
+    return (plan.neg is None and not plan.stream_takes
             and all(c.tail_start is None for c in plan.complete.values()))
 
 
@@ -351,7 +350,6 @@ def _compile_plans(nfa: Nfa) -> tuple:
             fc = nfa.branches[st.branch].fc_checks.get(st.sid, ())
 
         return StatePlan(
-            kind=st.kind,
             entry_takes=tuple(entry),
             stream_takes={t: tuple(v) for t, v in stream.items()},
             fc_checks=fc,
@@ -425,7 +423,7 @@ def _emits_in_order(nfa: Nfa) -> bool:
     if len(nfa.branches) != 1:
         return False
     for plan in plans:
-        if (plan.kind == NEG or plan.fc_checks or len(plan.entry_takes) > 1
+        if (plan.neg is not None or plan.fc_checks or len(plan.entry_takes) > 1
                 or any(c != BARE for c in plan.complete.values())):
             return False
     stream = [(sid, tp) for sid, plan in enumerate(plans)

@@ -15,6 +15,7 @@ its alternative's text as written, for :func:`render_chain`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -272,9 +273,7 @@ class _Parser:
         1): a number and a unit of UNITS_MS in any case, with at most one
         trailing ``s``. A bare number is in ``bare_unit`` when given."""
         t = self.peek()
-        if t[0] != "num":
-            self.error("expected a duration value")
-        value = float(self.next()[1])
+        value = self.number("duration value")
         unit = self.next() if self.peek()[0] == "ident" else None
         if unit is None and bare_unit is None:
             self.error("expected a time unit (msec|sec|min|hour)")
@@ -282,7 +281,10 @@ class _Parser:
         name = unit[1].lower().removesuffix("s") if unit else bare_unit
         if name not in UNITS_MS:
             self.error(f"unknown time unit {unit[1]!r}", unit)
-        ms = int(round(value * UNITS_MS[name]))
+        scaled = value * UNITS_MS[name]
+        if scaled == math.inf:
+            self.error("the window is too large", t)
+        ms = int(round(scaled))
         if ms <= 0:
             self.error("window must be positive", t)
         kind, text, _ = self.peek()
@@ -335,9 +337,9 @@ class _Parser:
             return Kleene(Leaf(etype, role))
         if nxt[1] == "{":  # bounded repetition: TYPE{l,m} role[]
             self.next()
-            lo = self.int_tok("lower repetition bound")
+            lo = self.number("lower repetition bound", integer=True)
             self.expect_op(",")
-            hi = self.int_tok("upper repetition bound")
+            hi = self.number("upper repetition bound", integer=True)
             self.expect_op("}")
             role = self.ident("a role name")
             self.expect_op("[")
@@ -347,12 +349,20 @@ class _Parser:
             return Kleene(Leaf(etype, role), lo, hi)
         return Leaf(etype, self.ident("a role name"))
 
-    def int_tok(self, what: str) -> int:
+    def number(self, what: str, integer: bool = False):
+        """The number that the ``num`` token at the cursor names: an int
+        when ``integer``, else a finite float; a ParseError if none fits."""
         kind, text, _ = self.peek()
-        if kind != "num" or "." in text:
-            self.error(f"expected an integer {what}")
+        if kind != "num" or integer and "." in text:
+            self.error(f"expected {'an integer' if integer else 'a'} {what}")
+        try:  # float() overflows to inf; int() has a limit on digits
+            value = int(text) if integer else float(text)
+        except ValueError:
+            value = math.inf
+        if value == math.inf:
+            self.error(f"the {what} is too large")
         self.i += 1
-        return int(text)
+        return value
 
     # -- WHERE grammar: not > comparison > and > or; arithmetic binds tighter
 
@@ -433,8 +443,7 @@ class _Parser:
             self.expect_op(")")
             return node
         if kind == "num":
-            self.next()
-            return P.Literal(float(text))
+            return P.Literal(self.number("literal"))
         if kind == "ident":
             low = text.lower()
             if low in AGG_FNS and self.tokens[self.i + 1][1] == "(":
@@ -583,10 +592,7 @@ def _normalize(node: AstNode) -> list:
         return [_Block((node,), frozenset(), _render_node(node))]
     assert isinstance(node, OpNode)
     if node.op == "or":
-        out = []
-        for c in node.children:
-            out.extend(_normalize(c))
-        return out
+        return [blk for c in node.children for blk in _normalize(c)]
     # seq / and: cartesian product of child alternatives. For seq, every role
     # of an earlier child precedes every role of a later one; nested closures
     # make the resulting union transitively closed.
@@ -600,11 +606,9 @@ def _normalize(node: AstNode) -> list:
             items += blk.items
             pairs |= blk.pairs
         if node.op == "seq":
-            for gi in range(len(groups)):
-                for gj in range(gi + 1, len(groups)):
-                    for u in groups[gi]:
-                        for v in groups[gj]:
-                            pairs.add((u, v))
+            for gi, earlier in enumerate(groups):
+                pairs.update((u, v) for later in groups[gi + 1:]
+                             for u in earlier for v in later)
         text = ", ".join(blk.text for blk in combo)
         out.append(_Block(items, frozenset(pairs), f"{node.op.upper()}({text})"))
     return out
@@ -627,11 +631,9 @@ def to_dnf(ast: PatternAst) -> list:
     are.
     """
     atoms = tuple(map(P.compile_atom, P.split_conjunction(ast.where)))
-    chains = []
-    for block in _normalize(ast.root):
-        chains.append(_block_to_chain(block, atoms, ast.window))
-    chains.sort(key=lambda c: tuple(sorted(c.types)))
-    return chains
+    return sorted((_block_to_chain(block, atoms, ast.window)
+                   for block in _normalize(ast.root)),
+                  key=lambda c: tuple(sorted(c.types)))
 
 
 def _block_to_chain(block: _Block, atoms: tuple, window: int) -> ChainPattern:

@@ -139,8 +139,9 @@ class Runtime:
 
     def _retire(self, inst: Instance) -> None:
         inst.alive = False
-        self.live.pop(inst.iid, None)
-        self.by_state[inst.sid].pop(inst.iid, None)
+        if not self.settling[inst.sid]:  # else it was never registered
+            self.live.pop(inst.iid, None)
+            self.by_state[inst.sid].pop(inst.iid, None)
         self.metrics.instance_retire += 1
 
     def _move(self, inst: Instance, sid: int) -> None:
@@ -230,7 +231,7 @@ class Runtime:
             if inst is None:
                 continue
             plan = self.plans[inst.sid]
-            if plan.kind == N.NEG:
+            if plan.neg is not None:
                 # All pending absence checks were already verified against
                 # the buffer at completion time and against every arrival
                 # since; window expiry certifies the remaining ones.
@@ -242,7 +243,7 @@ class Runtime:
 
     def _on_arrival(self, inst: Instance, e: Event) -> None:
         plan = self.plans[inst.sid]
-        if plan.kind == N.NEG:
+        if plan.neg is not None:
             for chk in plan.neg.kill_map.get(e.etype, ()):
                 if self._cond_ok(inst, chk, e):
                     self._retire(inst)
@@ -283,7 +284,7 @@ class Runtime:
 
     def _entry(self, inst: Instance) -> None:
         plan = self.plans[inst.sid]
-        if plan.kind == N.NEG:
+        if plan.neg is not None:
             self._tail_entry(inst, plan.neg)
             return
         for chk in plan.fc_checks:

@@ -29,20 +29,32 @@ from .events import Event, StreamDataError, check_stream_order
 CSV_HEADER = "seq,ts,type,stock,region,price,history"
 
 
+def _finite(value, what: str, positive: bool = False) -> float:
+    """``value`` as a float: a JSON number (not a boolean) that is finite
+    and, when ``positive``, above 0. Raises ValueError naming ``what``."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number) or positive and number <= 0:
+        raise ValueError(f"{what} must be a finite number"
+                         f"{' above 0' if positive else ''}, got {value!r}")
+    return number
+
+
 def read_rates(raw) -> dict:
     """``raw`` as arrival rates: an object of type -> events/sec, each a
     finite number above 0. Raises ValueError otherwise."""
     if not isinstance(raw, Mapping):
-        raise ValueError("expected a JSON object of type -> events/sec")
-    for etype, rate in raw.items():
-        if not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
-            raise ValueError(f"rate for {etype!r} must be a finite number "
-                             f"above 0, got {rate!r}")
-    return {str(etype): float(rate) for etype, rate in raw.items()}
+        raise ValueError("rates must be a JSON object of type -> events/sec")
+    return {str(etype): _finite(rate, f"rate for {etype!r}", positive=True)
+            for etype, rate in raw.items()}
 
 
 @dataclass(frozen=True)
 class StreamSpec:
+    """Synthetic stream parameters; the constructor checks every field."""
+
     rates: Mapping[str, float]  # events per second of simulated time
     count: int
     seed: int = 0
@@ -53,32 +65,26 @@ class StreamSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "rates", read_rates(self.rates))
-        if self.count < 0:
-            raise ValueError(f"count must be at least 0, got {self.count}")
-        if self.history_len < 1:
-            raise ValueError(f"history_len must be at least 1, "
-                             f"got {self.history_len}")
-        if self.stocks_per_type < 1:
-            raise ValueError(f"stocks_per_type must be at least 1, "
-                             f"got {self.stocks_per_type}")
+        for name, least in (("count", 0), ("seed", -math.inf),
+                            ("history_len", 1), ("stocks_per_type", 1)):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {value}")
+        for name in ("price_start", "price_step_std"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
 
     @staticmethod
     def from_json(text: str) -> "StreamSpec":
+        """The spec in the JSON object ``text``, which names each field."""
         raw = json.loads(text)
-        if not isinstance(raw, dict) or not isinstance(raw.get("rates"), dict):
-            raise ValueError("a stream spec is a JSON object whose rates "
-                             "is an object of type -> events/sec")
+        if not isinstance(raw, dict):
+            raise ValueError("a stream spec must be a JSON object")
         try:
-            return StreamSpec(
-                rates=raw["rates"],
-                count=int(raw["count"]),
-                seed=int(raw.get("seed", 0)),
-                price_start=float(raw.get("price_start", 100.0)),
-                price_step_std=float(raw.get("price_step_std", 1.0)),
-                history_len=int(raw.get("history_len", 5)),
-                stocks_per_type=int(raw.get("stocks_per_type", 25)),
-            )
-        except TypeError as exc:
+            return StreamSpec(**raw)
+        except TypeError as exc:  # an unknown or a missing field
             raise ValueError(f"bad stream spec: {exc}") from None
 
 

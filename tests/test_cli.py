@@ -351,8 +351,8 @@ def test_malformed_rates_file_is_exit_2(files, capsys, content):
 
 @pytest.mark.parametrize("command", ["run", "gen"])
 @pytest.mark.parametrize("field, value, message", [
-    ("rates", [40, 8, 2], "a stream spec is a JSON object"),
-    ("count", None, "bad stream spec"),
+    ("rates", [40, 8, 2], "rates must be a JSON object"),
+    ("count", None, "count must be an integer"),
 ], ids=["list-of-rates", "null-count"])
 def test_malformed_spec_is_a_spec_error(files, capsys, command, field, value,
                                         message):
@@ -367,3 +367,62 @@ def test_malformed_spec_is_a_spec_error(files, capsys, command, field, value,
         code, prefix = 2, "gen error: "
     assert main(argv) == code
     _one_error_line(capsys, prefix + message)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("count", "2.7", "count"), ("seed", "true", "seed"),
+    ("price_start", "NaN", "price_start"),
+    ("price_step_std", "Infinity", "price_step_std"),
+    ("histroy_len", "2", "'histroy_len'"),
+    ("rates", '{"A": true, "B": 8, "C": 2}', "rate for 'A'"),
+], ids=["count", "seed", "price_start", "price_step_std", "histroy_len",
+        "rates"])
+def test_spec_field_outside_its_rule_is_gen_exit_2_and_run_exit_3(
+        files, capsys, field, value, named):
+    tmp, pattern, spec, rates = files
+    text = json.dumps(SPEC)
+    spec.write_text(f'{text[:-1]}, "{field}": {value}}}' if field != "rates"
+                    else text.replace(json.dumps(SPEC["rates"]), value))
+    assert main(["gen", "--spec", str(spec), "--out",
+                 str(tmp / "s.csv")]) == 2
+    _one_error_line(capsys, "gen error: ")
+    assert not (tmp / "s.csv").exists()
+    assert main(["run", "--pattern", str(pattern), "--generate", str(spec),
+                 "--mode", "lazy", "--rates", str(rates)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stream error: ") and err.count("\n") == 1, err
+    assert named in err
+
+
+def test_boolean_rate_file_is_exit_2(files, capsys):
+    tmp, pattern, spec, rates = files
+    rates.write_text('{"A": true, "B": 8, "C": 2}')
+    assert main(["run", "--pattern", str(pattern), "--generate", str(spec),
+                 "--mode", "lazy", "--rates", str(rates)]) == 2
+    _one_error_line(capsys, "rates error: rate for 'A' must be a finite "
+                            "number above 0, got True")
+
+
+@pytest.mark.parametrize("body, where, window", [
+    ("SEQ(A a, B b, C c)", "", "9" * 400 + " msec"),
+    ("SEQ(A a, B{1," + "9" * 5000 + "} b[], C c)", "", "1 sec"),
+    ("SEQ(A a, B b, C c)", "{ a.price > " + "9" * 400 + " }", "1 sec"),
+], ids=["window", "repetition-bound", "literal"])
+def test_pattern_number_that_does_not_fit_is_exit_2(files, capsys, body,
+                                                     where, window):
+    tmp, _, spec, rates = files
+    bad = tmp / "bad.pat"
+    where = f"WHERE skip_till_any_match {where}" if where else ""
+    bad.write_text(f"PATTERN {body}\n{where}\nWITHIN {window}\n")
+    assert main(["run", "--pattern", str(bad), "--generate", str(spec),
+                 "--mode", "lazy", "--rates", str(rates)]) == 2
+    _one_error_line(capsys, "pattern error: ")
+
+
+def test_window_flag_that_does_not_fit_is_exit_2(files, capsys):
+    _, pattern, spec, rates = files
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--pattern", str(pattern), "--generate", str(spec),
+              "--mode", "lazy", "--rates", str(rates), "--window", "9" * 400])
+    assert exc.value.code == 2
+    assert "the duration value is too large" in capsys.readouterr().err

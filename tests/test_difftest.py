@@ -44,21 +44,26 @@ def test_suite_smoke():
     assert run_suite(cases=80, seed=4, max_events=16) is None
 
 
-def test_shrinker_minimizes_a_planted_divergence():
-    # Feed the shrinker a fake mode comparison by shrinking against an
-    # intentionally wrong expectation: the minimal stream that still shows
-    # the difference should be tiny.
+def test_shrinker_minimizes_a_planted_divergence(monkeypatch):
     from cep.difftest import _shrink
+    from cep.engine import compile_pattern
     from cep.events import Event
+    from cep.runtime import Runtime
 
-    chains = to_dnf(parse_pattern("PATTERN SEQ(A a) WITHIN 10 msec"))
-    events = [Event("A", i, i) for i in range(6)]
+    # A runtime that drops every match binding the event with seq 5: the
+    # smallest stream that still diverges is that B and one A before it.
+    drain = Runtime._drain
+    monkeypatch.setattr(Runtime, "_drain", lambda self: [
+        m for m in drain(self) if all(e.seq != 5 for e in m.binding.values())])
+    chains = to_dnf(parse_pattern("PATTERN SEQ(A a, B b) WITHIN 100 msec"))
+    (nfa,) = compile_pattern(chains, "eager")
+    events = [Event("AB"[i % 2], i, i) for i in range(12)]
 
-    shrunk_events, expected, got = _shrink(
-        chains, events, "eager", None, cap=40)
-    # There is no real divergence, so shrinking bottoms out at the full
-    # agreement point: expected == got.
-    assert expected == got
+    shrunk_events, expected, got = _shrink(chains, nfa, events, cap=40)
+    assert expected != got
+    assert len(shrunk_events) == 2
+    assert [e.etype for e in shrunk_events] == ["A", "B"]
+    assert shrunk_events[1].seq == 5
 
 
 def test_paired_buffer_mismatches_are_divergences(monkeypatch):

@@ -83,8 +83,8 @@ def test_every_builder_output_over_the_difftest_corpus_validates():
             for nfa in nfas:
                 N.validate_nfa(nfa)
                 assert len(nfa.plans) == len(nfa.states)
-                assert all(p.neg is not None for p in nfa.plans
-                           if p.kind == N.NEG)
+                assert all((p.neg is not None) == (s.kind == N.NEG)
+                           for p, s in zip(nfa.plans, nfa.states))
                 _plan_runs_the_laid_out_takes(nfa)
             built += len(nfas)
         for merged in (N.build_multi_chain(lazies),

@@ -88,6 +88,24 @@ class TestParse:
         line, col = message.split(":")[:2]
         assert (err.value.line, err.value.col) == (int(line), int(col))
 
+    @pytest.mark.parametrize("text, message", [
+        (f"PATTERN SEQ(A a)\nWITHIN {'9' * 400} msec",
+         "2:8: the duration value is too large"),
+        # Finite as written, but not once scaled to milliseconds.
+        (f"PATTERN SEQ(A a)\nWITHIN 1{'0' * 305} hours",
+         "2:8: the window is too large"),
+        # More digits than int() converts.
+        (f"PATTERN SEQ(A a, B{{1,{'9' * 5000}}} b[])\nWITHIN 1 hour",
+         "1:22: the upper repetition bound is too large"),
+        (f"PATTERN SEQ(A a)\nWHERE skip_till_any_match {{ a.x > -{'9' * 400} }}"
+         "\nWITHIN 1 hour", "2:36: the literal is too large"),
+    ], ids=["window", "scaled-window", "repetition-bound", "literal"])
+    def test_a_number_that_does_not_fit_is_a_parse_error(self, text,
+                                                        message):
+        with pytest.raises(ParseError) as err:
+            parse_pattern(text)
+        assert str(err.value) == message
+
     def test_duplicate_role_same_conjunct(self):
         with pytest.raises(PatternError, match="twice"):
             to_dnf(parse_pattern("PATTERN SEQ(A a, A a) WITHIN 1 hour"))

@@ -640,7 +640,7 @@ def test_settling_instances_are_never_registered(seed, mode):
         rt.step(e)
         for inst in rt.live.values():
             assert (inst is rt.seed or inst.sid in acted_on
-                    or rt.plans[inst.sid].kind == N.NEG), inst.sid
+                    or rt.nfa.states[inst.sid].kind == N.NEG), inst.sid
             assert not rt.settling[inst.sid]
         assert rt._entering == 0
         assert {iid for _, iid in rt.heap} <= registered
@@ -728,8 +728,7 @@ def test_growing_accept_hands_out_copies_of_its_binding():
                       ("B", 4, {"stock": 1}), ("A", 5),
                       ("B", 6, {"stock": 1}), ("B", 7, {"stock": 2}))
     rt, untouched = make_runtime(nfas), make_runtime(nfas)
-    assert any(c.grow for p in rt.plans if p.kind == N.ACCEPT
-               for c in p.complete.values())
+    assert any(c.grow for c in rt.plans[rt.nfa.accepting].complete.values())
     got, expected = [], []
     for e in stream:
         out = rt.step(e)
@@ -879,6 +878,29 @@ def test_unsorted_drain_on_the_kleene_benchmark_pattern():
         assert [(m.detection_ts, m.key()) for m in got] == [
             (m.detection_ts, m.key()) for m in want]
     assert max(len(got) for got, _ in steps) > 1
+
+
+@pytest.mark.parametrize("pattern, rates, group_by", [
+    ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"
+     " { corr(a.history, b.history) > 0.9 and corr(b.history, c.history) > 0.9"
+     " and corr(c.history, a.history) > 0.9 } WITHIN 1800 msec",
+     {"A": 100.0, "B": 10.0, "C": 1.0}, None),
+    ("PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
+     " { b[i].stock = b[i-1].stock and b[i].price > a.price }"
+     " WITHIN 400 msec", {"A": 5.0, "B": 40.0, "C": 2.0}, ("b", "stock")),
+], ids=["corr", "kleene"])
+def test_settling_instances_touch_no_registry(pattern, rates, group_by):
+    # The benchmark patterns: retiring a settling clone leaves ``by_state``
+    # without an entry for its state.
+    chains = chains_of(pattern)
+    if group_by is not None:
+        chains = apply_group_by(chains, *group_by)
+    rt = make_runtime(compile_pattern(chains, "lazy", rates=rates))
+    run_stream(rt, generate_stream(StreamSpec(rates=rates, count=400, seed=3,
+                                              stocks_per_type=8)))
+    settling = {sid for sid, settles in enumerate(rt.settling) if settles}
+    assert settling and rt.metrics.instance_retire > 0
+    assert not settling & set(rt.by_state)
 
 
 @pytest.mark.parametrize("pattern, order, stream", [

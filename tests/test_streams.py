@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import pytest
@@ -105,3 +106,49 @@ def test_csv_rejects_non_finite_numbers(field, value):
            f"1,2,A,s,A,{price},{history}\n")
     with pytest.raises(StreamDataError, match=f"line 3: {field}"):
         read_csv(io.StringIO(bad))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("count", 2.7, "count must be an integer, got 2.7"),
+    ("count", 2.0, "count must be an integer, got 2.0"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("history_len", None, "history_len must be an integer, got None"),
+    ("price_start", math.nan, "price_start must be a finite number, got nan"),
+    ("price_step_std", -math.inf,
+     "price_step_std must be a finite number, got -inf"),
+    ("price_start", False, "price_start must be a finite number, got False"),
+    ("price_start", 10**400, "price_start must be a finite number"),
+    ("rates", {"A": True}, "rate for 'A' must be a finite number above 0"),
+    ("rates", {"A": 10**400}, "rate for 'A' must be a finite number above 0"),
+    ("rates", [1.0], "rates must be a JSON object"),
+], ids=["fractional-count", "float-count", "boolean-seed", "null-history",
+        "nan-price", "infinite-step", "boolean-price", "huge-price",
+        "boolean-rate", "huge-rate", "list-of-rates"])
+def test_spec_fields_are_checked_however_the_spec_is_built(field, value,
+                                                           message):
+    fields = {"rates": {"A": 1.0}, "count": 10, field: value}
+    with pytest.raises(ValueError) as err:
+        StreamSpec(**fields)
+    assert str(err.value).startswith(message)
+    with pytest.raises(ValueError) as again:
+        StreamSpec.from_json(json.dumps(fields))
+    assert str(again.value) == str(err.value)
+
+
+def test_spec_prices_are_floats():
+    spec = StreamSpec(rates={"A": 1}, count=1, price_start=100,
+                      price_step_std=2)
+    assert (spec.rates, spec.price_start, spec.price_step_std) == (
+        {"A": 1.0}, 100.0, 2.0)
+    assert all(type(v) is float for v in (spec.rates["A"], spec.price_start,
+                                          spec.price_step_std))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"rates": {"A": 1}, "count": 3, "histroy_len": 2}', "'histroy_len'"),
+    ('{"rates": {"A": 1}}', "'count'"),
+    ('[{"rates": {"A": 1}, "count": 3}]', "a stream spec must be a JSON object"),
+], ids=["unknown", "missing", "not-an-object"])
+def test_spec_json_names_an_unknown_or_missing_field(text, message):
+    with pytest.raises(ValueError, match=message):
+        StreamSpec.from_json(text)
