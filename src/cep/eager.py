@@ -5,8 +5,9 @@ temporal order (a chain for full sequences, the full subset lattice for
 conjunctions). An iterated role's members are appended one by one: its
 first member by the take that binds the role, the others by a self-loop.
 Negated roles are verified as a post-processing step once all positives
-are bound, via the same negative-tail machinery the lazy post-processing
-chain uses. Takes bind arrivals only and never search the
+are bound: the full roleset hands the instance to the same one-state
+negative tail that the lazy post-processing chain ends in, which sits
+between the lattice and F. Takes bind arrivals only and never search the
 buffer, so it stores only the negated types that the tail checks.
 """
 
@@ -34,24 +35,14 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
     subsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
     sid_of = {s: i for i, s in enumerate(subsets)}
     full = frozenset(roles)
-    n_sub = len(subsets)
-
-    has_tail = bool(chain.negations)
-    # Without a negation tail the full-roleset state is itself accepting.
-    tail_start = n_sub
-    accepting = n_sub + len(chain.negations) if has_tail else sid_of[full]
-
-    tail_states, tail = N.negative_tail(chain, chain.negations, tail_start)
-    states = []
-    for s in subsets:
-        name = "{" + ",".join(sorted(s)) + "}" if s else "q0"
-        if s == full and not has_tail:
-            states.append(N.State(sid_of[s], N.ACCEPT, "F", 0))
-        else:
-            states.append(N.State(sid_of[s], N.CHAIN, name, 0))
-    if has_tail:
-        states += tail_states
-        states.append(N.State(accepting, N.ACCEPT, "F", 0))
+    # Without a negative tail the full roleset, the last subset, is F.
+    tail_states, tail = N.negative_tail(chain, chain.negations)
+    states = ["{" + ",".join(sorted(s)) + "}" if s else "q0"
+              for s in subsets]
+    if tail:
+        states += [*tail_states, "F"]
+    else:
+        states[-1] = "F"
 
     # The iterated role's atoms wait for the completion gates; any other
     # atom may ride several lattice edges.
@@ -84,12 +75,11 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
 
     # Completion on the full roleset hands off to the tail (Completion).
     gates = (it.role, it.lo, iter_atoms) if it is not None else None
-    branch = N.Branch(chain=chain, tail=tail, fc_checks={},
+    branch = N.Branch(chain=chain, tail=tail,
+                      tail_state=len(subsets) if tail else None,
                       complete_state=sid_of[full], eager_gates=gates)
-    return N.ChainParts(label="eager", states=tuple(states),
-                        edges=tuple(edges), initial=sid_of[frozenset()],
-                        accepting=accepting, window=chain.window,
-                        branch=branch)
+    return N.ChainParts(states=tuple(states), edges=tuple(edges),
+                        window=chain.window, branch=branch)
 
 
 def _downward_closed(roles, preds) -> list:

@@ -2,10 +2,11 @@
 frequency, deferring frequent types to the input buffer.
 
 Build variants: plain chains (sequences, conjunctions, partial sequences),
-post-processing negation (a descending-frequency tail of negative states),
-first-chance negation (reject checks at the earliest state where a negated
-event's dependencies are bound), and iteration (iterated type forced to the
-end of the frequency order). Disjunctions merge the chains' parts with
+post-processing negation (one tail state between the chain and F, which
+checks the negated types in descending frequency order), first-chance
+negation (reject checks at the earliest state where a negated event's
+dependencies are bound), and iteration (iterated type forced to the end of
+the frequency order). Disjunctions merge the chains' parts with
 :func:`cep.nfa.build_multi_chain`.
 """
 
@@ -81,7 +82,6 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     bind_order = [role_of_type[t] for t in freq]
     n = len(freq)
     fc = bool(chain.negations) and negation == "fc"
-    label = "lazy-fc" if fc else "lazy-pp" if chain.negations else "lazy"
     negs = list(chain.negations)
     if fc:
         _check_fc_applicable(chain)
@@ -93,45 +93,38 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
         by_type = {s.etype: s for s in negs}
         negs = [by_type[t] for t in neg_freq]
 
-    # Negative tail: each state checks one negated type; an instance moves
-    # on once that check is certified, and to F after the last one.
-    tail_start = n
-    tail_states, tail = N.negative_tail(chain, negs, tail_start)
-    states = [N.State(i, N.CHAIN, f"q{i + 1}", 0) for i in range(n)]
-    states += tail_states
+    # The last take enters the state after the chain: the negative tail's
+    # one state, which checks every negated type, or else F.
+    tail_states, tail = N.negative_tail(chain, negs)
+    states = (*(f"q{i + 1}" for i in range(n)), *tail_states, "F")
     edges = []
-    accepting = n + len(negs)
-    states.append(N.State(accepting, N.ACCEPT, "F", 0))
-
     for i, etype in enumerate(freq):
         role, bound = bind_order[i], bind_order[:i]
         prec, succ = ordering_filters(chain, role, bound)
         cond = tuple(a for a in chain.atoms
                      if N.binds_last(a.roles, role, bound))
-        dst = i + 1 if i + 1 < n else (tail_start if negs else accepting)
         if it is not None and i == n - 1:
             # The iterate take carries its atoms once, split for its search.
-            edges.append(N.Take(i, dst, etype, role, (), prec, succ,
+            edges.append(N.Take(i, i + 1, etype, role, (), prec, succ,
                                 search=True,
                                 iterate=(it.lo, it.hi, it.group_by),
                                 kleene=split_kleene(cond, role,
                                                     it.group_by)))
         else:
-            edges.append(N.Take(i, dst, etype, role, cond, prec, succ,
+            edges.append(N.Take(i, i + 1, etype, role, cond, prec, succ,
                                 search=True))
 
     fc_checks: dict = {}
     if fc:
         for spec in chain.negations:
             chk = N.neg_check(chain, spec)
-            sid = _dep_state(chk, bind_order, accepting)
-            fc_checks.setdefault(sid, []).append(chk)
+            fc_checks.setdefault(_dep_state(chk, bind_order), []).append(chk)
         fc_checks = {sid: tuple(v) for sid, v in fc_checks.items()}
 
-    branch = N.Branch(chain=chain, tail=tail, fc_checks=fc_checks)
-    return N.ChainParts(label=label, states=tuple(states), edges=tuple(edges),
-                        initial=0, accepting=accepting, window=chain.window,
-                        branch=branch)
+    branch = N.Branch(chain=chain, tail=tail, tail_state=n if tail else None,
+                      fc_checks=fc_checks)
+    return N.ChainParts(states=states, edges=tuple(edges),
+                        window=chain.window, branch=branch)
 
 
 def _check_fc_applicable(chain: ChainPattern) -> None:
@@ -143,11 +136,11 @@ def _check_fc_applicable(chain: ChainPattern) -> None:
             )
 
 
-def _dep_state(chk, bind_order: Sequence[str], accepting: int) -> int:
+def _dep_state(chk, bind_order: Sequence[str]) -> int:
     """The state at whose entry a first-chance check can run: the one after
-    the last of its nearest neighbours and its condition's roles is bound."""
+    the last of its nearest neighbours and its condition's roles is bound,
+    F after the last of them."""
     dep = chk.prec_roles.union(chk.succ_roles,
                                *(a.roles - {chk.role} for a in chk.cond))
-    last = next(i for i, r in enumerate(bind_order)
-                if N.binds_last(dep, r, bind_order[:i]))
-    return last + 1 if last + 1 < len(bind_order) else accepting
+    return 1 + next(i for i, r in enumerate(bind_order)
+                    if N.binds_last(dep, r, bind_order[:i]))

@@ -1,21 +1,24 @@
 """Automaton data model and its executable plan, shared by every builder.
 
-An :class:`Nfa` is the immutable compilation artifact. Each builder lays out
-one chain as :class:`ChainParts`: states, one :class:`Take` record per take
-or iterate edge, stated as the runtime executes it (ordering filters,
-whether it searches the buffer, iteration bounds, the eager lattice's
-flags), and per-branch metadata (negative tail, first-chance checks, eager
-completion). One chain's parts become an automaton as they are;
-:func:`build_multi_chain` merges several into one that shares the initial
-and accepting states. Constructing an automaton compiles it, once, into the
+An :class:`Nfa` is the immutable compilation artifact: named states, one
+:class:`Take` record per take or iterate edge, and one :class:`Branch` per
+chain. By position, state 0 is the seed's and the last state is F, the
+accepting state. Each builder lays out one chain as :class:`ChainParts`:
+its states, its takes, stated as the runtime executes them (ordering
+filters, whether a take searches the buffer, iteration bounds, the eager
+lattice's flags), and its branch (negative tail, first-chance checks, eager
+completion). A chain's negative tail is one state, which runs all of its
+checks as one unit. One chain's parts become an automaton as they are;
+:func:`build_multi_chain` merges several into one that shares the seed's
+state and F. Constructing an automaton compiles it, once, into the
 executable plan: one :class:`StatePlan` per state, which indexes the state's
 takes by how they act (on an arrival or on entry) and marks the takes that
-emit their match, one :class:`NegPlan` per negative tail, run as one unit,
-the states each arriving type acts on, the states that settle, the sort key
-of the matches one step emits (none where the plan emits them in order) and
-the types the shared buffer stores: those that some search in the plan
-reads. It then validates the automaton from those tables. Every ``Runtime``
-(in :mod:`cep.runtime`) shares the plan and compiles nothing.
+emit their match, a :class:`NegPlan` on each tail state, the states each
+arriving type acts on, the states that settle, the sort key of the matches
+one step emits (none where the plan emits them in order) and the types the
+shared buffer stores: those that some search in the plan reads. It then
+validates the automaton from those tables. Every ``Runtime`` (in
+:mod:`cep.runtime`) shares the plan and compiles nothing.
 """
 
 from __future__ import annotations
@@ -27,21 +30,9 @@ from typing import Callable, Optional, Sequence
 from .patterns import ChainPattern, NegSpec
 from .predicates import KleeneAtoms
 
-CHAIN = "chain"
-NEG = "neg"
-ACCEPT = "accept"
-
 
 class BuildError(ValueError):
     """A pattern cannot be compiled by the requested builder."""
-
-
-@dataclass(frozen=True)
-class State:
-    sid: int
-    kind: str  # chain | neg | accept
-    name: str
-    branch: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -86,9 +77,10 @@ class Branch:
     """Per-chain metadata: the source chain and its completion pipeline."""
 
     chain: ChainPattern
-    # Post-processing negative tail: (state id, check) in check order; the
-    # runtime enters it at its first state only and runs it as one unit.
+    # Post-processing negative tail: its checks in check order, run as one
+    # unit at the tail's one state, ``tail_state``.
     tail: tuple = ()
+    tail_state: Optional[int] = None
     # First-chance checks keyed by the state at whose entry they run.
     fc_checks: dict = field(default_factory=dict)
     # State at which all positive roles are bound (eager lattice only).
@@ -103,7 +95,7 @@ class Completion:
 
     At F and on an eager lattice's full roleset: run the absence ``checks``
     on the buffer, apply the eager ``gate``, then emit the match (F) or hand
-    the instance to the negative tail from ``tail_start``. A branch that
+    the instance to the negative tail at ``tail_start``. A branch that
     may ``grow`` (it has an append take out of this state) keeps the
     instance live and hands on a copy instead.
     """
@@ -120,11 +112,12 @@ BARE = Completion(checks=(), gate=None, grow=False, tail_start=None)
 
 @dataclass(frozen=True)
 class NegPlan:
-    """A negative tail as the runtime runs it; the tail's states share it."""
+    """A negative tail as the runtime runs it, on the tail's one state."""
 
     checks: tuple  # NegSpec, in check order; all scan the buffer on entry
-    # The state of the first check that no positive event succeeds, where
-    # an instance that passed every check waits; None: it emits at once.
+    # The tail's state, where an instance that passed every check waits
+    # when some check has no positive event after it; None: it emits at
+    # once.
     wait: Optional[int]
     kill_map: dict  # etype -> tuple[NegSpec] for arrivals while waiting
 
@@ -135,18 +128,13 @@ class StatePlan:
     stream_takes: dict  # etype -> tuple[Take]
     fc_checks: tuple
     complete: dict  # branch -> Completion
-    neg: Optional[NegPlan]  # set on exactly the states of a negative tail
+    neg: Optional[NegPlan]  # set on exactly the tail states
 
 
 @dataclass(frozen=True)
 class Nfa:
-    # Describes the builder (eager, lazy, lazy-pp, lazy-fc, multi); no plan
-    # or runtime code reads it.
-    label: str
-    states: tuple
+    states: tuple  # names; state 0 is the seed's, the last one is F
     edges: tuple
-    initial: int
-    accepting: int
     window: int
     branches: tuple
     # The executable plan, compiled on construction; every runtime shares it.
@@ -180,61 +168,57 @@ class Nfa:
                            else _drain_key(self.branches))
         validate_nfa(self)
 
+    @property
+    def accepting(self) -> int:
+        return len(self.states) - 1
+
 
 @dataclass(frozen=True)
 class ChainParts:
     """One chain's layout, before it becomes (part of) an automaton."""
 
-    label: str
     states: tuple
     edges: tuple
-    initial: int
-    accepting: int
     window: int
     branch: Branch
 
     def nfa(self) -> Nfa:
-        return Nfa(label=self.label, states=self.states, edges=self.edges,
-                   initial=self.initial, accepting=self.accepting,
-                   window=self.window, branches=(self.branch,))
+        return Nfa(states=self.states, edges=self.edges, window=self.window,
+                   branches=(self.branch,))
 
 
 def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
-    """Merge chains by sharing their initial and accepting states."""
+    """Merge chains by sharing the seed's state and F."""
     if not parts:
         raise BuildError("no chains to merge")
     window = parts[0].window
     if any(p.window != window for p in parts):
         raise BuildError("merged chains must share one window")
-    states = [State(0, CHAIN, "q1", None)]
+    states = ["q1"]
     mappings = []
     for bi, p in enumerate(parts):
-        mapping = {p.initial: 0}
-        for s in p.states:
-            if s.sid not in (p.initial, p.accepting):
-                mapping[s.sid] = len(states)
-                states.append(State(len(states), s.kind,
-                                    f"{s.name}.{bi + 1}", bi))
+        mapping = {0: 0}
+        for sid in range(1, len(p.states) - 1):
+            mapping[sid] = len(states)
+            states.append(f"{p.states[sid]}.{bi + 1}")
         mappings.append(mapping)
-    accepting = len(states)
-    states.append(State(accepting, ACCEPT, "F", None))
+    states.append("F")
 
     edges, branches = [], []
     for bi, (p, mapping) in enumerate(zip(parts, mappings)):
-        mapping[p.accepting] = accepting
+        mapping[len(p.states) - 1] = len(states) - 1
+        mapping[None] = None  # no tail state, or no eager completion
         edges += [replace(tp, src=mapping[tp.src], dst=mapping[tp.dst],
                           branch=bi) for tp in p.edges]
         b = p.branch
         branches.append(replace(
             b,
-            tail=tuple((mapping[sid], chk) for sid, chk in b.tail),
+            tail_state=mapping[b.tail_state],
             fc_checks={mapping[sid]: checks
                        for sid, checks in b.fc_checks.items()},
-            complete_state=(mapping[b.complete_state]
-                            if b.complete_state is not None else None),
+            complete_state=mapping[b.complete_state],
         ))
-    return Nfa(label="multi", states=tuple(states), edges=tuple(edges),
-               initial=0, accepting=accepting, window=window,
+    return Nfa(states=tuple(states), edges=tuple(edges), window=window,
                branches=tuple(branches))
 
 
@@ -253,19 +237,19 @@ def neg_check(chain: ChainPattern, spec: NegSpec) -> NegSpec:
     return replace(spec, prec_roles=prec, succ_roles=succ)
 
 
-def negative_tail(chain: ChainPattern, negs, start: int) -> tuple:
+def negative_tail(chain: ChainPattern, negs) -> tuple:
     """The post-processing tail over ``chain``'s ``negs``, in check order.
 
-    State ``start + j`` checks ``negs[j]``. Returns the tail's states and
-    the ``(sid, check)`` entries of :attr:`Branch.tail`, each check made by
-    :func:`neg_check`. An instance enters at ``start`` and scans every check
-    there; then it waits at the first check with no successor roles, if any.
+    Returns the tail's states, none without ``negs`` and else one, named
+    for the negated types, and the checks of :attr:`Branch.tail`, each made
+    by :func:`neg_check`. An instance enters the tail's state and scans
+    every check there; it then waits there if some check has no successor
+    roles, and emits at once otherwise (:class:`NegPlan`).
     """
-    states = [State(start + j, NEG, f"r_{spec.etype}", 0)
-              for j, spec in enumerate(negs)]
-    tail = tuple((start + j, neg_check(chain, spec))
-                 for j, spec in enumerate(negs))
-    return states, tail
+    if not negs:
+        return (), ()
+    name = "r_" + "_".join(spec.etype for spec in negs)
+    return (name,), tuple(neg_check(chain, spec) for spec in negs)
 
 
 def _settles(plan: StatePlan) -> bool:
@@ -273,7 +257,7 @@ def _settles(plan: StatePlan) -> bool:
     there once its entry has returned, so the instance is never registered
     and is retired as soon as its entry returns. A state settles when it
     takes nothing from the stream and no completion hands the instance to
-    a tail, where it may wait. NEG states never settle: their timeout
+    a tail, where it may wait. Tail states never settle: their timeout
     emits."""
     return (plan.neg is None and not plan.stream_takes
             and all(c.tail_start is None for c in plan.complete.values()))
@@ -300,33 +284,33 @@ def _compile_plans(nfa: Nfa) -> tuple:
     takes_by_src: dict = defaultdict(list)
     for tp in nfa.edges:
         takes_by_src[tp.src].append(tp)
-    # One plan per negative tail, shared by its states. ``neg_check`` never
-    # empties a non-empty neighbour set, so a check waits exactly when its
-    # own ``succ_roles`` is empty.
+    accepting = nfa.accepting
+    # One plan per negative tail, on its state. ``neg_check`` never empties
+    # a non-empty neighbour set, so a check waits exactly when its own
+    # ``succ_roles`` is empty.
     neg_plans = {}
-    for tail in [b.tail for b in nfa.branches if b.tail]:
-        waiting = [(sid, chk) for sid, chk in tail if not chk.succ_roles]
-        kill: dict = defaultdict(list)
-        for _, chk in waiting:
-            kill[chk.etype].append(chk)
-        neg = NegPlan(checks=tuple(chk for _, chk in tail),
-                      wait=waiting[0][0] if waiting else None,
-                      kill_map={t: tuple(v) for t, v in kill.items()})
-        neg_plans.update((sid, neg) for sid, _ in tail)
+    for b in nfa.branches:
+        if b.tail:
+            kill: dict = defaultdict(list)
+            for chk in b.tail:
+                if not chk.succ_roles:
+                    kill[chk.etype].append(chk)
+            neg_plans[b.tail_state] = NegPlan(
+                checks=b.tail, wait=b.tail_state if kill else None,
+                kill_map={t: tuple(v) for t, v in kill.items()})
 
-    def compile_state(st: State, emitting) -> StatePlan:
+    def compile_state(sid: int, emitting) -> StatePlan:
         entry, stream = [], defaultdict(list)
-        fc: tuple = ()
 
-        for tp in takes_by_src.get(st.sid, ()):
-            if tp.dst == nfa.accepting and tp.branch in emitting:
+        for tp in takes_by_src.get(sid, ()):
+            if tp.dst == accepting and tp.branch in emitting:
                 tp = replace(tp, emits=True)
             # An arrival is newer than every bound event, so only a take
             # with no bound successor can take it.
             if not tp.succ_roles:
                 stream[tp.etype].append(tp)
             # The seed is never entered.
-            if tp.search and st.sid != nfa.initial:
+            if tp.search and sid != 0:
                 entry.append(tp)
 
         # A completed instance may still grow exactly when its branch has
@@ -336,34 +320,36 @@ def _compile_plans(nfa: Nfa) -> tuple:
         # Every branch completes at F; an eager branch with a negative tail
         # completes on its full roleset and hands off to the tail.
         complete = {}
-        at_f = st.kind == ACCEPT
+        at_f = sid == accepting
         for bi, branch in enumerate(nfa.branches):
-            full = branch.complete_state == st.sid
+            full = branch.complete_state == sid
             if at_f or full:
                 complete[bi] = Completion(
-                    checks=(tuple(branch.fc_checks.get(st.sid, ()))
+                    checks=(tuple(branch.fc_checks.get(sid, ()))
                             if at_f else ()),
                     gate=branch.eager_gates if full else None,
                     grow=bi in grow,
-                    tail_start=None if at_f else branch.tail[0][0])
-        if st.kind == CHAIN and st.branch is not None:
-            fc = nfa.branches[st.branch].fc_checks.get(st.sid, ())
+                    tail_start=None if at_f else branch.tail_state)
+        # First-chance checks keyed by F run at completion instead; any
+        # other state belongs to one branch.
+        fc = () if at_f else tuple(chk for branch in nfa.branches
+                                   for chk in branch.fc_checks.get(sid, ()))
 
         return StatePlan(
             entry_takes=tuple(entry),
             stream_takes={t: tuple(v) for t, v in stream.items()},
             fc_checks=fc,
             complete=complete,
-            neg=neg_plans.get(st.sid),
+            neg=neg_plans.get(sid),
         )
 
     # F comes first: a take into it emits the match itself when F settles
     # and the take's branch completes there BARE.
-    f = compile_state(nfa.states[nfa.accepting], emitting=())
+    f = compile_state(accepting, emitting=())
     emitting = ({bi for bi, c in f.complete.items() if c == BARE}
                 if _settles(f) else ())
-    return tuple(f if st.sid == nfa.accepting else compile_state(st, emitting)
-                 for st in nfa.states)
+    return tuple(f if sid == accepting else compile_state(sid, emitting)
+                 for sid in range(len(nfa.states)))
 
 
 def detection_order(m) -> tuple:
@@ -409,9 +395,9 @@ def _emits_in_order(nfa: Nfa) -> bool:
     """Whether every step's matches leave the plan in
     :func:`detection_order`, so that no sort is needed.
 
-    It holds for one branch with no NEG state, no first-chance check and
+    It holds for one branch with no tail state, no first-chance check and
     only BARE completions, whose one stream take is a plain take of the
-    initial state, where each state has at most one entry take, and whose
+    seed's state, where each state has at most one entry take, and whose
     entry takes, followed from that take's destination, bind roles in
     ascending role-name order. Then only the seed acts on an arrival: the
     arrival is the newest event of every match of the step, which all
@@ -431,7 +417,7 @@ def _emits_in_order(nfa: Nfa) -> bool:
     if len(stream) != 1:
         return False
     ((sid, tp),) = stream
-    if sid != nfa.initial or tp.iterate is not None or tp.append:
+    if sid != 0 or tp.iterate is not None or tp.append:
         return False
     role, sid = None, tp.dst
     while plans[sid].entry_takes:
@@ -443,16 +429,12 @@ def _emits_in_order(nfa: Nfa) -> bool:
 
 
 def validate_nfa(nfa: Nfa) -> None:
-    """Structural invariants: one F, every other state reaches F.
+    """Structural invariant: every state reaches F, the last state.
 
     Reachability follows what the plan executes: take destinations, F from
-    every negative state in a tail (an instance there either emits or is
-    retired), and eager completion's hand-off to the tail.
+    a tail state (an instance there either emits or is retired), and eager
+    completion's hand-off to the tail.
     """
-    if [s.kind for s in nfa.states].count(ACCEPT) != 1:
-        raise BuildError("an automaton needs exactly one accepting state")
-    if nfa.states[nfa.accepting].kind != ACCEPT:
-        raise BuildError("accepting id out of sync with state kinds")
     into: dict = defaultdict(set)  # state -> states that lead to it
     for sid, plan in enumerate(nfa.plans):
         nxt = {tp.dst for tp in plan.entry_takes}
@@ -469,7 +451,7 @@ def validate_nfa(nfa: Nfa) -> None:
         if x not in seen:
             seen.add(x)
             stack.extend(into[x])
-    stuck = [s.name for s in nfa.states if s.sid not in seen]
+    stuck = [name for sid, name in enumerate(nfa.states) if sid not in seen]
     if stuck:
         raise BuildError(
             f"no path to the accepting state from {', '.join(stuck)}")

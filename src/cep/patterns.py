@@ -25,6 +25,7 @@ from .events import EventType
 
 KEYWORDS = {"pattern", "seq", "and", "or", "not", "where", "within"}
 AGG_FNS = {"avg", "sum", "min", "max", "count"}
+CMP_OPS = ("<", ">", "<=", ">=", "=", "!=")
 UNITS_MS = {"msec": 1, "sec": 1000, "min": 60_000, "hour": 3_600_000}
 STRATEGY = "skip_till_any_match"
 
@@ -406,7 +407,7 @@ class _Parser:
         left = self.add_expr()
         op_tok = self.peek()
         op = op_tok[1]
-        if op in ("<", ">", "<=", ">=", "=", "!="):
+        if op in CMP_OPS:
             self.next()
             return P.Cmp(op, left, self.add_expr())
         self.error("expected a comparison", op_tok)
@@ -545,6 +546,8 @@ def _validate_ast(ast: PatternAst) -> None:
     if iter_roles & neg_roles:
         raise PatternError("a negated event cannot be iterated")
 
+    if ast.where is not None:
+        _check_bool(ast.where)
     for atom in P.split_conjunction(ast.where):
         refs, aggs = [], []
         for sub in P.nodes(atom):
@@ -577,6 +580,63 @@ def _validate_ast(ast: PatternAst) -> None:
                 f"predicate {atom.render()} links two negated events; "
                 "conditions may reference at most one negated role"
             )
+
+
+def _check_bool(expr) -> None:
+    """A PatternError unless ``expr`` is a boolean node of the WHERE
+    grammar over grammatical children, with the parser's messages where the
+    parser has them."""
+    if isinstance(expr, P.Cmp):
+        if expr.op not in CMP_OPS:
+            raise PatternError(f"unknown comparison {expr.op!r}")
+        _check_value(expr.left)
+        _check_value(expr.right)
+    elif isinstance(expr, P.Not):
+        _check_bool(expr.child)
+    elif isinstance(expr, P.BoolOp):
+        if expr.op not in ("and", "or"):
+            raise PatternError(f"unknown boolean operator {expr.op!r}")
+        if len(expr.children) < 2:
+            raise PatternError(f"{expr.op} needs at least two operands")
+        for child in expr.children:
+            _check_bool(child)
+    else:
+        raise PatternError(f"not a boolean expression: {expr!r}")
+
+
+def _check_value(expr) -> None:
+    """A PatternError unless ``expr`` is a value node of the WHERE grammar
+    over grammatical children."""
+    if isinstance(expr, P.Literal):
+        v = expr.value
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not math.isfinite(v)):
+            raise PatternError(f"a literal must be a finite number, got {v!r}")
+    elif isinstance(expr, P.Agg):
+        if expr.fn not in AGG_FNS:
+            raise PatternError(f"unknown aggregate {expr.fn!r}")
+        _check_ref(expr.ref)
+    elif isinstance(expr, P.Corr):
+        _check_ref(expr.left)
+        _check_ref(expr.right)
+        if expr.left.index is not None or expr.right.index is not None:
+            raise PatternError("corr() takes plain role.attr references")
+    elif isinstance(expr, P.Arith):
+        if expr.op not in ("+", "-", "*", "/"):
+            raise PatternError(f"unknown arithmetic operator {expr.op!r}")
+        _check_value(expr.left)
+        _check_value(expr.right)
+    elif isinstance(expr, P.AttrRef):
+        _check_ref(expr)
+    else:
+        raise PatternError(f"not a value expression: {expr!r}")
+
+
+def _check_ref(ref) -> None:
+    if not isinstance(ref, P.AttrRef):
+        raise PatternError(f"not an attribute reference: {ref!r}")
+    if ref.index not in (None, "i", "i-1"):
+        raise PatternError("iteration index must be 'i' or 'i-1'")
 
 
 @dataclass(frozen=True)

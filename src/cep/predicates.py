@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .events import Event, StreamDataError
@@ -30,8 +31,10 @@ class Literal:
     value: float
 
     def render(self) -> str:
+        # Positional, never an exponent, which the parser does not read.
         v = self.value
-        return str(int(v)) if float(v).is_integer() else repr(v)
+        return (str(int(v)) if float(v).is_integer()
+                else format(Decimal(repr(v)), "f"))
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,9 @@ def eval_atoms(atoms: Sequence[Atom], binding: Binding, counter=None) -> bool:
 
 # Each node below compiles into ``f(binding, i)``, where ``i`` is the member
 # index of a quantified atom and None otherwise. ``quantified`` tells the
-# references which of the two they are compiled for.
+# references which of the two they are compiled for. Building a PatternAst
+# checks every node against the grammar (:mod:`cep.patterns`), so each
+# node, operator and function name here is a known one.
 
 
 def _bool(expr: BoolExpr, quantified: bool):
@@ -297,16 +302,10 @@ def _bool(expr: BoolExpr, quantified: bool):
     if isinstance(expr, Not):
         child = _bool(expr.child, quantified)
         return lambda b, i=None: not child(b, i)
-    if isinstance(expr, BoolOp):
-        children = tuple(_bool(c, quantified) for c in expr.children)
-        if expr.op == "and":
-            return lambda b, i=None: all(c(b, i) for c in children)
-        return lambda b, i=None: any(c(b, i) for c in children)
-
-    def unknown(b, i=None):
-        raise PredicateError(f"unknown boolean node {expr!r}")
-
-    return unknown
+    children = tuple(_bool(c, quantified) for c in expr.children)  # BoolOp
+    if expr.op == "and":
+        return lambda b, i=None: all(c(b, i) for c in children)
+    return lambda b, i=None: any(c(b, i) for c in children)
 
 
 _ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
@@ -341,11 +340,7 @@ def _cmp(expr: Cmp, quantified: bool):
             return False
         if type(x) is not type(y) and isinstance(x, str) != isinstance(y, str):
             raise _mismatch(op, x, y)
-        if equal:
-            return x == y
-        if op == "!=":
-            return x != y
-        raise PredicateError(f"unknown comparison {op}")
+        return x == y if equal else x != y
 
     return cmp
 
@@ -361,8 +356,7 @@ def _corr_threshold(expr: Cmp):
     corr, k, op = expr.left, expr.right, expr.op
     if isinstance(k, Corr):
         corr, k, op = k, corr, _FLIPPED.get(op)
-    if (op in _FLIPPED and isinstance(corr, Corr) and isinstance(k, Literal)
-            and isinstance(k.value, (int, float))):
+    if op in _FLIPPED and isinstance(corr, Corr) and isinstance(k, Literal):
         return corr, op, k.value
     return None
 
@@ -391,13 +385,7 @@ def _value(expr: ValueExpr, quantified: bool):
         return _agg(expr)
     if isinstance(expr, Corr):
         return _corr(expr, None, None, quantified)
-    if isinstance(expr, Arith):
-        return _arith(expr, quantified)
-
-    def unknown(b, i=None):
-        raise PredicateError(f"unknown value node {expr!r}")
-
-    return unknown
+    return _arith(expr, quantified)
 
 
 def _ref(ref: AttrRef, quantified: bool):
@@ -440,7 +428,7 @@ _REDUCERS = {"avg": lambda vals: sum(vals) / len(vals), "sum": sum,
 def _agg(expr: Agg):
     role, name = expr.ref.role, expr.ref.attr
     count = expr.fn == "count"
-    reduce = _REDUCERS.get(expr.fn)
+    reduce = None if count else _REDUCERS[expr.fn]
 
     def agg(b, i=None):
         bound = b[role]
@@ -449,8 +437,6 @@ def _agg(expr: Agg):
         if count:
             return float(len(bound))
         vals = [_as_number(e.attr(name)) for e in bound]
-        if reduce is None:
-            raise PredicateError(f"unknown aggregate {expr.fn}")
         if None in vals:
             raise StreamDataError(f"{expr.render()} over a member valued None")
         return reduce(vals)
@@ -489,26 +475,23 @@ def _corr(expr: Corr, op: Optional[str], k, quantified: bool):
     return corr
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
 
 
 def _arith(expr: Arith, quantified: bool):
     left = _value(expr.left, quantified)
     right = _value(expr.right, quantified)
     divide = expr.op == "/"
-    fn = _ARITH.get(expr.op)
+    fn = _ARITH[expr.op]
 
     def arith(b, i=None):
         x = _as_number(left(b, i))
         y = _as_number(right(b, i))
         if x is None or y is None:
             return None
-        if divide:
-            if y == 0:
-                raise StreamDataError("division by zero in predicate")
-            return x / y
-        if fn is None:
-            raise PredicateError(f"unknown value node {expr!r}")
+        if divide and y == 0:
+            raise StreamDataError("division by zero in predicate")
         return fn(x, y)
 
     return arith

@@ -104,7 +104,7 @@ class Runtime:
         self._pending: list = []
         self._last_key = None
         self._entering = 0  # settling instances whose entry is running
-        self.seed = self._new_instance(None, nfa.initial, None, {}, None, None)
+        self.seed = self._new_instance(None, 0, None, {}, None, None)
 
     # -- instance bookkeeping ------------------------------------------------
 

@@ -39,7 +39,7 @@ def test_partial_sequence_lattice_is_downward_closed():
     nfa = build_eager(chain_of(
         "PATTERN AND(SEQ(A a, B b), C c) WITHIN 1 hour"))
     # Downward-closed subsets of {a,b,c} with a<b: b never appears without a.
-    names = {s.name for s in nfa.states}
+    names = set(nfa.states)
     assert "{b}" not in names and "{b,c}" not in names
     assert len(nfa.states) == 6  # the 6 valid subsets
 
@@ -62,8 +62,7 @@ def test_iterated_role_gets_a_take_self_loop():
 def test_negation_adds_post_processing_tail():
     nfa = build_eager(chain_of(
         "PATTERN SEQ(A a, NOT(B b), C c) WITHIN 1 hour"))
-    kinds = [s.kind for s in nfa.states]
-    assert kinds.count(N.NEG) == 1
+    assert [plan.neg is not None for plan in nfa.plans].count(True) == 1
     assert nfa.storable == frozenset({"B"})
 
 

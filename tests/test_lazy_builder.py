@@ -166,12 +166,13 @@ class TestPpNegation:
             "WHERE skip_till_any_match { b.x < c.y }\nWITHIN 1 hour")
         nfa = build_lazy(chain, ["C", "A", "D"])
         assert len(nfa.states) == 5  # q1 q2 q3 r_B F
-        assert nfa.states[3].kind == N.NEG
+        assert nfa.states[3] == "r_B"
         # The last positive take enters the tail; after r_B comes F.
         assert [tp.dst for tp in nfa.plans[2].stream_takes["D"]] == [3]
         neg = nfa.plans[3].neg
-        ((sid, spec),) = nfa.branches[0].tail
-        assert (sid, spec.role, spec.etype) == (3, "b", "B") and spec.cond
+        (spec,) = nfa.branches[0].tail
+        assert nfa.branches[0].tail_state == 3
+        assert (spec.role, spec.etype) == ("b", "B") and spec.cond
         assert neg.checks == (spec,)
         # B precedes a positive (C), so its candidates are buffer-only: the
         # check does not wait for arrivals, and passing it completes.
@@ -183,7 +184,8 @@ class TestPpNegation:
     def test_conjunction_negation_waits_for_timeout(self):
         chain = chain_of("PATTERN AND(A a, NOT(B b), C c) WITHIN 1 hour")
         nfa = build_lazy(chain, ["A", "C"])
-        neg_sid = next(s.sid for s in nfa.states if s.kind == N.NEG)
+        neg_sid = next(sid for sid, plan in enumerate(nfa.plans)
+                       if plan.neg is not None)
         neg = nfa.plans[neg_sid].neg
         (spec,) = neg.checks  # then F
         assert neg.wait == neg_sid
@@ -196,8 +198,7 @@ class TestPpNegation:
         plain = build_lazy(chain, ["B", "A"])
         for negation in ("pp", "fc"):
             other = build_lazy(chain, ["B", "A"], negation=negation)
-            assert [(s.kind, s.name) for s in other.states] == \
-                [(s.kind, s.name) for s in plain.states]
+            assert other.states == plain.states
             assert other.edges == plain.edges
             assert other.plans == plain.plans
             assert other.type_interest == plain.type_interest
@@ -207,14 +208,11 @@ class TestPpNegation:
         chain = chain_of(
             "PATTERN AND(A a, NOT(B b), NOT(C c)) WITHIN 1 hour")
         nfa = build_lazy(chain, ["A"], neg_freq=["C", "B"])
-        neg_names = [s.name for s in nfa.states if s.kind == N.NEG]
-        assert neg_names == ["r_C", "r_B"]
-        # Both tail states share one plan, which checks in tail order.
-        first, second = nfa.plans[1].neg, nfa.plans[2].neg
-        assert first is second
-        assert [spec.etype for spec in first.checks] == ["C", "B"]
-        assert first.wait == 1 and set(first.kill_map) == {"B", "C"}
-        # Only the waiting state holds instances, so only it listens.
+        # One tail state checks both negated types, in the order given.
+        assert nfa.states == ("q1", "r_C_B", "F")
+        neg = nfa.plans[1].neg
+        assert [spec.etype for spec in neg.checks] == ["C", "B"]
+        assert neg.wait == 1 and set(neg.kill_map) == {"B", "C"}
         assert nfa.type_interest["B"] == nfa.type_interest["C"] == (1,)
 
 
@@ -289,7 +287,7 @@ class TestMultiChain:
         merged = build_multi_chain(parts)
         assert len(merged.states) == 6  # q1, 2+2 internal, F
         q1_takes = [e for e in merged.edges
-                    if e.src == merged.initial and e.iterate is None]
+                    if e.src == 0 and e.iterate is None]
         assert {e.etype for e in q1_takes} == {"C"}
         assert len(q1_takes) == 2  # one instance per sub-chain on arrival
         N.validate_nfa(merged)

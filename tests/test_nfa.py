@@ -6,7 +6,6 @@ import pytest
 import cep
 from cep import nfa as N
 from cep.difftest import random_pattern
-from cep.engine import MODES, compile_pattern
 from cep.eager import build_eager, eager_parts
 from cep.lazy import build_lazy, lazy_parts
 from cep.patterns import parse_pattern, to_dnf
@@ -24,9 +23,9 @@ def _last_take_dropped(nfa):
 
 
 def _tail_cut_short(nfa):
-    # The tail forgets its last negative state, which then has no successor.
+    # The tail loses its checks: its state then neither emits nor waits.
     (branch,) = nfa.branches
-    return replace(nfa, branches=(replace(branch, tail=branch.tail[:-1]),))
+    return replace(nfa, branches=(replace(branch, tail=()),))
 
 
 def _no_handoff(nfa):
@@ -40,7 +39,7 @@ def _no_handoff(nfa):
                         ["A", "B"]), _last_take_dropped, "q1, q2"),
     (lambda: build_lazy(chain_of(
         "PATTERN AND(A a, NOT(B b), NOT(C c)) WITHIN 1 hour"), ["A"]),
-     _tail_cut_short, "from r_C"),
+     _tail_cut_short, "from q1, r_B_C"),
     (lambda: build_eager(chain_of(
         "PATTERN SEQ(A a, NOT(B b), C c) WITHIN 1 hour")),
      _no_handoff, "q0, {a}, {a,c}"),
@@ -62,7 +61,22 @@ def _plan_runs_the_laid_out_takes(nfa):
                for tps in (plan.entry_takes, *plan.stream_takes.values())
                for tp in tps}
     laid_out = {(tp.src, tp) for tp in nfa.edges}
-    assert planned == laid_out, nfa.label
+    assert planned == laid_out, nfa.states
+
+
+def _one_state_per_negative_tail(nfa):
+    # F is the last state, and every branch completes there. A branch has
+    # a tail exactly when its negations are not first-chance checks, and
+    # the tail is one state, whose plan holds every check in tail order.
+    assert nfa.states[-1] == "F"
+    assert set(nfa.plans[-1].complete) == set(range(len(nfa.branches)))
+    tails = [sid for sid, plan in enumerate(nfa.plans) if plan.neg is not None]
+    assert tails == sorted(b.tail_state for b in nfa.branches if b.tail)
+    for b in nfa.branches:
+        assert bool(b.tail) == (bool(b.chain.negations) and not b.fc_checks)
+        assert len(b.tail) in (0, len(b.chain.negations))
+        if b.tail:
+            assert nfa.plans[b.tail_state].neg.checks == b.tail
 
 
 def test_every_builder_output_over_the_difftest_corpus_validates():
@@ -83,33 +97,15 @@ def test_every_builder_output_over_the_difftest_corpus_validates():
             for nfa in nfas:
                 N.validate_nfa(nfa)
                 assert len(nfa.plans) == len(nfa.states)
-                assert all((p.neg is not None) == (s.kind == N.NEG)
-                           for p, s in zip(nfa.plans, nfa.states))
+                _one_state_per_negative_tail(nfa)
                 _plan_runs_the_laid_out_takes(nfa)
             built += len(nfas)
         for merged in (N.build_multi_chain(lazies),
                        N.build_multi_chain(eagers)):
             N.validate_nfa(merged)
+            _one_state_per_negative_tail(merged)
             _plan_runs_the_laid_out_takes(merged)
     assert built > 400
-
-
-def test_plans_do_not_depend_on_the_label():
-    # A merged automaton is labelled "multi" whatever built its chains.
-    rng = random.Random(808)
-    compared = set()
-    for _ in range(150):
-        chains = to_dnf(parse_pattern(random_pattern(rng)))
-        orders = [sorted(t for _, t in c.positives) for c in chains]
-        for mode in MODES:
-            try:
-                nfas = compile_pattern(chains, mode, orders=orders)
-            except N.BuildError:
-                continue  # first-chance negation refuses a trailing negation
-            for nfa in nfas:
-                assert replace(nfa, label="x").plans == nfa.plans, nfa.label
-                compared.add(nfa.label)
-    assert compared == {"eager", "lazy", "lazy-pp", "lazy-fc", "multi"}
 
 
 def test_public_api_resolves_without_duplicates():

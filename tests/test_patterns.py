@@ -10,8 +10,8 @@ from cep.oracle import enumerate_matches_chains
 from cep.patterns import (ChainPattern, Kleene, Leaf, NotItem, OpNode,
                           ParseError, PatternAst, PatternError, parse_pattern,
                           render_chain, to_dnf)
-from cep.predicates import (Agg, Arith, AttrRef, Cmp, Literal, compile_atom,
-                            eval_atoms, split_conjunction)
+from cep.predicates import (Agg, Arith, AttrRef, BoolOp, Cmp, Corr, Literal,
+                            compile_atom, eval_atoms, split_conjunction)
 from cep.runtime import match_key
 
 PATTERN_1 = """
@@ -27,6 +27,9 @@ WITHIN 1 hour
 _TWO_NEGATIONS = OpNode("seq", (Leaf("A", "a"), NotItem(Leaf("C", "c")),
                                 NotItem(Leaf("D", "d")), Leaf("B", "b")))
 _NEGATED_SUM = Arith("+", AttrRef("c", "x"), AttrRef("d", "x"))
+_AB = OpNode("seq", (Leaf("A", "a"), Leaf("B", "b")))
+_A_B_ITER = OpNode("seq", (Leaf("A", "a"), Kleene(Leaf("B", "b"))))
+_A_X_GT_1 = Cmp(">", AttrRef("a", "x"), Literal(1.0))
 
 
 class TestParse:
@@ -198,6 +201,38 @@ class TestParse:
          "invalid repetition bounds {2,None}"),
         (OpNode("seq", (Leaf("A", "a"), "B b")), None,
          "not a pattern node: 'B b'"),
+        # WHERE nodes the parser never builds: each used to evaluate as
+        # another node, or fail only mid-run.
+        (_AB, BoolOp("xor", (_A_X_GT_1, Cmp(">", AttrRef("b", "x"),
+                                             Literal(1.0)))),
+         "unknown boolean operator 'xor'"),
+        (_AB, BoolOp("or", (_A_X_GT_1,)), "or needs at least two operands"),
+        (_AB, Cmp("~", AttrRef("a", "x"), Literal(1.0)),
+         "unknown comparison '~'"),
+        (_A_B_ITER, Cmp(">", Agg("median", AttrRef("b", "x", "i")),
+                        Literal(1.0)),
+         "unknown aggregate 'median'"),
+        (_AB, Cmp(">", Arith("%", AttrRef("a", "x"), Literal(2.0)),
+                  Literal(1.0)),
+         "unknown arithmetic operator '%'"),
+        (_A_B_ITER, Cmp(">", Corr(AttrRef("b", "h", "i"), AttrRef("a", "h")),
+                        Literal(0.5)),
+         "corr() takes plain role.attr references"),
+        (_A_B_ITER, Cmp(">", AttrRef("b", "x", "j"), Literal(1.0)),
+         "iteration index must be 'i' or 'i-1'"),
+        (_AB, Cmp(">", AttrRef("a", "x"), Literal(float("inf"))),
+         "a literal must be a finite number, got inf"),
+        (_AB, Cmp(">", AttrRef("a", "x"), Literal(float("nan"))),
+         "a literal must be a finite number, got nan"),
+        (_AB, Cmp(">", AttrRef("a", "x"), Literal("1")),
+         "a literal must be a finite number, got '1'"),
+        (_AB, AttrRef("a", "x"),
+         "not a boolean expression: AttrRef(role='a', attr='x', index=None)"),
+        (_AB, Cmp(">", AttrRef("a", "x"), _A_X_GT_1),
+         "not a value expression: Cmp(op='>', left=AttrRef(role='a', "
+         "attr='x', index=None), right=Literal(value=1.0))"),
+        (_A_B_ITER, Cmp(">", Agg("avg", Literal(1.0)), Literal(1.0)),
+         "not an attribute reference: Literal(value=1.0)"),
     ])
     def test_ast_is_validated_when_built(self, root, where, message):
         with pytest.raises(PatternError) as err:
@@ -310,6 +345,14 @@ class TestToDnf:
                 assert {(u, w) for (u, v) in order for (x, w) in order
                         if v == x} <= order
                 assert not any((v, u) in order for (u, v) in order)
+
+    @pytest.mark.parametrize("value", [0.00001, -0.00001, 1.5e-07, 1e20])
+    def test_a_literal_renders_as_the_parser_reads_it(self, value):
+        # Rendered positionally, never with an exponent.
+        where = Cmp(">", AttrRef("a", "x"), Literal(value))
+        (chain,) = to_dnf(PatternAst(root=_AB, where=where, window=1000))
+        (again,) = to_dnf(parse_pattern(render_chain(chain)))
+        assert [a.expr for a in again.atoms] == [where]
 
     def test_render_refuses_a_hand_built_chain(self):
         (chain,) = to_dnf(parse_pattern("PATTERN SEQ(A a, B b) WITHIN 1 hour"))

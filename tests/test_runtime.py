@@ -640,7 +640,7 @@ def test_settling_instances_are_never_registered(seed, mode):
         rt.step(e)
         for inst in rt.live.values():
             assert (inst is rt.seed or inst.sid in acted_on
-                    or rt.nfa.states[inst.sid].kind == N.NEG), inst.sid
+                    or rt.plans[inst.sid].neg is not None), inst.sid
             assert not rt.settling[inst.sid]
         assert rt._entering == 0
         assert {iid for _, iid in rt.heap} <= registered
