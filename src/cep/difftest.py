@@ -6,13 +6,14 @@ negation in an alternative of a disjunction sometimes negates a type that
 another alternative binds. WHERE atoms compare plain, arithmetic, boolean
 and aggregate expressions, and correlations of the events' ``h`` histories
 with a threshold of either sign. A short random stream follows, whose gaps
-sometimes fall on the window's edge. Every applicable evaluation mode must
-produce exactly the oracle's match multiset. Every mode runs in a
-``PairedRuntime`` (the shadow-buffer check) and must emit each step's
-matches in ``(detection_ts, key)`` order, whether the runtime sorted them
-or the plan emitted them so (``Nfa.drain_key`` is None); a
-``ShadowMismatch`` or a misordered step is a divergence too. On divergence
-the stream is greedily shrunk before reporting.
+sometimes fall on the window's edge, or a burst of the pattern's types in
+turn. Every applicable evaluation mode must produce exactly the oracle's
+match multiset. Every mode runs in a ``PairedRuntime`` (the shadow-buffer
+check) and must emit each step's matches in ``(detection_ts, key)`` order,
+whether the runtime sorted them or the plan emitted them so
+(``Nfa.drain_key`` is None); a ``ShadowMismatch`` or a misordered step is
+a divergence too. On divergence the stream is greedily shrunk before
+reporting.
 """
 
 from __future__ import annotations
@@ -201,19 +202,28 @@ def random_stream(rng: random.Random, pattern_types, max_events: int,
     """Up to ``max_events`` events; with a ``window``, some gaps fall on
     its edge (one less than, equal to and one more than the window).
 
-    Each event has a number ``x`` and a history ``h`` of three points from
-    a small value set, so that correlations of both signs, of 0 and of
-    zero variance all occur."""
+    Three in ten streams over two or more types are bursts instead: each
+    pattern type in turn, 1-3 times, 0 or 1 ms apart, so that one window
+    holds several events of each type a search reads. Each event has a
+    number ``x`` and a history ``h`` of three points from a small value
+    set, so that correlations of both signs, of 0 and of zero variance all
+    occur."""
     n = rng.randint(0, max_events)
     pool = list(pattern_types) + [NOISE_TYPE]
     gaps = [0, 0, 1, 1, 2, 3]
     if window is not None:
         gaps += [window - 1, window, window + 1]
+    burst = []
+    if len(pattern_types) > 1 and rng.random() < 0.3:
+        gaps = [0, 1]
+        while len(burst) < n:
+            for t in pattern_types:
+                burst += [t] * rng.randint(1, 3)
     events = []
     ts = 0
     for seq in range(n):
         ts += rng.choice(gaps)
-        etype = rng.choice(pool)
+        etype = burst[seq] if burst else rng.choice(pool)
         h = tuple(float(rng.randint(0, 2)) for _ in range(3))
         events.append(Event(etype, ts, seq, {"x": float(rng.randint(0, 3)),
                                              "h": h}))
@@ -246,7 +256,7 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
     result = CaseResult()
     ran: list = []
     for mode, mode_orders in [("eager", None), ("lazy-pp", orders),
-                              ("lazy-fc", orders), ("multi", orders)]:
+                              ("lazy-fc", orders)]:
         try:
             (nfa,) = compile_pattern(chains, mode, orders=mode_orders)
         except BuildError:
@@ -254,8 +264,8 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
                 continue  # first-chance negation refuses a trailing one
             raise
         # Automata are equal when their states, takes, branches and window
-        # are: lazy-fc without negations, or multi on several chains,
-        # builds lazy-pp's automaton, which runs once.
+        # are: lazy-fc without negations builds lazy-pp's automaton, which
+        # runs once.
         if nfa in ran:
             continue
         ran.append(nfa)

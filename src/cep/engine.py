@@ -1,11 +1,15 @@
 """Mode dispatch: compile a parsed pattern into one runnable automaton.
 
 Modes:
-  eager    arrival-order lattice per chain; multi-chain merge for composites
-  lazy     frequency-ordered chain; multi-chain merge for composites
-  lazy-pp  negations checked by a post-processing negative tail
+  eager    arrival-order lattice per chain
+  lazy     frequency-ordered chain, negations checked by a post-processing
+           negative tail
+  lazy-pp  the lazy build
   lazy-fc  negations checked at the earliest dependency state
-  multi    force the merged multi-chain form even for a single chain
+  multi    the lazy build (the merge below is the same in every mode)
+
+The chains of a composite merge into one multi-chain automaton in every
+mode; a single chain is its own automaton.
 """
 
 from __future__ import annotations
@@ -78,9 +82,7 @@ def compile_pattern(
         parts = [lazy_parts(chain, order_for(i, chain), negation=variant,
                             neg_freq=_neg_order(chain, rates))
                  for i, chain in enumerate(chains)]
-    if mode == "multi" or len(parts) > 1:
-        return [build_multi_chain(parts)]
-    return [parts[0].nfa()]
+    return [build_multi_chain(parts)]
 
 
 def make_runtime(nfas: Sequence[Nfa]):

@@ -188,9 +188,12 @@ class ChainParts:
 
 
 def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
-    """Merge chains by sharing the seed's state and F."""
+    """The one automaton of ``parts``: several chains merge by sharing the
+    seed's state and F, and one chain is its own automaton, unrenamed."""
     if not parts:
         raise BuildError("no chains to merge")
+    if len(parts) == 1:
+        return parts[0].nfa()
     window = parts[0].window
     if any(p.window != window for p in parts):
         raise BuildError("merged chains must share one window")

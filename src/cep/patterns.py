@@ -24,8 +24,6 @@ from . import predicates as P
 from .events import EventType
 
 KEYWORDS = {"pattern", "seq", "and", "or", "not", "where", "within"}
-AGG_FNS = {"avg", "sum", "min", "max", "count"}
-CMP_OPS = ("<", ">", "<=", ">=", "=", "!=")
 UNITS_MS = {"msec": 1, "sec": 1000, "min": 60_000, "hour": 3_600_000}
 STRATEGY = "skip_till_any_match"
 
@@ -228,6 +226,15 @@ class _Parser:
     def error(self, msg: str, tok: Optional[tuple] = None):
         raise _error_at(self.text, (tok or self.tokens[self.i])[2], msg)
 
+    def checked(self, tok: tuple, node, check, *args):
+        """``node``, once ``check(node, *args)`` passes; its PatternError
+        is raised as a ParseError at ``tok``."""
+        try:
+            check(node, *args)
+        except PatternError as exc:
+            raise _error_at(self.text, tok[2], str(exc)) from None
+        return node
+
     def expect_op(self, text: str) -> None:
         got = self.tokens[self.i][1]
         if got != text:
@@ -285,70 +292,49 @@ class _Parser:
         scaled = value * UNITS_MS[name]
         if scaled == math.inf:
             self.error("the window is too large", t)
-        ms = int(round(scaled))
-        if ms <= 0:
-            self.error("window must be positive", t)
+        ms = self.checked(t, int(round(scaled)), _check_window)
         kind, text, _ = self.peek()
         if kind != "eof":
             self.error(f"trailing input {text!r}")
         return ms
 
-    def elem(self) -> AstNode:
+    def elem(self, parent_op: str = "") -> AstNode:
         t = self.peek()
         if t[0] == "ident" and t[1].lower() in ("seq", "and", "or"):
             op = self.next()[1].lower()
             self.expect_op("(")
-            children = [self.elem_or_item(op)]
+            children = [self.elem(op)]
             while self.peek()[1] == ",":
                 self.next()
-                children.append(self.elem_or_item(op))
+                children.append(self.elem(op))
             self.expect_op(")")
-            if op == "or" and len(children) < 2:
-                self.error("OR needs at least two alternatives", t)
-            return OpNode(op, tuple(children))
-        return self.item()
+            return self.checked(t, OpNode(op, tuple(children)), _check_item)
+        return self.item(parent_op)
 
-    def elem_or_item(self, parent_op: str) -> AstNode:
-        t = self.peek()
-        if self.at_keyword("not"):
-            if parent_op == "or":
-                # Spec'd restriction: a negation must sit directly under a
-                # SEQ or AND so its temporal scope is well defined.
-                self.error("NOT is only supported directly under SEQ or AND", t)
-            return self.item()
-        return self.elem()
-
-    def item(self) -> AstNode:
+    def item(self, parent_op: str = "") -> AstNode:
         t = self.peek()
         if self.at_keyword("not"):
             self.next()
             self.expect_op("(")
-            inner = self.item()
-            if not isinstance(inner, Leaf):
-                self.error("NOT applies to a single typed event", t)
+            node = self.checked(t, NotItem(self.item()), _check_item,
+                                parent_op)
             self.expect_op(")")
-            return NotItem(inner)
+            return node
         etype = self.ident("an event type")
         nxt = self.peek()
-        if nxt[1] == "+":  # Kleene closure: TYPE+ role[]
-            self.next()
-            role = self.ident("a role name")
-            self.expect_op("[")
-            self.expect_op("]")
-            return Kleene(Leaf(etype, role))
+        if nxt[1] not in ("+", "{"):
+            return Leaf(etype, self.ident("a role name"))
+        self.next()
+        lo, hi = 1, None  # Kleene closure: TYPE+ role[]
         if nxt[1] == "{":  # bounded repetition: TYPE{l,m} role[]
-            self.next()
             lo = self.number("lower repetition bound", integer=True)
             self.expect_op(",")
             hi = self.number("upper repetition bound", integer=True)
             self.expect_op("}")
-            role = self.ident("a role name")
-            self.expect_op("[")
-            self.expect_op("]")
-            if not (1 <= lo <= hi):
-                self.error(f"invalid repetition bounds {{{lo},{hi}}}", nxt)
-            return Kleene(Leaf(etype, role), lo, hi)
-        return Leaf(etype, self.ident("a role name"))
+        role = self.ident("a role name")
+        self.expect_op("[")
+        self.expect_op("]")
+        return self.checked(nxt, Kleene(Leaf(etype, role), lo, hi), _check_item)
 
     def number(self, what: str, integer: bool = False):
         """The number that the ``num`` token at the cursor names: an int
@@ -407,7 +393,7 @@ class _Parser:
         left = self.add_expr()
         op_tok = self.peek()
         op = op_tok[1]
-        if op in CMP_OPS:
+        if op in P.CMP_OPS:
             self.next()
             return P.Cmp(op, left, self.add_expr())
         self.error("expected a comparison", op_tok)
@@ -447,7 +433,7 @@ class _Parser:
             return P.Literal(self.number("literal"))
         if kind == "ident":
             low = text.lower()
-            if low in AGG_FNS and self.tokens[self.i + 1][1] == "(":
+            if low in P.AGG_FNS and self.tokens[self.i + 1][1] == "(":
                 self.i += 2
                 ref = self.attr_ref()
                 if ref.index is None:
@@ -460,9 +446,7 @@ class _Parser:
                 self.expect_op(",")
                 right = self.attr_ref()
                 self.expect_op(")")
-                if left.index is not None or right.index is not None:
-                    self.error("corr() takes plain role.attr references", t)
-                return P.Corr(left, right)
+                return self.checked(t, P.Corr(left, right), _check_value)
             return self.attr_ref()
         self.error(f"expected a value, got {text!r}")
 
@@ -471,17 +455,14 @@ class _Parser:
         index = None
         if self.peek()[1] == "[":
             self.next()
-            idx = self.peek()
-            if self.ident("an iteration index") != "i":
-                self.error("iteration index must be 'i' or 'i-1'", idx)
-            index = "i"
-            if self.peek()[1] == "-":
+            idx = self.peek()  # the token an index error names
+            index = self.ident("an iteration index")
+            if index == "i" and self.peek()[1] == "-":
                 self.next()
-                one = self.peek()
-                if one[0] != "num" or one[1] != "1":
-                    self.error("iteration index must be 'i' or 'i-1'", one)
-                self.next()
-                index = "i-1"
+                idx = self.next()
+                index += "-" + idx[1]
+            # Checked before the tokens after it: the attribute is unread.
+            self.checked(idx, P.AttrRef(role, "", index), _check_ref)
             self.expect_op("]")
         self.expect_op(".")
         return P.AttrRef(role, self.ident("an attribute name"), index)
@@ -492,19 +473,27 @@ class _Parser:
 
 
 def _iter_items(node: AstNode, parent_op: str = ""):
-    """The items under ``node`` in declaration order. A node that the
-    parser never builds raises a PatternError, with the parser's message
-    where the parser has one."""
+    """The items under ``node`` in declaration order; checks each node."""
+    _check_item(node, parent_op)
+    if isinstance(node, OpNode):
+        for c in node.children:
+            yield from _iter_items(c, node.op)
+    else:
+        yield node
+
+
+def _check_item(node: AstNode, parent_op: str = "") -> None:
+    """A PatternError unless ``node``, its children aside, is a pattern
+    node that may sit under the operator ``parent_op``."""
     if isinstance(node, OpNode):
         if node.op not in ("seq", "and", "or"):
             raise PatternError(f"unknown operator {node.op!r}")
         if node.op == "or" and len(node.children) < 2:
             raise PatternError("OR needs at least two alternatives")
-        for c in node.children:
-            yield from _iter_items(c, node.op)
-        return
-    if isinstance(node, NotItem):
+    elif isinstance(node, NotItem):
         if parent_op == "or":
+            # A negation sits directly under a SEQ or an AND, so that its
+            # temporal scope is well defined.
             raise PatternError("NOT is only supported directly under SEQ or AND")
         if not isinstance(node.leaf, Leaf):
             raise PatternError("NOT applies to a single typed event")
@@ -516,7 +505,6 @@ def _iter_items(node: AstNode, parent_op: str = ""):
             raise PatternError(f"invalid repetition bounds {{{lo},{hi}}}")
     elif not isinstance(node, Leaf):
         raise PatternError(f"not a pattern node: {node!r}")
-    yield node
 
 
 def _role_type(item) -> tuple:
@@ -524,9 +512,13 @@ def _role_type(item) -> tuple:
     return leaf.role, leaf.etype
 
 
-def _validate_ast(ast: PatternAst) -> None:
-    if not ast.window >= 1:
+def _check_window(window) -> None:
+    if not window >= 1:
         raise PatternError("window must be positive")
+
+
+def _validate_ast(ast: PatternAst) -> None:
+    _check_window(ast.window)
     role_types: dict = {}
     iter_roles = set()
     neg_roles = set()
@@ -584,10 +576,9 @@ def _validate_ast(ast: PatternAst) -> None:
 
 def _check_bool(expr) -> None:
     """A PatternError unless ``expr`` is a boolean node of the WHERE
-    grammar over grammatical children, with the parser's messages where the
-    parser has them."""
+    grammar over grammatical children."""
     if isinstance(expr, P.Cmp):
-        if expr.op not in CMP_OPS:
+        if expr.op not in P.CMP_OPS:
             raise PatternError(f"unknown comparison {expr.op!r}")
         _check_value(expr.left)
         _check_value(expr.right)
@@ -613,7 +604,7 @@ def _check_value(expr) -> None:
                 or not math.isfinite(v)):
             raise PatternError(f"a literal must be a finite number, got {v!r}")
     elif isinstance(expr, P.Agg):
-        if expr.fn not in AGG_FNS:
+        if expr.fn not in P.AGG_FNS:
             raise PatternError(f"unknown aggregate {expr.fn!r}")
         _check_ref(expr.ref)
     elif isinstance(expr, P.Corr):
@@ -622,7 +613,7 @@ def _check_value(expr) -> None:
         if expr.left.index is not None or expr.right.index is not None:
             raise PatternError("corr() takes plain role.attr references")
     elif isinstance(expr, P.Arith):
-        if expr.op not in ("+", "-", "*", "/"):
+        if expr.op not in P.ARITH_OPS:
             raise PatternError(f"unknown arithmetic operator {expr.op!r}")
         _check_value(expr.left)
         _check_value(expr.right)

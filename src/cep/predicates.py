@@ -291,9 +291,9 @@ def eval_atoms(atoms: Sequence[Atom], binding: Binding, counter=None) -> bool:
 
 # Each node below compiles into ``f(binding, i)``, where ``i`` is the member
 # index of a quantified atom and None otherwise. ``quantified`` tells the
-# references which of the two they are compiled for. Building a PatternAst
-# checks every node against the grammar (:mod:`cep.patterns`), so each
-# node, operator and function name here is a known one.
+# references which of the two they are compiled for. The grammar checks of
+# :mod:`cep.patterns`, which the parser and PatternAst both run, admit only
+# known nodes and the names in CMP_OPS, AGG_FNS and ARITH_OPS below.
 
 
 def _bool(expr: BoolExpr, quantified: bool):
@@ -347,6 +347,7 @@ def _cmp(expr: Cmp, quantified: bool):
 
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 _TESTS = dict(_ORDERING, **{"=": operator.eq, "!=": operator.ne})
+CMP_OPS = frozenset(_TESTS)  # the comparisons of the WHERE grammar
 
 
 def _corr_threshold(expr: Cmp):
@@ -423,6 +424,7 @@ def _event(binding: Binding, ref: AttrRef, i: Optional[int]) -> Event:
 
 _REDUCERS = {"avg": lambda vals: sum(vals) / len(vals), "sum": sum,
              "min": min, "max": max}
+AGG_FNS = frozenset(_REDUCERS) | {"count"}  # the aggregates of the grammar
 
 
 def _agg(expr: Agg):
@@ -477,6 +479,7 @@ def _corr(expr: Corr, op: Optional[str], k, quantified: bool):
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}
+ARITH_OPS = frozenset(_ARITH)  # the arithmetic operators of the grammar
 
 
 def _arith(expr: Arith, quantified: bool):

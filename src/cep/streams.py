@@ -65,6 +65,8 @@ class StreamSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "rates", read_rates(self.rates))
+        if not self.rates:
+            raise ValueError("rates must name at least one event type")
         for name, least in (("count", 0), ("seed", -math.inf),
                             ("history_len", 1), ("stocks_per_type", 1)):
             value = getattr(self, name)
@@ -101,13 +103,23 @@ class _TypeSource:
         # Pre-roll the walk so the first event already has a full history.
         self.prices = [spec.price_start]
         for _ in range(spec.history_len - 1):
-            self.prices.append(self.prices[-1]
-                               + self.rng.gauss(0.0, spec.price_step_std))
+            self.walk()
+
+    def walk(self) -> None:
+        price = self.prices[-1] + self.rng.gauss(0.0, self.spec.price_step_std)
+        if not math.isfinite(price):  # a CSV file holds finite prices only
+            raise ValueError(f"the price walk of type {self.etype!r} left the "
+                             f"finite numbers; price_step_std "
+                             f"{self.spec.price_step_std!r} is too large")
+        self.prices.append(price)
 
     def next_event(self) -> tuple:
         self.clock += self.rng.expovariate(self.rate) * 1000.0
-        self.prices.append(self.prices[-1]
-                           + self.rng.gauss(0.0, self.spec.price_step_std))
+        if self.clock == math.inf:
+            raise ValueError(f"the arrival time of type {self.etype!r} "
+                             f"overflowed; its rate {self.rate!r} is too "
+                             "small")
+        self.walk()
         history = tuple(self.prices[-self.spec.history_len:])
         stock = f"{self.etype}{self.counter % self.spec.stocks_per_type}"
         self.counter += 1
@@ -121,7 +133,8 @@ class _TypeSource:
 
 
 def generate_stream(spec: StreamSpec) -> list:
-    """Merge per-type arrival processes into one ordered stream."""
+    """Merge per-type arrival processes into one ordered stream; a
+    ValueError when an arrival time or a price leaves the finite numbers."""
     sources = {t: _TypeSource(t, r, spec) for t, r in sorted(spec.rates.items())}
     heap = []
     for t, src in sources.items():

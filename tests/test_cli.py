@@ -210,6 +210,27 @@ def test_bad_stream_spec_is_gen_exit_2_and_run_exit_3(files, capsys, field,
     assert f"{field} must be at least {least}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"rates": {}, "count": 5}, "rates must name at least one event type"),
+    ({"rates": {"A": 1e-308}, "count": 3},
+     "the arrival time of type 'A' overflowed"),
+    ({"rates": {"A": 1e308}, "count": 3, "price_step_std": 1e308},
+     "the price walk of type 'A' left the finite numbers"),
+], ids=["no-rates", "tiny-rate", "huge-price-step"])
+def test_spec_without_a_finite_stream_is_gen_exit_2_and_run_exit_3(
+        files, capsys, spec, message):
+    tmp, pattern, _, rates = files
+    bad = tmp / "bad_spec.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp / "s.csv"
+    assert main(["gen", "--spec", str(bad), "--out", str(out)]) == 2
+    _one_error_line(capsys, f"gen error: {message}")
+    assert not out.exists()
+    assert main(["run", "--pattern", str(pattern), "--generate", str(bad),
+                 "--mode", "lazy", "--rates", str(rates)]) == 3
+    _one_error_line(capsys, f"stream error: {message}")
+
+
 @pytest.mark.parametrize("mode", ["eager", "lazy", "lazy-fc", "multi"])
 @pytest.mark.parametrize("where", ["1 > 2", "not (1 > 2)"])
 def test_atom_naming_no_event_is_exit_2(files, capsys, mode, where):

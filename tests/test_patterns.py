@@ -239,6 +239,44 @@ class TestParse:
             PatternAst(root=root, where=where, window=1000)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, error, root, where, window", [
+        ("OR(A a) WITHIN 1 msec", "1:9: OR needs at least two alternatives",
+         OpNode("or", (Leaf("A", "a"),)), None, 1),
+        ("OR(NOT(B b), A a) WITHIN 1 msec",
+         "1:12: NOT is only supported directly under SEQ or AND",
+         OpNode("or", (NotItem(Leaf("B", "b")), Leaf("A", "a"))), None, 1),
+        ("SEQ(A a, NOT(B+ b[])) WITHIN 1 msec",
+         "1:18: NOT applies to a single typed event",
+         OpNode("seq", (Leaf("A", "a"), NotItem(Kleene(Leaf("B", "b"))))),
+         None, 1),
+        ("SEQ(A a, B{3,1} b[]) WITHIN 1 msec",
+         "1:19: invalid repetition bounds {3,1}",
+         OpNode("seq", (Leaf("A", "a"), Kleene(Leaf("B", "b"), 3, 1))), None,
+         1),
+        ("SEQ(A a) WITHIN 0 msec", "1:25: window must be positive",
+         OpNode("seq", (Leaf("A", "a"),)), None, 0),
+        ("SEQ(A a, B+ b[]) WHERE skip_till_any_match "
+         "{ corr(b[i].h, a.h) > 0.5 } WITHIN 1 msec",
+         "1:54: corr() takes plain role.attr references", _A_B_ITER,
+         Cmp(">", Corr(AttrRef("b", "h", "i"), AttrRef("a", "h")),
+             Literal(0.5)), 1),
+        ("SEQ(A a, B+ b[]) WHERE skip_till_any_match { b[i-2].x > 1 } "
+         "WITHIN 1 msec", "1:58: iteration index must be 'i' or 'i-1'",
+         _A_B_ITER, Cmp(">", AttrRef("b", "x", "i-2"), Literal(1.0)), 1),
+    ], ids=["or-alternatives", "not-under-or", "not-of-one-event",
+            "repetition-bounds", "window", "corr-references",
+            "iteration-index"])
+    def test_each_grammar_rule_gives_one_message_from_text_and_from_an_ast(
+            self, text, error, root, where, window):
+        # The parser names the rule's token; a hand-built AST of the same
+        # pattern raises the same message.
+        with pytest.raises(ParseError) as parsed:
+            parse_pattern(f"PATTERN {text}")
+        assert str(parsed.value) == error
+        with pytest.raises(PatternError) as built:
+            PatternAst(root=root, where=where, window=window)
+        assert f"{parsed.value.line}:{parsed.value.col}: {built.value}" == error
+
     @pytest.mark.parametrize("window", [0, 0.5, -1000])
     def test_hand_built_window_is_validated(self, window):
         with pytest.raises(PatternError, match="^window must be positive$"):

@@ -121,9 +121,10 @@ def test_csv_rejects_non_finite_numbers(field, value):
     ("rates", {"A": True}, "rate for 'A' must be a finite number above 0"),
     ("rates", {"A": 10**400}, "rate for 'A' must be a finite number above 0"),
     ("rates", [1.0], "rates must be a JSON object"),
+    ("rates", {}, "rates must name at least one event type"),
 ], ids=["fractional-count", "float-count", "boolean-seed", "null-history",
         "nan-price", "infinite-step", "boolean-price", "huge-price",
-        "boolean-rate", "huge-rate", "list-of-rates"])
+        "boolean-rate", "huge-rate", "list-of-rates", "no-rates"])
 def test_spec_fields_are_checked_however_the_spec_is_built(field, value,
                                                            message):
     fields = {"rates": {"A": 1.0}, "count": 10, field: value}
@@ -133,6 +134,21 @@ def test_spec_fields_are_checked_however_the_spec_is_built(field, value,
     with pytest.raises(ValueError) as again:
         StreamSpec.from_json(json.dumps(fields))
     assert str(again.value) == str(err.value)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"rates": {"A": 1e-308}, "count": 3},
+     "the arrival time of type 'A' overflowed; its rate 1e-308 is too small"),
+    ({"rates": {"A": 1e308}, "count": 3, "price_step_std": 1e308},
+     "the price walk of type 'A' left the finite numbers; "
+     "price_step_std 1e+308 is too large"),
+], ids=["tiny-rate", "huge-price-step"])
+def test_a_spec_that_makes_no_finite_stream_is_refused(fields, message):
+    # An arrival clock of inf used to end in a traceback, and a price walk
+    # in prices of -inf, which read_csv refuses.
+    with pytest.raises(ValueError) as err:
+        generate_stream(StreamSpec.from_json(json.dumps(fields)))
+    assert str(err.value) == message
 
 
 def test_spec_prices_are_floats():
