@@ -7,8 +7,11 @@ first member by the take that binds the role, the others by a self-loop.
 Negated roles are verified as a post-processing step once all positives
 are bound: the full roleset hands the instance to the same one-state
 negative tail that the lazy post-processing chain ends in, which sits
-between the lattice and F. Takes bind arrivals only and never search the
-buffer, so it stores only the negated types that the tail checks.
+between the lattice and F. The full roleset is F itself only when no work
+is left there; with an iterated role (its gates and growth) or a tail it
+is a state of its own, and F stays a sink that its completion emits into.
+Takes bind arrivals only and never search the buffer, so it stores only
+the negated types that the tail checks.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
     subsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
     sid_of = {s: i for i, s in enumerate(subsets)}
     full = frozenset(roles)
-    # Without a negative tail the full roleset, the last subset, is F.
+    # The full roleset, the last subset, is F unless work is left there:
+    # an iterated role's gates and growth, or a negative tail.
     tail_states, tail = N.negative_tail(chain, chain.negations)
+    work = it is not None or bool(tail)
     states = ["{" + ",".join(sorted(s)) + "}" if s else "q0"
               for s in subsets]
-    if tail:
+    if work:
         states += [*tail_states, "F"]
     else:
         states[-1] = "F"
@@ -73,11 +78,13 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
             edges.append(N.Take(sid, sid, types[it.role], it.role,
                                 iterate=iterate, append=True))
 
-    # Completion on the full roleset hands off to the tail (Completion).
+    # Completion on the full roleset gates, then emits or hands off to the
+    # tail (Completion).
     gates = (it.role, it.lo, iter_atoms) if it is not None else None
     branch = N.Branch(chain=chain, tail=tail,
                       tail_state=len(subsets) if tail else None,
-                      complete_state=sid_of[full], eager_gates=gates)
+                      complete_state=sid_of[full] if work else None,
+                      eager_gates=gates)
     return N.ChainParts(states=tuple(states), edges=tuple(edges),
                         window=chain.window, branch=branch)
 

@@ -5,7 +5,8 @@ Build variants: plain chains (sequences, conjunctions, partial sequences),
 post-processing negation (one tail state between the chain and F, which
 checks the negated types in descending frequency order), first-chance
 negation (reject checks at the earliest state where a negated event's
-dependencies are bound), and iteration (iterated type forced to the end of
+dependencies are bound; a check that needs the whole match runs in the
+same one-state tail), and iteration (iterated type forced to the end of
 the frequency order). Disjunctions merge the chains' parts with
 :func:`cep.nfa.build_multi_chain`.
 """
@@ -68,7 +69,8 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     ``negation`` picks how negated events are checked: ``"pp"`` in a
     post-processing tail ordered by ``neg_freq`` (descending frequency;
     pattern order when omitted), ``"fc"`` at the earliest state where each
-    negation's dependencies are bound.
+    negation's dependencies are bound: the tail, in pattern order, for a
+    check whose dependencies the last take binds.
     """
     _check_freq(chain, freq)
     freq = list(freq)
@@ -81,20 +83,27 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
     role_of_type = {t: r for r, t in chain.positives}
     bind_order = [role_of_type[t] for t in freq]
     n = len(freq)
-    fc = bool(chain.negations) and negation == "fc"
     negs = list(chain.negations)
-    if fc:
+    fc_checks: dict = {}
+    if negs and negation == "fc":
         _check_fc_applicable(chain)
         negs = []
-
-    if negs and neg_freq is not None:
+        for spec in chain.negations:
+            chk = N.neg_check(chain, spec)
+            sid = _dep_state(chk, bind_order)
+            if sid == n:
+                negs.append(spec)  # it needs the whole match: a tail check
+            else:
+                fc_checks.setdefault(sid, []).append(chk)
+        fc_checks = {sid: tuple(v) for sid, v in fc_checks.items()}
+    elif negs and neg_freq is not None:
         if sorted(neg_freq) != sorted(s.etype for s in negs):
             raise N.BuildError("negative order must cover the negated types")
         by_type = {s.etype: s for s in negs}
         negs = [by_type[t] for t in neg_freq]
 
     # The last take enters the state after the chain: the negative tail's
-    # one state, which checks every negated type, or else F.
+    # one state, which runs the checks left for it, or else F.
     tail_states, tail = N.negative_tail(chain, negs)
     states = (*(f"q{i + 1}" for i in range(n)), *tail_states, "F")
     edges = []
@@ -114,13 +123,6 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
             edges.append(N.Take(i, i + 1, etype, role, cond, prec, succ,
                                 search=True))
 
-    fc_checks: dict = {}
-    if fc:
-        for spec in chain.negations:
-            chk = N.neg_check(chain, spec)
-            fc_checks.setdefault(_dep_state(chk, bind_order), []).append(chk)
-        fc_checks = {sid: tuple(v) for sid, v in fc_checks.items()}
-
     branch = N.Branch(chain=chain, tail=tail, tail_state=n if tail else None,
                       fc_checks=fc_checks)
     return N.ChainParts(states=states, edges=tuple(edges),
@@ -138,8 +140,8 @@ def _check_fc_applicable(chain: ChainPattern) -> None:
 
 def _dep_state(chk, bind_order: Sequence[str]) -> int:
     """The state at whose entry a first-chance check can run: the one after
-    the last of its nearest neighbours and its condition's roles is bound,
-    F after the last of them."""
+    the last of its nearest neighbours and its condition's roles is bound.
+    After the last take that is the state before F, the chain's tail."""
     dep = chk.prec_roles.union(chk.succ_roles,
                                *(a.roles - {chk.role} for a in chk.cond))
     return 1 + next(i for i, r in enumerate(bind_order)

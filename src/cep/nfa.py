@@ -3,22 +3,26 @@
 An :class:`Nfa` is the immutable compilation artifact: named states, one
 :class:`Take` record per take or iterate edge, and one :class:`Branch` per
 chain. By position, state 0 is the seed's and the last state is F, the
-accepting state. Each builder lays out one chain as :class:`ChainParts`:
-its states, its takes, stated as the runtime executes them (ordering
-filters, whether a take searches the buffer, iteration bounds, the eager
-lattice's flags), and its branch (negative tail, first-chance checks, eager
-completion). A chain's negative tail is one state, which runs all of its
-checks as one unit. One chain's parts become an automaton as they are;
-:func:`build_multi_chain` merges several into one that shares the seed's
-state and F. Constructing an automaton compiles it, once, into the
-executable plan: one :class:`StatePlan` per state, which indexes the state's
-takes by how they act (on an arrival or on entry) and marks the takes that
-emit their match, a :class:`NegPlan` on each tail state, the states each
-arriving type acts on, the states that settle, the sort key of the matches
-one step emits (none where the plan emits them in order) and the types the
-shared buffer stores: those that some search in the plan reads. It then
-validates the automaton from those tables. Every ``Runtime`` (in
-:mod:`cep.runtime`) shares the plan and compiles nothing.
+accepting state. Each builder lays out one chain as :class:`ChainParts`: its
+states, its takes, stated as the runtime executes them (ordering filters,
+whether a take searches the buffer, iteration bounds, the eager lattice's
+flags), and its branch (negative tail, first-chance checks, eager
+completion). F is a sink that no instance enters: every take into F emits
+its match. Whatever must still run once the last positive role is bound runs
+in a state of its own before F: the chain's negative tail, one state that
+runs all of its checks as one unit, or an eager lattice's full roleset,
+whose completion gates, grows and hands on. One chain's parts become an
+automaton as they are; :func:`build_multi_chain` merges several into one
+that shares the seed's state and F. Constructing an automaton compiles it,
+once, into the executable plan: one :class:`StatePlan` per state, which
+indexes the state's takes by how they act (on an arrival or on entry) and
+marks the takes into F, which emit, a :class:`NegPlan` on each tail state,
+the states each arriving type acts on, the states that settle, the sort key
+of the matches one step emits (none where the plan emits them in order) and
+the types the shared buffer stores: those that some search in the plan
+reads. The automaton is validated from its state plans, before the other
+tables are derived from them. Every ``Runtime`` (in :mod:`cep.runtime`)
+shares the plan and compiles nothing.
 """
 
 from __future__ import annotations
@@ -66,9 +70,8 @@ class Take:
     # (to none on the take that binds the role).
     append: bool = False
     req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
-    # Set by the plan only: the destination is a settling F whose
-    # completion for this branch is BARE, so the spawned instance would
-    # only emit its match and retire.
+    # Set by the plan only: the take enters F, so it emits its match and
+    # builds no instance.
     emits: bool = False
 
 
@@ -77,13 +80,15 @@ class Branch:
     """Per-chain metadata: the source chain and its completion pipeline."""
 
     chain: ChainPattern
-    # Post-processing negative tail: its checks in check order, run as one
-    # unit at the tail's one state, ``tail_state``.
+    # Negative tail: its checks in check order (post-processing, or the
+    # first-chance checks that need the whole match), run as one unit at
+    # the tail's one state, ``tail_state``.
     tail: tuple = ()
     tail_state: Optional[int] = None
     # First-chance checks keyed by the state at whose entry they run.
     fc_checks: dict = field(default_factory=dict)
-    # State at which all positive roles are bound (eager lattice only).
+    # The eager lattice's full roleset, when work is left there (gates,
+    # growth or a tail); otherwise the full roleset is F.
     complete_state: Optional[int] = None
     # Gates applied at completion (eager): (iterated role, lo, its atoms).
     eager_gates: Optional[tuple] = None
@@ -91,23 +96,16 @@ class Branch:
 
 @dataclass(frozen=True)
 class Completion:
-    """What one branch does once every positive role is bound.
-
-    At F and on an eager lattice's full roleset: run the absence ``checks``
-    on the buffer, apply the eager ``gate``, then emit the match (F) or hand
-    the instance to the negative tail at ``tail_start``. A branch that
-    may ``grow`` (it has an append take out of this state) keeps the
-    instance live and hands on a copy instead.
+    """What an eager lattice's full roleset does once every positive role
+    is bound: apply the ``gate``, then emit the match or hand the instance
+    to the negative tail at ``tail_start``. An instance that may ``grow``
+    (an append take leaves this state) stays live and hands on a copy
+    instead.
     """
 
-    checks: tuple  # first-chance checks that run at F
-    gate: Optional[tuple]  # (iterated role, lo, its atoms); eager only
+    gate: Optional[tuple]  # (iterated role, lo, its atoms)
     grow: bool
-    tail_start: Optional[int]  # None at F
-
-
-# A completion that checks, gates and grows nothing and has no tail.
-BARE = Completion(checks=(), gate=None, grow=False, tail_start=None)
+    tail_start: Optional[int]  # None: emit
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ class StatePlan:
     entry_takes: tuple
     stream_takes: dict  # etype -> tuple[Take]
     fc_checks: tuple
-    complete: dict  # branch -> Completion
+    complete: Optional[Completion]  # set on an eager full roleset only
     neg: Optional[NegPlan]  # set on exactly the tail states
 
 
@@ -151,6 +149,7 @@ class Nfa:
     def __post_init__(self):
         plans = _compile_plans(self)
         object.__setattr__(self, "plans", plans)
+        validate_nfa(self)
         object.__setattr__(self, "storable", _searched_types(plans))
         # Which states care about which arriving types.
         interest = defaultdict(set)
@@ -162,11 +161,11 @@ class Nfa:
                     interest[t].add(sid)
         object.__setattr__(self, "type_interest",
                            {t: tuple(sorted(s)) for t, s in interest.items()})
-        object.__setattr__(self, "settling", tuple(map(_settles, plans)))
+        object.__setattr__(self, "settling",
+                           tuple(_settles(plan, plans) for plan in plans))
         object.__setattr__(self, "drain_key",
                            None if _emits_in_order(self)
                            else _drain_key(self.branches))
-        validate_nfa(self)
 
     @property
     def accepting(self) -> int:
@@ -241,7 +240,9 @@ def neg_check(chain: ChainPattern, spec: NegSpec) -> NegSpec:
 
 
 def negative_tail(chain: ChainPattern, negs) -> tuple:
-    """The post-processing tail over ``chain``'s ``negs``, in check order.
+    """The negative tail over ``chain``'s ``negs``, in check order: its
+    post-processing checks, or the first-chance ones that need the whole
+    match.
 
     Returns the tail's states, none without ``negs`` and else one, named
     for the negated types, and the checks of :attr:`Branch.tail`, each made
@@ -255,29 +256,31 @@ def negative_tail(chain: ChainPattern, negs) -> tuple:
     return (name,), tuple(neg_check(chain, spec) for spec in negs)
 
 
-def _settles(plan: StatePlan) -> bool:
+def _settles(plan: StatePlan, plans: tuple) -> bool:
     """Whether ``plan``'s state settles: no arrival can act on an instance
     there once its entry has returned, so the instance is never registered
-    and is retired as soon as its entry returns. A state settles when it
-    takes nothing from the stream and no completion hands the instance to
-    a tail, where it may wait. Tail states never settle: their timeout
-    emits."""
-    return (plan.neg is None and not plan.stream_takes
-            and all(c.tail_start is None for c in plan.complete.values()))
+    and is retired as soon as its entry returns. A tail state settles when
+    its instances never wait there (``NegPlan.wait`` is None); any other
+    state when it takes nothing from the stream and its completion, if any,
+    emits or hands the instance to a tail that settles."""
+    if plan.neg is not None:
+        return plan.neg.wait is None
+    c = plan.complete
+    return not plan.stream_takes and (
+        c is None or c.tail_start is None
+        or plans[c.tail_start].neg.wait is None)
 
 
 def _searched_types(plans: tuple) -> frozenset:
     """The types that some search in ``plans`` reads: entry takes, Kleene
-    pools read on arrival, and every absence check (first-chance,
-    completion and negative-tail)."""
+    pools read on arrival, and every absence check (first-chance and
+    negative-tail)."""
     types = set()
     for plan in plans:
         types.update(tp.etype for tp in plan.entry_takes)
         types.update(tp.etype for tps in plan.stream_takes.values()
                      for tp in tps if tp.iterate and not tp.append)
         types.update(chk.etype for chk in plan.fc_checks)
-        for c in plan.complete.values():
-            types.update(chk.etype for chk in c.checks)
         if plan.neg is not None:
             types.update(chk.etype for chk in plan.neg.checks)
     return frozenset(types)
@@ -286,8 +289,9 @@ def _searched_types(plans: tuple) -> frozenset:
 def _compile_plans(nfa: Nfa) -> tuple:
     takes_by_src: dict = defaultdict(list)
     for tp in nfa.edges:
+        if tp.dst == nfa.accepting:
+            tp = replace(tp, emits=True)
         takes_by_src[tp.src].append(tp)
-    accepting = nfa.accepting
     # One plan per negative tail, on its state. ``neg_check`` never empties
     # a non-empty neighbour set, so a check waits exactly when its own
     # ``succ_roles`` is empty.
@@ -301,13 +305,13 @@ def _compile_plans(nfa: Nfa) -> tuple:
             neg_plans[b.tail_state] = NegPlan(
                 checks=b.tail, wait=b.tail_state if kill else None,
                 kill_map={t: tuple(v) for t, v in kill.items()})
+    full = {b.complete_state: b for b in nfa.branches
+            if b.complete_state is not None}
 
-    def compile_state(sid: int, emitting) -> StatePlan:
+    plans = []
+    for sid in range(len(nfa.states)):
         entry, stream = [], defaultdict(list)
-
         for tp in takes_by_src.get(sid, ()):
-            if tp.dst == accepting and tp.branch in emitting:
-                tp = replace(tp, emits=True)
             # An arrival is newer than every bound event, so only a take
             # with no bound successor can take it.
             if not tp.succ_roles:
@@ -315,44 +319,22 @@ def _compile_plans(nfa: Nfa) -> tuple:
             # The seed is never entered.
             if tp.search and sid != 0:
                 entry.append(tp)
-
-        # A completed instance may still grow exactly when its branch has
-        # an append take out of this state.
-        grow = {tp.branch for tps in stream.values() for tp in tps
-                if tp.append}
-        # Every branch completes at F; an eager branch with a negative tail
-        # completes on its full roleset and hands off to the tail.
-        complete = {}
-        at_f = sid == accepting
-        for bi, branch in enumerate(nfa.branches):
-            full = branch.complete_state == sid
-            if at_f or full:
-                complete[bi] = Completion(
-                    checks=(tuple(branch.fc_checks.get(sid, ()))
-                            if at_f else ()),
-                    gate=branch.eager_gates if full else None,
-                    grow=bi in grow,
-                    tail_start=None if at_f else branch.tail_state)
-        # First-chance checks keyed by F run at completion instead; any
-        # other state belongs to one branch.
-        fc = () if at_f else tuple(chk for branch in nfa.branches
-                                   for chk in branch.fc_checks.get(sid, ()))
-
-        return StatePlan(
+        branch = full.get(sid)
+        complete = None if branch is None else Completion(
+            gate=branch.eager_gates,
+            # A completed instance may still grow exactly when an append
+            # take leaves its state.
+            grow=any(tp.append for tps in stream.values() for tp in tps),
+            tail_start=branch.tail_state)
+        plans.append(StatePlan(
             entry_takes=tuple(entry),
             stream_takes={t: tuple(v) for t, v in stream.items()},
-            fc_checks=fc,
+            fc_checks=tuple(chk for b in nfa.branches
+                            for chk in b.fc_checks.get(sid, ())),
             complete=complete,
             neg=neg_plans.get(sid),
-        )
-
-    # F comes first: a take into it emits the match itself when F settles
-    # and the take's branch completes there BARE.
-    f = compile_state(accepting, emitting=())
-    emitting = ({bi for bi, c in f.complete.items() if c == BARE}
-                if _settles(f) else ())
-    return tuple(f if sid == accepting else compile_state(sid, emitting)
-                 for sid in range(len(nfa.states)))
+        ))
+    return tuple(plans)
 
 
 def detection_order(m) -> tuple:
@@ -399,7 +381,7 @@ def _emits_in_order(nfa: Nfa) -> bool:
     :func:`detection_order`, so that no sort is needed.
 
     It holds for one branch with no tail state, no first-chance check and
-    only BARE completions, whose one stream take is a plain take of the
+    no eager completion, whose one stream take is a plain take of the
     seed's state, where each state has at most one entry take, and whose
     entry takes, followed from that take's destination, bind roles in
     ascending role-name order. Then only the seed acts on an arrival: the
@@ -412,8 +394,8 @@ def _emits_in_order(nfa: Nfa) -> bool:
     if len(nfa.branches) != 1:
         return False
     for plan in plans:
-        if (plan.neg is not None or plan.fc_checks or len(plan.entry_takes) > 1
-                or any(c != BARE for c in plan.complete.values())):
+        if (plan.neg is not None or plan.fc_checks or plan.complete
+                or len(plan.entry_takes) > 1):
             return False
     stream = [(sid, tp) for sid, plan in enumerate(plans)
               for tps in plan.stream_takes.values() for tp in tps]
@@ -435,8 +417,8 @@ def validate_nfa(nfa: Nfa) -> None:
     """Structural invariant: every state reaches F, the last state.
 
     Reachability follows what the plan executes: take destinations, F from
-    a tail state (an instance there either emits or is retired), and eager
-    completion's hand-off to the tail.
+    a tail state (an instance there either emits or is retired), and from
+    an eager completion its hand-off to the tail, or F, where it emits.
     """
     into: dict = defaultdict(set)  # state -> states that lead to it
     for sid, plan in enumerate(nfa.plans):
@@ -444,8 +426,9 @@ def validate_nfa(nfa: Nfa) -> None:
         nxt.update(tp.dst for tps in plan.stream_takes.values() for tp in tps)
         if plan.neg is not None:
             nxt.add(nfa.accepting)
-        nxt.update(c.tail_start for c in plan.complete.values()
-                   if c.tail_start is not None)
+        c = plan.complete
+        if c is not None:
+            nxt.add(nfa.accepting if c.tail_start is None else c.tail_start)
         for dst in nxt:
             into[dst].add(sid)
     seen, stack = set(), [nfa.accepting]

@@ -435,11 +435,10 @@ class _Parser:
             low = text.lower()
             if low in P.AGG_FNS and self.tokens[self.i + 1][1] == "(":
                 self.i += 2
-                ref = self.attr_ref()
-                if ref.index is None:
-                    self.error(f"{low}() requires an iterated reference like r[i].x", t)
+                node = self.checked(t, P.Agg(low, self.attr_ref()),
+                                    _check_value)
                 self.expect_op(")")
-                return P.Agg(low, ref)
+                return node
             if low == "corr" and self.tokens[self.i + 1][1] == "(":
                 self.i += 2
                 left = self.attr_ref()
@@ -541,12 +540,7 @@ def _validate_ast(ast: PatternAst) -> None:
     if ast.where is not None:
         _check_bool(ast.where)
     for atom in P.split_conjunction(ast.where):
-        refs, aggs = [], []
-        for sub in P.nodes(atom):
-            if isinstance(sub, P.AttrRef):
-                refs.append(sub)
-            elif isinstance(sub, P.Agg):
-                aggs.append(sub)
+        refs = [sub for sub in P.nodes(atom) if isinstance(sub, P.AttrRef)]
         if not refs:
             raise PatternError(f"predicate {atom.render()} names no event")
         negs_in_atom = set()
@@ -564,9 +558,6 @@ def _validate_ast(ast: PatternAst) -> None:
                 )
             if ref.role in neg_roles:
                 negs_in_atom.add(ref.role)
-        for sub in aggs:
-            if sub.ref.role not in iter_roles:
-                raise PatternError(f"{sub.render()}: aggregates require an iterated role")
         if len(negs_in_atom) > 1:
             raise PatternError(
                 f"predicate {atom.render()} links two negated events; "
@@ -607,6 +598,9 @@ def _check_value(expr) -> None:
         if expr.fn not in P.AGG_FNS:
             raise PatternError(f"unknown aggregate {expr.fn!r}")
         _check_ref(expr.ref)
+        if expr.ref.index is None:
+            raise PatternError(
+                f"{expr.fn}() requires an iterated reference like r[i].x")
     elif isinstance(expr, P.Corr):
         _check_ref(expr.left)
         _check_ref(expr.right)

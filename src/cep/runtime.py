@@ -233,7 +233,7 @@ class Runtime:
             plan = self.plans[inst.sid]
             if plan.neg is not None:
                 # All pending absence checks were already verified against
-                # the buffer at completion time and against every arrival
+                # the buffer on entry to the tail and against every arrival
                 # since; window expiry certifies the remaining ones.
                 self._emit(inst, deadline)
             else:
@@ -254,10 +254,6 @@ class Runtime:
 
     def _stream_take(self, inst: Instance, tp: N.Take, e: Event) -> None:
         if tp.append:
-            # Eager branches of a merged automaton share F and its appends;
-            # the seed, of no branch, takes every branch's first member.
-            if tp.branch != inst.branch and inst.branch is not None:
-                return
             members = inst.binding.get(tp.role, ())
             lo, hi, group = tp.iterate
             if hi is not None and len(members) >= hi:
@@ -290,7 +286,7 @@ class Runtime:
         for chk in plan.fc_checks:
             if self._fc_scan(inst, chk):
                 return
-        if plan.complete and self._complete(inst, plan.complete[inst.branch]):
+        if plan.complete is not None and self._complete(inst, plan.complete):
             return
         for tp in plan.entry_takes:
             if tp.iterate is not None:
@@ -368,10 +364,10 @@ class Runtime:
     def _emit_bare(self, inst: Instance, tp: N.Take, bounds) -> None:
         """Emit the match of every bound that an ``emits`` take found.
 
-        Each clone would only complete, bare, and retire: count it as
-        created and retired, and emit its match unless the first-chance
-        floor rules it out, without building it. No instance is registered
-        or retired in between, so the batch is counted at once.
+        The take enters F, where no instance is built: count each match's
+        instance as created and retired, and emit the match unless the
+        first-chance floor rules it out. No instance is registered or
+        retired in between, so the batch is counted at once.
 
         A take with successor roles searched every bound below a bound
         role, so every match of the batch ends at ``inst.maxkey``: the batch
@@ -413,17 +409,12 @@ class Runtime:
     # -- completion and negation ----------------------------------------------
 
     def _complete(self, inst: Instance, c: N.Completion) -> bool:
-        """Every positive role of ``inst`` is bound: check, gate, hand on.
+        """Every positive role of ``inst`` is bound on an eager full
+        roleset: gate, then emit or hand on.
 
         Returns True when ``inst`` is finished with here: retired, emitted,
         or handed to the negative tail.
         """
-        for chk in c.checks:
-            if self._neg_scan(inst, chk):
-                return True
-        if inst.maxkey[0] <= inst.floor:
-            self._retire(inst)
-            return True
         if c.gate is not None:
             role, lo, atoms = c.gate
             if len(inst.binding[role]) < lo or (
@@ -453,6 +444,11 @@ class Runtime:
         for chk in neg.checks:
             if self._neg_scan(inst, chk):
                 return
+        # A first-chance scan found a negated event that the match's window
+        # reaches back to.
+        if inst.maxkey[0] <= inst.floor:
+            self._retire(inst)
+            return
         if neg.wait is None:
             self._emit(inst, inst.maxkey[0])
         elif inst.sid != neg.wait:
@@ -471,7 +467,8 @@ class Runtime:
         # No event is required to precede the negated one, so whether a
         # candidate invalidates a match depends on the final extent of the
         # match window; carry the latest candidate, as the floor one window
-        # after it, and decide at completion. Only the latest satisfying
+        # after it, and decide where the match is emitted: on the take into
+        # F, or in the negative tail. Only the latest satisfying
         # candidate matters, so the scan runs from the newest down to the
         # one found before and stops at the first one.
         cands = self._query(inst, chk)

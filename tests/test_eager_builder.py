@@ -64,6 +64,10 @@ def test_negation_adds_post_processing_tail():
         "PATTERN SEQ(A a, NOT(B b), C c) WITHIN 1 hour"))
     assert [plan.neg is not None for plan in nfa.plans].count(True) == 1
     assert nfa.storable == frozenset({"B"})
+    # C follows B, so the tail emits at once: neither it nor the full
+    # roleset that hands it the instance keeps one registered.
+    assert nfa.states[-3:] == ("{a,c}", "r_B", "F")
+    assert nfa.settling[-3:-1] == (True, True)
 
 
 def test_matches_oracle_on_random_small_cases():

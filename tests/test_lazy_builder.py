@@ -229,8 +229,7 @@ class TestFcNegation:
         assert check.etype == "B" and check.cond
         assert (check.prec_roles, check.succ_roles) == ({"a"}, {"c"})
         assert [sid for sid, p in enumerate(nfa.plans) if p.fc_checks] == [2]
-        assert [c.checks for c in nfa.plans[nfa.accepting].complete.values()
-                ] == [()]
+        assert all(p.neg is None for p in nfa.plans)  # no check needs a tail
 
     def test_dep_on_last_positive_checks_at_accept(self):
         chain = chain_of(
@@ -238,9 +237,12 @@ class TestFcNegation:
             "WHERE skip_till_any_match { b.x < d.y }\nWITHIN 1 hour")
         nfa = build_lazy(chain, ["C", "A", "D"], negation="fc")
         # The condition links B to D, the last type in the order, so the
-        # check can only run where D is bound: at the accepting state.
-        (check,) = nfa.plans[nfa.accepting].complete[0].checks
+        # check can only run once D is bound: in the tail before F, which
+        # emits at once, so its instances settle.
+        assert nfa.states == ("q1", "q2", "q3", "r_B", "F")
+        (check,) = nfa.plans[3].neg.checks
         assert check.etype == "B"
+        assert nfa.plans[3].neg.wait is None and nfa.settling[3]
 
     def test_negated_at_end_rejected(self):
         chain = chain_of("PATTERN SEQ(A a, NOT(B b)) WITHIN 1 hour")

@@ -65,16 +65,17 @@ def _plan_runs_the_laid_out_takes(nfa):
 
 
 def _one_state_per_negative_tail(nfa):
-    # F is the last state, and every branch completes there. A branch has
-    # a tail exactly when its negations are not first-chance checks, and
-    # the tail is one state, whose plan holds every check in tail order.
+    # F is the last state, a sink whose plan is empty: no instance enters
+    # it. Each negation is either a first-chance check at an earlier state
+    # or one of its branch's tail checks, and the tail is one state, whose
+    # plan holds every tail check in tail order.
     assert nfa.states[-1] == "F"
-    assert set(nfa.plans[-1].complete) == set(range(len(nfa.branches)))
+    assert nfa.plans[-1] == N.StatePlan((), {}, (), None, None)
     tails = [sid for sid, plan in enumerate(nfa.plans) if plan.neg is not None]
     assert tails == sorted(b.tail_state for b in nfa.branches if b.tail)
     for b in nfa.branches:
-        assert bool(b.tail) == (bool(b.chain.negations) and not b.fc_checks)
-        assert len(b.tail) in (0, len(b.chain.negations))
+        assert len(b.tail) + sum(map(len, b.fc_checks.values())) == len(
+            b.chain.negations)
         if b.tail:
             assert nfa.plans[b.tail_state].neg.checks == b.tail
 

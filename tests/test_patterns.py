@@ -171,14 +171,15 @@ class TestParse:
         (OpNode("seq", (Leaf("A", "a"), Kleene(Leaf("B", "b")),
                         NotItem(Leaf("B", "b")))), None,
          "a negated event cannot be iterated"),
-        # An atom's reference errors come before its aggregate errors, and
-        # those before the two-negations error.
+        # The WHERE grammar's errors come before an atom's reference
+        # errors, and those before the two-negations error: an aggregate
+        # over a plain role fails its reference's check.
         (OpNode("seq", (Leaf("A", "a"), Leaf("B", "b"))),
          Cmp(">", Agg("avg", AttrRef("b", "x")), AttrRef("z", "x")),
-         "unknown role 'z' in WHERE clause"),
+         "avg() requires an iterated reference like r[i].x"),
         (_TWO_NEGATIONS,
-         Cmp(">", Agg("avg", AttrRef("b", "x")), _NEGATED_SUM),
-         "avg(b.x): aggregates require an iterated role"),
+         Cmp(">", Agg("avg", AttrRef("b", "x", "i")), _NEGATED_SUM),
+         "b[i].x: indexed references require an iterated role"),
         (_TWO_NEGATIONS, Cmp(">", AttrRef("a", "x"), _NEGATED_SUM),
          "predicate a.x > (c.x + d.x) links two negated events; "
          "conditions may reference at most one negated role"),
@@ -263,9 +264,13 @@ class TestParse:
         ("SEQ(A a, B+ b[]) WHERE skip_till_any_match { b[i-2].x > 1 } "
          "WITHIN 1 msec", "1:58: iteration index must be 'i' or 'i-1'",
          _A_B_ITER, Cmp(">", AttrRef("b", "x", "i-2"), Literal(1.0)), 1),
+        ("SEQ(A a, B+ b[]) WHERE skip_till_any_match { avg(b.x) > 1 } "
+         "WITHIN 1 msec",
+         "1:54: avg() requires an iterated reference like r[i].x", _A_B_ITER,
+         Cmp(">", Agg("avg", AttrRef("b", "x")), Literal(1.0)), 1),
     ], ids=["or-alternatives", "not-under-or", "not-of-one-event",
             "repetition-bounds", "window", "corr-references",
-            "iteration-index"])
+            "iteration-index", "aggregate-reference"])
     def test_each_grammar_rule_gives_one_message_from_text_and_from_an_ast(
             self, text, error, root, where, window):
         # The parser names the rule's token; a hand-built AST of the same

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cep import nfa as N
-from cep import runtime
+from cep import difftest, runtime
 from cep.buffer import LANE_SLACK, InputBuffer
 from cep.difftest import random_pattern, random_stream
 from cep.engine import apply_group_by, compile_pattern, make_runtime
@@ -663,10 +663,45 @@ def test_bare_completions_build_no_instance():
     assert counters["instance_retire"] == counters["instance_create"] - 1
 
 
+@pytest.fixture(scope="module")
+def corpus_instances():
+    """Every instance built over 300 difftest cases, each run in eager,
+    lazy-pp and lazy-fc: (automaton, state, whether it was registered)."""
+    built = []
+
+    class Recording(PairedRuntime):
+        def _new_instance(self, parent, sid, *args):
+            inst = super()._new_instance(parent, sid, *args)
+            built.append((self.nfa, sid, inst.iid in self.live))
+            return inst
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(difftest, "PairedRuntime", Recording)
+        assert difftest.run_suite(cases=300, seed=1) is None
+    return built
+
+
+def test_no_instance_is_built_in_f(corpus_instances):
+    # Every take into F emits its match; completions that gate or grow run
+    # on an eager full roleset before F.
+    assert any(nfa.plans[sid].complete is not None
+               for nfa, sid, _ in corpus_instances)
+    assert [nfa.states for nfa, sid, _ in corpus_instances
+            if sid == nfa.accepting] == []
+
+
+def test_no_instance_is_registered_in_a_tail_that_never_waits(
+        corpus_instances):
+    registered = [reg for nfa, sid, reg in corpus_instances
+                  if nfa.plans[sid].neg is not None
+                  and nfa.plans[sid].neg.wait is None]
+    assert registered and not any(registered)
+
+
 def test_first_chance_floor_drops_a_directly_emitted_match():
     # The C clone's first-chance scan finds D@0 and sets its floor. The A
     # take into F emits without building an instance, and drops A@8, whose
-    # match window reaches back to D@0, as the completion at F would.
+    # match window reaches back to D@0, as the negative tail would.
     chains = chains_of("PATTERN SEQ(NOT(D d), C c, A a) WITHIN 10 msec")
     (nfa,) = compile_pattern(chains, "lazy-fc", orders=[["C", "A"]])
     (take,) = nfa.plans[nfa.plans[0].stream_takes["C"][0].dst].stream_takes["A"]
@@ -684,17 +719,20 @@ def test_first_chance_floor_drops_a_directly_emitted_match():
 
 
 def test_eager_branches_sharing_f_append_only_to_their_own():
-    # Both eager chains end on B+, so their accepting states merge into one
-    # F that carries an append take per branch.
+    # Both eager chains end on B+: each branch's full roleset is a state of
+    # its own that carries the branch's append take, and the shared F
+    # carries none.
     chains = chains_of(
         "PATTERN OR(SEQ(A a, B+ b[]), SEQ(C c, B+ b[])) WITHIN 1 hour")
     stream = mkstream(("A", 1), ("C", 2), ("B", 3), ("B", 4))
     expected = sorted(match_key(b)
                       for b in enumerate_matches_chains(chains, stream))
     (nfa,) = compile_pattern(chains, "eager")
-    f = nfa.plans[nfa.accepting]
-    assert {b for b, c in f.complete.items() if c.grow} == {0, 1}
-    assert sorted(tp.branch for tp in f.stream_takes["B"]) == [0, 1]
+    full = [p for p in nfa.plans if p.complete is not None]
+    assert [p.complete.grow for p in full] == [True, True]
+    assert [[tp.branch for tp in p.stream_takes["B"]] for p in full] == [
+        [0], [1]]
+    assert nfa.plans[nfa.accepting].stream_takes == {}
     got = run_stream(make_runtime([nfa]), stream)
     assert len(expected) == 6
     assert sorted(m.key() for m in got) == expected
@@ -706,7 +744,8 @@ def test_eager_completion_grows_only_with_an_append_take():
     # instance: it hands off to the negative tail instead of staying.
     chains = chains_of("PATTERN SEQ(A+ a[], B b, NOT(C h)) WITHIN 300 msec")
     (nfa,) = compile_pattern(chains, "eager")
-    assert not any(c.grow for p in nfa.plans for c in p.complete.values())
+    (c,) = [p.complete for p in nfa.plans if p.complete is not None]
+    assert not c.grow and c.tail_start is not None
     events = generate_stream(StreamSpec(
         rates={"A": 20.0, "B": 30.0, "C": 10.0, "D": 5.0}, count=800, seed=5))
     rt = make_runtime([nfa])
@@ -728,7 +767,7 @@ def test_growing_accept_hands_out_copies_of_its_binding():
                       ("B", 4, {"stock": 1}), ("A", 5),
                       ("B", 6, {"stock": 1}), ("B", 7, {"stock": 2}))
     rt, untouched = make_runtime(nfas), make_runtime(nfas)
-    assert any(c.grow for c in rt.plans[rt.nfa.accepting].complete.values())
+    assert any(p.complete.grow for p in rt.plans if p.complete is not None)
     got, expected = [], []
     for e in stream:
         out = rt.step(e)
@@ -911,8 +950,8 @@ def test_settling_instances_touch_no_registry(pattern, rates, group_by):
                  ["C", "A", "B"],
                  mkstream(("D", 1), ("A", 2), ("B", 3), ("C", 4)),
                  id="bare-batch"),
-    # F checks NOT(E g), so the take into F builds an instance, and the
-    # completion at F drops it under the floor that D@1 set.
+    # The tail checks NOT(E g), so the take into it builds an instance,
+    # and the tail drops it under the floor that D@1 set.
     pytest.param("PATTERN SEQ(NOT(D h), A a, NOT(E g), B b) WITHIN 10 msec",
                  ["A", "B"], mkstream(("D", 1), ("A", 2), ("B", 5)),
                  id="completion"),
