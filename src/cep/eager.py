@@ -5,13 +5,13 @@ temporal order (a chain for full sequences, the full subset lattice for
 conjunctions). An iterated role's members are appended one by one: its
 first member by the take that binds the role, the others by a self-loop.
 Negated roles are verified as a post-processing step once all positives
-are bound: the full roleset hands the instance to the same one-state
-negative tail that the lazy post-processing chain ends in, which sits
-between the lattice and F. The full roleset is F itself only when no work
-is left there; with an iterated role (its gates and growth) or a tail it
-is a state of its own, and F stays a sink that its completion emits into.
-Takes bind arrivals only and never search the buffer, so it stores only
-the negated types that the tail checks.
+are bound, in the same one-state negative tail that the lazy
+post-processing chain ends in, between the lattice and F. The full roleset
+is a state of its own only while its iterated role has work there (atoms
+to gate, or members to append); it then gates, and emits or hands the
+instance to the tail. Otherwise it is the tail's state, or F. Takes bind
+arrivals only and never search the buffer, so it stores only the negated
+types that the tail checks.
 """
 
 from __future__ import annotations
@@ -38,22 +38,22 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
     subsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
     sid_of = {s: i for i, s in enumerate(subsets)}
     full = frozenset(roles)
-    # The full roleset, the last subset, is F unless work is left there:
-    # an iterated role's gates and growth, or a negative tail.
-    tail_states, tail = N.negative_tail(chain, chain.negations)
-    work = it is not None or bool(tail)
-    states = ["{" + ",".join(sorted(s)) + "}" if s else "q0"
-              for s in subsets]
-    if work:
-        states += [*tail_states, "F"]
-    else:
-        states[-1] = "F"
-
-    # The iterated role's atoms wait for the completion gates; any other
+    # The iterated role's atoms wait for the completion gate; any other
     # atom may ride several lattice edges.
     iter_atoms = tuple(a for a in chain.atoms
                        if it is not None and it.role in a.roles)
     chain_atoms = [a for a in chain.atoms if a not in iter_atoms]
+    # The full roleset, the last subset, is a state of its own only while
+    # the iterated role has work there: atoms to gate, or members to append
+    # (no role follows it; a take that binds one requires its minimum
+    # count). Otherwise it is the tail's one state, or F.
+    complete = it is not None and bool(iter_atoms or not succs[it.role])
+    tail_states, tail = N.negative_tail(chain, chain.negations)
+    states = ["{" + ",".join(sorted(s)) + "}" if s else "q0"
+              for s in subsets]
+    if not complete:
+        states.pop()
+    states += [*tail_states, "F"]
 
     # The take that binds the iterated role appends its first member to
     # none, and the takes after it wait for the role's minimum count.
@@ -80,11 +80,11 @@ def eager_parts(chain: ChainPattern) -> N.ChainParts:
 
     # Completion on the full roleset gates, then emits or hands off to the
     # tail (Completion).
-    gates = (it.role, it.lo, iter_atoms) if it is not None else None
     branch = N.Branch(chain=chain, tail=tail,
-                      tail_state=len(subsets) if tail else None,
-                      complete_state=sid_of[full] if work else None,
-                      eager_gates=gates)
+                      tail_state=len(states) - 2 if tail else None,
+                      complete_state=sid_of[full] if complete else None,
+                      eager_gates=(it.role, it.lo, iter_atoms)
+                      if complete else None)
     return N.ChainParts(states=tuple(states), edges=tuple(edges),
                         window=chain.window, branch=branch)
 

@@ -17,12 +17,12 @@ that shares the seed's state and F. Constructing an automaton compiles it,
 once, into the executable plan: one :class:`StatePlan` per state, which
 indexes the state's takes by how they act (on an arrival or on entry) and
 marks the takes into F, which emit, a :class:`NegPlan` on each tail state,
-the states each arriving type acts on, the states that settle, the sort key
-of the matches one step emits (none where the plan emits them in order) and
-the types the shared buffer stores: those that some search in the plan
-reads. The automaton is validated from its state plans, before the other
-tables are derived from them. Every ``Runtime`` (in :mod:`cep.runtime`)
-shares the plan and compiles nothing.
+the states each arriving type acts on (the only ones where a runtime
+registers an instance), the sort key of the matches one step emits (none
+where the plan emits them in order) and the types the shared buffer stores:
+those that some search in the plan reads. The automaton is validated from
+its state plans, before the other tables are derived from them. Every
+``Runtime`` (in :mod:`cep.runtime`) shares the plan and compiles nothing.
 """
 
 from __future__ import annotations
@@ -87,23 +87,24 @@ class Branch:
     tail_state: Optional[int] = None
     # First-chance checks keyed by the state at whose entry they run.
     fc_checks: dict = field(default_factory=dict)
-    # The eager lattice's full roleset, when work is left there (gates,
-    # growth or a tail); otherwise the full roleset is F.
+    # The eager lattice's full roleset, when its iterated role has work
+    # there (atoms to gate, or members to append); otherwise the full
+    # roleset is the tail's state, or F.
     complete_state: Optional[int] = None
-    # Gates applied at completion (eager): (iterated role, lo, its atoms).
+    # The gate applied there: (iterated role, lo, its atoms).
     eager_gates: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class Completion:
-    """What an eager lattice's full roleset does once every positive role
-    is bound: apply the ``gate``, then emit the match or hand the instance
-    to the negative tail at ``tail_start``. An instance that may ``grow``
-    (an append take leaves this state) stays live and hands on a copy
-    instead.
+    """What an eager lattice's full roleset, a state only while its
+    iterated role has work, does once every positive role is bound: apply
+    the ``gate``, then emit the match or hand the instance to the negative
+    tail at ``tail_start``. An instance that may ``grow`` (an append take
+    leaves this state) stays live and hands on a copy instead.
     """
 
-    gate: Optional[tuple]  # (iterated role, lo, its atoms)
+    gate: tuple  # (iterated role, lo, its atoms)
     grow: bool
     tail_start: Optional[int]  # None: emit
 
@@ -140,7 +141,9 @@ class Nfa:
     # The types the shared buffer stores: those some search in the plan reads.
     storable: frozenset = field(init=False, repr=False, compare=False)
     type_interest: dict = field(init=False, repr=False, compare=False)
-    settling: tuple = field(init=False, repr=False, compare=False)
+    # The states that some arrival acts on: a runtime registers an instance
+    # there, and retires one that its entry leaves anywhere else.
+    acted_on: frozenset = field(init=False, repr=False, compare=False)
     # Sort key of one step's matches: ``(detection_ts, match key)`` order;
     # None when the plan emits them in that order (:func:`_emits_in_order`).
     drain_key: Optional[Callable] = field(init=False, repr=False,
@@ -161,8 +164,8 @@ class Nfa:
                     interest[t].add(sid)
         object.__setattr__(self, "type_interest",
                            {t: tuple(sorted(s)) for t, s in interest.items()})
-        object.__setattr__(self, "settling",
-                           tuple(_settles(plan, plans) for plan in plans))
+        object.__setattr__(self, "acted_on",
+                           frozenset().union(*interest.values()))
         object.__setattr__(self, "drain_key",
                            None if _emits_in_order(self)
                            else _drain_key(self.branches))
@@ -254,21 +257,6 @@ def negative_tail(chain: ChainPattern, negs) -> tuple:
         return (), ()
     name = "r_" + "_".join(spec.etype for spec in negs)
     return (name,), tuple(neg_check(chain, spec) for spec in negs)
-
-
-def _settles(plan: StatePlan, plans: tuple) -> bool:
-    """Whether ``plan``'s state settles: no arrival can act on an instance
-    there once its entry has returned, so the instance is never registered
-    and is retired as soon as its entry returns. A tail state settles when
-    its instances never wait there (``NegPlan.wait`` is None); any other
-    state when it takes nothing from the stream and its completion, if any,
-    emits or hands the instance to a tail that settles."""
-    if plan.neg is not None:
-        return plan.neg.wait is None
-    c = plan.complete
-    return not plan.stream_takes and (
-        c is None or c.tail_start is None
-        or plans[c.tail_start].neg.wait is None)
 
 
 def _searched_types(plans: tuple) -> frozenset:

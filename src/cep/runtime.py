@@ -15,6 +15,11 @@ every instance entered while T is processed binds the event at T, and
 whenever a search runs the buffer holds nothing older than T minus the
 window, so whatever a search combines fits.
 
+Every new instance is entered once (:meth:`Runtime._enter`): its entry
+runs, and it is then registered where it ended up if some arrival acts on
+it there, or retired if not. A registered instance's state never changes,
+and only registered instances are on the timeout heap.
+
 The automaton carries its executable plan (:mod:`cep.nfa`): a Runtime only
 references those tables, compiles nothing, and never reads the automaton's
 edges or branches.
@@ -95,16 +100,18 @@ class Runtime:
         self.plans = nfa.plans
         self.storable = nfa.storable
         self.type_interest = nfa.type_interest
-        self.settling = nfa.settling
         self.buffer = InputBuffer()
-        self.live: dict = {}
-        self.by_state: dict = defaultdict(dict)
-        self.heap: list = []
+        # The registered instances, by state: only the states that some
+        # arrival acts on hold any.
+        self.by_state = {sid: {} for sid in nfa.acted_on}
+        self._registered = 0
+        self.heap: list = []  # (deadline, iid, sid) of registered instances
         self._next_iid = 0
         self._pending: list = []
         self._last_key = None
-        self._entering = 0  # settling instances whose entry is running
+        self._entering = 0  # instances whose entry is running
         self.seed = self._new_instance(None, 0, None, {}, None, None)
+        self._register(self.seed)
 
     # -- instance bookkeeping ------------------------------------------------
 
@@ -113,41 +120,53 @@ class Runtime:
         peak. Returns the first number.
 
         The peak counts a new instance with the registered instances and
-        the settling ones whose entry is running. ``n`` > 1 only numbers
-        bare clones, each retired before the next exists: each counts alone.
+        those whose entry is running. ``n`` > 1 only numbers bare clones,
+        each retired before the next exists: each counts alone.
         """
         iid = self._next_iid
         self._next_iid = iid + n
         metrics = self.metrics
         metrics.instance_create += n
-        live = len(self.live) + self._entering + 1
+        live = self._registered + self._entering + 1
         if live > metrics.peak_live_instances:
             metrics.peak_live_instances = live
         return iid
 
     def _new_instance(self, parent: Optional[Instance], sid, branch, binding,
                       anchor, maxkey) -> Instance:
-        iid = self._count_new()
         floor = NEG_INF if parent is None else parent.floor
-        inst = Instance(iid, sid, branch, binding, anchor, maxkey, floor)
-        if not self.settling[sid]:
-            self.live[iid] = inst
-            self.by_state[sid][iid] = inst
-            if anchor is not None:
-                heapq.heappush(self.heap, (anchor + self.window, iid))
-        return inst
+        return Instance(self._count_new(), sid, branch, binding, anchor,
+                        maxkey, floor)
+
+    def _enter(self, inst: Instance) -> None:
+        """Run ``inst``'s entry, then register it if it is alive in a state
+        that some arrival acts on, and retire it if it is alive elsewhere:
+        nothing could act on it there."""
+        self._entering += 1
+        try:
+            self._entry(inst)
+        finally:
+            self._entering -= 1
+        if inst.alive:
+            if inst.sid in self.by_state:
+                self._register(inst)
+            else:
+                self._retire(inst)
+
+    def _register(self, inst: Instance) -> None:
+        self.by_state[inst.sid][inst.iid] = inst
+        self._registered += 1
+        if inst.anchor is not None:
+            heapq.heappush(self.heap,
+                           (inst.anchor + self.window, inst.iid, inst.sid))
 
     def _retire(self, inst: Instance) -> None:
         inst.alive = False
-        if not self.settling[inst.sid]:  # else it was never registered
-            self.live.pop(inst.iid, None)
-            self.by_state[inst.sid].pop(inst.iid, None)
+        # An instance retired by its own entry was never registered.
+        insts = self.by_state.get(inst.sid)
+        if insts is not None and insts.pop(inst.iid, None) is not None:
+            self._registered -= 1
         self.metrics.instance_retire += 1
-
-    def _move(self, inst: Instance, sid: int) -> None:
-        self.by_state[inst.sid].pop(inst.iid, None)
-        inst.sid = sid
-        self.by_state[sid][inst.iid] = inst
 
     def _emit(self, inst: Instance, detection_ts: int,
               keep: bool = False) -> None:
@@ -199,7 +218,7 @@ class Runtime:
         # being processed must not observe the event themselves.
         targets = []
         for sid in sids:
-            insts = self.by_state.get(sid)
+            insts = self.by_state[sid]
             if insts:
                 targets.extend(insts.values())
         for inst in targets:
@@ -226,8 +245,8 @@ class Runtime:
 
     def _fire_timeouts(self, now_ts: Optional[int]) -> None:
         while self.heap and (now_ts is None or self.heap[0][0] < now_ts):
-            deadline, iid = heapq.heappop(self.heap)
-            inst = self.live.get(iid)
+            deadline, iid, sid = heapq.heappop(self.heap)
+            inst = self.by_state[sid].get(iid)
             if inst is None:
                 continue
             plan = self.plans[inst.sid]
@@ -348,18 +367,8 @@ class Runtime:
             lo_ts, hi_key = bound.ts, bound.key
         anchor = lo_ts if inst.anchor is None else min(inst.anchor, lo_ts)
         maxkey = hi_key if inst.maxkey is None else max(inst.maxkey, hi_key)
-        clone = self._new_instance(inst, tp.dst, tp.branch, binding, anchor,
-                                   maxkey)
-        if not self.settling[tp.dst]:
-            self._entry(clone)
-            return
-        self._entering += 1
-        try:
-            self._entry(clone)
-        finally:
-            self._entering -= 1
-        if clone.alive:
-            self._retire(clone)
+        self._enter(self._new_instance(inst, tp.dst, tp.branch, binding,
+                                       anchor, maxkey))
 
     def _emit_bare(self, inst: Instance, tp: N.Take, bounds) -> None:
         """Emit the match of every bound that an ``emits`` take found.
@@ -410,32 +419,30 @@ class Runtime:
 
     def _complete(self, inst: Instance, c: N.Completion) -> bool:
         """Every positive role of ``inst`` is bound on an eager full
-        roleset: gate, then emit or hand on.
+        roleset: gate, then emit or hand on. An instance that may grow
+        stays and hands a copy to the tail's state; any other runs the
+        tail's entry itself, and waits, if it does, in the tail's state.
 
         Returns True when ``inst`` is finished with here: retired, emitted,
         or handed to the negative tail.
         """
-        if c.gate is not None:
-            role, lo, atoms = c.gate
-            if len(inst.binding[role]) < lo or (
-                    atoms and not eval_atoms(atoms, inst.binding,
-                                             self.metrics)):
-                if c.grow:
-                    return False  # a later member may still pass
-                self._retire(inst)
-                return True
+        role, lo, atoms = c.gate
+        if len(inst.binding[role]) < lo or (
+                atoms and not eval_atoms(atoms, inst.binding, self.metrics)):
+            if c.grow:
+                return False  # a later member may still pass
+            self._retire(inst)
+            return True
         if c.tail_start is None:
             self._emit(inst, inst.maxkey[0], keep=c.grow)
             return True
-        neg = self.plans[c.tail_start].neg
-        if not c.grow:
-            self._tail_entry(inst, neg)
-            return True
-        copy = self._new_instance(inst, c.tail_start, inst.branch,
-                                  dict(inst.binding), inst.anchor,
-                                  inst.maxkey)
-        self._tail_entry(copy, neg)
-        return False
+        if c.grow:
+            self._enter(self._new_instance(inst, c.tail_start, inst.branch,
+                                           dict(inst.binding), inst.anchor,
+                                           inst.maxkey))
+            return False
+        self._tail_entry(inst, self.plans[c.tail_start].neg)
+        return True
 
     def _tail_entry(self, inst: Instance, neg: N.NegPlan) -> None:
         # Scan the buffered candidates of every negated type now: this is
@@ -451,8 +458,8 @@ class Runtime:
             return
         if neg.wait is None:
             self._emit(inst, inst.maxkey[0])
-        elif inst.sid != neg.wait:
-            self._move(inst, neg.wait)
+        else:
+            inst.sid = neg.wait  # an eager hand-off waits in the tail's state
 
     def _neg_scan(self, inst: Instance, chk: NegSpec) -> bool:
         """Buffered-candidate absence check; retires the instance on a hit."""

@@ -204,7 +204,7 @@ def test_runtimes_compile_no_plan(monkeypatch, mode):
         for r, nfa in zip(getattr(rt, "runtimes", [rt]), nfas, strict=True):
             assert r.plans is nfa.plans
             assert r.type_interest is nfa.type_interest
-            assert r.settling is nfa.settling
+            assert r.by_state.keys() == nfa.acted_on
 
 
 CORR_TEXT = ("PATTERN SEQ(A a, B b, C c) WHERE skip_till_any_match"

@@ -144,19 +144,20 @@ class TestBuildLazyChain:
         # hold a window deadline; the seed at q1 never expires.
         chain = chain_of("PATTERN SEQ(A a, B b, C c) WITHIN 10 msec")
         nfa = build_lazy(chain, ["A", "B", "C"])
-        assert nfa.settling[:3] == (False, False, False)
+        assert nfa.acted_on == {0, 1, 2}
         rt = Runtime(nfa)
         rt.step(Event("A", 1, 0))
         rt.step(Event("B", 2, 1))
-        on_heap = [rt.live[iid] for _, iid in rt.heap]
+        on_heap = [rt.by_state[sid][iid] for _, iid, sid in rt.heap]
         assert rt.seed not in on_heap
         assert sorted(inst.sid for inst in on_heap) == [1, 2]
         assert rt.flush() == []
-        assert list(rt.live) == [rt.seed.iid]
+        assert [list(insts) for insts in rt.by_state.values()
+                if insts] == [[rt.seed.iid]]
         # Frequency order: B and A are only searched for, never awaited, so
         # no q2 or q3 instance is left waiting for its window to close.
         nfa = build_lazy(chain, ["C", "B", "A"])
-        assert nfa.settling[1] and nfa.settling[2]
+        assert nfa.acted_on == {0}
 
 
 class TestPpNegation:
@@ -191,7 +192,7 @@ class TestPpNegation:
         assert neg.wait == neg_sid
         assert neg.kill_map == {"B": (spec,)}
         assert neg_sid in nfa.type_interest["B"]
-        assert not nfa.settling[neg_sid]
+        assert neg_sid in nfa.acted_on
 
     def test_no_negations_same_as_plain_chain(self):
         chain = chain_of("PATTERN SEQ(A a, B b) WITHIN 1 hour")
@@ -202,7 +203,7 @@ class TestPpNegation:
             assert other.edges == plain.edges
             assert other.plans == plain.plans
             assert other.type_interest == plain.type_interest
-            assert other.settling == plain.settling
+            assert other.acted_on == plain.acted_on
 
     def test_descending_negative_order(self):
         chain = chain_of(
@@ -238,11 +239,11 @@ class TestFcNegation:
         nfa = build_lazy(chain, ["C", "A", "D"], negation="fc")
         # The condition links B to D, the last type in the order, so the
         # check can only run once D is bound: in the tail before F, which
-        # emits at once, so its instances settle.
+        # emits at once, so no arrival acts on its instances.
         assert nfa.states == ("q1", "q2", "q3", "r_B", "F")
         (check,) = nfa.plans[3].neg.checks
         assert check.etype == "B"
-        assert nfa.plans[3].neg.wait is None and nfa.settling[3]
+        assert nfa.plans[3].neg.wait is None and 3 not in nfa.acted_on
 
     def test_negated_at_end_rejected(self):
         chain = chain_of("PATTERN SEQ(A a, NOT(B b)) WITHIN 1 hour")
@@ -302,7 +303,7 @@ class TestMultiChain:
         assert merged == sub
         assert merged.plans == sub.plans
         assert merged.type_interest == sub.type_interest
-        assert merged.settling == sub.settling
+        assert merged.acted_on == sub.acted_on
         assert merged.storable == sub.storable
 
     def test_two_short_chains(self):

@@ -29,7 +29,8 @@ def _tail_cut_short(nfa):
 
 
 def _no_handoff(nfa):
-    # The eager lattice's full roleset no longer hands off to the tail.
+    # The eager lattice's full roleset, which gates the iterated role's
+    # atom, no longer hands off to the tail.
     (branch,) = nfa.branches
     return replace(nfa, branches=(replace(branch, complete_state=None),))
 
@@ -41,8 +42,9 @@ def _no_handoff(nfa):
         "PATTERN AND(A a, NOT(B b), NOT(C c)) WITHIN 1 hour"), ["A"]),
      _tail_cut_short, "from q1, r_B_C"),
     (lambda: build_eager(chain_of(
-        "PATTERN SEQ(A a, NOT(B b), C c) WITHIN 1 hour")),
-     _no_handoff, "q0, {a}, {a,c}"),
+        "PATTERN SEQ(A a, NOT(D d), B+ b[], C c) WHERE skip_till_any_match"
+        " { b[i].x > a.x } WITHIN 1 hour")),
+     _no_handoff, "q0, {a}, {a,b}, {a,b,c}"),
 ], ids=["chain-state", "negative-tail", "eager-completion"])
 def test_a_state_without_a_path_to_accept_is_a_build_error(build, breakage,
                                                            stuck):

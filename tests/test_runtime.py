@@ -1,5 +1,6 @@
 import gc
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,11 @@ from conftest import mkstream
 
 def chains_of(text):
     return to_dnf(parse_pattern(text))
+
+
+def registered(rt):
+    """``rt``'s registered instances, by state."""
+    return [inst for insts in rt.by_state.values() for inst in insts.values()]
 
 
 FIG3_STREAM = mkstream(("A", 1), ("A", 2), ("B", 3), ("B", 4), ("C", 5))
@@ -128,10 +134,10 @@ class TestTimeoutOnUnwatchedType:
         assert [(match_line(m), m.detection_ts) for m in out] == [
             ("a=A@10#0; c=C@20#1", 20)]
         assert rt.step(Event("Z", 59, 2)) == []
-        assert len(rt.live) == 2
+        assert len(registered(rt)) == 2
         retired = rt.metrics.instance_retire
         assert rt.step(Event("Z", 61, 3)) == []
-        assert list(rt.live) == [rt.seed.iid]
+        assert registered(rt) == [rt.seed]
         assert rt.metrics.instance_retire == retired + 1
         assert rt.flush() == []
 
@@ -596,24 +602,22 @@ def test_member_tuples_ascend_by_key(pattern, mode, grouped, order_seed, stream)
     emitted = []
     for e in events:
         emitted += rt.step(e)
-        for inst in rt.live.values():
+        for inst in registered(rt):
             _assert_members_ascend(inst.binding, e)
     emitted += rt.flush()
     for m in emitted:
         _assert_members_ascend(m.binding, "match")
 
 
-def _record_registrations(rt, registered):
-    """Wrap ``rt._new_instance``: add each registered iid to ``registered``."""
-    new = rt._new_instance
+def _record_registrations(rt, iids):
+    """Wrap ``rt._register``: add each registered iid to ``iids``."""
+    register = rt._register
 
-    def recording(*args, **kwargs):
-        inst = new(*args, **kwargs)
-        if inst.iid in rt.live:
-            registered.add(inst.iid)
-        return inst
+    def recording(inst):
+        iids.add(inst.iid)
+        register(inst)
 
-    rt._new_instance = recording
+    rt._register = recording
 
 
 @settings(max_examples=120, deadline=None)
@@ -632,18 +636,20 @@ def test_settling_instances_are_never_registered(seed, mode):
         rt = make_runtime(compile_pattern(chains, mode, orders=orders))
     except BuildError:
         return  # first-chance negation refuses a trailing negation
-    registered = {rt.seed.iid}
-    _record_registrations(rt, registered)
-    # Live instances are the ones an arrival or a timeout can act on.
+    iids = {rt.seed.iid}
+    _record_registrations(rt, iids)
+    # Registered instances are the ones an arrival can act on; a timeout
+    # acts only on those.
     acted_on = {sid for sids in rt.type_interest.values() for sid in sids}
+    assert set(rt.by_state) == acted_on
     for e in stream:
         rt.step(e)
-        for inst in rt.live.values():
-            assert (inst is rt.seed or inst.sid in acted_on
-                    or rt.plans[inst.sid].neg is not None), inst.sid
-            assert not rt.settling[inst.sid]
+        insts = registered(rt)
+        for inst in insts:
+            assert inst.alive and inst.sid in acted_on, inst.sid
+        assert rt._registered == len(insts)
         assert rt._entering == 0
-        assert {iid for _, iid in rt.heap} <= registered
+        assert {iid for _, iid, _ in rt.heap} <= iids
     rt.flush()
     # Every instance but the seed was retired, once.
     assert rt.metrics.instance_retire == rt.metrics.instance_create - 1
@@ -663,39 +669,84 @@ def test_bare_completions_build_no_instance():
     assert counters["instance_retire"] == counters["instance_create"] - 1
 
 
+class Corpus(NamedTuple):
+    # Every instance built: [automaton, state it is built in, whether it
+    # was registered].
+    built: list
+    # Per runtime, every heap entry, found after some step, of an instance
+    # that its own entry retired.
+    stale_heap: list
+
+
 @pytest.fixture(scope="module")
-def corpus_instances():
-    """Every instance built over 300 difftest cases, each run in eager,
-    lazy-pp and lazy-fc: (automaton, state, whether it was registered)."""
-    built = []
+def corpus():
+    """What 300 difftest cases, each run in eager, lazy-pp and lazy-fc,
+    build and leave on the timeout heap."""
+    corpus = Corpus([], [])
 
     class Recording(PairedRuntime):
+        def __init__(self, nfa):
+            self.built, self.entering, self.retired_by_entry = {}, [], set()
+            self.stale = set()
+            corpus.stale_heap.append(self.stale)
+            super().__init__(nfa)
+
         def _new_instance(self, parent, sid, *args):
             inst = super()._new_instance(parent, sid, *args)
-            built.append((self.nfa, sid, inst.iid in self.live))
+            self.built[inst.iid] = [self.nfa, sid, False]
+            corpus.built.append(self.built[inst.iid])
             return inst
+
+        def _register(self, inst):
+            self.built[inst.iid][2] = True
+            super()._register(inst)
+
+        def _entry(self, inst):
+            self.entering.append(inst)
+            try:
+                super()._entry(inst)
+            finally:
+                self.entering.pop()
+
+        def _retire(self, inst):
+            if any(inst is x for x in self.entering):
+                self.retired_by_entry.add(inst.iid)
+            super()._retire(inst)
+
+        def step(self, e):
+            out = super().step(e)
+            self.stale.update(
+                entry for entry in self.heap
+                if entry[1] in self.retired_by_entry)
+            return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(difftest, "PairedRuntime", Recording)
         assert difftest.run_suite(cases=300, seed=1) is None
-    return built
+    return corpus
 
 
-def test_no_instance_is_built_in_f(corpus_instances):
+def test_no_instance_is_built_in_f(corpus):
     # Every take into F emits its match; completions that gate or grow run
     # on an eager full roleset before F.
     assert any(nfa.plans[sid].complete is not None
-               for nfa, sid, _ in corpus_instances)
-    assert [nfa.states for nfa, sid, _ in corpus_instances
+               for nfa, sid, _ in corpus.built)
+    assert [nfa.states for nfa, sid, _ in corpus.built
             if sid == nfa.accepting] == []
 
 
-def test_no_instance_is_registered_in_a_tail_that_never_waits(
-        corpus_instances):
-    registered = [reg for nfa, sid, reg in corpus_instances
+def test_no_instance_is_registered_in_a_tail_that_never_waits(corpus):
+    registered = [reg for nfa, sid, reg in corpus.built
                   if nfa.plans[sid].neg is not None
                   and nfa.plans[sid].neg.wait is None]
     assert registered and not any(registered)
+
+
+def test_no_heap_entry_outlives_the_entry_that_retired_it(corpus):
+    # An instance is registered, and put on the timeout heap, only once its
+    # entry has returned with it alive.
+    assert sum(map(len, corpus.stale_heap)) == 0
+    assert any(reg for _, _, reg in corpus.built)
 
 
 def test_first_chance_floor_drops_a_directly_emitted_match():
@@ -741,11 +792,21 @@ def test_eager_branches_sharing_f_append_only_to_their_own():
 
 def test_eager_completion_grows_only_with_an_append_take():
     # The iterated role is not last, so nothing extends a completed
-    # instance: it hands off to the negative tail instead of staying.
+    # instance, and it has no atoms, so nothing is left to gate: the take
+    # that binds b requires a's minimum count and enters the negative tail.
     chains = chains_of("PATTERN SEQ(A+ a[], B b, NOT(C h)) WITHIN 300 msec")
     (nfa,) = compile_pattern(chains, "eager")
-    (c,) = [p.complete for p in nfa.plans if p.complete is not None]
-    assert not c.grow and c.tail_start is not None
+    assert all(p.complete is None for p in nfa.plans)
+    tail_state = nfa.branches[0].tail_state
+    into_tail = [tp for tp in nfa.edges if tp.dst == tail_state]
+    assert [(tp.role, tp.req_iter_min) for tp in into_tail] == [
+        ("b", ("a", 1))]
+    # With an atom on a, the full roleset gates before it hands off.
+    (gated,) = compile_pattern(chains_of(
+        "PATTERN SEQ(A+ a[], B b, NOT(C h)) WHERE skip_till_any_match"
+        " { a[i].price > 0 } WITHIN 300 msec"), "eager")
+    (c,) = [p.complete for p in gated.plans if p.complete is not None]
+    assert not c.grow and c.tail_start == gated.branches[0].tail_state
     events = generate_stream(StreamSpec(
         rates={"A": 20.0, "B": 30.0, "C": 10.0, "D": 5.0}, count=800, seed=5))
     rt = make_runtime([nfa])
@@ -771,7 +832,7 @@ def test_growing_accept_hands_out_copies_of_its_binding():
     got, expected = [], []
     for e in stream:
         out = rt.step(e)
-        live = {id(inst.binding) for inst in rt.live.values()}
+        live = {id(inst.binding) for inst in registered(rt)}
         assert not any(id(m.binding) in live for m in out)
         got += [match_key(m.binding) for m in out]
         for m in out:  # changes no match emitted later
@@ -792,7 +853,7 @@ def test_error_inside_a_settling_entry_leaves_no_entry_open():
     with pytest.raises(StreamDataError):
         rt.step(Event("C", 3, 2))  # raised by the search of the CB clone
     assert rt._entering == 0
-    assert list(rt.live) == [rt.seed.iid]
+    assert registered(rt) == [rt.seed] and rt._registered == 1
     rt.step(Event("A", 40, 3, {"x": 0.5}))  # A@1 has left the window
     rt.step(Event("B", 41, 4, {"x": 2.0}))
     out = [match_line(m) for m in rt.step(Event("C", 42, 5))]
@@ -929,17 +990,18 @@ def test_unsorted_drain_on_the_kleene_benchmark_pattern():
      " WITHIN 400 msec", {"A": 5.0, "B": 40.0, "C": 2.0}, ("b", "stock")),
 ], ids=["corr", "kleene"])
 def test_settling_instances_touch_no_registry(pattern, rates, group_by):
-    # The benchmark patterns: retiring a settling clone leaves ``by_state``
-    # without an entry for its state.
+    # The benchmark patterns: a state that no arrival acts on has no entry
+    # in ``by_state``, and its clones are retired when their entry returns.
     chains = chains_of(pattern)
     if group_by is not None:
         chains = apply_group_by(chains, *group_by)
     rt = make_runtime(compile_pattern(chains, "lazy", rates=rates))
     run_stream(rt, generate_stream(StreamSpec(rates=rates, count=400, seed=3,
                                               stocks_per_type=8)))
-    settling = {sid for sid, settles in enumerate(rt.settling) if settles}
+    settling = set(range(len(rt.plans) - 1)) - rt.nfa.acted_on
     assert settling and rt.metrics.instance_retire > 0
     assert not settling & set(rt.by_state)
+    assert registered(rt) == [rt.seed] and rt._registered == 1
 
 
 @pytest.mark.parametrize("pattern, order, stream", [
