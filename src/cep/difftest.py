@@ -263,9 +263,9 @@ def run_case(rng: random.Random, max_events: int = 25) -> CaseResult:
             if mode == "lazy-fc":
                 continue  # first-chance negation refuses a trailing one
             raise
-        # Automata are equal when their states, takes, branches and window
-        # are: lazy-fc without negations builds lazy-pp's automaton, which
-        # runs once.
+        # Automata are equal when their states, takes, window, chains and
+        # per-state work are: lazy-fc without negations builds lazy-pp's
+        # automaton, which runs once.
         if nfa in ran:
             continue
         ran.append(nfa)

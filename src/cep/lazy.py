@@ -7,7 +7,10 @@ checks the negated types in descending frequency order), first-chance
 negation (reject checks at the earliest state where a negated event's
 dependencies are bound; a check that needs the whole match runs in the
 same one-state tail), and iteration (iterated type forced to the end of
-the frequency order). Disjunctions merge the chains' parts with
+the frequency order). Each check is laid out once, as the
+:class:`~cep.nfa.StateWork` of the state at whose entry it runs: a
+first-chance check at its dependency state, the tail's checks at the tail's
+state. Disjunctions merge the chains' parts with
 :func:`cep.nfa.build_multi_chain`.
 """
 
@@ -95,7 +98,6 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
                 negs.append(spec)  # it needs the whole match: a tail check
             else:
                 fc_checks.setdefault(sid, []).append(chk)
-        fc_checks = {sid: tuple(v) for sid, v in fc_checks.items()}
     elif negs and neg_freq is not None:
         if sorted(neg_freq) != sorted(s.etype for s in negs):
             raise N.BuildError("negative order must cover the negated types")
@@ -104,8 +106,8 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
 
     # The last take enters the state after the chain: the negative tail's
     # one state, which runs the checks left for it, or else F.
-    tail_states, tail = N.negative_tail(chain, negs)
-    states = (*(f"q{i + 1}" for i in range(n)), *tail_states, "F")
+    tail_names, tail = N.negative_tail(chain, negs)
+    states = (*(f"q{i + 1}" for i in range(n)), *tail_names, "F")
     edges = []
     for i, etype in enumerate(freq):
         role, bound = bind_order[i], bind_order[:i]
@@ -123,10 +125,12 @@ def lazy_parts(chain: ChainPattern, freq: Sequence[EventType],
             edges.append(N.Take(i, i + 1, etype, role, cond, prec, succ,
                                 search=True))
 
-    branch = N.Branch(chain=chain, tail=tail, tail_state=n if tail else None,
-                      fc_checks=fc_checks)
+    work = {sid: N.StateWork(fc_checks=tuple(chks))
+            for sid, chks in fc_checks.items()}
+    if tail:
+        work[n] = N.StateWork(tail=tail)
     return N.ChainParts(states=states, edges=tuple(edges),
-                        window=chain.window, branch=branch)
+                        window=chain.window, chain=chain, work=work)
 
 
 def _check_fc_applicable(chain: ChainPattern) -> None:

@@ -1,28 +1,32 @@
 """Automaton data model and its executable plan, shared by every builder.
 
 An :class:`Nfa` is the immutable compilation artifact: named states, one
-:class:`Take` record per take or iterate edge, and one :class:`Branch` per
-chain. By position, state 0 is the seed's and the last state is F, the
-accepting state. Each builder lays out one chain as :class:`ChainParts`: its
-states, its takes, stated as the runtime executes them (ordering filters,
-whether a take searches the buffer, iteration bounds, the eager lattice's
-flags), and its branch (negative tail, first-chance checks, eager
-completion). F is a sink that no instance enters: every take into F emits
-its match. Whatever must still run once the last positive role is bound runs
-in a state of its own before F: the chain's negative tail, one state that
-runs all of its checks as one unit, or an eager lattice's full roleset,
-whose completion gates, grows and hands on. One chain's parts become an
-automaton as they are; :func:`build_multi_chain` merges several into one
-that shares the seed's state and F. Constructing an automaton compiles it,
-once, into the executable plan: one :class:`StatePlan` per state, which
-indexes the state's takes by how they act (on an arrival or on entry) and
-marks the takes into F, which emit, a :class:`NegPlan` on each tail state,
-the states each arriving type acts on (the only ones where a runtime
-registers an instance), the sort key of the matches one step emits (none
-where the plan emits them in order) and the types the shared buffer stores:
-those that some search in the plan reads. The automaton is validated from
-its state plans, before the other tables are derived from them. Every
-``Runtime`` (in :mod:`cep.runtime`) shares the plan and compiles nothing.
+:class:`Take` record per take or iterate edge, the chain of each branch,
+and a sparse table of per-state work. By position, state 0 is the seed's
+and the last state is F, the accepting state. Each builder lays out one
+chain as :class:`ChainParts`: its states, its takes, stated as the runtime
+executes them (ordering filters, whether a take searches the buffer,
+iteration bounds, the minimum count an eager take waits for), and, under
+the one state where it runs, the :class:`StateWork` that an instance's
+entry does there besides its takes: first-chance checks, the negative tail,
+an eager completion. F is a sink that no instance enters: every take into F
+emits its match. Whatever must still run once the last positive role is
+bound runs in a state of its own before F: the chain's negative tail, one
+state that runs all of its checks as one unit, or an eager lattice's full
+roleset, whose completion gates, grows and hands on. One chain's parts
+become an automaton as they are; :func:`build_multi_chain` merges several
+into one that shares the seed's state and F, renumbering only the take
+endpoints, the work table's keys and the completions' hand-offs.
+Constructing an automaton compiles it, once, into the executable plan: one
+:class:`StatePlan` per state, which indexes the state's takes by how they
+act (on an arrival or on entry) and marks the takes into F, which emit, a
+:class:`NegPlan` on each tail state, the states each arriving type acts on
+(the only ones where a runtime registers an instance), the sort key of the
+matches one step emits (none where the plan emits them in order) and the
+types the shared buffer stores: those that some search in the plan reads.
+The automaton is validated from its state plans, before the other tables
+are derived from them. Every ``Runtime`` (in :mod:`cep.runtime`) shares the
+plan and compiles nothing.
 """
 
 from __future__ import annotations
@@ -59,16 +63,15 @@ class Take:
     # (lazy); otherwise it binds arrivals only (eager).
     search: bool = False
     branch: int = 0  # owning chain in a merged automaton
-    # (lo, hi, group_attr) of the iterated role, on iterate and append
-    # takes; hi None = unbounded.
+    # (lo, hi, group_attr) of the iterated role, on every take that binds
+    # it: a lazy iterate take, which also carries ``kleene``, or an eager
+    # take, which appends the arrival to the role's members (to none on the
+    # take that binds the role); hi None = unbounded.
     iterate: Optional[tuple] = None
     # A lazy iterate take's atoms, split for iterate_fetch
     # (:func:`cep.predicates.split_kleene`): the MEMBER atoms in their
     # one-member form, the others as the chain holds them.
     kleene: Optional[KleeneAtoms] = None
-    # Eager: the take appends the arrival to the iterated role's members
-    # (to none on the take that binds the role).
-    append: bool = False
     req_iter_min: Optional[tuple] = None  # (iterated role, lo) gate
     # Set by the plan only: the take enters F, so it emits its match and
     # builds no instance.
@@ -76,37 +79,32 @@ class Take:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """Per-chain metadata: the source chain and its completion pipeline."""
-
-    chain: ChainPattern
-    # Negative tail: its checks in check order (post-processing, or the
-    # first-chance checks that need the whole match), run as one unit at
-    # the tail's one state, ``tail_state``.
-    tail: tuple = ()
-    tail_state: Optional[int] = None
-    # First-chance checks keyed by the state at whose entry they run.
-    fc_checks: dict = field(default_factory=dict)
-    # The eager lattice's full roleset, when its iterated role has work
-    # there (atoms to gate, or members to append); otherwise the full
-    # roleset is the tail's state, or F.
-    complete_state: Optional[int] = None
-    # The gate applied there: (iterated role, lo, its atoms).
-    eager_gates: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
 class Completion:
     """What an eager lattice's full roleset, a state only while its
     iterated role has work, does once every positive role is bound: apply
     the ``gate``, then emit the match or hand the instance to the negative
-    tail at ``tail_start``. An instance that may ``grow`` (an append take
-    leaves this state) stays live and hands on a copy instead.
+    tail at ``tail_start``. An instance that may ``grow`` (the iterated
+    role's self-loop leaves this state) stays live and hands on a copy
+    instead.
     """
 
     gate: tuple  # (iterated role, lo, its atoms)
     grow: bool
     tail_start: Optional[int]  # None: emit
+
+
+@dataclass(frozen=True)
+class StateWork:
+    """What an instance's entry runs at one state besides its takes, laid
+    out by the builder under that state: the first-chance checks whose
+    dependencies are bound there, the negative tail's checks in check order
+    (post-processing, or the first-chance checks that need the whole match;
+    set on exactly the tail's one state) and an eager full roleset's
+    completion."""
+
+    fc_checks: tuple = ()
+    tail: tuple = ()
+    complete: Optional[Completion] = None
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,8 @@ class Nfa:
     states: tuple  # names; state 0 is the seed's, the last one is F
     edges: tuple
     window: int
-    branches: tuple
+    chains: tuple  # ChainPattern per branch, indexed by Take.branch
+    work: dict  # sid -> StateWork; a state with none is absent
     # The executable plan, compiled on construction; every runtime shares it.
     plans: tuple = field(init=False, repr=False, compare=False)
     # The types the shared buffer stores: those some search in the plan reads.
@@ -168,7 +167,7 @@ class Nfa:
                            frozenset().union(*interest.values()))
         object.__setattr__(self, "drain_key",
                            None if _emits_in_order(self)
-                           else _drain_key(self.branches))
+                           else _drain_key(self.chains))
 
     @property
     def accepting(self) -> int:
@@ -182,11 +181,12 @@ class ChainParts:
     states: tuple
     edges: tuple
     window: int
-    branch: Branch
+    chain: ChainPattern
+    work: dict  # sid -> StateWork
 
     def nfa(self) -> Nfa:
         return Nfa(states=self.states, edges=self.edges, window=self.window,
-                   branches=(self.branch,))
+                   chains=(self.chain,), work=self.work)
 
 
 def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
@@ -209,22 +209,19 @@ def build_multi_chain(parts: Sequence[ChainParts]) -> Nfa:
         mappings.append(mapping)
     states.append("F")
 
-    edges, branches = [], []
+    edges, work = [], {}
     for bi, (p, mapping) in enumerate(zip(parts, mappings)):
         mapping[len(p.states) - 1] = len(states) - 1
-        mapping[None] = None  # no tail state, or no eager completion
+        mapping[None] = None  # an eager completion that emits
         edges += [replace(tp, src=mapping[tp.src], dst=mapping[tp.dst],
                           branch=bi) for tp in p.edges]
-        b = p.branch
-        branches.append(replace(
-            b,
-            tail_state=mapping[b.tail_state],
-            fc_checks={mapping[sid]: checks
-                       for sid, checks in b.fc_checks.items()},
-            complete_state=mapping[b.complete_state],
-        ))
+        for sid, w in p.work.items():
+            if w.complete is not None:
+                w = replace(w, complete=replace(
+                    w.complete, tail_start=mapping[w.complete.tail_start]))
+            work[mapping[sid]] = w
     return Nfa(states=tuple(states), edges=tuple(edges), window=window,
-               branches=tuple(branches))
+               chains=tuple(p.chain for p in parts), work=work)
 
 
 def binds_last(roles: frozenset, role: str, bound) -> bool:
@@ -248,10 +245,10 @@ def negative_tail(chain: ChainPattern, negs) -> tuple:
     match.
 
     Returns the tail's states, none without ``negs`` and else one, named
-    for the negated types, and the checks of :attr:`Branch.tail`, each made
-    by :func:`neg_check`. An instance enters the tail's state and scans
-    every check there; it then waits there if some check has no successor
-    roles, and emits at once otherwise (:class:`NegPlan`).
+    for the negated types, and the checks of its :attr:`StateWork.tail`,
+    each made by :func:`neg_check`. An instance enters the tail's state and
+    scans every check there; it then waits there if some check has no
+    successor roles, and emits at once otherwise (:class:`NegPlan`).
     """
     if not negs:
         return (), ()
@@ -267,7 +264,7 @@ def _searched_types(plans: tuple) -> frozenset:
     for plan in plans:
         types.update(tp.etype for tp in plan.entry_takes)
         types.update(tp.etype for tps in plan.stream_takes.values()
-                     for tp in tps if tp.iterate and not tp.append)
+                     for tp in tps if tp.kleene is not None)
         types.update(chk.etype for chk in plan.fc_checks)
         if plan.neg is not None:
             types.update(chk.etype for chk in plan.neg.checks)
@@ -280,22 +277,6 @@ def _compile_plans(nfa: Nfa) -> tuple:
         if tp.dst == nfa.accepting:
             tp = replace(tp, emits=True)
         takes_by_src[tp.src].append(tp)
-    # One plan per negative tail, on its state. ``neg_check`` never empties
-    # a non-empty neighbour set, so a check waits exactly when its own
-    # ``succ_roles`` is empty.
-    neg_plans = {}
-    for b in nfa.branches:
-        if b.tail:
-            kill: dict = defaultdict(list)
-            for chk in b.tail:
-                if not chk.succ_roles:
-                    kill[chk.etype].append(chk)
-            neg_plans[b.tail_state] = NegPlan(
-                checks=b.tail, wait=b.tail_state if kill else None,
-                kill_map={t: tuple(v) for t, v in kill.items()})
-    full = {b.complete_state: b for b in nfa.branches
-            if b.complete_state is not None}
-
     plans = []
     for sid in range(len(nfa.states)):
         entry, stream = [], defaultdict(list)
@@ -307,20 +288,23 @@ def _compile_plans(nfa: Nfa) -> tuple:
             # The seed is never entered.
             if tp.search and sid != 0:
                 entry.append(tp)
-        branch = full.get(sid)
-        complete = None if branch is None else Completion(
-            gate=branch.eager_gates,
-            # A completed instance may still grow exactly when an append
-            # take leaves its state.
-            grow=any(tp.append for tps in stream.values() for tp in tps),
-            tail_start=branch.tail_state)
+        work = nfa.work.get(sid, StateWork())
+        neg = None
+        if work.tail:
+            # ``neg_check`` never empties a non-empty neighbour set, so a
+            # check waits exactly when its own ``succ_roles`` is empty.
+            kill: dict = defaultdict(list)
+            for chk in work.tail:
+                if not chk.succ_roles:
+                    kill[chk.etype].append(chk)
+            neg = NegPlan(checks=work.tail, wait=sid if kill else None,
+                          kill_map={t: tuple(v) for t, v in kill.items()})
         plans.append(StatePlan(
             entry_takes=tuple(entry),
             stream_takes={t: tuple(v) for t, v in stream.items()},
-            fc_checks=tuple(chk for b in nfa.branches
-                            for chk in b.fc_checks.get(sid, ())),
-            complete=complete,
-            neg=neg_plans.get(sid),
+            fc_checks=work.fc_checks,
+            complete=work.complete,
+            neg=neg,
         ))
     return tuple(plans)
 
@@ -331,11 +315,11 @@ def detection_order(m) -> tuple:
     return (m.detection_ts, m.key())
 
 
-def _drain_key(branches: tuple):
+def _drain_key(chains: tuple):
     """A sort key that orders an automaton's matches as
     :func:`detection_order` does.
 
-    When every branch binds the same roles to the same types, each
+    When every chain binds the same roles to the same types, each
     iterated or not alike, every match has that one signature: roles and
     types then compare equal. ``Runtime.step`` keeps ``seq`` increasing
     with ``ts``, so ``seq`` orders a stream's events as ``(ts, seq)`` does.
@@ -343,9 +327,8 @@ def _drain_key(branches: tuple):
     the ``seq`` of its event or the tuple of its members' ``seq``.
     """
     signatures = {tuple(sorted(
-        (role, etype, b.chain.iterated is not None
-         and role == b.chain.iterated.role)
-        for role, etype in b.chain.positives)) for b in branches}
+        (role, etype, c.iterated is not None and role == c.iterated.role)
+        for role, etype in c.positives)) for c in chains}
     if len(signatures) != 1:
         return detection_order
     roles = tuple((role, iterated) for role, _, iterated in signatures.pop())
@@ -379,7 +362,7 @@ def _emits_in_order(nfa: Nfa) -> bool:
     the matches in the order of their keys, sorted by role.
     """
     plans = nfa.plans
-    if len(nfa.branches) != 1:
+    if len(nfa.chains) != 1:
         return False
     for plan in plans:
         if (plan.neg is not None or plan.fc_checks or plan.complete
@@ -390,7 +373,7 @@ def _emits_in_order(nfa: Nfa) -> bool:
     if len(stream) != 1:
         return False
     ((sid, tp),) = stream
-    if sid != 0 or tp.iterate is not None or tp.append:
+    if sid != 0 or tp.iterate is not None:
         return False
     role, sid = None, tp.dst
     while plans[sid].entry_takes:

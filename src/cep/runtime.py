@@ -22,7 +22,7 @@ and only registered instances are on the timeout heap.
 
 The automaton carries its executable plan (:mod:`cep.nfa`): a Runtime only
 references those tables, compiles nothing, and never reads the automaton's
-edges or branches.
+edges, chains or per-state work.
 """
 
 from __future__ import annotations
@@ -272,7 +272,11 @@ class Runtime:
             self._stream_take(inst, tp, e)
 
     def _stream_take(self, inst: Instance, tp: N.Take, e: Event) -> None:
-        if tp.append:
+        if tp.kleene is not None:
+            self._iterate_candidates(inst, tp, new_event=e)
+            return
+        if tp.iterate is not None:
+            # Eager: append the arrival to the iterated role's members.
             members = inst.binding.get(tp.role, ())
             lo, hi, group = tp.iterate
             if hi is not None and len(members) >= hi:
@@ -280,9 +284,6 @@ class Runtime:
             if group is not None and members and e.attr(group) != members[0].attr(group):
                 return
             self._spawn(inst, tp, members + (e,))
-            return
-        if tp.iterate is not None:
-            self._iterate_candidates(inst, tp, new_event=e)
             return
         if tp.req_iter_min is not None:
             role, lo = tp.req_iter_min
@@ -308,7 +309,7 @@ class Runtime:
         if plan.complete is not None and self._complete(inst, plan.complete):
             return
         for tp in plan.entry_takes:
-            if tp.iterate is not None:
+            if tp.kleene is not None:
                 self._iterate_candidates(inst, tp, new_event=None)
             else:
                 for x in self._candidates(inst, tp):

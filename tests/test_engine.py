@@ -14,7 +14,7 @@ from cep.patterns import parse_pattern, to_dnf
 from cep.runtime import match_line, run_stream
 from cep.streams import StreamSpec, generate_stream
 
-from conftest import mkstream
+from conftest import mkstream, state_branches
 
 
 def chains_of(text):
@@ -62,7 +62,7 @@ def test_a_composite_is_compiled_into_one_automaton(monkeypatch, mode):
     orders = [sorted(t for _, t in c.positives) for c in chains]
     (nfa,) = compile_pattern(chains, mode, orders=orders)
     assert len(compiled) == 1 and compiled[0] is nfa
-    assert len(nfa.branches) == 3
+    assert len(nfa.chains) == 3
     assert type(make_runtime([nfa])) is cep.runtime.Runtime
 
 
@@ -169,19 +169,19 @@ def test_to_dnf_compiles_each_atom_once_for_every_mode(monkeypatch, name,
     assert all(a.kind == predicates.MEMBER for a in built)
 
     for tp in nfa.edges:
-        held = _held(nfa.branches[tp.branch].chain)
+        held = _held(nfa.chains[tp.branch])
         assert _one_of(tp.cond, held)
         if tp.kleene is not None:
             assert _one_of(tp.kleene.pair + tp.kleene.whole, held)
             assert _one_of([a.expr for a in tp.kleene.member],
                            [a.expr for a in held])
-    for branch in nfa.branches:
-        held = _held(branch.chain)
-        checks = list(branch.tail)
-        checks += [chk for chks in branch.fc_checks.values() for chk in chks]
+    owner = state_branches(nfa)
+    for sid, work in nfa.work.items():
+        held = _held(nfa.chains[owner[sid]])
+        checks = work.tail + work.fc_checks
         assert all(_one_of(chk.cond, held) for chk in checks)
-        if branch.eager_gates is not None:
-            assert _one_of(branch.eager_gates[2], held)
+        if work.complete is not None:
+            assert _one_of(work.complete.gate[2], held)
 
 
 @pytest.mark.parametrize("mode", MODES)

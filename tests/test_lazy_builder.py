@@ -171,8 +171,8 @@ class TestPpNegation:
         # The last positive take enters the tail; after r_B comes F.
         assert [tp.dst for tp in nfa.plans[2].stream_takes["D"]] == [3]
         neg = nfa.plans[3].neg
-        (spec,) = nfa.branches[0].tail
-        assert nfa.branches[0].tail_state == 3
+        (spec,) = nfa.work[3].tail
+        assert [sid for sid, w in nfa.work.items() if w.tail] == [3]
         assert (spec.role, spec.etype) == ("b", "B") and spec.cond
         assert neg.checks == (spec,)
         # B precedes a positive (C), so its candidates are buffer-only: the

@@ -10,6 +10,8 @@ from cep.eager import build_eager, eager_parts
 from cep.lazy import build_lazy, lazy_parts
 from cep.patterns import parse_pattern, to_dnf
 
+from conftest import state_branches
+
 
 def chain_of(text):
     (chain,) = to_dnf(parse_pattern(text))
@@ -24,15 +26,15 @@ def _last_take_dropped(nfa):
 
 def _tail_cut_short(nfa):
     # The tail loses its checks: its state then neither emits nor waits.
-    (branch,) = nfa.branches
-    return replace(nfa, branches=(replace(branch, tail=()),))
+    return replace(nfa, work={sid: replace(w, tail=())
+                              for sid, w in nfa.work.items()})
 
 
 def _no_handoff(nfa):
     # The eager lattice's full roleset, which gates the iterated role's
     # atom, no longer hands off to the tail.
-    (branch,) = nfa.branches
-    return replace(nfa, branches=(replace(branch, complete_state=None),))
+    return replace(nfa, work={sid: replace(w, complete=None)
+                              for sid, w in nfa.work.items()})
 
 
 @pytest.mark.parametrize("build,breakage,stuck", [
@@ -70,16 +72,22 @@ def _one_state_per_negative_tail(nfa):
     # F is the last state, a sink whose plan is empty: no instance enters
     # it. Each negation is either a first-chance check at an earlier state
     # or one of its branch's tail checks, and the tail is one state, whose
-    # plan holds every tail check in tail order.
+    # plan holds every tail check in tail order. An eager completion hands
+    # off to a tail state.
     assert nfa.states[-1] == "F"
     assert nfa.plans[-1] == N.StatePlan((), {}, (), None, None)
     tails = [sid for sid, plan in enumerate(nfa.plans) if plan.neg is not None]
-    assert tails == sorted(b.tail_state for b in nfa.branches if b.tail)
-    for b in nfa.branches:
-        assert len(b.tail) + sum(map(len, b.fc_checks.values())) == len(
-            b.chain.negations)
-        if b.tail:
-            assert nfa.plans[b.tail_state].neg.checks == b.tail
+    assert tails == sorted(sid for sid, w in nfa.work.items() if w.tail)
+    owner = state_branches(nfa)
+    for bi, chain in enumerate(nfa.chains):
+        assert sum(len(w.tail) + len(w.fc_checks)
+                   for sid, w in nfa.work.items() if owner[sid] == bi
+                   ) == len(chain.negations)
+    for sid, w in nfa.work.items():
+        if w.tail:
+            assert nfa.plans[sid].neg.checks == w.tail
+        if w.complete is not None and w.complete.tail_start is not None:
+            assert nfa.plans[w.complete.tail_start].neg is not None
 
 
 def test_every_builder_output_over_the_difftest_corpus_validates():
@@ -97,6 +105,15 @@ def test_every_builder_output_over_the_difftest_corpus_validates():
                 pass  # first-chance negation refuses a trailing negation
             lazies.append(lazy_parts(chain, order))
             eagers.append(eager_parts(chain))
+            # The take encoding the runtime dispatches on: an eager take
+            # binds arrivals only and carries no ``kleene``; a lazy take
+            # searches, and carries ``kleene`` exactly when it iterates.
+            eager, *lazy = nfas
+            assert not any(tp.search or tp.kleene is not None
+                           for tp in eager.edges)
+            assert all(tp.search
+                       and (tp.kleene is None) == (tp.iterate is None)
+                       for nfa in lazy for tp in nfa.edges)
             for nfa in nfas:
                 N.validate_nfa(nfa)
                 assert len(nfa.plans) == len(nfa.states)

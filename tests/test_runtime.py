@@ -797,7 +797,7 @@ def test_eager_completion_grows_only_with_an_append_take():
     chains = chains_of("PATTERN SEQ(A+ a[], B b, NOT(C h)) WITHIN 300 msec")
     (nfa,) = compile_pattern(chains, "eager")
     assert all(p.complete is None for p in nfa.plans)
-    tail_state = nfa.branches[0].tail_state
+    (tail_state,) = [sid for sid, w in nfa.work.items() if w.tail]
     into_tail = [tp for tp in nfa.edges if tp.dst == tail_state]
     assert [(tp.role, tp.req_iter_min) for tp in into_tail] == [
         ("b", ("a", 1))]
@@ -806,7 +806,8 @@ def test_eager_completion_grows_only_with_an_append_take():
         "PATTERN SEQ(A+ a[], B b, NOT(C h)) WHERE skip_till_any_match"
         " { a[i].price > 0 } WITHIN 300 msec"), "eager")
     (c,) = [p.complete for p in gated.plans if p.complete is not None]
-    assert not c.grow and c.tail_start == gated.branches[0].tail_state
+    (gated_tail,) = [sid for sid, w in gated.work.items() if w.tail]
+    assert not c.grow and c.tail_start == gated_tail
     events = generate_stream(StreamSpec(
         rates={"A": 20.0, "B": 30.0, "C": 10.0, "D": 5.0}, count=800, seed=5))
     rt = make_runtime([nfa])
@@ -1023,6 +1024,18 @@ def test_settling_instances_touch_no_registry(pattern, rates, group_by):
                  ["A", "B"],
                  mkstream(("E", 1), ("D", 3), ("A", 5), ("B", 12)),
                  id="second-scan"),
+    # X@7 sets the A clone's floor to 12; the iterate take into the tail
+    # that checks NOT(C h) builds an instance ending at 9, and the tail
+    # drops it under the floor.
+    pytest.param("PATTERN SEQ(NOT(X g), A a, NOT(C h), B+ b[]) WITHIN 5 msec",
+                 ["B", "A"], mkstream(("X", 7), ("A", 7), ("B", 9)),
+                 id="kleene-completion"),
+    # E@3 sets the A clone's floor to 6; the iterate take into F emits a
+    # bare batch bounded by C@6, stamped at D@6: the batch is dropped.
+    pytest.param("PATTERN SEQ(NOT(E h), A a, B+ b[], C c, D d) WITHIN 3 msec",
+                 ["C", "B", "D", "A"],
+                 mkstream(("E", 3), ("A", 3), ("B", 4), ("C", 6), ("D", 6)),
+                 id="kleene-bare-batch"),
 ])
 def test_first_chance_floor_rules_out_the_match(pattern, order, stream):
     chains = chains_of(pattern)
