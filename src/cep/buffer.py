@@ -17,16 +17,18 @@ from .events import Event, EventType
 from .predicates import KleeneAtoms, eval_atoms
 
 
-# A lane keeps its expired prefix until that holds more than this many
-# events and more than half of the lane.
-LANE_SLACK = 512
-
 _KEY = attrgetter("key")  # lanes are bisected by each event's (ts, seq)
 _TS = attrgetter("ts")  # and expired by its ts alone
 
 
 class _TypeLane:
-    """Append-only, arrival-ordered event lane with an expiry offset."""
+    """Append-only, arrival-ordered event lane with an expiry offset.
+
+    ``expire`` drops the expired prefix once it holds more events than the
+    live part, so a lane never holds more dead events than live ones. Each
+    compaction copies fewer events than expired since the last one, so
+    expiry stays amortised O(1) per event.
+    """
 
     __slots__ = ("events", "start")
 
@@ -36,14 +38,14 @@ class _TypeLane:
 
     def expire(self, watermark_ts: int) -> int:
         # The window is inclusive: an event on the watermark stays.
-        lo = self.start
-        hi = bisect.bisect_left(self.events, watermark_ts, lo=lo, key=_TS)
-        removed = hi - lo
-        self.start = hi
-        if self.start > LANE_SLACK and self.start * 2 > len(self.events):
-            del self.events[: self.start]
+        events, lo = self.events, self.start
+        hi = bisect.bisect_left(events, watermark_ts, lo=lo, key=_TS)
+        if hi * 2 > len(events):
+            del events[:hi]
             self.start = 0
-        return removed
+        else:
+            self.start = hi
+        return hi - lo
 
     def slice(self, lower, upper) -> list:
         events, lo = self.events, self.start

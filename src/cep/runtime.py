@@ -8,12 +8,14 @@ event at time T is processed, every instance whose window closed strictly
 before T receives a synthetic timeout. Buffered events are dropped lazily:
 a step that may search (some state listens to T's event type) first drops
 every event more than one window behind T; a step that only stores drops
-them once the oldest is more than two windows behind, which bounds the
-buffer by the window; flush catches up to the last step. Nothing else tests
-the window: every live instance starts at or after T minus the window,
-every instance entered while T is processed binds the event at T, and
-whenever a search runs the buffer holds nothing older than T minus the
-window, so whatever a search combines fits.
+them once the oldest is more than two windows behind; flush catches up to
+the last step. Between searches, the buffer therefore holds up to two
+windows of live events, plus no more expired events per type than live
+ones (see :mod:`cep.buffer`). Nothing else tests the window: every live
+instance starts at or after T minus the window, every instance entered
+while T is processed binds the event at T, and whenever a search runs the
+buffer holds nothing older than T minus the window, so whatever a search
+combines fits.
 
 Every new instance is entered once (:meth:`Runtime._enter`): its entry
 runs, and it is then registered where it ended up if some arrival acts on

@@ -10,8 +10,10 @@ CSV format (one event per line, LF, UTF-8)::
 
     seq,ts,type,stock,region,price,history
 
-where ``history`` is a semicolon-joined list of decimal floats. The price
-and every history value must be finite (no ``nan`` or ``inf``).
+where ``history`` is a semicolon-joined list of decimal floats; an empty
+field is an empty history, and an empty item in a non-empty one is an
+error. The price and every history value must be finite (no ``nan`` or
+``inf``).
 """
 
 from __future__ import annotations
@@ -176,10 +178,15 @@ def read_csv(fh: io.TextIOBase) -> list:
         parts = line.split(",")
         if len(parts) != 7:
             raise StreamDataError(f"line {lineno}: expected 7 fields")
+        # An empty field is an empty history, as write_csv writes one.
+        items = parts[6].split(";") if parts[6] else ()
+        if "" in items:
+            raise StreamDataError(f"line {lineno}: history {parts[6]!r} "
+                                  "has an empty item")
         try:
             seq, ts = int(parts[0]), int(parts[1])
             price = float(parts[5])
-            history = tuple(float(v) for v in parts[6].split(";") if v)
+            history = tuple(map(float, items))
         except ValueError as exc:
             raise StreamDataError(f"line {lineno}: {exc}") from None
         if not math.isfinite(price):

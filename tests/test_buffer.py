@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cep import buffer
 from cep.buffer import InputBuffer, iterate_fetch
 from cep.events import Event
 from cep.metrics import Metrics
@@ -104,12 +105,38 @@ class TestExpire:
         assert _grouped(buf) == [(b2,)]
         assert _grouped(buf, new_event=b2) == [(b2,)]
 
+    def test_compaction_moves_fewer_events_than_expire_removes(
+            self, monkeypatch):
+        # A lane that shrinks in an expire call has compacted: it moved the
+        # events it kept. Expiry stays amortised O(1) per event only if the
+        # events moved never outnumber the events removed.
+        moved = removed = 0
+        expire = buffer._TypeLane.expire
+
+        def counting_expire(lane, watermark_ts):
+            nonlocal moved, removed
+            before = len(lane.events)
+            n = expire(lane, watermark_ts)
+            removed += n
+            if len(lane.events) < before:
+                moved += len(lane.events)
+            return n
+
+        monkeypatch.setattr(buffer._TypeLane, "expire", counting_expire)
+        buf = InputBuffer()
+        for ts in range(20_000):
+            buf.store(Event("A", ts, ts))
+            buf.expire(ts - 1000)
+            assert moved <= removed
+        assert removed == 20_000 - 1001
+        assert moved > 0  # the lane did compact
+
     # Runs of (events, ts step, watermark lag, expiry interval): every
     # interval-th store is followed by an expire at ts - lag, so that one
     # call may remove a long run of events, as the runtime's deferred
     # expiry does. A zero step or lag puts equal timestamps on the
-    # watermark; the explicit examples expire enough events of type A to
-    # cross the 512-event lane compaction, one at a time and in bulk.
+    # watermark; the explicit examples expire long runs of type A, which
+    # the lane compacts away, one at a time and in bulk.
     @given(st.lists(st.tuples(st.integers(1, 700), st.integers(0, 2),
                               st.integers(0, 30), st.integers(1, 300)),
                     min_size=1, max_size=3))

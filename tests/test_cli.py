@@ -100,6 +100,17 @@ def test_malformed_csv_is_exit_3(files, capsys):
                  "--mode", "eager"]) == 3
 
 
+def test_empty_history_item_is_exit_3(files, capsys):
+    tmp, pattern, _, _ = files
+    bad = tmp / "bad.csv"
+    bad.write_text("seq,ts,type,stock,region,price,history\n"
+                   "0,1,A,s,A,1.0,1.0;;2.0\n")
+    assert main(["run", "--pattern", str(pattern), "--input", str(bad),
+                 "--mode", "lazy"]) == 3
+    assert "line 2: history '1.0;;2.0' has an empty item" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("flag", ["--matches-out", "--metrics-out",
                                   "--metrics-csv"])
 def test_unopenable_output_is_exit_2_before_the_stream_is_read(files, capsys,

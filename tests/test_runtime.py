@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from typing import NamedTuple
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cep import nfa as N
 from cep import difftest, runtime
-from cep.buffer import LANE_SLACK, InputBuffer
+from cep.buffer import InputBuffer
 from cep.difftest import random_pattern, random_stream
 from cep.engine import apply_group_by, compile_pattern, make_runtime
 from cep.events import Event, StreamDataError
@@ -446,8 +447,8 @@ def _held_events(root) -> set:
 def test_buffer_follows_the_window_not_the_group_values():
     # Every B carries a new stock: a grouped B+ runtime must not keep one
     # entry per value ever seen. No step here searches, so between
-    # searches the buffer may hold two windows; flush leaves the last one.
-    # Both bounds allow the lane's not yet compacted expired prefix.
+    # searches the buffer may hold two windows, and its lane as many expired
+    # events as live ones; flush leaves the last window.
     chains = apply_group_by(chains_of(
         "PATTERN SEQ(A a, B+ b[], C c) WHERE skip_till_any_match"
         " { b[i].stock = b[i-1].stock } WITHIN 10 msec"), "b", "stock")
@@ -457,13 +458,38 @@ def test_buffer_follows_the_window_not_the_group_values():
     for i in range(10_000):
         rt.step(Event("B", i, i, {"stock": f"S{i}"}))
         if i % 97 == 0:
-            assert len(_held_events(rt.buffer)) <= two_windows + LANE_SLACK
+            assert len(_held_events(rt.buffer)) <= 2 * two_windows
     rt.flush()
     last_window = rt.buffer.query("B")
     assert [e.seq for e in last_window] == list(range(9_989, 10_000))
     held = _held_events(rt.buffer)
     assert {id(e) for e in last_window} <= held
-    assert len(held) <= len(last_window) + LANE_SLACK
+    assert len(held) <= 2 * len(last_window)
+
+
+def test_expired_events_are_released():
+    # Each B is held here only through a weakref, so it is freed as soon as
+    # the runtime lets go of it. Each C searches, and expires the buffer to
+    # one window (11 B events) first; up to 5 more B events arrive before
+    # the next C, and the lane keeps no more expired events than live ones.
+    rt = make_runtime(compile_pattern(chains_of(
+        "PATTERN SEQ(B b, C c) WHERE skip_till_any_match { b.x < c.x }"
+        " WITHIN 10 msec"), "lazy", orders=[["C", "B"]]))
+    alive_bound = 2 * 11 + 5
+    refs = []
+    seq = 0
+    for ts in range(3_000):
+        b = Event("B", ts, seq, {"x": float(ts % 7)})
+        refs.append(weakref.ref(b))
+        rt.step(b)
+        del b
+        seq += 1
+        if ts % 5 == 4:
+            rt.step(Event("C", ts, seq, {"x": 3.0}))
+            seq += 1
+        if ts % 97 == 0:
+            gc.collect()
+            assert sum(r() is not None for r in refs) <= alive_bound
 
 
 def test_negative_seqs_on_the_watermark_keep_their_match():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cep.events import StreamDataError, check_stream_order
+from cep.events import Event, StreamDataError, check_stream_order
 from cep.streams import (StreamSpec, generate_stream, measure_rates, read_csv,
                          write_csv)
 
@@ -91,6 +91,26 @@ def test_spec_needs_a_history_and_a_stock(field, value):
     least = 0 if field == "count" else 1  # an empty stream is a stream
     with pytest.raises(ValueError, match=f"{field} must be at least {least}"):
         StreamSpec(**{"rates": {"A": 1.0}, "count": 10, field: value})
+
+
+def test_csv_keeps_an_empty_history():
+    e = Event("A", 1, 0, {"stock": "s", "region": "A", "price": 1.0,
+                          "history": ()})
+    buf = io.StringIO()
+    write_csv([e], buf)
+    assert buf.getvalue().endswith(",1.0,\n")
+    buf.seek(0)
+    assert read_csv(buf) == [e]
+
+
+@pytest.mark.parametrize("history", ["1.0;;2.0", "1.0;2.0;", ";1.0", ";"])
+def test_csv_rejects_an_empty_history_item(history):
+    # Dropping the item would shift every later value of a corr alignment.
+    bad = ("seq,ts,type,stock,region,price,history\n"
+           "0,1,A,s,A,1.0,1.0;2.0\n"
+           f"1,2,A,s,A,2.0,{history}\n")
+    with pytest.raises(StreamDataError, match="line 3: history .* empty"):
+        read_csv(io.StringIO(bad))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
