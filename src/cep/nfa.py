@@ -17,10 +17,11 @@ roleset, whose completion gates, grows and hands on. One chain's parts
 become an automaton as they are; :func:`build_multi_chain` merges several
 into one that shares the seed's state and F, renumbering only the take
 endpoints, the work table's keys and the completions' hand-offs.
-Constructing an automaton compiles it, once, into the executable plan: one
-:class:`StatePlan` per state, which indexes the state's takes by how they
-act (on an arrival or on entry) and marks the takes into F, which emit, a
-:class:`NegPlan` on each tail state, the states each arriving type acts on
+Constructing an automaton compiles it, once, into the executable plan. It
+holds one :class:`StatePlan` per state, which indexes the state's takes by
+how they act (on an arrival or on entry), marks the takes into F, which
+emit, and on a tail state holds the tail's checks and, by type, those that
+arrivals also run. It also holds the states each arriving type acts on
 (the only ones where a runtime registers an instance), the sort key of the
 matches one step emits (none where the plan emits them in order) and the
 types the shared buffer stores: those that some search in the plan reads.
@@ -108,24 +109,15 @@ class StateWork:
 
 
 @dataclass(frozen=True)
-class NegPlan:
-    """A negative tail as the runtime runs it, on the tail's one state."""
-
-    checks: tuple  # NegSpec, in check order; all scan the buffer on entry
-    # The tail's state, where an instance that passed every check waits
-    # when some check has no positive event after it; None: it emits at
-    # once.
-    wait: Optional[int]
-    kill_map: dict  # etype -> tuple[NegSpec] for arrivals while waiting
-
-
-@dataclass(frozen=True)
 class StatePlan:
     entry_takes: tuple
     stream_takes: dict  # etype -> tuple[Take]
     fc_checks: tuple
     complete: Optional[Completion]  # set on an eager full roleset only
-    neg: Optional[NegPlan]  # set on exactly the tail states
+    tail: tuple  # NegSpec in check order, set on exactly the tail states
+    # etype -> tuple[NegSpec]: the tail checks that arrivals also run. An
+    # instance that passes the tail waits exactly when this is non-empty.
+    kill_map: dict
 
 
 @dataclass(frozen=True)
@@ -156,11 +148,8 @@ class Nfa:
         # Which states care about which arriving types.
         interest = defaultdict(set)
         for sid, plan in enumerate(plans):
-            for t in plan.stream_takes:
+            for t in (*plan.stream_takes, *plan.kill_map):
                 interest[t].add(sid)
-            if plan.neg is not None and plan.neg.wait == sid:
-                for t in plan.neg.kill_map:
-                    interest[t].add(sid)
         object.__setattr__(self, "type_interest",
                            {t: tuple(sorted(s)) for t, s in interest.items()})
         object.__setattr__(self, "acted_on",
@@ -248,7 +237,8 @@ def negative_tail(chain: ChainPattern, negs) -> tuple:
     for the negated types, and the checks of its :attr:`StateWork.tail`,
     each made by :func:`neg_check`. An instance enters the tail's state and
     scans every check there; it then waits there if some check has no
-    successor roles, and emits at once otherwise (:class:`NegPlan`).
+    successor roles, and emits at once otherwise (the state's
+    :attr:`StatePlan.kill_map`).
     """
     if not negs:
         return (), ()
@@ -265,9 +255,7 @@ def _searched_types(plans: tuple) -> frozenset:
         types.update(tp.etype for tp in plan.entry_takes)
         types.update(tp.etype for tps in plan.stream_takes.values()
                      for tp in tps if tp.kleene is not None)
-        types.update(chk.etype for chk in plan.fc_checks)
-        if plan.neg is not None:
-            types.update(chk.etype for chk in plan.neg.checks)
+        types.update(chk.etype for chk in (*plan.fc_checks, *plan.tail))
     return frozenset(types)
 
 
@@ -289,22 +277,20 @@ def _compile_plans(nfa: Nfa) -> tuple:
             if tp.search and sid != 0:
                 entry.append(tp)
         work = nfa.work.get(sid, StateWork())
-        neg = None
-        if work.tail:
-            # ``neg_check`` never empties a non-empty neighbour set, so a
-            # check waits exactly when its own ``succ_roles`` is empty.
-            kill: dict = defaultdict(list)
-            for chk in work.tail:
-                if not chk.succ_roles:
-                    kill[chk.etype].append(chk)
-            neg = NegPlan(checks=work.tail, wait=sid if kill else None,
-                          kill_map={t: tuple(v) for t, v in kill.items()})
+        # ``neg_check`` never empties a non-empty neighbour set, so a tail
+        # check has no positive event after it exactly when it has no
+        # ``succ_roles``.
+        kill: dict = defaultdict(list)
+        for chk in work.tail:
+            if not chk.succ_roles:
+                kill[chk.etype].append(chk)
         plans.append(StatePlan(
             entry_takes=tuple(entry),
             stream_takes={t: tuple(v) for t, v in stream.items()},
             fc_checks=work.fc_checks,
             complete=work.complete,
-            neg=neg,
+            tail=work.tail,
+            kill_map={t: tuple(v) for t, v in kill.items()},
         ))
     return tuple(plans)
 
@@ -365,7 +351,7 @@ def _emits_in_order(nfa: Nfa) -> bool:
     if len(nfa.chains) != 1:
         return False
     for plan in plans:
-        if (plan.neg is not None or plan.fc_checks or plan.complete
+        if (plan.tail or plan.fc_checks or plan.complete
                 or len(plan.entry_takes) > 1):
             return False
     stream = [(sid, tp) for sid, plan in enumerate(plans)
@@ -395,7 +381,7 @@ def validate_nfa(nfa: Nfa) -> None:
     for sid, plan in enumerate(nfa.plans):
         nxt = {tp.dst for tp in plan.entry_takes}
         nxt.update(tp.dst for tps in plan.stream_takes.values() for tp in tps)
-        if plan.neg is not None:
+        if plan.tail:
             nxt.add(nfa.accepting)
         c = plan.complete
         if c is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from . import predicates as P
@@ -278,8 +279,9 @@ class _Parser:
 
     def window(self, bare_unit: Optional[str] = None) -> int:
         """The window, which ends the input, in whole milliseconds (at least
-        1): a number and a unit of UNITS_MS in any case, with at most one
-        trailing ``s``. A bare number is in ``bare_unit`` when given."""
+        1, and never rounded): a number and a unit of UNITS_MS in any case,
+        with at most one trailing ``s``. A bare number is in ``bare_unit``
+        when given."""
         t = self.peek()
         value = self.number("duration value")
         unit = self.next() if self.peek()[0] == "ident" else None
@@ -289,14 +291,15 @@ class _Parser:
         name = unit[1].lower().removesuffix("s") if unit else bare_unit
         if name not in UNITS_MS:
             self.error(f"unknown time unit {unit[1]!r}", unit)
-        scaled = value * UNITS_MS[name]
-        if scaled == math.inf:
+        if value * UNITS_MS[name] == math.inf:
             self.error("the window is too large", t)
-        ms = self.checked(t, int(round(scaled)), _check_window)
+        # Scaled exactly: as floats, 1.005 sec falls short of 1005 msec.
+        exact = Fraction(t[1]) if "." in t[1] else int(t[1])
+        ms = self.checked(t, exact * UNITS_MS[name], _check_window)
         kind, text, _ = self.peek()
         if kind != "eof":
             self.error(f"trailing input {text!r}")
-        return ms
+        return int(ms)
 
     def elem(self, parent_op: str = "") -> AstNode:
         t = self.peek()
@@ -514,6 +517,9 @@ def _role_type(item) -> tuple:
 def _check_window(window) -> None:
     if not window >= 1:
         raise PatternError("window must be positive")
+    if window % 1:
+        raise PatternError(f"window must be a whole number of milliseconds, "
+                           f"got {float(window):g} ms")
 
 
 def _validate_ast(ast: PatternAst) -> None:

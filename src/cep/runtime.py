@@ -22,6 +22,11 @@ runs, and it is then registered where it ended up if some arrival acts on
 it there, or retired if not. A registered instance's state never changes,
 and only registered instances are on the timeout heap.
 
+A take binds events in one of two ways: from an arrival, or by a buffer
+search when its state is entered. Either way it hands every bound it found
+to :meth:`Runtime._take`, which emits them as one batch of matches when the
+take enters F, and otherwise spawns one instance per bound.
+
 The automaton carries its executable plan (:mod:`cep.nfa`): a Runtime only
 references those tables, compiles nothing, and never reads the automaton's
 edges, chains or per-state work.
@@ -69,9 +74,10 @@ def match_line(m: Match) -> str:
 
 
 class ShadowMismatch(AssertionError):
-    """A buffer search diverged from the arrival log, a spawn spans more
-    than the window, or a batch stamped at the instance's newest key binds
-    a newer event (paired mode)."""
+    """A buffer search diverged from the arrival log, a take's bound spans
+    more than the window, a take with successor roles bound an event not
+    older than the instance's newest, or an arrival reached an instance
+    that was retired after the step took its snapshot (paired mode)."""
 
 
 class Instance:
@@ -223,9 +229,10 @@ class Runtime:
             insts = self.by_state[sid]
             if insts:
                 targets.extend(insts.values())
+        # Dispatch retires only the dispatched instance and those it creates,
+        # so every target is still alive when the arrival reaches it.
         for inst in targets:
-            if inst.alive:
-                self._on_arrival(inst, e)
+            self._on_arrival(inst, e)
         return self._drain()
 
     def flush(self) -> list:
@@ -251,8 +258,7 @@ class Runtime:
             inst = self.by_state[sid].get(iid)
             if inst is None:
                 continue
-            plan = self.plans[inst.sid]
-            if plan.neg is not None:
+            if self.plans[sid].tail:
                 # All pending absence checks were already verified against
                 # the buffer on entry to the tail and against every arrival
                 # since; window expiry certifies the remaining ones.
@@ -264,46 +270,44 @@ class Runtime:
 
     def _on_arrival(self, inst: Instance, e: Event) -> None:
         plan = self.plans[inst.sid]
-        if plan.neg is not None:
-            for chk in plan.neg.kill_map.get(e.etype, ()):
+        if plan.tail:
+            # A tail state has no takes: an arrival can only kill.
+            for chk in plan.kill_map.get(e.etype, ()):
                 if self._cond_ok(inst, chk, e):
                     self._retire(inst)
                     return
             return
         for tp in plan.stream_takes.get(e.etype, ()):
-            self._stream_take(inst, tp, e)
+            bounds = self._arrival_bounds(inst, tp, e)
+            if bounds:
+                self._take(inst, tp, bounds)
 
-    def _stream_take(self, inst: Instance, tp: N.Take, e: Event) -> None:
+    def _arrival_bounds(self, inst: Instance, tp: N.Take, e: Event):
+        """What ``tp`` binds in ``inst`` from the arrival ``e``: the Kleene
+        subsets that include it, the iterated role's members with it
+        appended (eager), or ``e`` itself; empty when it binds nothing."""
         if tp.kleene is not None:
-            self._iterate_candidates(inst, tp, new_event=e)
-            return
+            return self._iterate(inst, tp, e)
         if tp.iterate is not None:
-            # Eager: append the arrival to the iterated role's members.
             members = inst.binding.get(tp.role, ())
             lo, hi, group = tp.iterate
             if hi is not None and len(members) >= hi:
-                return
+                return ()
             if group is not None and members and e.attr(group) != members[0].attr(group):
-                return
-            self._spawn(inst, tp, members + (e,))
-            return
+                return ()
+            return (members + (e,),)
         if tp.req_iter_min is not None:
             role, lo = tp.req_iter_min
             if len(inst.binding[role]) < lo:
-                return
-        if tp.cond:
-            binding = dict(inst.binding)
-            binding[tp.role] = e
-            if not eval_atoms(tp.cond, binding, self.metrics):
-                return
-        self._spawn(inst, tp, e)
+                return ()
+        return (e,) if self._cond_ok(inst, tp, e) else ()
 
     # -- buffer searches -----------------------------------------------------
 
     def _entry(self, inst: Instance) -> None:
         plan = self.plans[inst.sid]
-        if plan.neg is not None:
-            self._tail_entry(inst, plan.neg)
+        if plan.tail:
+            self._tail_entry(inst, inst.sid)
             return
         for chk in plan.fc_checks:
             if self._fc_scan(inst, chk):
@@ -312,10 +316,12 @@ class Runtime:
             return
         for tp in plan.entry_takes:
             if tp.kleene is not None:
-                self._iterate_candidates(inst, tp, new_event=None)
+                bounds = self._iterate(inst, tp, None)
+            elif tp.cond:
+                bounds = list(self._candidates(inst, tp))
             else:
-                for x in self._candidates(inst, tp):
-                    self._spawn(inst, tp, x)
+                bounds = self._query(inst, tp)
+            self._take(inst, tp, bounds)
 
     def _query(self, inst: Instance, chk) -> list:
         """Every buffer search, one ``buffer_search`` each: the events of
@@ -343,24 +349,26 @@ class Runtime:
             if eval_atoms(chk.cond, scratch, self.metrics):
                 yield x
 
-    def _iterate_candidates(self, inst: Instance, tp: N.Take,
-                            new_event: Optional[Event]) -> None:
+    def _iterate(self, inst: Instance, tp: N.Take,
+                 new_event: Optional[Event]) -> list:
+        """The member tuples that the Kleene take ``tp`` binds in ``inst``."""
         lo, hi, group = tp.iterate
-        pool = self._query(inst, tp)
-        found = iterate_fetch(pool, (lo, hi), group_attr=group,
-                              new_event=new_event, condition=tp.kleene,
-                              bound_roles=inst.binding, role=tp.role,
-                              counter=self.metrics)
+        return iterate_fetch(self._query(inst, tp), (lo, hi),
+                             group_attr=group, new_event=new_event,
+                             condition=tp.kleene, bound_roles=inst.binding,
+                             role=tp.role, counter=self.metrics)
+
+    def _take(self, inst: Instance, tp: N.Take, bounds) -> None:
+        """Hand on every bound that ``tp`` found for ``inst``: a take into F
+        emits their matches as one batch; any other take spawns one
+        instance per bound."""
         if tp.emits:
-            self._emit_bare(inst, tp, found)
+            self._emit_bare(inst, tp, bounds)
             return
-        for members in found:
-            self._spawn(inst, tp, members)
+        for bound in bounds:
+            self._spawn(inst, tp, bound)
 
     def _spawn(self, inst: Instance, tp: N.Take, bound) -> None:
-        if tp.emits:
-            self._emit_bare(inst, tp, (bound,))
-            return
         binding = dict(inst.binding)
         binding[tp.role] = bound
         # Member tuples are ascending by key: the ends are the extremes.
@@ -444,14 +452,15 @@ class Runtime:
                                            dict(inst.binding), inst.anchor,
                                            inst.maxkey))
             return False
-        self._tail_entry(inst, self.plans[c.tail_start].neg)
+        self._tail_entry(inst, c.tail_start)
         return True
 
-    def _tail_entry(self, inst: Instance, neg: N.NegPlan) -> None:
+    def _tail_entry(self, inst: Instance, sid: int) -> None:
         # Scan the buffered candidates of every negated type now: this is
         # the only moment all of them are both complete (for types that
         # must precede a positive) and not yet expired.
-        for chk in neg.checks:
+        plan = self.plans[sid]
+        for chk in plan.tail:
             if self._neg_scan(inst, chk):
                 return
         # A first-chance scan found a negated event that the match's window
@@ -459,10 +468,10 @@ class Runtime:
         if inst.maxkey[0] <= inst.floor:
             self._retire(inst)
             return
-        if neg.wait is None:
-            self._emit(inst, inst.maxkey[0])
+        if plan.kill_map:
+            inst.sid = sid  # an eager hand-off waits in the tail's state
         else:
-            inst.sid = neg.wait  # an eager hand-off waits in the tail's state
+            self._emit(inst, inst.maxkey[0])
 
     def _neg_scan(self, inst: Instance, chk: NegSpec) -> bool:
         """Buffered-candidate absence check; retires the instance on a hit."""
@@ -492,7 +501,8 @@ class Runtime:
                 break
         return False
 
-    def _cond_ok(self, inst: Instance, chk: NegSpec, x: Event) -> bool:
+    def _cond_ok(self, inst: Instance, chk, x: Event) -> bool:
+        """Whether ``chk`` (a Take or a NegSpec) holds with ``x`` bound."""
         if not chk.cond:
             return True
         binding = dict(inst.binding)
@@ -526,10 +536,10 @@ class PairedRuntime(Runtime):
     Test machinery (the shadow-buffer check). It logs every arrival that
     ``Runtime.step`` accepts, of every type. A buffer search that returns
     other events than the log holds of its type within the window and the
-    search's ordering bounds, a spawn spanning more than the window, or an
-    emitted bound of a take with successor roles that is not older than
-    the instance's newest event, raises :class:`ShadowMismatch`. Matches
-    and counters are unchanged.
+    search's ordering bounds, a take's bound spanning more than the window
+    or, on a take with successor roles, not older than the instance's
+    newest event, or an arrival dispatched to a retired instance, raises
+    :class:`ShadowMismatch`. Matches and counters are unchanged.
     """
 
     def __init__(self, nfa: N.Nfa):
@@ -548,32 +558,29 @@ class PairedRuntime(Runtime):
             if self.metrics.events_processed == processed:
                 log.pop()
 
-    def _check_span(self, inst: Instance, tp: N.Take, bound) -> None:
-        stamps = [x.ts for b in (*inst.binding.values(), bound)
-                  for x in (b if type(b) is tuple else (b,))]
-        span = max(stamps) - min(stamps)
-        if span > self.window:
-            raise ShadowMismatch(f"instance spawned in state {tp.dst} spans "
-                                 f"{span} > window {self.window}")
+    def _on_arrival(self, inst: Instance, e: Event) -> None:
+        if not inst.alive:
+            raise ShadowMismatch(f"instance {inst.iid} was retired before "
+                                 f"the arrival {e} reached it")
+        super()._on_arrival(inst, e)
 
-    def _spawn(self, inst: Instance, tp: N.Take, bound) -> None:
-        if not tp.emits:  # _emit_bare checks the bounds it is handed
-            self._check_span(inst, tp, bound)
-        super()._spawn(inst, tp, bound)
-
-    def _emit_bare(self, inst: Instance, tp: N.Take, bounds) -> None:
+    def _take(self, inst: Instance, tp: N.Take, bounds) -> None:
         for bound in bounds:
-            self._check_span(inst, tp, bound)
-            if not tp.succ_roles:
-                continue
-            # Runtime._emit_bare stamps this batch at the instance's maxkey.
+            stamps = [x.ts for b in (*inst.binding.values(), bound)
+                      for x in (b if type(b) is tuple else (b,))]
+            span = max(stamps) - min(stamps)
+            if span > self.window:
+                raise ShadowMismatch(f"take into state {tp.dst} spans "
+                                     f"{span} > window {self.window}")
+            # A take with successor roles searched below a bound event;
+            # Runtime._emit_bare stamps such a batch at the instance's maxkey.
             newest = bound[-1].key if type(bound) is tuple else bound.key
-            if newest >= inst.maxkey:
+            if tp.succ_roles and newest >= inst.maxkey:
                 raise ShadowMismatch(
                     f"take into state {tp.dst} with successor roles "
                     f"{sorted(tp.succ_roles)} bound an event at {newest}, "
                     f"not before the instance's newest {inst.maxkey}")
-        super()._emit_bare(inst, tp, bounds)
+        super()._take(inst, tp, bounds)
 
     def _query(self, inst: Instance, chk) -> list:
         got = super()._query(inst, chk)

@@ -171,6 +171,8 @@ def test_window_override(files):
 @pytest.mark.parametrize("text, ms", [
     ("30MIN", 1_800_000), ("2 Hours", 7_200_000), ("1.5Sec", 1500),
     ("5 msecs", 5), ("1hour", 3_600_000),
+    # Scaled exactly: as floats, 1.005 * 1000 falls short of 1005.
+    ("1.005 sec", 1005),
     # At most one trailing "s", and only after a unit: both readers refuse.
     ("5 secss", None), ("5 ms", None), ("5 s", None)])
 def test_window_units_are_the_pattern_units(text, ms):
@@ -189,7 +191,8 @@ def test_window_without_a_unit_is_msec():
     assert _parse_duration("1800000") == 1_800_000
 
 
-@pytest.mark.parametrize("window", ["0", "0.4", "0.4msec", "0 sec"])
+@pytest.mark.parametrize("window", ["0", "0.4", "0.4msec", "0 sec", "0.6",
+                                    "0.6 msec"])
 def test_window_under_1_ms_is_exit_2(files, capsys, window):
     _, pattern, spec, rates = files
     with pytest.raises(SystemExit) as exc:
@@ -201,6 +204,29 @@ def test_window_under_1_ms_is_exit_2(files, capsys, window):
     if not window[-1].isdigit():
         with pytest.raises(ParseError, match="window must be positive"):
             parse_pattern(f"PATTERN SEQ(A a) WITHIN {window}")
+
+
+@pytest.mark.parametrize("window", ["1.5 msec", "2.5", "1.0005 sec"])
+def test_window_of_a_fraction_of_a_ms_is_exit_2(files, capsys, window):
+    # Rounding would run 1.5 and 2.5 msec as 2 ms, and 1.0005 sec as 1000.
+    tmp, pattern, spec, rates = files
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--pattern", str(pattern), "--generate", str(spec),
+              "--mode", "lazy", "--rates", str(rates), "--window", window])
+    assert exc.value.code == 2
+    assert "window must be a whole number of milliseconds" in (
+        capsys.readouterr().err)
+    # WITHIN refuses the same window; a bare number is msec there too.
+    if window[-1].isdigit():
+        window += " msec"
+    bad = tmp / "bad.pat"
+    bad.write_text(f"PATTERN SEQ(A a, B b)\nWITHIN {window}\n")
+    assert main(["run", "--pattern", str(bad), "--generate", str(spec),
+                 "--mode", "lazy", "--rates", str(rates)]) == 2
+    _one_error_line(capsys, "pattern error: ")
+    with pytest.raises(ParseError,
+                       match="whole number of milliseconds, got"):
+        parse_pattern(f"PATTERN SEQ(A a) WITHIN {window}")
 
 
 @pytest.mark.parametrize("field, value", [("history_len", 0),

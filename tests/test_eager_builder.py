@@ -66,13 +66,13 @@ def test_iterated_role_gets_a_take_self_loop():
 def test_negation_adds_post_processing_tail():
     nfa = build_eager(chain_of(
         "PATTERN SEQ(A a, NOT(B b), C c) WITHIN 1 hour"))
-    assert [plan.neg is not None for plan in nfa.plans].count(True) == 1
+    assert [bool(plan.tail) for plan in nfa.plans].count(True) == 1
     assert nfa.storable == frozenset({"B"})
     # The full roleset is the tail's state, which the take that binds c
     # enters. C follows B, so the tail emits at once: no arrival acts on an
     # instance there, and none is registered.
     assert nfa.states == ("q0", "{a}", "r_B", "F")
-    assert nfa.plans[2].neg.wait is None
+    assert nfa.plans[2].kill_map == {}
     assert nfa.acted_on == {0, 1}
 
 

@@ -170,14 +170,14 @@ class TestPpNegation:
         assert nfa.states[3] == "r_B"
         # The last positive take enters the tail; after r_B comes F.
         assert [tp.dst for tp in nfa.plans[2].stream_takes["D"]] == [3]
-        neg = nfa.plans[3].neg
+        plan = nfa.plans[3]
         (spec,) = nfa.work[3].tail
         assert [sid for sid, w in nfa.work.items() if w.tail] == [3]
         assert (spec.role, spec.etype) == ("b", "B") and spec.cond
-        assert neg.checks == (spec,)
+        assert plan.tail == (spec,)
         # B precedes a positive (C), so its candidates are buffer-only: the
         # check does not wait for arrivals, and passing it completes.
-        assert neg.wait is None and neg.kill_map == {}
+        assert plan.kill_map == {}
         assert all(3 not in sids for sids in nfa.type_interest.values())
         # The tail's check searches B, so the buffer stores it.
         assert nfa.storable == frozenset({"A", "B", "D"})
@@ -186,11 +186,10 @@ class TestPpNegation:
         chain = chain_of("PATTERN AND(A a, NOT(B b), C c) WITHIN 1 hour")
         nfa = build_lazy(chain, ["A", "C"])
         neg_sid = next(sid for sid, plan in enumerate(nfa.plans)
-                       if plan.neg is not None)
-        neg = nfa.plans[neg_sid].neg
-        (spec,) = neg.checks  # then F
-        assert neg.wait == neg_sid
-        assert neg.kill_map == {"B": (spec,)}
+                       if plan.tail)
+        plan = nfa.plans[neg_sid]
+        (spec,) = plan.tail  # then F
+        assert plan.kill_map == {"B": (spec,)}
         assert neg_sid in nfa.type_interest["B"]
         assert neg_sid in nfa.acted_on
 
@@ -211,9 +210,9 @@ class TestPpNegation:
         nfa = build_lazy(chain, ["A"], neg_freq=["C", "B"])
         # One tail state checks both negated types, in the order given.
         assert nfa.states == ("q1", "r_C_B", "F")
-        neg = nfa.plans[1].neg
-        assert [spec.etype for spec in neg.checks] == ["C", "B"]
-        assert neg.wait == 1 and set(neg.kill_map) == {"B", "C"}
+        plan = nfa.plans[1]
+        assert [spec.etype for spec in plan.tail] == ["C", "B"]
+        assert set(plan.kill_map) == {"B", "C"} and 1 in nfa.acted_on
         assert nfa.type_interest["B"] == nfa.type_interest["C"] == (1,)
 
 
@@ -230,7 +229,7 @@ class TestFcNegation:
         assert check.etype == "B" and check.cond
         assert (check.prec_roles, check.succ_roles) == ({"a"}, {"c"})
         assert [sid for sid, p in enumerate(nfa.plans) if p.fc_checks] == [2]
-        assert all(p.neg is None for p in nfa.plans)  # no check needs a tail
+        assert all(not p.tail for p in nfa.plans)  # no check needs a tail
 
     def test_dep_on_last_positive_checks_at_accept(self):
         chain = chain_of(
@@ -241,9 +240,9 @@ class TestFcNegation:
         # check can only run once D is bound: in the tail before F, which
         # emits at once, so no arrival acts on its instances.
         assert nfa.states == ("q1", "q2", "q3", "r_B", "F")
-        (check,) = nfa.plans[3].neg.checks
+        (check,) = nfa.plans[3].tail
         assert check.etype == "B"
-        assert nfa.plans[3].neg.wait is None and 3 not in nfa.acted_on
+        assert nfa.plans[3].kill_map == {} and 3 not in nfa.acted_on
 
     def test_negated_at_end_rejected(self):
         chain = chain_of("PATTERN SEQ(A a, NOT(B b)) WITHIN 1 hour")

@@ -72,11 +72,12 @@ def _one_state_per_negative_tail(nfa):
     # F is the last state, a sink whose plan is empty: no instance enters
     # it. Each negation is either a first-chance check at an earlier state
     # or one of its branch's tail checks, and the tail is one state, whose
-    # plan holds every tail check in tail order. An eager completion hands
-    # off to a tail state.
+    # plan holds every tail check in tail order and no take, and whose
+    # arrivals run exactly the checks with no successor roles, by type in
+    # check order. An eager completion hands off to a tail state.
     assert nfa.states[-1] == "F"
-    assert nfa.plans[-1] == N.StatePlan((), {}, (), None, None)
-    tails = [sid for sid, plan in enumerate(nfa.plans) if plan.neg is not None]
+    assert nfa.plans[-1] == N.StatePlan((), {}, (), None, (), {})
+    tails = [sid for sid, plan in enumerate(nfa.plans) if plan.tail]
     assert tails == sorted(sid for sid, w in nfa.work.items() if w.tail)
     owner = state_branches(nfa)
     for bi, chain in enumerate(nfa.chains):
@@ -85,9 +86,15 @@ def _one_state_per_negative_tail(nfa):
                    ) == len(chain.negations)
     for sid, w in nfa.work.items():
         if w.tail:
-            assert nfa.plans[sid].neg.checks == w.tail
+            plan = nfa.plans[sid]
+            assert plan.tail == w.tail
+            assert plan.entry_takes == () and plan.stream_takes == {}
+            waits = [chk for chk in w.tail if not chk.succ_roles]
+            assert plan.kill_map == {
+                t: tuple(chk for chk in waits if chk.etype == t)
+                for t in {chk.etype for chk in waits}}
         if w.complete is not None and w.complete.tail_start is not None:
-            assert nfa.plans[w.complete.tail_start].neg is not None
+            assert nfa.plans[w.complete.tail_start].tail
 
 
 def test_every_builder_output_over_the_difftest_corpus_validates():

@@ -399,6 +399,24 @@ class TestSharedBufferEquivalence:
         with pytest.raises(ShadowMismatch, match="type B"):
             run_stream(PairedRuntime(nfa), stream)
 
+    def test_paired_mode_checks_every_dispatch_target_is_alive(self):
+        # Runtime.step dispatches an arrival to every instance in its
+        # snapshot: a dispatch that retired another target would leave a
+        # dead instance in the snapshot, which paired mode refuses to act on.
+        class RetiresItsNeighbours(PairedRuntime):
+            def _on_arrival(self, inst, e):
+                super()._on_arrival(inst, e)
+                for other in list(self.by_state[inst.sid].values()):
+                    if other is not inst:
+                        self._retire(other)
+
+        chains = chains_of("PATTERN SEQ(A a, B b) WITHIN 10 msec")
+        (nfa,) = compile_pattern(chains, "eager")
+        stream = mkstream(("A", 0), ("A", 1), ("B", 2))
+        assert len(run_stream(PairedRuntime(nfa), stream)) == 2
+        with pytest.raises(ShadowMismatch, match="retired before"):
+            run_stream(RetiresItsNeighbours(nfa), stream)
+
 
 class TestMetricsCounters:
     def test_counts_are_tracked(self):
@@ -763,8 +781,8 @@ def test_no_instance_is_built_in_f(corpus):
 
 def test_no_instance_is_registered_in_a_tail_that_never_waits(corpus):
     registered = [reg for nfa, sid, reg in corpus.built
-                  if nfa.plans[sid].neg is not None
-                  and nfa.plans[sid].neg.wait is None]
+                  if nfa.plans[sid].tail
+                  and nfa.plans[sid].kill_map == {}]
     assert registered and not any(registered)
 
 
